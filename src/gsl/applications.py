@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes, _abs_residue_modulus
+from .covers import BranchPoint, Cover, abs_residue_modulus, branch_points, conservative_bad_primes
 from .errors import DomainError, HypothesisViolation, NotSeparable, PrecisionExhausted, WildOrIrregular
 from .exact import Rat, UniPoly, discriminant, factor_int, is_prime, rat_to_str, rational_valuation
 from .modp import factor_mod_p, reduce_relative, roots_mod_p
@@ -43,7 +43,7 @@ def find_frobenius_primes(
     if branches is None:
         branches = branch_points(cover)
     bad = conservative_bad_primes(cover)
-    moduli = [_abs_residue_modulus(bp) for bp in branches]
+    moduli = [abs_residue_modulus(bp) for bp in branches]
     out = []
     for p in range(3, bound + 1):
         if not is_prime(p) or p in bad:

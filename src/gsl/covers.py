@@ -26,25 +26,24 @@ exceeds it, which no tame cover does).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
+from . import dense
 from .errors import (
     DomainError,
     HypothesisViolation,
     NonUniformRamification,
+    NotSeparable,
     SchemaError,
     UnstableResidueField,
 )
 from .exact import BiPoly, Rat, UniPoly, disc_y, factor_int, is_prime, squarefree_part
-from .modp import frobenius_data
+from .modp import frobenius_data, seed_from_env
 from .nfield import (
     Adjunction,
     NumberField,
@@ -52,10 +51,8 @@ from .nfield import (
     factor_nf,
     factor_rational,
     nf_from_unipoly,
-    nf_trim,
     relative_min_poly,
 )
-from .padic import _sides
 
 
 # ---------------------------------------------------------------------------
@@ -220,38 +217,8 @@ class BranchPoint:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in x over a number field: plain coefficient lists
-
-
-def _kx_trim(K, a: list) -> list:
-    while a and K.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def _kx_add(K, a, b):
-    n = max(len(a), len(b))
-    z = K.zero()
-    return _kx_trim(K, [
-        K.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-        for i in range(n)
-    ])
-
-
-def _kx_mul(K, a, b):
-    if not a or not b:
-        return []
-    out = [K.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if K.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return _kx_trim(K, out)
-
-
-def _kx_scale(K, a, c):
-    return _kx_trim(K, [K.mul(x, c) for x in a])
+# H(x, y) as rows by y-degree, each a `dense` polynomial in x over a number
+# field
 
 
 def _kx_val(K, a):
@@ -263,30 +230,24 @@ def _kx_val(K, a):
     return None
 
 
-def _from_unipoly_at(K, c: UniPoly, tau) -> list:
-    """c(tau + x) as a polynomial in x over K, by Horner."""
-    out: list = []
-    lin = [tau, K.one()]
-    for i in range(c.degree, -1, -1):
-        out = _kx_add(K, _kx_mul(K, out, lin), [K.from_rat(c.coeff(i))])
-    return out
-
-
 def _h_at_branch(K, P: BiPoly, tau) -> list[list]:
     """H(x, y) = P(tau + x, y), rows by y-degree over K[x]."""
-    return [_from_unipoly_at(K, P.coeff(i), tau) for i in range(P.degree_y + 1)]
+    return [
+        dense.shift(K, nf_from_unipoly(K, P.coeff(i)), tau)
+        for i in range(P.degree_y + 1)
+    ]
 
 
 def _h_embed(adj: Adjunction, H: list[list]) -> list[list]:
     L = adj.field
-    return [ _kx_trim(L, [adj.embed(c) for c in row]) for row in H ]
+    return [dense.trim(L, [adj.embed(c) for c in row]) for row in H]
 
 
 def _h_shift_y(K, H: list[list], xi) -> list[list]:
     """H(x, y + xi)."""
     n = len(H) - 1
     out: list[list] = [[] for _ in range(n + 1)]
-    xi_pows = [K.one()]
+    xi_pows = [K.one]
     for _ in range(n):
         xi_pows.append(K.mul(xi_pows[-1], xi))
     for i, row in enumerate(H):
@@ -294,14 +255,14 @@ def _h_shift_y(K, H: list[list], xi) -> list[list]:
             continue
         for b in range(i + 1):
             c = math.comb(i, b)
-            scaled = _kx_scale(K, row, K.scale(xi_pows[i - b], c))
-            out[b] = _kx_add(K, out[b], scaled)
+            scaled = dense.scale(K, row, K.scale(xi_pows[i - b], c))
+            out[b] = dense.add(K, out[b], scaled)
     return out
 
 
 def _h_eval_x0(K, H: list[list]) -> list:
     """H(0, y) as a y-polynomial over K."""
-    return nf_trim(K, [row[0] if row else K.zero() for row in H])
+    return dense.trim(K, [row[0] if row else K.zero for row in H])
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +277,8 @@ def _duval_transform(K, H, q: int, mslope: int, u: int, v: int, w0, ell: int):
     and the whole polynomial is exactly divisible by x^ell (the minimum of
     q a + mslope i over the support, attained on the polygon side)."""
     n = len(H) - 1
-    w0u = K.pow_el(w0, u)
-    w0u_pows = [K.one()]
+    w0u = dense.power(K, w0, u)
+    w0u_pows = [K.one]
     for _ in range(n):
         w0u_pows.append(K.mul(w0u_pows[-1], w0u))
     out: list[list] = [[] for _ in range(n + 1)]
@@ -325,18 +286,18 @@ def _duval_transform(K, H, q: int, mslope: int, u: int, v: int, w0, ell: int):
         for a, c in enumerate(row):
             if K.is_zero(c):
                 continue
-            base = K.mul(c, K.pow_el(w0, v * a))
+            base = K.mul(c, dense.power(K, w0, v * a))
             shift = q * a + mslope * i
             # distribute over (w0^u + y)^i
             for b in range(i + 1):
                 coeff = K.scale(K.mul(base, w0u_pows[i - b]), math.comb(i, b))
                 row_out = out[b]
                 while len(row_out) <= shift:
-                    row_out.append(K.zero())
+                    row_out.append(K.zero)
                 row_out[shift] = K.add(row_out[shift], coeff)
     shifted: list[list] = []
     for row in out:
-        row = _kx_trim(K, row)
+        row = dense.trim(K, row)
         if row:
             v0 = _kx_val(K, row)
             assert v0 is not None and v0 >= ell, "transform must divide by x^ell"
@@ -413,7 +374,7 @@ class _Expander:
         pts = [(i, v) for i, v in enumerate(vals) if v is not None]
         out: list[_Path] = []
         extent = 0
-        for xa, ya, xb, yb, lam in _sides(pts):
+        for xa, ya, xb, yb, lam in dense.newton_sides(pts):
             if lam <= 0:
                 continue
             extent += xb - xa
@@ -425,7 +386,7 @@ class _Expander:
                 j = xa + kappa * q
                 vline = ya - kappa * mslope
                 row = H[j]
-                c = row[vline] if vline < len(row) else K.zero()
+                c = row[vline] if vline < len(row) else K.zero
                 R.append(c)
             assert not K.is_zero(R[0]) and not K.is_zero(R[-1])
             if mslope == 1:
@@ -589,7 +550,7 @@ def _primes_of_rat(x: Rat, acc: set[int]):
         acc.add(p)
 
 
-def _abs_residue_modulus(bp: BranchPoint) -> UniPoly:
+def abs_residue_modulus(bp: BranchPoint) -> UniPoly:
     """An absolute minimal polynomial of the residue field of bp's places
     (over Q)."""
     K0 = NumberField(bp.residue.base)
@@ -634,7 +595,7 @@ def conservative_bad_primes(cover: Cover) -> frozenset[int]:
             for c in cp.coeffs:
                 for p in factor_int(c.denominator):
                     bad.add(p)
-        M = _abs_residue_modulus(bp)
+        M = abs_residue_modulus(bp)
         if M.degree >= 2:
             from .exact import discriminant
 
@@ -679,7 +640,7 @@ def probabilistic_galois_check(
     all share one degree.  A regular Galois cover passes always; most
     non-Galois inputs fail within a few samples."""
     if seed is None:
-        seed = int(os.environ.get("GSL_SEED", "0x5EED"), 0)
+        seed = seed_from_env()
     rng = random.Random(seed)
     bad = conservative_bad_primes(cover)
     done = 0
@@ -693,7 +654,7 @@ def probabilistic_galois_check(
         )
         try:
             fd = frobenius_data(f_t0, p)
-        except Exception:
+        except (NotSeparable, DomainError):
             continue
         degs = set(fd.cycle_type.parts)
         if len(degs) != 1:

@@ -1,0 +1,228 @@
+"""Dense univariate polynomials over a coefficient ring: the one polynomial
+kernel shared by every layer.
+
+A polynomial is a list of ring elements, constant term first, with no
+trailing zeros.  The functions here return polynomials in that form and
+expect their arguments in it; `trim` restores it in place.
+
+The coefficient ring R is any object with
+
+    R.zero, R.one            elements
+    R.add, R.sub, R.mul      (a, b) -> element
+    R.neg(a), R.is_zero(a)
+    R.from_int(n)            the image of an integer (derivatives only)
+    R.inv(a)                 inverse of a unit (division by a divisor that
+                             is not monic, monic normalization, ext_gcd)
+
+The element types live with the layers that own them: `modp.PrimeField`
+and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`,
+and `INTEGERS` below.  Element arithmetic stays in those types; this
+module only combines elements.  Newton-polygon sides, used by the p-adic
+oracle and by the Puiseux expansions, live here too.
+"""
+
+from __future__ import annotations
+
+import operator
+from fractions import Fraction
+
+from .errors import DomainError
+
+
+class _Integers:
+    """Z as a coefficient ring; its only units are 1 and -1."""
+
+    zero, one = 0, 1
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    from_int = staticmethod(int)
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+    @staticmethod
+    def inv(a):
+        if a in (1, -1):
+            return a
+        raise DomainError(f"{a} is not a unit of Z: divide by monic polynomials only")
+
+    def __repr__(self):
+        return "Z"
+
+
+INTEGERS = _Integers()
+
+
+# ---------------------------------------------------------------------------
+# ring operations
+
+
+def trim(R, a: list) -> list:
+    """Drop trailing zeros of a in place; returns a."""
+    while a and R.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def add(R, a, b):
+    out = list(a) + [R.zero] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = R.add(out[i], c)
+    return trim(R, out)
+
+
+def sub(R, a, b):
+    out = list(a) + [R.zero] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = R.sub(out[i], c)
+    return trim(R, out)
+
+
+def mul(R, a, b):
+    if not a or not b:
+        return []
+    out = [R.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not R.is_zero(x):
+            for j, y in enumerate(b):
+                out[i + j] = R.add(out[i + j], R.mul(x, y))
+    return trim(R, out)
+
+
+def scale(R, a, c):
+    """c * a for an element c."""
+    return trim(R, [R.mul(x, c) for x in a])
+
+
+def quorem(R, a, b):
+    """(q, r) with a = q*b + r and deg r < deg b.
+
+    A monic b needs no inverse, so over rings that are not fields (Z,
+    Z_q / p^N) the divisor must be monic or have a unit leading
+    coefficient; R.inv raises otherwise."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lc = b[-1]
+    il = None if R.is_zero(R.sub(lc, R.one)) else R.inv(lc)
+    r = list(a)
+    db = len(b) - 1
+    q = [R.zero] * max(0, len(r) - db)
+    while len(r) > db:
+        c = r.pop()
+        if il is not None:
+            c = R.mul(c, il)
+        k = len(r) - db
+        q[k] = c
+        for i in range(db):
+            r[k + i] = R.sub(r[k + i], R.mul(c, b[i]))
+        trim(R, r)
+    return trim(R, q), r
+
+
+def rem(R, a, b):
+    return quorem(R, a, b)[1]
+
+
+def monic(R, a):
+    """a divided by its leading coefficient (the zero polynomial stays)."""
+    if not a or R.is_zero(R.sub(a[-1], R.one)):
+        return list(a)
+    return scale(R, a, R.inv(a[-1]))
+
+
+def gcd(R, a, b):
+    """Monic gcd over a field."""
+    while b:
+        a, b = b, rem(R, a, b)
+    return monic(R, a)
+
+
+def ext_gcd(R, a, b):
+    """(s, t) with s*a + t*b = 1 over a field, for coprime a and b; then
+    deg s < deg b and deg t < deg a.  Raises DomainError when a and b have
+    a common factor."""
+    r0, r1 = a, b
+    s0, s1 = [R.one], []
+    t0, t1 = [], [R.one]
+    while r1:
+        q, r = quorem(R, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(R, s0, mul(R, q, s1))
+        t0, t1 = t1, sub(R, t0, mul(R, q, t1))
+    if len(r0) != 1:
+        raise DomainError("ext_gcd arguments are not coprime")
+    il = R.inv(r0[0])
+    return scale(R, s0, il), scale(R, t0, il)
+
+
+def powmod(R, a, e: int, m):
+    """a^e mod m."""
+    out = [R.one]
+    b = rem(R, a, m)
+    while e:
+        if e & 1:
+            out = rem(R, mul(R, out, b), m)
+        b = rem(R, mul(R, b, b), m)
+        e >>= 1
+    return out
+
+
+def deriv(R, a):
+    return trim(R, [R.mul(a[i], R.from_int(i)) for i in range(1, len(a))])
+
+
+def evaluate(R, a, x):
+    """a(x) by Horner."""
+    out = R.zero
+    for c in reversed(a):
+        out = R.add(R.mul(out, x), c)
+    return out
+
+
+def shift(R, a, c):
+    """The Taylor shift a(x + c), by repeated synthetic division."""
+    out = list(a)
+    n = len(out) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            out[j] = R.add(out[j], R.mul(c, out[j + 1]))
+    return trim(R, out)
+
+
+def power(R, a, e: int):
+    """a^e for a ring element a and an integer e >= 0."""
+    out = R.one
+    b = a
+    while e:
+        if e & 1:
+            out = R.mul(out, b)
+        b = R.mul(b, b)
+        e >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Newton polygons
+
+
+def newton_sides(points):
+    """Sides of the lower convex hull of (i, v) points with i strictly
+    increasing: (xa, ya, xb, yb, slope) with slope = (ya - yb) / (xb - xa),
+    the common valuation of the roots belonging to that side."""
+    hull: list = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop hull[-1] if it sits on or above the segment hull[-2] -> pt
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return [
+        (xa, ya, xb, yb, Fraction(ya - yb, xb - xa))
+        for (xa, ya), (xb, yb) in zip(hull, hull[1:])
+    ]

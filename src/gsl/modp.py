@@ -1,7 +1,7 @@
-"""Finite-field polynomial arithmetic and factorization.
+"""Finite fields and factorization over them.
 
-Polynomials over F_p are plain lists of ints in [0, p), ascending degree,
-no trailing zeros (the public face is `PolyModP`).  The same factorization
+Polynomials over a finite field F are `dense` lists of F-elements (ints in
+[0, p) for F_p; the public face is `PolyModP`).  The same factorization
 machinery runs over extension fields F_{p^d} (elements: int tuples over a
 fixed irreducible modulus), which the p-adic oracle uses for its unramified
 lifts; extension fields are internal.
@@ -20,15 +20,24 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import dense
 from .errors import DomainError, NotSeparable
 from .exact import UniPoly, is_prime
 
 _DEFAULT_SEED = 0x5EED
 
 
-def _seed() -> int:
+def seed_from_env() -> int:
+    """The GSL_SEED environment variable as an integer in any Python
+    literal base (0x5EED, 24301, ...); the default when it is unset or
+    empty."""
     env = os.environ.get("GSL_SEED")
-    return int(env) if env else _DEFAULT_SEED
+    if not env:
+        return _DEFAULT_SEED
+    try:
+        return int(env, 0)
+    except ValueError:
+        raise DomainError(f"GSL_SEED={env!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +93,25 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+def mul_reduce(a, b, modulus, m: int) -> tuple:
+    """The product of two int tuples of length d = deg(modulus), read as
+    polynomials, reduced by the monic int polynomial `modulus` and mod m.
+    The element product of both F_{p^d} (m = p) and Z_q / p^N (m = p^N)."""
+    d = len(modulus) - 1
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % m
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out[k]
+        if c:
+            out[k] = 0
+            for j in range(d):
+                out[k - d + j] = (out[k - d + j] - c * modulus[j]) % m
+    return tuple(out[:d])
+
+
 class ExtField:
     """F_{p^d} = F_p[x]/(chi), chi monic irreducible of degree d.
 
@@ -91,12 +119,14 @@ class ExtField:
     x^{d-1}).
     """
 
-    __slots__ = ("p", "d", "q", "degree", "chi", "zero", "one", "gen")
+    __slots__ = ("p", "d", "q", "degree", "chi", "base", "zero", "one", "gen")
 
     def __init__(self, p: int, chi: Sequence[int]):
         self.p = p
+        self.base = PrimeField(p)
         self.chi = [c % p for c in chi]
-        assert self.chi[-1] == 1, "modulus must be monic"
+        if self.chi[-1] != 1:
+            raise DomainError("extension field modulus must be monic")
         self.d = len(self.chi) - 1
         self.degree = self.d
         self.q = p**self.d
@@ -117,21 +147,7 @@ class ExtField:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        p, d = self.p, self.d
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        # reduce by chi
-        chi = self.chi
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for j in range(d):
-                    out[k - d + j] = (out[k - d + j] - c * chi[j]) % p
-        return tuple(out[:d])
+        return mul_reduce(a, b, self.chi, self.p)
 
     def is_zero(self, a):
         return not any(a)
@@ -139,19 +155,8 @@ class ExtField:
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of 0")
-        # extended Euclid in F_p[x] on (chi, a)
-        p = self.p
-        r0, r1 = list(self.chi), _trim(list(a))
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-        lead = r0[-1]
-        il = pow(lead, -1, p)
-        t0 = [c * il % p for c in t0]
-        t0 = (t0 + [0] * self.d)[: self.d]
-        return tuple(t0)
+        _, t = dense.ext_gcd(self.base, self.chi, dense.trim(self.base, list(a)))
+        return tuple(t + [0] * (self.d - len(t)))
 
     def from_int(self, n: int):
         return tuple([n % self.p] + [0] * (self.d - 1))
@@ -167,189 +172,11 @@ class ExtField:
         # a^(p^(d-1)): inverse of Frobenius
         out = a
         for _ in range(self.d - 1):
-            out = self.pow(out, self.p)
-        return out
-
-    def pow(self, a, e: int):
-        out = self.one
-        b = a
-        while e:
-            if e & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            e >>= 1
+            out = dense.power(self, out, self.p)
         return out
 
     def __repr__(self):
         return f"F_{self.p}^{self.d}"
-
-
-def field_pow(F, a, e: int):
-    out = F.one
-    b = a
-    while e:
-        if e & 1:
-            out = F.mul(out, b)
-        b = F.mul(b, b)
-        e >>= 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# F_p[x] helpers on raw int lists (used by ExtField internals)
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _psub(a: list, b: list, p: int) -> list:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _pmul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    il = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        f = a[-1] * il % p
-        k = len(a) - 1 - db
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] = (a[k + i] - f * c) % p
-        _trim(a)
-        if len(a) - 1 < db:
-            break
-    return _trim(q), _trim(a)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over an abstract finite field F: lists of F-elements
-
-
-def fp_trim(F, a: list) -> list:
-    while a and F.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def fp_add(F, a, b):
-    out = list(a) + [F.zero] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return fp_trim(F, out)
-
-
-def fp_sub(F, a, b):
-    out = list(a) + [F.zero] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = F.sub(out[i], c)
-    return fp_trim(F, out)
-
-
-def fp_mul(F, a, b):
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not F.is_zero(x):
-            for j, y in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return fp_trim(F, out)
-
-
-def fp_scale(F, a, c):
-    return fp_trim(F, [F.mul(x, c) for x in a])
-
-
-def fp_divmod(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    il = F.inv(b[-1])
-    db = len(b) - 1
-    q = [F.zero] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        f = F.mul(a[-1], il)
-        k = len(a) - 1 - db
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] = F.sub(a[k + i], F.mul(f, c))
-        fp_trim(F, a)
-        if len(a) - 1 < db:
-            break
-    return fp_trim(F, q), fp_trim(F, a)
-
-
-def fp_mod(F, a, b):
-    return fp_divmod(F, a, b)[1]
-
-
-def fp_monic(F, a):
-    if not a:
-        return a
-    if F.is_zero(F.sub(a[-1], F.one)):
-        return list(a)
-    return fp_scale(F, a, F.inv(a[-1]))
-
-
-def fp_gcd(F, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, fp_mod(F, a, b)
-    return fp_monic(F, a)
-
-
-def fp_powmod(F, a, e: int, mod):
-    out = [F.one]
-    b = fp_mod(F, a, mod)
-    while e:
-        if e & 1:
-            out = fp_mod(F, fp_mul(F, out, b), mod)
-        b = fp_mod(F, fp_mul(F, b, b), mod)
-        e >>= 1
-    return out
-
-
-def fp_deriv(F, a):
-    out = []
-    for i in range(1, len(a)):
-        out.append(F.mul(a[i], F.from_int(i)))
-    return fp_trim(F, out)
-
-
-def fp_eval(F, a, x):
-    out = F.zero
-    for c in reversed(a):
-        out = F.add(F.mul(out, x), c)
-    return out
-
-
-def fp_compose_shift(F, a, c):
-    """a(x + c)."""
-    out = []
-    for coeff in reversed(a):
-        out = fp_add(F, fp_mul(F, out, [c, F.one]), [coeff])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +191,28 @@ def _sqf_decomp(F, f):
     def rec(f, mult):
         if len(f) <= 1:
             return
-        df = fp_deriv(F, f)
+        df = dense.deriv(F, f)
         if not df:
             # f = h(x^p); take p-th root of coefficients
             root = [F.pth_root(c) for c in f[::p]]
             rec(root, mult * p)
             return
-        g = fp_gcd(F, f, df)
-        w = fp_divmod(F, f, g)[0]  # product of factors with mult not
+        g = dense.gcd(F, f, df)
+        w = dense.quorem(F, f, g)[0]  # product of factors with mult not
         # divisible by p, each taken once... iterate classical Yun-ish:
         i = 1
         while len(w) > 1:
-            y = fp_gcd(F, w, g)
-            z = fp_divmod(F, w, y)[0]
+            y = dense.gcd(F, w, g)
+            z = dense.quorem(F, w, y)[0]
             if len(z) > 1:
-                out.append((fp_monic(F, z), i * mult))
+                out.append((dense.monic(F, z), i * mult))
             w = y
-            g = fp_divmod(F, g, y)[0]
+            g = dense.quorem(F, g, y)[0]
             i += 1
         if len(g) > 1:
             rec(g, mult)
 
-    rec(fp_monic(F, f), 1)
+    rec(dense.monic(F, f), 1)
     return out
 
 
@@ -398,12 +225,12 @@ def _ddf(F, f):
     r = 0
     while len(v) - 1 >= 2 * (r + 1):
         r += 1
-        h = fp_powmod(F, h, F.q, v)
-        g = fp_gcd(F, fp_sub(F, h, [F.zero, F.one]), v)
+        h = dense.powmod(F, h, F.q, v)
+        g = dense.gcd(F, dense.sub(F, h, [F.zero, F.one]), v)
         if len(g) > 1:
             out.append((g, r))
-            v = fp_divmod(F, v, g)[0]
-            h = fp_mod(F, h, v)
+            v = dense.quorem(F, v, g)[0]
+            h = dense.rem(F, h, v)
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
@@ -418,7 +245,7 @@ def _edf(F, f, d):
         return [list(f)]
     q = F.q
     small = q < 2**16
-    rng = None if small else random.Random(_seed())
+    rng = None if small else random.Random(seed_from_env())
     counter = q  # skip constants when enumerating
     factors = []
     work = [list(f)]
@@ -436,30 +263,30 @@ def _edf(F, f, d):
                 while i:
                     u.append(F.element_by_index(i % q))
                     i //= q
-                u = fp_trim(F, u)
+                u = dense.trim(F, u)
                 if len(u) < 2:
                     continue
             else:
                 deg = 2 * d - 1
                 u = [F.element_by_index(rng.randrange(q)) for _ in range(deg)]
                 u.append(F.one)
-                u = fp_trim(F, u)
+                u = dense.trim(F, u)
             if F.p == 2:
                 # trace splitting: v = u + u^2 + u^4 + ... (k*d terms, q=2^k)
                 k = d * int(math.log2(q))
-                v = fp_mod(F, u, g)
+                v = dense.rem(F, u, g)
                 acc = list(v)
                 for _ in range(k - 1):
-                    v = fp_mod(F, fp_mul(F, v, v), g)
-                    acc = fp_add(F, acc, v)
-                h = fp_gcd(F, acc, g)
+                    v = dense.rem(F, dense.mul(F, v, v), g)
+                    acc = dense.add(F, acc, v)
+                h = dense.gcd(F, acc, g)
             else:
                 e = (q**d - 1) // 2
-                v = fp_powmod(F, u, e, g)
-                h = fp_gcd(F, fp_sub(F, v, [F.one]), g)
+                v = dense.powmod(F, u, e, g)
+                h = dense.gcd(F, dense.sub(F, v, [F.one]), g)
             if 0 < len(h) - 1 < len(g) - 1:
                 work.append(h)
-                work.append(fp_divmod(F, g, h)[0])
+                work.append(dense.quorem(F, g, h)[0])
                 break
     return factors
 
@@ -468,7 +295,7 @@ def factor_over(F, f) -> list[tuple[list, int]]:
     """Full factorization of a nonzero polynomial over the finite field F:
     [(monic irreducible, multiplicity)], plus the unit is discarded.
     Sorted by degree then coefficient index tuple."""
-    f = fp_trim(F, list(f))
+    f = dense.trim(F, list(f))
     if not f:
         raise DomainError("factorization of the zero polynomial")
     out = []
@@ -492,13 +319,13 @@ def roots_over(F, f) -> list:
     gcd(x^q - x, f) is squarefree and splits into exactly the linear
     factors of f, so one equal-degree split finishes the job.
     """
-    f = fp_trim(F, list(f))
+    f = dense.trim(F, list(f))
     if not f:
         raise DomainError("roots of the zero polynomial")
     if len(f) == 1:
         return []
-    xq = fp_powmod(F, [F.zero, F.one], F.q, f)
-    lin = fp_gcd(F, fp_sub(F, xq, [F.zero, F.one]), f)
+    xq = dense.powmod(F, [F.zero, F.one], F.q, f)
+    lin = dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
     roots = [F.neg(g[0]) for g in _edf(F, lin, 1)] if len(lin) > 1 else []
     return sorted(roots, key=lambda r: r if isinstance(F, PrimeField) else tuple(r))
 
@@ -527,12 +354,12 @@ def _is_irreducible(F, f) -> bool:
     if n == 1:
         return True
     x = [F.zero, F.one]
-    h = fp_powmod(F, x, F.q**n, f)
-    if fp_trim(F, fp_sub(F, h, x)):
+    h = dense.powmod(F, x, F.q**n, f)
+    if dense.sub(F, h, x):
         return False
     for r in {d for d in _prime_divisors(n)}:
-        h = fp_powmod(F, x, F.q ** (n // r), f)
-        if len(fp_gcd(F, fp_sub(F, h, x), f)) > 1:
+        h = dense.powmod(F, x, F.q ** (n // r), f)
+        if len(dense.gcd(F, dense.sub(F, h, x), f)) > 1:
             return False
     return True
 
@@ -562,11 +389,7 @@ class PolyModP:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, coeffs: Sequence[int], p: int):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = dense.trim(PrimeField(p), [c % p for c in coeffs])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -602,10 +425,7 @@ class PolyModP:
         return cls(data["coeffs"], data["p"])
 
     def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = (out * x + c) % self.p
-        return out
+        return dense.evaluate(PrimeField(self.p), self.coeffs, x % self.p)
 
 
 @dataclass(frozen=True)
@@ -639,8 +459,7 @@ class FrobeniusData:
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
     """Coefficients of f mod p; errors when a denominator is divisible by p
     (the reduction would not be defined)."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    F = PrimeField(p)
     out = []
     for c in f.coeffs:
         if c.denominator % p == 0:
@@ -648,9 +467,7 @@ def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
                 f"coefficient {c} is not p-integral at p={p}; cannot reduce"
             )
         out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return dense.trim(F, out)
 
 
 def factor_mod_p(f: UniPoly | Sequence[int], p: int) -> list[tuple[PolyModP, int]]:
@@ -660,7 +477,7 @@ def factor_mod_p(f: UniPoly | Sequence[int], p: int) -> list[tuple[PolyModP, int
     composite p."""
     F = PrimeField(p)
     coeffs = reduce_unipoly(f, p) if isinstance(f, UniPoly) else [c % p for c in f]
-    if not fp_trim(F, list(coeffs)):
+    if not dense.trim(F, list(coeffs)):
         raise DomainError("factorization of the zero polynomial mod p")
     return [(PolyModP(g, p), m) for g, m in factor_over(F, coeffs)]
 
@@ -676,11 +493,11 @@ def frobenius_data(f: UniPoly, p: int) -> FrobeniusData:
     if len(coeffs) - 1 != f.degree:
         raise DomainError(f"degree of f drops mod {p} (p divides the leading coefficient)")
     F = PrimeField(p)
-    d = fp_deriv(F, coeffs)
-    if not d or len(fp_gcd(F, coeffs, d)) > 1:
+    d = dense.deriv(F, coeffs)
+    if not d or len(dense.gcd(F, coeffs, d)) > 1:
         raise NotSeparable(f"f mod {p} is not squarefree")
     parts = []
-    for block, r in _ddf(F, fp_monic(F, coeffs)):
+    for block, r in _ddf(F, dense.monic(F, coeffs)):
         parts.extend([r] * ((len(block) - 1) // r))
     ct = CycleType(tuple(parts))
     return FrobeniusData(cycle_type=ct, order=ct.order)
@@ -690,7 +507,7 @@ def roots_mod_p(f: UniPoly | Sequence[int], p: int) -> list[int]:
     """Sorted distinct roots of f mod p in [0, p)."""
     F = PrimeField(p)
     coeffs = reduce_unipoly(f, p) if isinstance(f, UniPoly) else [c % p for c in f]
-    if not fp_trim(F, list(coeffs)):
+    if not dense.trim(F, list(coeffs)):
         raise DomainError("roots of the zero polynomial mod p")
     return roots_over(F, coeffs)
 
@@ -707,23 +524,9 @@ def reduce_relative(
     be p-integral.
     """
     p, a = place
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    ma = reduce_unipoly(m, p)
-    if fp_eval(PrimeField(p), ma, a % p) != 0:
+    F = PrimeField(p)
+    if dense.evaluate(F, reduce_unipoly(m, p), a % p) != 0:
         raise DomainError(f"{a} is not a root of the locus mod {p}")
-    out = []
-    for c in r:
-        red = reduce_unipoly(c, p)
-        out.append(fp_eval(PrimeField(p), red, a % p))
+    out = [dense.evaluate(F, reduce_unipoly(c, p), a % p) for c in r]
     return PolyModP(out, p)
 
-
-def legendre_symbol(a: int, p: int) -> int:
-    """(a/p) in {-1, 0, 1} for odd prime p."""
-    if p == 2 or not is_prime(p):
-        raise DomainError("legendre symbol needs an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1

@@ -6,9 +6,11 @@ randomness.  The pieces:
 
   * NumberField -- Q[x]/(M) for a monic irreducible M, elements stored as
     coefficient tuples of Fraction, inverses by extended Euclid.
+    Polynomials over a number field are `dense` lists of elements.
   * factor_rational -- complete factorization in Q[x]: Yun squarefree
-    split, then Zassenhaus per squarefree part (factor mod p, quadratic
-    Hensel lifting past the Landau-Mignotte bound, subset recombination).
+    split, then Zassenhaus per squarefree part (factor mod p, the p-adic
+    oracle's Hensel lift over Z/p^k past the Landau-Mignotte bound, subset
+    recombination over Z).
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
@@ -30,11 +32,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import DomainError
+from . import dense
+from .errors import DomainError, PrecisionExhausted
 from .exact import Rat, UniPoly, is_prime
-from .modp import PrimeField, factor_over, fp_deriv, fp_divmod, fp_gcd, fp_monic, fp_mul, fp_scale, fp_sub, fp_trim
+from .modp import PrimeField, factor_over
+from .padic import Zq, hensel_lift
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +52,7 @@ class NumberField:
     modulus built inside this module is certified at construction time
     (factor_rational output, or a squarefree norm via Trager's lemma)."""
 
-    __slots__ = ("modulus", "degree")
+    __slots__ = ("modulus", "degree", "zero", "one")
 
     def __init__(self, modulus: UniPoly):
         if modulus.degree < 1:
@@ -57,6 +61,8 @@ class NumberField:
             raise DomainError("number field modulus must be monic")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree)
+        object.__setattr__(self, "zero", (Fraction(0),) * self.degree)
+        object.__setattr__(self, "one", self.from_rat(Fraction(1)))
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
@@ -66,16 +72,12 @@ class NumberField:
 
     # -- element construction
 
-    def zero(self) -> tuple:
-        return (Fraction(0),) * self.degree
-
-    def one(self) -> tuple:
-        return self.from_rat(Fraction(1))
-
     def from_rat(self, c) -> tuple:
         out = [Fraction(0)] * self.degree
         out[0] = Fraction(c)
         return tuple(out)
+
+    from_int = from_rat
 
     def gen(self) -> tuple:
         """The class of x, i.e. the distinguished root of the modulus."""
@@ -151,18 +153,6 @@ class NumberField:
     def div(self, a, b) -> tuple:
         return self.mul(a, self.inv(b))
 
-    def pow_el(self, a, e: int) -> tuple:
-        if e < 0:
-            return self.pow_el(self.inv(a), -e)
-        out = self.one()
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def as_rat(self, a):
         """The element as a Fraction if it lies in Q, else None."""
         if all(x == 0 for x in a[1:]):
@@ -171,112 +161,11 @@ class NumberField:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a number field: plain lists of elements, low to high
-
-
-def nf_trim(K: NumberField, f: list) -> list:
-    f = list(f)
-    while f and K.is_zero(f[-1]):
-        f.pop()
-    return f
-
-
-def nf_add(K, a, b):
-    n = max(len(a), len(b))
-    z = K.zero()
-    out = [
-        K.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-        for i in range(n)
-    ]
-    return nf_trim(K, out)
-
-
-def nf_sub(K, a, b):
-    n = max(len(a), len(b))
-    z = K.zero()
-    out = [
-        K.sub(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-        for i in range(n)
-    ]
-    return nf_trim(K, out)
-
-
-def nf_mul(K, a, b):
-    if not a or not b:
-        return []
-    out = [K.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if K.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return nf_trim(K, out)
-
-
-def nf_scale(K, a, c):
-    return nf_trim(K, [K.mul(x, c) for x in a])
-
-
-def nf_monic(K, a):
-    a = nf_trim(K, a)
-    if not a:
-        raise DomainError("monic of the zero polynomial")
-    if K.eq(a[-1], K.one()):
-        return a
-    return nf_scale(K, a, K.inv(a[-1]))
-
-
-def nf_divmod(K, a, b):
-    b = nf_trim(K, b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = nf_trim(K, a)
-    binv = K.inv(b[-1])
-    q = [K.zero()] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b):
-        c = K.mul(r[-1], binv)
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = K.sub(r[k + i], K.mul(c, bc))
-        r.pop()
-        while r and K.is_zero(r[-1]):
-            r.pop()
-    return nf_trim(K, q), r
-
-
-def nf_gcd(K, a, b):
-    a, b = nf_trim(K, a), nf_trim(K, b)
-    while b:
-        a, b = b, nf_divmod(K, a, b)[1]
-    if not a:
-        return []
-    return nf_monic(K, a)
-
-
-def nf_deriv(K, a):
-    return nf_trim(K, [K.scale(a[i], i) for i in range(1, len(a))])
-
-
-def nf_eval(K, a, x):
-    out = K.zero()
-    for c in reversed(a):
-        out = K.add(K.mul(out, x), c)
-    return out
+# polynomials over a number field
 
 
 def nf_from_unipoly(K, u: UniPoly) -> list:
-    return nf_trim(K, [K.from_rat(u.coeff(i)) for i in range(u.degree + 1)])
-
-
-def nf_taylor_shift(K, f, c):
-    """f(y + c) by Horner."""
-    lin = [c, K.one()]
-    out: list = []
-    for coeff in reversed(nf_trim(K, f)):
-        out = nf_add(K, nf_mul(K, out, lin), [coeff])
-    return out
+    return dense.trim(K, [K.from_rat(u.coeff(i)) for i in range(u.degree + 1)])
 
 
 def nf_poly_key(K, f):
@@ -324,145 +213,9 @@ def _to_int_monic(g: UniPoly) -> tuple[int, list[int]]:
     return den, out
 
 
-def _zp_trim(a: list[int], m: int) -> list[int]:
-    a = [c % m for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _zp_trim(out, m)
-
-
-def _zp_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [
-        ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-        for i in range(n)
-    ]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zp_add(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-        for i in range(n)
-    ]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    assert b and b[-1] == 1, "divisor must be monic"
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1] % m
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = (r[k + i] - c * bc) % m
-        r.pop()
-        while r and r[-1] % m == 0:
-            r.pop()
-    return _zp_trim(q, m), _zp_trim(r, m)
-
-
-def _fp_extgcd_lists(a: list[int], b: list[int], p: int):
-    """(g, s, t) over F_p with s*a + t*b = g, g monic."""
-    F = PrimeField(p)
-    r0, r1 = fp_trim(F, list(a)), fp_trim(F, list(b))
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = fp_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(F, s0, fp_mul(F, q, s1))
-        t0, t1 = t1, fp_sub(F, t0, fp_mul(F, q, t1))
-    c = r0[-1]
-    cinv = pow(c, -1, p)
-    return (
-        fp_scale(F, r0, cinv),
-        fp_scale(F, s0, cinv),
-        fp_scale(F, t0, cinv),
-    )
-
-
-def _hensel_pair_int(f, A, B, s, t, p, target):
-    """Lift f = A*B (monic, valid mod p, Bezout s*A + t*B = 1 mod p) to a
-    factorization mod p^k >= target by quadratic iteration."""
-    q = p
-    while q < target:
-        q2 = q * q
-        e = _zp_sub(_zp_trim(f, q2), _zp_mul(A, B, q2), q2)
-        qq, r = _zp_divmod_monic(_zp_mul(s, e, q2), B, q2)
-        B2 = _zp_add(B, r, q2)
-        A2 = _zp_add(A, _zp_add(_zp_mul(t, e, q2), _zp_mul(qq, A, q2), q2), q2)
-        bz = _zp_sub(
-            _zp_add(_zp_mul(s, A2, q2), _zp_mul(t, B2, q2), q2), [1], q2
-        )
-        cc, d = _zp_divmod_monic(_zp_mul(s, bz, q2), B2, q2)
-        s2 = _zp_sub(s, d, q2)
-        t2 = _zp_sub(
-            _zp_sub(t, _zp_mul(t, bz, q2), q2), _zp_mul(cc, A2, q2), q2
-        )
-        A, B, s, t, q = A2, B2, s2, t2, q2
-    assert A and A[-1] == 1 and B and B[-1] == 1
-    return A, B, q
-
-
-def _hensel_tree(f: list[int], facs: list[list[int]], p: int, pk: int) -> list[list[int]]:
-    """Lift the monic mod-p factorization facs of monic f to mod p^k by
-    recursive pair splitting."""
-    if len(facs) == 1:
-        out = _zp_trim(f, pk)
-        assert len(out) == len(facs[0]), "degree lost in Hensel tree"
-        return [out]
-    half = len(facs) // 2
-    A = [1]
-    for g in facs[:half]:
-        A = _zp_mul(A, g, p)
-    B = [1]
-    for g in facs[half:]:
-        B = _zp_mul(B, g, p)
-    g, s, t = _fp_extgcd_lists(A, B, p)
-    assert g == [1], "mod-p factors must be pairwise coprime"
-    A, B, q = _hensel_pair_int(f, A, B, s, t, p, pk)
-    A, B = _zp_trim(A, pk), _zp_trim(B, pk)
-    return _hensel_tree(A, facs[:half], p, pk) + _hensel_tree(B, facs[half:], p, pk)
-
-
 def _sym(c: int, m: int) -> int:
     c %= m
     return c - m if c > m // 2 else c
-
-
-def _int_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    assert b and b[-1] == 1
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1]
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] -= c * bc
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
 
 
 def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
@@ -480,10 +233,10 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
         while not is_prime(p):
             p += 1
         F = PrimeField(p)
-        gp = fp_trim(F, [c % p for c in g])
+        gp = dense.trim(F, [c % p for c in g])
         if len(gp) != n + 1:
             continue  # cannot happen for monic g, kept for clarity
-        if len(fp_gcd(F, gp, fp_deriv(F, gp))) != 1:
+        if len(dense.gcd(F, gp, dense.deriv(F, gp))) != 1:
             continue
         facs = [f for f, _ in factor_over(F, gp)]
         tried += 1
@@ -498,10 +251,12 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     # Landau-Mignotte: any monic factor has |coeff| <= 2^n * ||g||_2
     norm2 = math.isqrt(sum(c * c for c in g)) + 1
     target = 2 * ((1 << n) * norm2) + 1
-    pk = p
-    while pk < target:
-        pk *= p
-    lifted = _hensel_tree(_zp_trim(g, pk), facs, p, pk)
+    k = 1
+    while p**k < target:
+        k += 1
+    W = Zq(p, k, [0, 1])  # Z/p^k
+    pk = W.pN
+    lifted = hensel_lift(W, [W.from_int(c) for c in g], facs)
     # subset recombination, smallest subsets first
     remaining = list(range(len(lifted)))
     gcur = list(g)
@@ -510,13 +265,13 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     while 2 * size <= len(remaining):
         hit = False
         for combo in itertools.combinations(remaining, size):
-            h = [1]
+            h = [W.one]
             for i in combo:
-                h = _zp_mul(h, lifted[i], pk)
-            cand = [_sym(c, pk) for c in h]
+                h = dense.mul(W, h, lifted[i])
+            cand = [_sym(c[0], pk) for c in h]
             if gcur[0] != 0 and cand[0] != 0 and gcur[0] % cand[0] != 0:
                 continue
-            q, r = _int_divmod_monic(gcur, cand)
+            q, r = dense.quorem(dense.INTEGERS, gcur, cand)
             if not r:
                 out.append(cand)
                 gcur = q
@@ -529,17 +284,9 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
         out.append(gcur)
     prod = [1]
     for h in out:
-        prod = [int(c) for c in _int_mul(prod, h)]
-    assert prod == list(g), "recombination lost a factor"
-    return out
-
-
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        prod = dense.mul(dense.INTEGERS, prod, h)
+    if prod != list(g):
+        raise PrecisionExhausted("Zassenhaus recombination lost a factor")
     return out
 
 
@@ -614,9 +361,8 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     h(z - s*theta).  Computed by evaluating at deg(M)*deg(h)+1 rational
     points and interpolating; valid because the modulus is monic, so
     Res_x(M, B) = prod_k B(alpha_k) commutes with specializing z."""
-    h = nf_trim(K, h)
     d = len(h) - 1
-    assert d >= 1 and K.eq(h[-1], K.one()), "norm needs a monic h"
+    assert d >= 1 and K.eq(h[-1], K.one), "norm needs a monic h"
     D = K.degree * d
     from .exact import resultant
 
@@ -624,7 +370,7 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     gen = K.gen()
     for z in _eval_points(D + 1):
         arg = K.sub(K.from_rat(z), K.scale(gen, s))
-        val = nf_eval(K, h, arg)
+        val = dense.evaluate(K, h, arg)
         if K.is_zero(val):
             pts.append((z, Fraction(0)))
         else:
@@ -657,8 +403,8 @@ def _trager_squarefree(K: NumberField, h: list) -> list[list]:
     out = []
     stheta = K.scale(K.gen(), s)
     for hq, _ in factors_q:
-        shifted = nf_taylor_shift(K, nf_from_unipoly(K, hq), stheta)
-        g = nf_gcd(K, h, shifted)
+        shifted = dense.shift(K, nf_from_unipoly(K, hq), stheta)
+        g = dense.gcd(K, h, shifted)
         assert len(g) >= 2, "norm factor must meet h"
         out.append(g)
     assert sum(len(g) - 1 for g in out) == d, "factor degrees must add up"
@@ -668,7 +414,7 @@ def _trager_squarefree(K: NumberField, h: list) -> list[list]:
 def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
     """Complete factorization in K[y]: [(monic irreducible, multiplicity)],
     sorted deterministically.  The leading coefficient is dropped."""
-    f = nf_trim(K, f)
+    f = dense.trim(K, list(f))
     if not f:
         raise DomainError("factorization of the zero polynomial")
     if len(f) == 1:
@@ -679,16 +425,16 @@ def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
         for g, m in factor_rational(UniPoly([e[0] for e in f])):
             out.append((nf_from_unipoly(K, g), m))
         return out
-    fm = nf_monic(K, f)
-    df = nf_deriv(K, fm)
-    sqf = fm if not df else nf_divmod(K, fm, nf_gcd(K, fm, df))[0]
-    sqf = nf_monic(K, sqf)
+    fm = dense.monic(K, f)
+    df = dense.deriv(K, fm)
+    sqf = fm if not df else dense.quorem(K, fm, dense.gcd(K, fm, df))[0]
+    sqf = dense.monic(K, sqf)
     out = []
     for g in _trager_squarefree(K, sqf):
         mult = 0
         cur = fm
         while True:
-            q, r = nf_divmod(K, cur, g)
+            q, r = dense.quorem(K, cur, g)
             if r:
                 break
             mult += 1
@@ -722,10 +468,7 @@ class Adjunction:
 
     def embed(self, a: Sequence[Rat]) -> tuple:
         L = self.field
-        out = L.zero()
-        for c in reversed(list(a)):
-            out = L.add(L.mul(out, self.theta), L.from_rat(c))
-        return out
+        return dense.evaluate(L, [L.from_rat(c) for c in a], self.theta)
 
 
 def adjoin_root(K: NumberField, rho: list) -> Adjunction:
@@ -733,11 +476,12 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
     in K[y].  Degree-1 rho stays inside K.  The new modulus is a squarefree
     norm, hence irreducible by Trager's lemma (rho irreducible over K and
     its norm squarefree imply the norm is irreducible over Q)."""
-    rho = nf_trim(K, rho)
+    rho = dense.trim(K, list(rho))
     d = len(rho) - 1
     if d < 1:
         raise DomainError("adjoin_root needs degree >= 1")
-    assert K.eq(rho[-1], K.one()), "rho must be monic"
+    if not K.eq(rho[-1], K.one):
+        raise DomainError("adjoin_root needs a monic rho")
     if d == 1:
         return Adjunction(
             field=K, theta=K.gen(), root=K.neg(rho[0]), shift=0,
@@ -761,9 +505,9 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
     lin = [gamma, L.from_rat(-c)]
     T: list = []
     for coeff in reversed(rho):
-        T = nf_add(L, nf_mul(L, T, lin), nf_from_unipoly(L, UniPoly(coeff)))
+        T = dense.add(L, dense.mul(L, T, lin), nf_from_unipoly(L, UniPoly(coeff)))
     ML = nf_from_unipoly(L, K.modulus)
-    g = nf_gcd(L, ML, T)
+    g = dense.gcd(L, ML, T)
     assert len(g) == 2, "shared root of modulus and transform must be unique"
     theta = L.neg(g[0])
     root = L.sub(gamma, L.scale(theta, c))
@@ -817,10 +561,10 @@ def relative_min_poly(
     if nL % base_degree != 0:
         raise DomainError("subfield degree must divide the field degree")
     dmax = nL // base_degree
-    tau_pows = [L.one()]
+    tau_pows = [L.one]
     for _ in range(base_degree - 1):
         tau_pows.append(L.mul(tau_pows[-1], tau))
-    el_pows = [L.one()]
+    el_pows = [L.one]
     for _ in range(dmax):
         el_pows.append(L.mul(el_pows[-1], el))
     for d in range(1, dmax + 1):

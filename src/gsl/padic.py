@@ -6,13 +6,15 @@ Q_p, together with multiplicities — independently of any global prediction
 machinery, so that predictions can be *verified* against this module.
 
 Method: work in truncated unramified extensions W = Z_p[x]/(Phi) mod p^N
-with N at least 2*v_p(disc f)+1 (so every Hensel/Krasner step used is a
-theorem, not a heuristic):
+(elements: int tuples, polynomials over W: `dense` lists of them) with N
+at least 2*v_p(disc f)+1 (so every Hensel/Krasner step used is a theorem,
+not a heuristic):
 
 1. factor f mod p; a squarefree reduction certifies an unramified answer
    immediately (Hensel);
 2. otherwise lift the block decomposition (one block per irreducible
-   psi^m) with multifactor Hensel;
+   psi^m) with the multifactor Hensel lift `hensel_lift`, which also
+   serves Zassenhaus factorization over Q (W = Zq(p, k, [0, 1]) = Z/p^k);
 3. analyze each repeated block as a root cluster: Newton polygon of the
    shifted polynomial, residual polynomials over the residue field, with
    (a) separable residual factors emitted as (e, deg) pairs,
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import dense
 from .errors import (
     DomainError,
     NotSeparable,
@@ -44,18 +47,7 @@ from .errors import (
     WildOrIrregular,
 )
 from .exact import Rat, UniPoly, discriminant, is_prime, rational_valuation
-from .modp import (
-    ExtField,
-    PrimeField,
-    factor_over,
-    find_irreducible,
-    fp_divmod,
-    fp_mul,
-    fp_scale,
-    fp_sub,
-    fp_trim,
-    roots_over,
-)
+from .modp import ExtField, PrimeField, factor_over, find_irreducible, mul_reduce, roots_over
 
 __all__ = [
     "LocalSplittingType",
@@ -127,26 +119,21 @@ class Zq:
     chi over F_p.  Elements are int tuples of length d with entries mod p^N.
     d = 1 gives plain Z_p mod p^N."""
 
-    __slots__ = ("p", "N", "pN", "d", "Phi", "res")
+    __slots__ = ("p", "N", "pN", "d", "Phi", "res", "zero", "one")
 
     def __init__(self, p: int, N: int, chi: Sequence[int]):
         self.p = p
         self.N = N
         self.pN = p**N
         self.Phi = [c % self.pN for c in chi]
-        assert self.Phi[-1] == 1
+        if self.Phi[-1] != 1:
+            raise DomainError("the modulus of an unramified extension must be monic")
         self.d = len(chi) - 1
         self.res = PrimeField(p) if self.d == 1 else ExtField(p, list(chi))
+        self.zero = (0,) * self.d
+        self.one = tuple([1] + [0] * (self.d - 1))
 
     # -- elements ----------------------------------------------------------
-    @property
-    def zero(self):
-        return (0,) * self.d
-
-    @property
-    def one(self):
-        return tuple([1] + [0] * (self.d - 1))
-
     def from_int(self, n) -> tuple:
         return tuple([n % self.pN] + [0] * (self.d - 1))
 
@@ -169,22 +156,9 @@ class Zq:
         return tuple(-x % pN for x in a)
 
     def mul(self, a, b):
-        d, pN = self.d, self.pN
-        if d == 1:
-            return (a[0] * b[0] % pN,)
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % pN
-        Phi = self.Phi
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for j in range(d):
-                    out[k - d + j] = (out[k - d + j] - c * Phi[j]) % pN
-        return tuple(out[:d])
+        if self.d == 1:
+            return (a[0] * b[0] % self.pN,)
+        return mul_reduce(a, b, self.Phi, self.pN)
 
     def is_zero(self, a):
         return not any(a)
@@ -216,10 +190,16 @@ class Zq:
             return (r % self.pN,)
         return tuple(c % self.pN for c in r)
 
+    def truncate(self, a):
+        """An element of a W of higher precision (same Phi), mod p^N."""
+        pN = self.pN
+        return tuple(c % pN for c in a)
+
     def shift_down(self, a, k: int):
         """a / p^k, requiring exact divisibility of every coefficient."""
         pk = self.p**k
-        assert all(c % pk == 0 for c in a), "inexact division by p^k"
+        if any(c % pk for c in a):
+            raise DomainError(f"inexact division by {self.p}^{k}")
         return tuple(c // pk for c in a)
 
     def inv(self, a):
@@ -239,191 +219,73 @@ class Zq:
             k *= 2
         return x
 
-    def pow_el(self, a, e: int):
-        out = self.one
-        b = a
-        while e:
-            if e & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return out
-
     def __repr__(self):
         return f"Zq(p={self.p}, d={self.d}, N={self.N})"
 
 
-# -- polynomials over W: lists of W-elements --------------------------------
-
-
-def wp_trim(W, f):
-    while f and W.is_zero(f[-1]):
-        f.pop()
-    return f
-
-
-def wp_add(W, a, b):
-    out = list(a) + [W.zero] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = W.add(out[i], c)
-    return wp_trim(W, out)
-
-
-def wp_sub(W, a, b):
-    out = list(a) + [W.zero] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = W.sub(out[i], c)
-    return wp_trim(W, out)
-
-
-def wp_mul(W, a, b):
-    if not a or not b:
-        return []
-    out = [W.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not W.is_zero(x):
-            for j, y in enumerate(b):
-                out[i + j] = W.add(out[i + j], W.mul(x, y))
-    return wp_trim(W, out)
-
-
-def wp_divmod_monic(W, a, b):
-    """divmod by a monic b."""
-    assert b and W.is_zero(W.sub(b[-1], W.one)), "divisor must be monic"
-    a = list(a)
-    db = len(b) - 1
-    q = [W.zero] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        f = a[-1]
-        k = len(a) - 1 - db
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] = W.sub(a[k + i], W.mul(f, c))
-        a.pop()
-        wp_trim(W, a)
-    return wp_trim(W, q), wp_trim(W, a)
-
-
-def wp_shift(W, f, c):
-    """f(c + Z) by Horner."""
-    out = []
-    for coeff in reversed(f):
-        out = wp_add(W, wp_mul(W, out, [c, W.one]), [coeff])
-    # keep full length: the caller reads positional coefficients
-    out = out + [W.zero] * (len(f) - len(out))
-    return out
-
-
 def wp_reduce_res(W, f):
     """f mod p as a polynomial over the residue field."""
-    F = W.res
-    out = [W.residue(c) for c in f]
-    return fp_trim(F, out)
+    return dense.trim(W.res, [W.residue(c) for c in f])
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting over W
+# multifactor Hensel lifting over W
 
 
-def _fp_extgcd(F, a, b):
-    """(s, t) with s*a + t*b = 1 over the finite field F; a, b coprime."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [F.one], []
-    t0, t1 = [], [F.one]
-    while r1:
-        q, r = fp_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_sub(F, s0, fp_mul(F, q, s1))
-        t0, t1 = t1, fp_sub(F, t0, fp_mul(F, q, t1))
-    assert len(r0) == 1, "arguments were not coprime"
-    il = F.inv(r0[0])
-    return fp_scale(F, s0, il), fp_scale(F, t0, il)
+def hensel_lift(W: Zq, f, factors):
+    """Monic lifts over W = Zq(p, N, chi) of a factorization of the monic f
+    mod p into monic, pairwise coprime factors over W.res, in input order.
+
+    A factor tree (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 15): split the factors into two halves, lift that pair with
+    quadratic Hensel steps at precision p, p^2, p^4, ..., p^N, and recurse
+    into each half.  Raises DomainError when the factors do not multiply
+    to f mod p or two of them share a root, and PrecisionExhausted when a
+    lifted pair does not multiply back to its product over W."""
+    rings = []
+    k = 1
+    while k < W.N:
+        k = min(2 * k, W.N)
+        rings.append(W if k == W.N else Zq(W.p, k, W.Phi))
+    return _lift_tree(W, rings, f, factors)
 
 
-def _refit_monic(W, poly, deg):
-    """Truncate to the nominal degree and re-pin the monic lead.
-
-    Valid mid-iteration because everything above the nominal degree (and
-    the deviation of the lead from 1) is 0 mod p^(2*prec): dropping it
-    changes the factor by 0 mod p^(2*prec), which is all the next round's
-    invariants use.  Without this the updates accumulate coefficients that
-    vanish only at the final precision and the degrees balloon."""
-    out = [poly[i] if i < len(poly) else W.zero for i in range(deg)]
-    out.append(W.one)
-    return out
-
-
-def _hensel_pair(W, f, g0, h0):
-    """Lift f = g0*h0 (a coprime monic factorization mod p) to monic g, h
-    over W with f = g*h mod p^N.  Quadratic iteration."""
+def _lift_tree(W, rings, f, factors):
+    if len(factors) == 1:
+        return [f]
     F = W.res
-    s0, t0 = _fp_extgcd(F, g0, h0)
-    dg, dh = len(g0) - 1, len(h0) - 1
-    g = [W.lift_res(c) for c in g0]
-    h = [W.lift_res(c) for c in h0]
-    s = [W.lift_res(c) for c in s0]
-    t = [W.lift_res(c) for c in t0]
-    prec = 1
-    while prec < W.N:
-        # e = f - g*h
-        e = wp_sub(W, f, wp_mul(W, g, h))
-        # q, r = divmod(s*e, h): h monic
-        q, r = wp_divmod_monic(W, wp_mul(W, s, e), h)
-        g = wp_add(W, g, wp_add(W, wp_mul(W, t, e), wp_mul(W, q, g)))
-        h = wp_add(W, h, r)
-        g = _refit_monic(W, g, dg)
-        h = _refit_monic(W, h, dh)
-        # Bezout update, kept at the canonical degrees (s below h, t below g)
-        b = wp_sub(W, wp_add(W, wp_mul(W, s, g), wp_mul(W, t, h)), [W.one])
-        c, d = wp_divmod_monic(W, wp_mul(W, s, b), h)
-        s = wp_sub(W, s, d)[:dh]
-        t = wp_sub(W, wp_sub(W, t, wp_mul(W, t, b)), wp_mul(W, c, g))[:dg]
-        prec *= 2
-    return g, h
-
-
-def hensel_split(W, f, blocks):
-    """Split monic f over W along pairwise-coprime monic blocks of its
-    reduction (product of blocks = f mod p): list of monic lifts whose
-    product is f mod p^N (checked)."""
-    if len(blocks) == 1:
-        return [list(f)]
-    F = W.res
-    rest = blocks[1]
-    for b in blocks[2:]:
-        rest = fp_mul(F, rest, b)
-    g, h = _hensel_pair(W, f, blocks[0], rest)
-    if wp_trim(W, wp_sub(W, f, wp_mul(W, g, h))):
+    half = len(factors) // 2
+    a, b = [F.one], [F.one]
+    for g in factors[:half]:
+        a = dense.mul(F, a, g)
+    for g in factors[half:]:
+        b = dense.mul(F, b, g)
+    if dense.mul(F, a, b) != wp_reduce_res(W, f):
+        raise DomainError("Hensel factors do not multiply to f mod p")
+    s, t = dense.ext_gcd(F, a, b)
+    g, h, s, t = ([W.lift_res(c) for c in x] for x in (a, b, s, t))
+    g, h = _lift_pair(rings, f, g, h, s, t)
+    if dense.sub(W, f, dense.mul(W, g, h)):
         raise PrecisionExhausted("Hensel product check failed")
-    return [g] + hensel_split(W, h, blocks[1:])
+    return _lift_tree(W, rings, g, factors[:half]) + _lift_tree(W, rings, h, factors[half:])
 
 
-# ---------------------------------------------------------------------------
-# Newton polygons over W
-
-
-def _lower_hull(points):
-    """Lower convex hull of (i, v) points, i strictly increasing."""
-    hull = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it sits on or above the segment hull[-2] -> pt
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
-def _sides(points):
-    hull = _lower_hull(points)
-    out = []
-    for (xa, ya), (xb, yb) in zip(hull, hull[1:]):
-        lam = Fraction(ya - yb, xb - xa)  # common valuation of the side's roots
-        out.append((xa, ya, xb, yb, lam))
-    return out
+def _lift_pair(rings, f, g, h, s, t):
+    """Quadratic Hensel steps (MCA Algorithm 15.10) from f = g*h and
+    s*g + t*h = 1 mod p to f = g*h over the last ring, h monic; each ring
+    in turn has at most twice the precision of the one before."""
+    for i, R in enumerate(rings):
+        e = dense.sub(R, [R.truncate(c) for c in f], dense.mul(R, g, h))
+        q, r = dense.quorem(R, dense.mul(R, s, e), h)
+        g = dense.add(R, g, dense.add(R, dense.mul(R, t, e), dense.mul(R, q, g)))
+        h = dense.add(R, h, r)
+        if i + 1 < len(rings):
+            # Bezout update for the next step
+            b = dense.sub(R, dense.add(R, dense.mul(R, s, g), dense.mul(R, t, h)), [R.one])
+            c, d = dense.quorem(R, dense.mul(R, s, b), h)
+            s = dense.sub(R, s, d)
+            t = dense.sub(R, dense.sub(R, t, dense.mul(R, t, b)), dense.mul(R, c, g))
+    return g, h
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +330,11 @@ class _Analyzer:
         om = Wbig.lift_res(rts[0])
         # Newton-lift to a root of Phi over Wbig
         Phi_up = [Wbig.from_int(c) for c in W.Phi]
-        dPhi = [Wbig.mul(Wbig.from_int(i), Phi_up[i]) for i in range(1, len(Phi_up))]
+        dPhi = dense.deriv(Wbig, Phi_up)
         k = 1
         while k < Wbig.N:
-            fv = _wp_eval(Wbig, Phi_up, om)
-            dv = _wp_eval(Wbig, dPhi, om)
+            fv = dense.evaluate(Wbig, Phi_up, om)
+            dv = dense.evaluate(Wbig, dPhi, om)
             om = Wbig.sub(om, Wbig.mul(fv, Wbig.inv(dv)))
             k *= 2
         pows = [Wbig.one]
@@ -515,9 +377,9 @@ class _Analyzer:
             for g, m in repeated:
                 blk = g
                 for _ in range(m - 1):
-                    blk = fp_mul(F, blk, g)
+                    blk = dense.mul(F, blk, g)
                 blocks.append(blk)
-            lifted = hensel_split(W, f, blocks)
+            lifted = hensel_lift(W, f, blocks)
             for (g, m), Fj in zip(repeated, lifted[len(simple):]):
                 dpsi = len(g) - 1
                 if dpsi == 1:
@@ -552,7 +414,7 @@ class _Analyzer:
         v(y - center) > floor.  floor = 0 analyzes a full residual cluster."""
         if depth > self.MAX_DEPTH:
             raise PrecisionExhausted("cluster refinement did not terminate")
-        G = wp_shift(W, f, center)
+        G = dense.shift(W, f, center)
         vals = [W.val(c) for c in G]
         n = len(G) - 1
         out: list[tuple[int, int, int]] = []
@@ -567,7 +429,7 @@ class _Analyzer:
             expected += 1
             start = 1
         pts = [(i, v) for i, v in enumerate(vals) if v is not None and i >= start]
-        for (xa, ya, xb, yb, lam) in _sides(pts):
+        for (xa, ya, xb, yb, lam) in dense.newton_sides(pts):
             if lam <= floor:
                 continue
             if lam <= 0:
@@ -605,7 +467,7 @@ class _Analyzer:
                 if v < vline:
                     raise PrecisionExhausted("coefficient below its side")
                 res.append(W.residue(W.shift_down(c, vline)))
-        res = fp_trim(F, res)
+        res = dense.trim(F, res)
         assert len(res) - 1 == r and not F.is_zero(res[0])
         out: list[tuple[int, int, int]] = []
         for rho, mu in factor_over(F, res):
@@ -641,13 +503,6 @@ class _Analyzer:
                 for (e2, fr, cnt) in sub:
                     out.append((e2, fr * drho, cnt))
         return out
-
-
-def _wp_eval(W, f, x):
-    out = W.zero
-    for c in reversed(f):
-        out = W.add(W.mul(out, x), c)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -189,15 +189,6 @@ def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
     return degs.pop()
 
 
-def predict_inertia(branch: BranchPoint, t0: Rat, p: int) -> int:
-    """Predicted inertia order of the specialization at p from one branch:
-    e / gcd(multiplicity, e), which is e itself exactly when the meeting
-    multiplicity is coprime to e, and 1 when there is no meeting."""
-    a = intersection_multiplicity(branch, t0, p)
-    e = branch.ram_index
-    return e // math.gcd(a, e)
-
-
 def predict_decomposition(
     cover: Cover,
     t0: Rat,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import gsl.covers
 from gsl.covers import (
     branch_points,
     bundled_covers,
@@ -162,3 +163,12 @@ def test_galois_sampling_refutes_non_galois():
         "assert_regular_galois": True,
     })
     assert not probabilistic_galois_check(cover, samples=24)
+
+
+def test_galois_sampling_propagates_unexpected_errors(covers, monkeypatch):
+    def broken(f, p):
+        raise RuntimeError("not a documented frobenius_data failure")
+
+    monkeypatch.setattr(gsl.covers, "frobenius_data", broken)
+    with pytest.raises(RuntimeError):
+        probabilistic_galois_check(covers["c2_sqrt_t"], samples=2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gsl.errors import DomainError, NotSeparable
 from gsl.exact import UniPoly
 from gsl.modp import (
+    ExtField,
     factor_mod_p,
     frobenius_data,
     reduce_relative,
@@ -102,3 +103,27 @@ def test_reduce_relative_quadratic_residue_field():
 def test_factor_rejects_zero():
     with pytest.raises(DomainError):
         factor_mod_p([0], 5)
+
+
+def test_ext_field_rejects_non_monic_modulus():
+    with pytest.raises(DomainError):
+        ExtField(5, [2, 0, 3])
+
+
+def test_ext_field_inverse():
+    F = ExtField(3, [1, 0, 1])  # F_9 = F_3[x]/(x^2 + 1)
+    for i in range(1, 9):
+        a = F.element_by_index(i)
+        assert F.mul(a, F.inv(a)) == F.one
+
+
+def test_gsl_seed_accepts_any_int_literal(monkeypatch):
+    # x^2 - 4 mod 65537: the field is large enough for the seeded splitter
+    monkeypatch.setenv("GSL_SEED", "0x5EED")
+    hex_seed = factor_mod_p([65533, 0, 1], 65537)
+    monkeypatch.setenv("GSL_SEED", str(0x5EED))
+    assert factor_mod_p([65533, 0, 1], 65537) == hex_seed
+    assert [g.coeffs for g, _ in hex_seed] == [(2, 1), (65535, 1)]
+    monkeypatch.setenv("GSL_SEED", "seed")
+    with pytest.raises(DomainError):
+        factor_mod_p([65533, 0, 1], 65537)

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gsl import dense
 from gsl.errors import DomainError, NonUniform, NotSeparable, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
-from gsl.modp import frobenius_data
+from gsl.modp import frobenius_data, roots_over
 from gsl.padic import (
+    Zq,
     galois_local_invariants,
+    hensel_lift,
     local_splitting_type,
     quadratic_local_class,
 )
@@ -132,3 +135,84 @@ def test_quadratic_class_consistent_with_oracle(n, p):
         assert st_.factors == ((1, 2, 1),)
     else:
         assert st_.factors == ((2, 1, 1),)
+
+
+# ---------------------------------------------------------------------------
+# the unramified ring Zq and the multifactor Hensel lift
+
+
+def test_zq_rejects_non_monic_modulus():
+    with pytest.raises(DomainError):
+        Zq(5, 4, [1, 0, 2])
+
+
+def test_zq_shift_down_requires_exact_division():
+    W = Zq(5, 4, [0, 1])
+    assert W.shift_down((50,), 2) == (2,)
+    with pytest.raises(DomainError):
+        W.shift_down((7,), 1)
+
+
+def test_hensel_lift_in_input_order_over_extension():
+    # x^4 + 1 over W = Z_3[x]/(x^2 + 1) mod 3^9: four linear factors mod 3
+    W = Zq(3, 9, [1, 0, 1])
+    F = W.res
+    f = [W.one, W.zero, W.zero, W.zero, W.one]
+    roots = roots_over(F, [F.one, F.zero, F.zero, F.zero, F.one])
+    factors = [[F.neg(r), F.one] for r in roots]
+    lifted = hensel_lift(W, f, factors)
+    assert [[W.residue(c) for c in g] for g in lifted] == factors
+    prod = [W.one]
+    for g in lifted:
+        prod = dense.mul(W, prod, g)
+    assert prod == f
+
+
+def test_hensel_lift_checks_its_input():
+    W = Zq(5, 6, [0, 1])
+    f = [W.from_int(-1), W.zero, W.one]  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(DomainError):
+        hensel_lift(W, f, [[4, 1], [4, 1]])  # x - 1 twice: not coprime
+    with pytest.raises(DomainError):
+        hensel_lift(W, f, [[4, 1], [2, 1]])  # (x - 1)(x + 2) is not f mod 5
+    f3 = [W.from_int(-1), W.zero, W.zero, W.one]
+    with pytest.raises(DomainError):
+        hensel_lift(W, f3, [[4, 1], [1, 1]])  # degrees 1 + 1 != 3
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties of the oracle
+
+small_rat = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+monic_int_poly = st.lists(st.integers(-12, 12), min_size=1, max_size=4).map(
+    lambda cs: UniPoly([Fraction(c) for c in cs] + [Fraction(1)])
+)
+odd_prime = st.sampled_from([3, 5, 7, 11, 13])
+
+
+def _certified(f, p):
+    try:
+        return local_splitting_type(f, p).factors
+    except WildOrIrregular:
+        return None
+
+
+@given(monic_int_poly, small_rat.filter(bool), small_rat, odd_prime)
+def test_oracle_invariant_under_affine_substitution(f, u, c, p):
+    assume(discriminant(f) != 0)
+    g = f.compose(UniPoly([c, u]))  # f(uY + c)
+    a, b = _certified(f, p), _certified(g, p)
+    assume(a is not None and b is not None)
+    assert a == b
+
+
+@given(monic_int_poly, monic_int_poly, odd_prime)
+def test_oracle_splitting_of_product_is_merged_splitting(g, h, p):
+    f = g * h
+    assume(discriminant(f) != 0)  # g, h separable and coprime
+    a, b, c = _certified(g, p), _certified(h, p), _certified(f, p)
+    assume(None not in (a, b, c))
+    merged: dict = {}
+    for e, fr, cnt in a + b:
+        merged[(e, fr)] = merged.get((e, fr), 0) + cnt
+    assert c == tuple((e, fr, cnt) for (e, fr), cnt in sorted(merged.items()))
