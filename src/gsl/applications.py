@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .covers import BranchPoint, Cover, abs_residue_modulus, branch_points, conservative_bad_primes
+from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
 from .errors import DomainError, HypothesisViolation, NotSeparable, PrecisionExhausted, WildOrIrregular
 from .exact import Rat, UniPoly, discriminant, factor_int, is_prime, rat_to_str, rational_valuation
 from .modp import factor_mod_p, reduce_relative, roots_mod_p
@@ -28,29 +28,21 @@ from .specialize import meeting_primes, specialize_poly
 # Frobenius primes in branch residue fields
 
 
-def find_frobenius_primes(
-    cover: Cover,
-    order: int,
-    bound: int,
-    branches: Sequence[BranchPoint] | None = None,
-) -> list[int]:
+def find_frobenius_primes(cover: Cover, order: int, bound: int) -> list[int]:
     """Odd primes p <= bound, outside the cover's bad set, where Frobenius
     acts with the requested order on the branch residue fields (the lcm of
     the residue degrees of p across the absolute residue fields of all
     branch points)."""
     if order < 1:
         raise DomainError("Frobenius order must be >= 1")
-    if branches is None:
-        branches = branch_points(cover)
     bad = conservative_bad_primes(cover)
-    moduli = [abs_residue_modulus(bp) for bp in branches]
     out = []
     for p in range(3, bound + 1):
         if not is_prime(p) or p in bad:
             continue
         f = 1
         ok = True
-        for M in moduli:
+        for M in cover.analysis.residue_moduli:
             if M.degree < 1:
                 continue
             try:
@@ -325,18 +317,12 @@ def _sample_t0(bp: BranchPoint, p: int) -> list[Rat]:
     return out
 
 
-def grunwald_obstruction(
-    cover: Cover,
-    q: int,
-    bound: int,
-    branches: Sequence[BranchPoint] | None = None,
-) -> ObstructionCertificate:
+def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertificate:
     """Find the obstruction primes up to the bound and document, on
     sampled specializations, that the local invariants stay small there."""
     if q < 2:
         raise DomainError("q must be >= 2")
-    if branches is None:
-        branches = branch_points(cover)
+    branches = branch_points(cover)
     bad = conservative_bad_primes(cover)
     primes = [
         p for p in range(3, bound + 1)
@@ -432,7 +418,7 @@ def parametric_obstruction_report(
             ),
             certificate=None,
         )
-    cert = grunwald_obstruction(cover, q, bound, branches=branches)
+    cert = grunwald_obstruction(cover, q, bound)
     status = (
         OBSTRUCTION_PRESENT if cert.primes and cert.all_ok else NO_OBSTRUCTION_FOUND
     )

@@ -12,7 +12,9 @@ Exit codes:
   3   at least one ORACLE_FAILURE (a local computation could not be
       certified where one was required)
   64  usage or input errors: bad arguments, malformed cover files,
-      violated hypotheses
+      violated hypotheses (dominates 2 and 3); in a `verify` batch a --t0
+      that violates a hypothesis (say, one on a branch locus) gets an
+      error document in its slot and the other points are reported
 
 Determinism: all subcommands are deterministic for fixed inputs; the
 sampling check in `analyze` draws from a PRNG seeded by the GSL_SEED
@@ -49,6 +51,7 @@ from .covers import (
 from .errors import (
     DomainError,
     GslError,
+    HypothesisViolation,
     NotSeparable,
     PrecisionExhausted,
     SchemaError,
@@ -124,10 +127,13 @@ def _parse_primes(s: str | None) -> tuple[int, ...] | None:
 # verify (parallelizable over specialization points)
 
 
-def _verify_worker(task: tuple[dict, str, tuple[int, ...] | None]) -> dict:
-    cover_json, t0_str, primes = task
-    cover = load_cover(cover_json)
-    report = verify_specialization(cover, rat_from_str(t0_str), primes=primes)
+def _verify_worker(task: tuple[Cover, str, tuple[int, ...] | None]) -> dict:
+    cover, t0_str, primes = task
+    try:
+        report = verify_specialization(cover, rat_from_str(t0_str), primes=primes)
+    except HypothesisViolation as exc:
+        return {"cover": cover.name, "t0": t0_str,
+                "error": type(exc).__name__, "message": str(exc)}
     out = report.to_json()
     out["worst"] = report.worst
     return out
@@ -135,9 +141,10 @@ def _verify_worker(task: tuple[dict, str, tuple[int, ...] | None]) -> dict:
 
 def _cmd_verify(args) -> int:
     cover = _load(args.cover)
+    branch_points(cover)  # analyse once, so --jobs workers receive it pickled
     primes = _parse_primes(args.primes)
     t0s = [rat_to_str(_parse_rat(s)) for s in args.t0]
-    tasks = [(cover.to_json(), s, primes) for s in t0s]
+    tasks = [(cover, s, primes) for s in t0s]
     if args.jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes=args.jobs) as pool:
             reports = pool.map(_verify_worker, tasks)
@@ -146,6 +153,10 @@ def _cmd_verify(args) -> int:
     out = reports[0] if len(reports) == 1 else {"reports": reports}
     _emit(out)
 
+    failed = [r for r in reports if "error" in r]
+    reports = [r for r in reports if "error" not in r]
+    for r in failed:
+        sys.stderr.write(f"gsl: {r['message']}\n")
     verdicts = [e["verdict"] for r in reports for e in r["entries"]]
     for r in reports:
         _say(args.summary, f"cover {r['cover']}, t0 = {r['t0']}: worst {r['worst']}")
@@ -159,6 +170,8 @@ def _cmd_verify(args) -> int:
             )
             note = f" ({e['note']})" if e["note"] else ""
             _say(args.summary, f"  p={e['prime']}: {e['verdict']}{shape}{note}")
+    if failed:
+        return EX_USAGE
     if MISMATCH in verdicts:
         return EX_MISMATCH
     if ORACLE_FAILURE in verdicts:

@@ -26,6 +26,7 @@ exceeds it, which no tame cover does).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -42,7 +43,7 @@ from .errors import (
     SchemaError,
     UnstableResidueField,
 )
-from .exact import BiPoly, Rat, UniPoly, disc_y, factor_int, is_prime, squarefree_part
+from .exact import BiPoly, Rat, UniPoly, disc_y, discriminant, factor_int, is_prime, squarefree_part
 from .modp import frobenius_data, seed_from_env
 from .nfield import (
     Adjunction,
@@ -71,6 +72,12 @@ class Cover:
     @property
     def degree(self) -> int:
         return self.poly.degree_y
+
+    @functools.cached_property
+    def analysis(self) -> "CoverAnalysis":
+        """The cover's branch data, computed on first access and kept: the
+        cover is immutable, so it cannot go stale."""
+        return _analyze(self)
 
     def to_json(self) -> dict:
         return {
@@ -216,6 +223,20 @@ class BranchPoint:
         }
 
 
+@dataclass(frozen=True)
+class CoverAnalysis:
+    """What every specialization of a cover reuses: disc_Y(P) and its
+    squarefree part, the branch points, the conservative bad primes, and
+    an absolute minimal polynomial of the residue field of each branch
+    (in the order of `branches`).  Read it as `cover.analysis`."""
+
+    disc: UniPoly
+    disc_sf: UniPoly
+    branches: tuple[BranchPoint, ...]
+    bad_primes: frozenset[int]
+    residue_moduli: tuple[UniPoly, ...]
+
+
 # ---------------------------------------------------------------------------
 # H(x, y) as rows by y-degree, each a `dense` polynomial in x over a number
 # field
@@ -357,7 +378,11 @@ class _Expander:
                 )
             out.extend(sub)
         total = sum(p.e * (p.field.degree // K0.degree) for p in out)
-        assert total == len(H) - 1, "place degrees must sum to the y-degree"
+        if total != len(H) - 1:
+            raise NonUniformRamification(
+                f"places over the locus have total degree {total}, "
+                f"not the Y-degree {len(H) - 1}"
+            )
         return out
 
     def _polygon(self, K, H, mu: int, tau, e_acc: int, depth: int) -> list[_Path]:
@@ -446,16 +471,14 @@ def _infinity_chart(P: BiPoly) -> BiPoly:
     return BiPoly(rows)
 
 
-def _default_steps(cover: Cover, locus: UniPoly | None) -> int:
-    n = cover.degree
-    d = disc_y(cover.poly)
+def _default_steps(n: int, disc: UniPoly, locus: UniPoly | None) -> int:
     mult = 0
     if locus is not None:
-        while d.degree >= locus.degree:
-            q, r = divmod(d, locus)
+        while disc.degree >= locus.degree:
+            q, r = divmod(disc, locus)
             if not r.is_zero:
                 break
-            d = q
+            disc = q
             mult += 1
     return 2 * n + mult + 8
 
@@ -472,9 +495,9 @@ def puiseux_at(
     if locus is not None:
         if locus.degree < 1 or locus.lc != 1:
             raise DomainError("branch locus must be monic of degree >= 1")
-    max_steps = prec if prec is not None else _default_steps(cover, locus)
-    K0, paths = _places_over(cover, locus, max_steps)
-    base = locus if locus is not None else UniPoly((Fraction(0), Fraction(1)))
+    if prec is None:
+        prec = _default_steps(cover.degree, disc_y(cover.poly), locus)
+    K0, paths = _places_over(cover, locus, prec)
     out = []
     for p in paths:
         d = p.field.degree // K0.degree
@@ -496,32 +519,73 @@ def branch_points(cover: Cover, prec: int | None = None) -> tuple[BranchPoint, .
     squarefree part of disc_Y(P) whose places are actually ramified, plus
     the point at infinity when it is.  Uniformity across the places of one
     locus (equal e, equal residue degree) is checked and is a consequence
-    of the Galois hypothesis; NonUniformRamification otherwise."""
+    of the Galois hypothesis; NonUniformRamification otherwise.
+
+    This reads `cover.analysis`; an explicit `prec` expands afresh with
+    that recursion cap and caches nothing."""
+    return (cover.analysis if prec is None else _analyze(cover, prec)).branches
+
+
+# ---------------------------------------------------------------------------
+# the analysis: branch points, residue fields, bad primes; hypothesis checks
+
+
+def _primes_of_rat(x: Rat, acc: set[int]):
+    if x != 0:
+        acc.update(factor_int(x.numerator), factor_int(x.denominator))
+
+
+def _abs_residue_modulus(bp: BranchPoint) -> UniPoly:
+    """An absolute minimal polynomial of the residue field of bp's places
+    (over Q)."""
+    if bp.d_order == 1:
+        return bp.residue.base
+    K0 = NumberField(bp.residue.base)
+    rho = [K0.from_unipoly(c) for c in bp.residue.rel]
+    return adjoin_root(K0, rho).field.modulus
+
+
+def conservative_bad_primes(cover: Cover) -> frozenset[int]:
+    """A finite set of primes outside which the tame prediction machinery
+    is valid: primes up to the group order (wild candidates), primes of bad
+    reduction of the discriminant locus (degree drop, colliding branch
+    points, non-integrality), and primes ramified in or non-integral for
+    the residue fields of the branches.  Reads `cover.analysis`."""
+    return cover.analysis.bad_primes
+
+
+def _analyze(cover: Cover, prec: int | None = None) -> CoverAnalysis:
     n = cover.degree
-    sf = squarefree_part(disc_y(cover.poly))
+    disc = disc_y(cover.poly)
+    sf = squarefree_part(disc)
     loci: list[UniPoly | None] = [f for f, _ in factor_rational(sf)]
     loci.append(None)
-    out = []
+    branches = []
     rh_sum = 0
     for locus in loci:
-        places = puiseux_at(cover, locus, prec)
+        steps = prec if prec is not None else _default_steps(n, disc, locus)
+        places = puiseux_at(cover, locus, steps)
+        where = "infinity" if locus is None else repr(locus)
         es = {p.ram_index for p in places}
         ds = {p.residue_degree for p in places}
         if len(es) != 1 or len(ds) != 1:
-            where = "infinity" if locus is None else repr(locus)
             raise NonUniformRamification(
                 f"places over {where} have mixed invariants "
                 f"{sorted((p.ram_index, p.residue_degree) for p in places)}; "
                 "the cover cannot be regular Galois"
             )
         e, d = es.pop(), ds.pop()
-        assert sum(p.ram_index * p.residue_degree for p in places) == n
+        total = sum(p.ram_index * p.residue_degree for p in places)
+        if total != n:
+            raise NonUniformRamification(
+                f"places over {where} have total degree {total}, "
+                f"not the Y-degree {n}"
+            )
         if e == 1:
             continue
         base = locus if locus is not None else UniPoly((Fraction(0), Fraction(1)))
-        deg_locus = base.degree
-        rh_sum += deg_locus * (n - n // e)
-        out.append(BranchPoint(
+        rh_sum += base.degree * (n - n // e)
+        branches.append(BranchPoint(
             locus=locus,
             ram_index=e,
             residue=RelativeField(base=base, rel=places[0].rel_min_poly),
@@ -534,73 +598,22 @@ def branch_points(cover: Cover, prec: int | None = None) -> tuple[BranchPoint, .
             f"tame ramification data violates Riemann-Hurwitz (2g = {twog}); "
             "the input is not a regular Galois cover or has wild geometry"
         )
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# bad primes and hypothesis checks
-
-
-def _primes_of_rat(x: Rat, acc: set[int]):
-    if x == 0:
-        return
-    for p in factor_int(x.numerator):
-        acc.add(p)
-    for p in factor_int(x.denominator):
-        acc.add(p)
-
-
-def abs_residue_modulus(bp: BranchPoint) -> UniPoly:
-    """An absolute minimal polynomial of the residue field of bp's places
-    (over Q)."""
-    K0 = NumberField(bp.residue.base)
-    if bp.d_order == 1:
-        return bp.residue.base
-    rho = [K0.from_unipoly(c) for c in bp.residue.rel]
-    adj = adjoin_root(K0, rho)
-    return adj.field.modulus
-
-
-def conservative_bad_primes(cover: Cover) -> frozenset[int]:
-    """A finite set of primes outside which the tame prediction machinery
-    is valid: primes up to the group order (wild candidates), primes of bad
-    reduction of the discriminant locus (degree drop, colliding branch
-    points, non-integrality), and primes ramified in or non-integral for
-    the residue fields of the branches."""
-    n = cover.degree
-    bad: set[int] = set()
-    for p in range(2, n + 1):
-        if is_prime(p):
-            bad.add(p)
-    for i in range(n + 1):
-        for c in cover.poly.coeff(i).coeffs:
-            for p in factor_int(c.denominator):
-                bad.add(p)
-    d = disc_y(cover.poly)
-    _primes_of_rat(d.lc, bad)
-    for c in d.coeffs:
-        for p in factor_int(c.denominator):
-            bad.add(p)
-    sf = squarefree_part(d)
+    moduli = tuple(_abs_residue_modulus(bp) for bp in branches)
+    bad = {p for p in range(2, n + 1) if is_prime(p)}
+    _primes_of_rat(disc.lc, bad)
     if sf.degree >= 1:
-        from .exact import discriminant
-
         _primes_of_rat(discriminant(sf), bad)
-    for bp in branch_points(cover):
+    polys = [*cover.poly.rows, disc]  # primes in their denominators are bad
+    for bp, M in zip(branches, moduli):
+        polys.extend(bp.residue.rel)
         if bp.locus is not None:
-            for c in bp.locus.coeffs:
-                for p in factor_int(c.denominator):
-                    bad.add(p)
-        for cp in bp.residue.rel:
-            for c in cp.coeffs:
-                for p in factor_int(c.denominator):
-                    bad.add(p)
-        M = abs_residue_modulus(bp)
+            polys.append(bp.locus)
         if M.degree >= 2:
-            from .exact import discriminant
-
             _primes_of_rat(discriminant(M), bad)
-    return frozenset(bad)
+    for f in polys:
+        for c in f.coeffs:
+            bad.update(factor_int(c.denominator))
+    return CoverAnalysis(disc, sf, tuple(branches), frozenset(bad), moduli)
 
 
 def _cyclotomic(e: int) -> UniPoly:
@@ -616,16 +629,12 @@ def roots_of_unity_check(cover: Cover) -> bool:
     """Tame-inertia consistency: the residue field of a branch with
     ramification e must contain the e-th roots of unity.  True when every
     branch passes."""
-    for bp in branch_points(cover):
+    analysis = cover.analysis
+    for bp, M in zip(analysis.branches, analysis.residue_moduli):
         e = bp.ram_index
         if e <= 2:
             continue  # -1 and 1 are everywhere
-        K0 = NumberField(bp.residue.base)
-        if bp.d_order == 1:
-            L, = (K0,)
-        else:
-            rho = [K0.from_unipoly(c) for c in bp.residue.rel]
-            L = adjoin_root(K0, rho).field
+        L = NumberField(M)
         phi = nf_from_unipoly(L, _cyclotomic(e))
         if any(len(g) != 2 for g, _ in factor_nf(L, phi)):
             return False

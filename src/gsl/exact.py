@@ -198,6 +198,9 @@ class UniPoly:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):  # pickle through __init__, not __setattr__
+        return UniPoly, (self.coeffs,)
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def const(cls, c) -> "UniPoly":
@@ -501,6 +504,9 @@ class BiPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("BiPoly is immutable")
+
+    def __reduce__(self):
+        return BiPoly, (self.rows,)
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[str]]) -> "BiPoly":

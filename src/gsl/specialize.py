@@ -38,12 +38,11 @@ from .exact import (
     Rat,
     UniPoly,
     crt_combine,
-    disc_y,
+    disc_y,  # unused here; bench/spans.py requires this binding
     factor_int,
     is_prime,
     rat_to_str,
     rational_valuation,
-    squarefree_part,
 )
 from .modp import factor_mod_p, reduce_relative
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
@@ -189,16 +188,12 @@ def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
     return degs.pop()
 
 
-def predict_decomposition(
-    cover: Cover,
-    t0: Rat,
-    p: int,
-    branches: Sequence[BranchPoint] | None = None,
-) -> DecompositionPrediction:
+def predict_decomposition(cover: Cover, t0: Rat, p: int) -> DecompositionPrediction:
     """The tame prediction at p for the specialization at t0."""
-    if branches is None:
-        branches = branch_points(cover)
-    t0 = Fraction(t0)
+    return _predict(branch_points(cover), Fraction(t0), p)
+
+
+def _predict(branches: Sequence[BranchPoint], t0: Fraction, p: int) -> DecompositionPrediction:
     meet = meeting_prime(branches, t0, p)
     if meet is None:
         return DecompositionPrediction(
@@ -226,8 +221,7 @@ def predict_decomposition(
 def specialize_poly(cover: Cover, t0: Rat) -> UniPoly:
     """P(t0, Y); refuses points on the discriminant locus."""
     t0 = Fraction(t0)
-    sf = squarefree_part(disc_y(cover.poly))
-    if sf(t0) == 0:
+    if cover.analysis.disc_sf(t0) == 0:
         raise HypothesisViolation(
             f"t0 = {t0} lies on the branch locus of the cover"
         )
@@ -330,7 +324,11 @@ def verify_specialization(
     With primes=None, every prime where t0 meets the branch divisor is
     examined (the only primes where anything nontrivial is predicted).
     Each prime gets a verdict: MATCH / PARTIAL_MATCH (divisibility-mode
-    agreement) / MISMATCH / SKIPPED_BAD_PRIME / ORACLE_FAILURE."""
+    agreement) / MISMATCH / SKIPPED_BAD_PRIME / ORACLE_FAILURE.
+
+    `branches` and `bad` default to the cover's own analysis; they stay
+    only because the benchmark's sweep workload (bench/workloads.py)
+    passes them."""
     t0 = Fraction(t0)
     if branches is None:
         branches = branch_points(cover)
@@ -349,7 +347,7 @@ def verify_specialization(
             ))
             continue
         try:
-            pred = predict_decomposition(cover, t0, p, branches=branches)
+            pred = _predict(branches, t0, p)
         except (MeetingUniquenessError, NonUniform) as exc:
             entries.append(ReportEntry(
                 prime=p, prediction=None, oracle=None,
@@ -417,21 +415,13 @@ def approximate_specialization_point(
     return Fraction(x, den)
 
 
-def realize_local_class(
-    cover: Cover,
-    p: int,
-    target: str,
-    branches: Sequence[BranchPoint] | None = None,
-    bound: int | None = None,
-) -> int:
+def realize_local_class(cover: Cover, p: int, target: str, bound: int | None = None) -> int:
     """The least positive integer t0 whose value m(t0) under the first
     finite branch locus lies in the requested square class of Q_p
     ("1", "u", "p", "up"); p must be odd."""
     if target not in ("1", "u", "p", "up"):
         raise DomainError("target class must be one of '1', 'u', 'p', 'up'")
-    if branches is None:
-        branches = branch_points(cover)
-    locus = next((bp.locus for bp in branches if bp.locus is not None), None)
+    locus = next((bp.locus for bp in branch_points(cover) if bp.locus is not None), None)
     if locus is None:
         raise DomainError("cover has no finite branch locus")
     if bound is None:

@@ -53,7 +53,8 @@ def test_criterion_2_full_sweep_all_predictions_verified(covers, branch_table,
                                                          bad_table):
     """Every integer t0 in [-100, 100], all bundled covers, every meeting
     prime: the verdict is MATCH or PARTIAL_MATCH (never MISMATCH, never
-    ORACLE_FAILURE) outside the conservative bad set."""
+    ORACLE_FAILURE) outside the conservative bad set.  Branch data and bad
+    primes are passed in, as the benchmark's sweep workload does."""
     offenders = []
     checked = 0
     for name, cover in covers.items():
@@ -74,8 +75,7 @@ def test_criterion_2_full_sweep_all_predictions_verified(covers, branch_table,
     assert checked > 800  # the sweep exercised a substantial prime set
 
 
-def test_criterion_3_divisibility_mode_contracts(covers, branch_table,
-                                                 bad_table):
+def test_criterion_3_divisibility_mode_contracts(covers):
     """When the meeting multiplicity shares a factor with the branch
     inertia order, e is pinned to the quotient and the oracle's f must be
     a multiple of the predicted lower bound."""
@@ -86,12 +86,10 @@ def test_criterion_3_divisibility_mode_contracts(covers, branch_table,
     ]
     for name, t0, p, e_want, f_lower_want, oracle_want in cases:
         cover = covers[name]
-        pred = predict_decomposition(cover, t0, p, branch_table[name])
+        pred = predict_decomposition(cover, t0, p)
         assert pred.mode == "divisible"
         assert pred.e == e_want and pred.f_lower == f_lower_want
-        rep = verify_specialization(cover, t0, primes=[p],
-                                    branches=branch_table[name],
-                                    bad=bad_table[name])
+        rep = verify_specialization(cover, t0, primes=[p])
         entry = rep.entries[0]
         assert entry.verdict == PARTIAL_MATCH
         assert entry.oracle.factors == (oracle_want,)
@@ -99,14 +97,13 @@ def test_criterion_3_divisibility_mode_contracts(covers, branch_table,
         assert e == pred.e and f % pred.f_lower == 0
 
 
-def test_criterion_4_grunwald_obstruction_with_non_vacuity(covers,
-                                                           branch_table):
+def test_criterion_4_grunwald_obstruction_with_non_vacuity(covers):
     """The biquadratic cover's obstruction primes up to 20 are exactly
     {5, 13, 17}; at those primes every sampled specialization is locally
     small, while at the non-obstruction prime 7 a specialization attains
     the full local degree 4 (so the property is not vacuous)."""
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    cert = grunwald_obstruction(v4, 2, 20, branches=branch_table[v4.name])
+    cert = grunwald_obstruction(v4, 2, 20)
     assert list(cert.primes) == [5, 13, 17]
     assert cert.all_ok
     for t in cert.transcripts:
@@ -179,15 +176,14 @@ def test_criterion_7_branch_tables_and_precision_stability(covers):
         assert [b.to_json() for b in base] == [b.to_json() for b in doubled]
 
 
-def test_criterion_8_realize_both_square_classes(covers, branch_table):
+def test_criterion_8_realize_both_square_classes(covers):
     """For the square-root cover and p in {5, 7, 11, 13}: the search
     realizes both ramified square classes at the frozen minimal points."""
     c2 = covers["c2_sqrt_t"]
-    br = branch_table[c2.name]
     frozen = {(5, "p"): 5, (5, "up"): 10, (7, "p"): 7, (7, "up"): 21,
               (11, "p"): 11, (11, "up"): 22, (13, "p"): 13, (13, "up"): 26}
     for (p, target), want in frozen.items():
-        t0 = realize_local_class(c2, p, target, branches=br)
+        t0 = realize_local_class(c2, p, target)
         assert t0 == want, (p, target, t0, want)
         assert quadratic_local_class(Fraction(t0), p) == target
         st = local_splitting_type(specialize_poly(c2, Fraction(t0)), p)

@@ -27,22 +27,20 @@ def upoly(*coeffs):
 # Frobenius primes in branch residue fields
 
 
-def test_frobenius_primes_v4(covers, branch_table):
+def test_frobenius_primes_v4(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    br = branch_table[v4.name]
     # residue fields are Q, Q(i), Q: the lcm order is decided by Q(i)
-    assert find_frobenius_primes(v4, 2, 20, branches=br) == [7, 11, 19]
-    assert find_frobenius_primes(v4, 1, 20, branches=br) == [5, 13, 17]
+    assert find_frobenius_primes(v4, 2, 20) == [7, 11, 19]
+    assert find_frobenius_primes(v4, 1, 20) == [5, 13, 17]
     # 3 is excluded by the bad set even though it is inert in Q(i)
-    assert 3 not in find_frobenius_primes(v4, 2, 20, branches=br)
+    assert 3 not in find_frobenius_primes(v4, 2, 20)
 
 
-def test_frobenius_primes_c3(covers, branch_table):
+def test_frobenius_primes_c3(covers):
     c3 = covers["c3_shanks"]
-    br = branch_table[c3.name]
     # residue field of the branch contains Q(zeta_3): split iff p = 1 mod 3
-    assert find_frobenius_primes(c3, 1, 20, branches=br) == [7, 13, 19]
-    assert find_frobenius_primes(c3, 2, 20, branches=br) == [5, 11, 17]
+    assert find_frobenius_primes(c3, 1, 20) == [7, 13, 19]
+    assert find_frobenius_primes(c3, 2, 20) == [5, 11, 17]
 
 
 def test_frobenius_primes_domain():
@@ -113,9 +111,9 @@ def test_adequate_search(covers):
 # obstructions
 
 
-def test_grunwald_obstruction_v4(covers, branch_table):
+def test_grunwald_obstruction_v4(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    cert = grunwald_obstruction(v4, 2, 20, branches=branch_table[v4.name])
+    cert = grunwald_obstruction(v4, 2, 20)
     assert list(cert.primes) == [5, 13, 17]
     assert cert.all_ok and cert.transcripts
     # every transcript line is locally small: e = 1 or e*f divides 2
@@ -149,12 +147,12 @@ def test_parametric_no_obstruction_found(covers):
     assert rep.certificate is not None and not rep.certificate.primes
 
 
-def test_certificates_serialize(covers, branch_table):
+def test_certificates_serialize(covers):
     import json
 
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
     cert = adequacy_certificate(v4, Fraction(21))
-    ob = grunwald_obstruction(v4, 2, 20, branches=branch_table[v4.name])
+    ob = grunwald_obstruction(v4, 2, 20)
     rep = parametric_obstruction_report(v4, 2, 20)
     for doc in (cert.to_json(), ob.to_json(), rep.to_json()):
         json.dumps(doc, sort_keys=True)

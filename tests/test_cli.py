@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gsl.covers
 from gsl.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gsl" / "data"
@@ -43,12 +44,42 @@ def test_verify_single(capsys):
 
 
 def test_verify_multiple_t0_order_stable(capsys):
-    code1, doc1, _ = run(capsys, "verify", V4, "--t0", "21", "--t0", "7")
-    code2, doc2, _ = run(capsys, "verify", V4, "--t0", "21", "--t0", "7",
-                         "--jobs", "2")
+    t0s = ["--t0", "21", "--t0", "7", "--t0=-3/7"]
+    code1, doc1, _ = run(capsys, "verify", V4, *t0s)
+    code2, doc2, _ = run(capsys, "verify", V4, *t0s, "--jobs", "2")
     assert code1 == code2 == 0
     assert doc1 == doc2
-    assert [r["t0"] for r in doc1["reports"]] == ["21", "7"]
+    assert [r["t0"] for r in doc1["reports"]] == ["21", "7", "-3/7"]
+
+
+def test_verify_batch_analyses_the_cover_once(capsys, monkeypatch):
+    calls = []
+    expand = gsl.covers.puiseux_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(gsl.covers, "puiseux_at", counted)
+    t0s = ["--t0=" + t for t in ("21", "7", "-3/7", "5/2", "100")]
+    code, doc, _ = run(capsys, "verify", V4, *t0s)
+    assert code == 0 and len(doc["reports"]) == 5
+    assert len(calls) == 3  # one expansion per locus of V4: T - 1, T, infinity
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_bad_t0_fails_only_its_own_slot(capsys, jobs):
+    code, doc, err = run(capsys, "verify", V4, "--t0", "21", "--t0", "1",
+                         "--t0", "7", "--jobs", jobs)
+    assert code == 64
+    first, bad, last = doc["reports"]
+    assert bad == {"cover": "v4_sqrt_t_sqrt_t_minus_1", "t0": "1",
+                   "error": "HypothesisViolation",
+                   "message": "specialization point 1 lies on a branch locus"}
+    assert "branch locus" in err
+    assert run(capsys, "verify", V4, "--t0", "21")[1] == first
+    assert run(capsys, "verify", V4, "--t0", "7")[1] == last
+    assert run(capsys, "verify", V4, "--t0", "1")[:2] == (64, bad)
 
 
 def test_verify_explicit_primes(capsys):

@@ -1,11 +1,15 @@
 """Covers of the line: loading, branch data, residue fields, bad primes."""
 
 import json
+import math
+import pickle
+from fractions import Fraction
 
 import pytest
 
 import gsl.covers
 from gsl.covers import (
+    PuiseuxPlace,
     branch_points,
     bundled_covers,
     conservative_bad_primes,
@@ -172,3 +176,67 @@ def test_galois_sampling_propagates_unexpected_errors(covers, monkeypatch):
     monkeypatch.setattr(gsl.covers, "frobenius_data", broken)
     with pytest.raises(RuntimeError):
         probabilistic_galois_check(covers["c2_sqrt_t"], samples=2)
+
+
+# ---------------------------------------------------------------------------
+# the analysis cached on each cover
+
+
+def _translate(rows, b):
+    """Rows of P(T + b, Y), expanded with binomials over Fraction."""
+    out = []
+    for row in rows:
+        new = [Fraction(0)] * len(row)
+        for k, c in enumerate(row):
+            for j in range(k + 1):
+                new[j] += Fraction(c) * math.comb(k, j) * Fraction(b) ** (k - j)
+        out.append(new)
+    return out
+
+
+@pytest.mark.parametrize("name", ["v4_sqrt_t_sqrt_t_minus_1", "c3_shanks"])
+@pytest.mark.parametrize("b", [-2, 3, Fraction(1, 2)])
+def test_translate_moves_branch_loci_only(covers, name, b):
+    cover = covers[name]
+    rows = _translate([row.coeffs for row in cover.poly.rows], b)
+    moved = load_cover({
+        "name": f"{name}_b{b}",
+        "group_order": cover.group_order,
+        "P": [[str(c) for c in row] for row in rows],
+        "assert_regular_galois": True,
+    })
+
+    def table(bps, shift):
+        return {(None if bp.locus is None else tuple(shift(bp.locus.coeffs)),
+                 bp.ram_index, bp.d_order) for bp in bps}
+
+    want = table(branch_points(cover), lambda cs: _translate([cs], b)[0])
+    assert table(branch_points(moved), lambda cs: cs) == want
+    assert len(branch_points(moved)) == len(want)
+
+
+def test_cover_pickles_with_its_analysis(covers):
+    cover = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    analysis = cover.analysis
+    clone = pickle.loads(pickle.dumps(cover))
+    assert clone == cover
+    assert vars(clone)["analysis"] == analysis  # carried, not recomputed
+
+
+def test_branch_places_must_fill_the_degree(monkeypatch):
+    # a single place of degree 2 over each locus of the degree-4 cover V4
+    short = (PuiseuxPlace(ram_index=2, residue_degree=1,
+                          rel_min_poly=(UniPoly(), UniPoly.const(1))),)
+    monkeypatch.setattr(gsl.covers, "puiseux_at", lambda cover, locus, prec=None: short)
+    cover = bundled_covers()["v4_sqrt_t_sqrt_t_minus_1"]
+    with pytest.raises(NonUniformRamification, match="total degree 2, not the Y-degree 4"):
+        branch_points(cover)
+
+
+def test_expansion_places_must_fill_the_degree(monkeypatch):
+    # the residual at T = 0 loses its factors: no place is found at all
+    monkeypatch.setattr(gsl.covers, "factor_nf", lambda K, f: [])
+    cover = bundled_covers()["c2_sqrt_t"]
+    with pytest.raises(NonUniformRamification,
+                       match="over the locus have total degree 0, not the Y-degree 2"):
+        puiseux_at(cover, UniPoly.from_json(["0", "1"]))

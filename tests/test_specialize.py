@@ -79,27 +79,27 @@ def test_meeting_primes_v4(branch_table):
 # predictions
 
 
-def test_predict_exact_mode(covers, branch_table):
+def test_predict_exact_mode(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    pred5 = predict_decomposition(v4, Fraction(21), 5, branch_table[v4.name])
+    pred5 = predict_decomposition(v4, Fraction(21), 5)
     assert (pred5.mode, pred5.e, pred5.f) == ("exact", 2, 1)
-    pred7 = predict_decomposition(v4, Fraction(21), 7, branch_table[v4.name])
+    pred7 = predict_decomposition(v4, Fraction(21), 7)
     assert (pred7.mode, pred7.e, pred7.f) == ("exact", 2, 2)
 
 
-def test_predict_divisible_mode(covers, branch_table):
+def test_predict_divisible_mode(covers):
     c3 = covers["c3_shanks"]
     # m(54) = 54^2 + 3*54 + 9 = 3087 = 3^2 * 7^3: multiplicity 3 at 7
-    pred = predict_decomposition(c3, Fraction(54), 7, branch_table[c3.name])
+    pred = predict_decomposition(c3, Fraction(54), 7)
     assert (pred.mode, pred.e, pred.f, pred.f_lower) == ("divisible", 1, None, 1)
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    pred49 = predict_decomposition(v4, Fraction(49), 7, branch_table[v4.name])
+    pred49 = predict_decomposition(v4, Fraction(49), 7)
     assert (pred49.mode, pred49.e, pred49.f_lower) == ("divisible", 1, 2)
 
 
-def test_predict_unramified_mode(covers, branch_table):
+def test_predict_unramified_mode(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    pred = predict_decomposition(v4, Fraction(21), 11, branch_table[v4.name])
+    pred = predict_decomposition(v4, Fraction(21), 11)
     assert (pred.mode, pred.e, pred.f, pred.meeting) == ("unramified", 1, None, None)
 
 
@@ -118,10 +118,9 @@ def _verdicts(report):
     return {e.prime: e.verdict for e in report.entries}
 
 
-def test_verify_c3_at_13(covers, branch_table, bad_table):
+def test_verify_c3_at_13(covers):
     c3 = covers["c3_shanks"]
-    rep = verify_specialization(c3, Fraction(13), branches=branch_table[c3.name],
-                                bad=bad_table[c3.name])
+    rep = verify_specialization(c3, Fraction(13))
     v = _verdicts(rep)
     assert v[7] == MATCH and v[31] == MATCH
     for e in rep.entries:
@@ -130,10 +129,9 @@ def test_verify_c3_at_13(covers, branch_table, bad_table):
             assert e.oracle.factors == ((3, 1, 1),)
 
 
-def test_verify_c3_divisible_at_54(covers, branch_table, bad_table):
+def test_verify_c3_divisible_at_54(covers):
     c3 = covers["c3_shanks"]
-    rep = verify_specialization(c3, Fraction(54), branches=branch_table[c3.name],
-                                bad=bad_table[c3.name])
+    rep = verify_specialization(c3, Fraction(54))
     v = _verdicts(rep)
     assert v[3] == SKIPPED_BAD_PRIME
     assert v[7] == PARTIAL_MATCH
@@ -141,40 +139,36 @@ def test_verify_c3_divisible_at_54(covers, branch_table, bad_table):
     assert e7.oracle.factors == ((1, 3, 1),)
 
 
-def test_verify_v4_at_21(covers, branch_table, bad_table):
+def test_verify_v4_at_21(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    rep = verify_specialization(v4, Fraction(21), branches=branch_table[v4.name],
-                                bad=bad_table[v4.name])
+    rep = verify_specialization(v4, Fraction(21))
     v = _verdicts(rep)
     assert v[5] == MATCH and v[7] == MATCH
     assert rep.worst in (MATCH, SKIPPED_BAD_PRIME)
 
 
-def test_verify_c2_cases(covers, branch_table, bad_table):
+def test_verify_c2_cases(covers):
     c2 = covers["c2_sqrt_t"]
-    br, bad = branch_table[c2.name], bad_table[c2.name]
     for t0, p, verdict in [
         (Fraction(5), 5, MATCH),
         (Fraction(10), 5, MATCH),
         (Fraction(1, 5), 5, MATCH),       # pole: meets infinity, e = 2
         (Fraction(50), 5, PARTIAL_MATCH), # multiplicity 2: e = 1, f free
     ]:
-        rep = verify_specialization(c2, t0, branches=br, bad=bad)
+        rep = verify_specialization(c2, t0)
         assert _verdicts(rep)[p] == verdict, (t0, p)
 
 
-def test_verify_explicit_prime_list(covers, branch_table, bad_table):
+def test_verify_explicit_prime_list(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    rep = verify_specialization(v4, Fraction(21), primes=[5, 11],
-                                branches=branch_table[v4.name], bad=bad_table[v4.name])
+    rep = verify_specialization(v4, Fraction(21), primes=[5, 11])
     assert [e.prime for e in rep.entries] == [5, 11]
     assert _verdicts(rep)[11] == MATCH  # unramified prediction confirmed
 
 
-def test_report_json_shape(covers, branch_table, bad_table):
+def test_report_json_shape(covers):
     c2 = covers["c2_sqrt_t"]
-    rep = verify_specialization(c2, Fraction(10), branches=branch_table[c2.name],
-                                bad=bad_table[c2.name])
+    rep = verify_specialization(c2, Fraction(10))
     j = rep.to_json()
     assert j["cover"] == "c2_sqrt_t" and j["t0"] == "10"
     assert all({"prime", "prediction", "oracle", "verdict", "note"} <= set(e) for e in j["entries"])
@@ -213,18 +207,17 @@ def test_approximate_point_congruences_hold(k, r):
 # realizing quadratic local classes
 
 
-def test_realize_frozen_table(covers, branch_table):
+def test_realize_frozen_table(covers):
     c2 = covers["c2_sqrt_t"]
-    br = branch_table[c2.name]
     frozen = {(5, "p"): 5, (5, "up"): 10, (7, "p"): 7, (7, "up"): 21,
               (11, "p"): 11, (11, "up"): 22, (13, "p"): 13, (13, "up"): 26}
     for (p, target), want in frozen.items():
-        t0 = realize_local_class(c2, p, target, branches=br)
+        t0 = realize_local_class(c2, p, target)
         assert t0 == want, (p, target, t0)
         assert quadratic_local_class(Fraction(t0), p) == target
 
 
-def test_realize_unreachable_below_bound(covers, branch_table):
+def test_realize_unreachable_below_bound(covers):
     c2 = covers["c2_sqrt_t"]
     with pytest.raises(DomainError):
-        realize_local_class(c2, 5, "up", branches=branch_table[c2.name], bound=3)
+        realize_local_class(c2, 5, "up", bound=3)
