@@ -17,9 +17,11 @@ Exit codes:
       error document in its slot and the other points are reported
 
 Determinism: all subcommands are deterministic for fixed inputs; the
-sampling check in `analyze` draws from a PRNG seeded by the GSL_SEED
-environment variable (default 0x5EED), and --jobs never changes output
-order.
+sampling check in `analyze` and every equal-degree split over a finite
+field draw from a PRNG seeded by the GSL_SEED environment variable (any
+Python integer literal, default 0x5EED).  No output depends on the seed
+beyond that sampling check; an unparsable GSL_SEED raises DomainError on
+the first such draw.  --jobs never changes output order.
 """
 
 from __future__ import annotations

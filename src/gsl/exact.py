@@ -529,6 +529,9 @@ class BiPoly:
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.rows == other.rows
 
+    def __hash__(self):
+        return hash(self.rows)
+
     def __repr__(self):
         return f"BiPoly(deg_y={self.degree_y})"
 

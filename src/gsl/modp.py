@@ -6,10 +6,10 @@ machinery runs over extension fields F_{p^d} (elements: int tuples over a
 fixed irreducible modulus), which the p-adic oracle uses for its unramified
 lifts; extension fields are internal.
 
-Equal-degree splitting is deterministic for q < 2^16 (linear enumeration of
-candidate polynomials); larger fields fall back to a PRNG seeded by the
-GSL_SEED environment variable (fixed default otherwise), so runs are
-reproducible either way.
+Equal-degree splitting draws its candidates at random over every field,
+from a PRNG seeded by the GSL_SEED environment variable (fixed default
+otherwise).  Results are sorted, so they never depend on the seed; the seed
+only makes each run's work reproducible.
 """
 
 from __future__ import annotations
@@ -238,15 +238,19 @@ def _ddf(F, f):
 
 def _edf(F, f, d):
     """Split a squarefree monic f, all of whose irreducible factors have
-    degree d, into those factors (Cantor-Zassenhaus; deterministic candidate
-    enumeration for small fields)."""
+    degree d, into those factors (Cantor-Zassenhaus, von zur Gathen &
+    Gerhard, Modern Computer Algebra, Alg. 14.8).
+
+    Each try draws a nonconstant u of degree < 2d, every coefficient (the
+    leading one too: x + c cannot separate roots whose difference has trace
+    0 in characteristic 2) from all of F, so a constant share of tries
+    splits however small F is.  The PRNG is seeded by `seed_from_env()` for
+    each call, so a factorization does not depend on call order."""
     n = len(f) - 1
     if n == d:
         return [list(f)]
     q = F.q
-    small = q < 2**16
-    rng = None if small else random.Random(seed_from_env())
-    counter = q  # skip constants when enumerating
+    rng = random.Random(seed_from_env())
     factors = []
     work = [list(f)]
     while work:
@@ -255,22 +259,10 @@ def _edf(F, f, d):
             factors.append(g)
             continue
         while True:
-            if small:
-                # enumerate u deterministically: degree >= 1, ascending index
-                u = []
-                i = counter
-                counter += 1
-                while i:
-                    u.append(F.element_by_index(i % q))
-                    i //= q
-                u = dense.trim(F, u)
-                if len(u) < 2:
-                    continue
-            else:
-                deg = 2 * d - 1
-                u = [F.element_by_index(rng.randrange(q)) for _ in range(deg)]
-                u.append(F.one)
-                u = dense.trim(F, u)
+            u = [F.element_by_index(rng.randrange(q)) for _ in range(2 * d)]
+            u = dense.trim(F, u)
+            if len(u) < 2:
+                continue
             if F.p == 2:
                 # trace splitting: v = u + u^2 + u^4 + ... (k*d terms, q=2^k)
                 k = d * int(math.log2(q))
@@ -303,14 +295,8 @@ def factor_over(F, f) -> list[tuple[list, int]]:
         for block, r in _ddf(F, g):
             for irr in _edf(F, block, r):
                 out.append((irr, mult))
-    out.sort(key=lambda t: (len(t[0]), _coeff_key(F, t[0])))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
-
-
-def _coeff_key(F, poly):
-    if isinstance(F, PrimeField):
-        return tuple(poly)
-    return tuple(c for elt in poly for c in elt)
 
 
 def roots_over(F, f) -> list:
@@ -327,7 +313,7 @@ def roots_over(F, f) -> list:
     xq = dense.powmod(F, [F.zero, F.one], F.q, f)
     lin = dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
     roots = [F.neg(g[0]) for g in _edf(F, lin, 1)] if len(lin) > 1 else []
-    return sorted(roots, key=lambda r: r if isinstance(F, PrimeField) else tuple(r))
+    return sorted(roots)
 
 
 def find_irreducible(F_p: PrimeField, degree: int) -> list[int]:

@@ -326,7 +326,8 @@ class _Analyzer:
         F = Wbig.res
         chi_up = [F.from_int(c) for c in W.Phi]
         rts = roots_over(F, chi_up)
-        assert rts, "residue modulus must split in the larger residue field"
+        if not rts:
+            raise DomainError(f"the residue modulus of {W} has no root over {Wbig}")
         om = Wbig.lift_res(rts[0])
         # Newton-lift to a root of Phi over Wbig
         Phi_up = [Wbig.from_int(c) for c in W.Phi]
@@ -349,15 +350,6 @@ class _Analyzer:
 
         return emb
 
-    def res_embed(self, W: Zq, Wbig: Zq):
-        """Map between residue fields induced by embed (same root)."""
-        emb = self.embed(W, Wbig)
-
-        def remb(r):
-            return Wbig.residue(emb(W.lift_res(r)))
-
-        return remb
-
     # -- the recursion -------------------------------------------------------
     def splitting(self, W: Zq, f) -> list[tuple[int, int, int]]:
         """(e, f_rel, count) multiset for monic f over W, f separable over
@@ -373,14 +365,20 @@ class _Analyzer:
         for g in simple:
             out.append((1, len(g) - 1, 1))
         if repeated:
-            blocks = list(simple)
+            blocks = []
             for g, m in repeated:
                 blk = g
                 for _ in range(m - 1):
                     blk = dense.mul(F, blk, g)
                 blocks.append(blk)
+            if simple:
+                # one leaf for the simple factors: their lifts are never read
+                rest = simple[0]
+                for g in simple[1:]:
+                    rest = dense.mul(F, rest, g)
+                blocks.append(rest)
             lifted = hensel_lift(W, f, blocks)
-            for (g, m), Fj in zip(repeated, lifted[len(simple):]):
+            for (g, m), Fj in zip(repeated, lifted):
                 dpsi = len(g) - 1
                 if dpsi == 1:
                     c = W.lift_res(F.neg(g[0]))
@@ -403,8 +401,11 @@ class _Analyzer:
                                 "shape; input cannot be separable over W"
                             )
                         out.append((e, fr * dpsi, cnt // dpsi))
-        # degree conservation
-        assert sum(e * fr * c for e, fr, c in out) == len(f) - 1
+        emitted = sum(e * fr * c for e, fr, c in out)
+        if emitted != len(f) - 1:
+            raise PrecisionExhausted(
+                f"degree bookkeeping mismatch ({emitted} != {len(f) - 1})"
+            )
         return out
 
     def cluster(
@@ -468,7 +469,8 @@ class _Analyzer:
                     raise PrecisionExhausted("coefficient below its side")
                 res.append(W.residue(W.shift_down(c, vline)))
         res = dense.trim(F, res)
-        assert len(res) - 1 == r and not F.is_zero(res[0])
+        if len(res) - 1 != r or F.is_zero(res[0]):
+            raise PrecisionExhausted("residual polynomial does not span its side")
         out: list[tuple[int, int, int]] = []
         for rho, mu in factor_over(F, res):
             drho = len(rho) - 1
@@ -489,10 +491,10 @@ class _Analyzer:
             else:
                 Wbig = self.ring(W.d * drho)
                 emb = self.embed(W, Wbig)
-                remb = self.res_embed(W, Wbig)
-                rho_up = [remb(c) for c in rho]
+                rho_up = [Wbig.residue(emb(W.lift_res(c))) for c in rho]
                 rts = roots_over(Wbig.res, rho_up)
-                assert rts, "residual factor must have a root upstairs"
+                if not rts:
+                    raise DomainError(f"a residual factor has no root over {Wbig}")
                 shift = Wbig.mul(
                     Wbig.from_int(self.p**h), Wbig.lift_res(rts[0])
                 )

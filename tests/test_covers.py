@@ -223,6 +223,15 @@ def test_cover_pickles_with_its_analysis(covers):
     assert vars(clone)["analysis"] == analysis  # carried, not recomputed
 
 
+def test_covers_hash_by_value(covers):
+    cover = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    reloaded = load_cover(cover.to_json())
+    clone = pickle.loads(pickle.dumps(cover))
+    assert hash(reloaded) == hash(cover) == hash(clone)
+    assert len({cover, reloaded, clone, *covers.values()}) == len(covers)
+    assert {cover: "v4"}[reloaded] == "v4"
+
+
 def test_branch_places_must_fill_the_degree(monkeypatch):
     # a single place of degree 2 over each locus of the degree-4 cover V4
     short = (PuiseuxPlace(ram_index=2, residue_degree=1,

@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gsl import dense
 from gsl.errors import DomainError, NotSeparable
 from gsl.exact import UniPoly
 from gsl.modp import (
     ExtField,
+    PrimeField,
+    _is_irreducible,
     factor_mod_p,
+    factor_over,
+    find_irreducible,
     frobenius_data,
     reduce_relative,
     reduce_unipoly,
     roots_mod_p,
+    roots_over,
 )
 
 
@@ -118,7 +124,7 @@ def test_ext_field_inverse():
 
 
 def test_gsl_seed_accepts_any_int_literal(monkeypatch):
-    # x^2 - 4 mod 65537: the field is large enough for the seeded splitter
+    # x^2 - 4 mod 65537 and x^2 - 1 mod 5: every split reads the seed
     monkeypatch.setenv("GSL_SEED", "0x5EED")
     hex_seed = factor_mod_p([65533, 0, 1], 65537)
     monkeypatch.setenv("GSL_SEED", str(0x5EED))
@@ -127,3 +133,80 @@ def test_gsl_seed_accepts_any_int_literal(monkeypatch):
     monkeypatch.setenv("GSL_SEED", "seed")
     with pytest.raises(DomainError):
         factor_mod_p([65533, 0, 1], 65537)
+    with pytest.raises(DomainError):
+        factor_mod_p([4, 0, 1], 5)
+
+
+# ---------------------------------------------------------------------------
+# equal-degree splitting over extension fields, against brute force
+
+
+def _ext(p, d):
+    return ExtField(p, find_irreducible(PrimeField(p), d))
+
+
+SMALL_EXT = {q: _ext(p, d) for q, p, d in
+             [(8, 2, 3), (9, 3, 2), (25, 5, 2), (49, 7, 2), (121, 11, 2)]}
+
+
+@given(st.sampled_from(sorted(SMALL_EXT)),
+       st.lists(st.integers(0, 120), min_size=1, max_size=6))
+def test_factor_and_roots_over_small_extensions(q, idx):
+    F = SMALL_EXT[q]
+    f = [F.element_by_index(i % q) for i in idx] + [F.one]  # monic
+    prod = [F.one]
+    for g, m in factor_over(F, f):
+        assert g[-1] == F.one and _is_irreducible(F, g)
+        for _ in range(m):
+            prod = dense.mul(F, prod, g)
+    assert prod == f
+    zeros = [a for a in map(F.element_by_index, range(q))
+             if F.is_zero(dense.evaluate(F, f, a))]
+    assert sorted(roots_over(F, f)) == sorted(zeros)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_split_in_characteristic_2_separates_every_root(monkeypatch, seed):
+    # every element of F_8 is a root of x^8 + x; 3 of the 7 nonzero
+    # differences have trace 0, and no candidate x + c separates such a pair
+    monkeypatch.setenv("GSL_SEED", str(seed))
+    F = SMALL_EXT[8]
+    f = [F.zero, F.one] + [F.zero] * 6 + [F.one]
+    tries = []
+    real = dense.gcd
+
+    def gcd(*args):  # one gcd per try: fail, rather than hang, past 200
+        tries.append(1)
+        if len(tries) > 200:
+            raise RuntimeError("equal-degree splitting made no progress")
+        return real(*args)
+
+    monkeypatch.setattr(dense, "gcd", gcd)
+    assert roots_over(F, f) == sorted(map(F.element_by_index, range(8)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_split_over_quadratic_extension_takes_few_tries(monkeypatch, seed):
+    # x^2 - 2 is irreducible mod 83 and splits over F_{83^2}; its roots are
+    # Frobenius conjugates, so a candidate x + c with c in F_83 never
+    # separates them: only candidates drawn from all of F_{83^2} do
+    monkeypatch.setenv("GSL_SEED", str(seed))
+    F = _ext(83, 2)
+    calls = []
+    real = dense.powmod
+    monkeypatch.setattr(dense, "powmod", lambda *a: calls.append(1) or real(*a))
+    fac = factor_over(F, [F.from_int(-2), F.zero, F.one])
+    assert [len(g) for g, _ in fac] == [2, 2]
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("F", [PrimeField(65537), _ext(83, 2), _ext(2, 3)],
+                         ids=repr)
+def test_splitting_results_do_not_depend_on_the_seed(monkeypatch, F):
+    f = [F.from_int(c) for c in [-6, 11, -6, 1]]  # (x - 1)(x - 2)(x - 3)
+    f = dense.mul(F, f, [F.from_int(c) for c in [1, 0, 1, 0, 1]])
+    seen = set()
+    for seed in ["1", "12345", "0x7FFF", ""]:
+        monkeypatch.setenv("GSL_SEED", seed)
+        seen.add(repr((factor_over(F, f), roots_over(F, f))))
+    assert len(seen) == 1

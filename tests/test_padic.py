@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import gsl.padic
 from gsl import dense
 from gsl.errors import DomainError, NonUniform, NotSeparable, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
 from gsl.modp import frobenius_data, roots_over
 from gsl.padic import (
     Zq,
+    _Analyzer,
     galois_local_invariants,
     hensel_lift,
     local_splitting_type,
@@ -178,6 +180,76 @@ def test_hensel_lift_checks_its_input():
     f3 = [W.from_int(-1), W.zero, W.zero, W.one]
     with pytest.raises(DomainError):
         hensel_lift(W, f3, [[4, 1], [1, 1]])  # degrees 1 + 1 != 3
+
+
+def test_hensel_lift_of_a_block_ignores_how_the_rest_is_grouped():
+    # f = (x - 1)^2 (x - 2)(x - 3) mod 7; monic lifts of a coprime
+    # factorization are unique, so the block's lift cannot depend on whether
+    # the other factors are lifted one by one or as their product
+    W = Zq(7, 8, [0, 1])
+    F = W.res
+    f_int = upoly(-6, -2, 1) * upoly(-2, 1) * upoly(-3, 1) + upoly(0, 7**3)
+    f = [W.from_rat(c) for c in f_int.coeffs]
+    block, g2, g3 = [1, 5, 1], [5, 1], [4, 1]  # (x - 1)^2, x - 2, x - 3 mod 7
+    alone = hensel_lift(W, f, [block, g2, g3])[0]
+    rest = dense.mul(F, g2, g3)
+    assert hensel_lift(W, f, [block, rest])[0] == alone
+    assert hensel_lift(W, f, [rest, block])[1] == alone
+
+
+# ---------------------------------------------------------------------------
+# the oracle's checks raise typed errors (they hold under python -O)
+
+# (x^2 + 9)^2 + 3^7 at p = 3: at slope 1 the residual is (y^2 + 1)^2 mod 3,
+# a repeated quadratic, so the oracle recenters over F_9
+_UPSTAIRS = upoly(81 + 3**7, 0, 18, 0, 1)
+
+
+def test_embed_requires_a_root_of_the_residue_modulus(monkeypatch):
+    monkeypatch.setattr(gsl.padic, "roots_over", lambda F, f: [])
+    analyzer = _Analyzer(3, 10)
+    with pytest.raises(DomainError, match="residue modulus"):
+        analyzer.embed(analyzer.ring(2), analyzer.ring(4))
+
+
+def test_side_requires_a_root_upstairs(monkeypatch):
+    assert local_splitting_type(_UPSTAIRS, 3).factors == ((2, 2, 1),)
+    monkeypatch.setattr(gsl.padic, "roots_over", lambda F, f: [])
+    with pytest.raises(DomainError, match="residual factor has no root"):
+        local_splitting_type(_UPSTAIRS, 3)
+
+
+def test_splitting_checks_degree_conservation(monkeypatch):
+    real = gsl.padic.factor_over
+    monkeypatch.setattr(gsl.padic, "factor_over", lambda F, f: real(F, f)[:-1])
+    with pytest.raises(WildOrIrregular, match="degree bookkeeping mismatch"):
+        local_splitting_type(upoly(-1, 0, 1), 5)
+
+
+def test_side_checks_its_residual_polynomial(monkeypatch):
+    # every side one unit too low: no coefficient lies on it
+    real = dense.newton_sides
+    monkeypatch.setattr(dense, "newton_sides", lambda pts: [
+        (xa, ya - 1, xb, yb - 1, lam) for xa, ya, xb, yb, lam in real(pts)])
+    with pytest.raises(WildOrIrregular, match="does not span its side"):
+        local_splitting_type(upoly(-5, 0, 1), 5)
+
+
+def test_oracle_does_not_depend_on_the_seed(monkeypatch):
+    # each input makes the oracle split polynomials over F_{p^2}
+    x4p1 = upoly(1, 0, 0, 0, 1)
+    inputs = [
+        (_UPSTAIRS, 3),
+        (upoly(1, 0, 1) * upoly(1, 0, 1) + upoly(-3), 3),  # (x^2 + 1)^2 - 3
+        (upoly(2, 0, 1) * upoly(2, 0, 1) + upoly(-5), 5),
+        (x4p1 * x4p1 + upoly(-7), 7),
+        (x4p1 * x4p1 + upoly(-3 * 7**2), 7),
+    ]
+    seen = set()
+    for seed in ["1", "12345", "0x7FFF", ""]:
+        monkeypatch.setenv("GSL_SEED", seed)
+        seen.add(tuple(local_splitting_type(f, p).factors for f, p in inputs))
+    assert len(seen) == 1
 
 
 # ---------------------------------------------------------------------------
