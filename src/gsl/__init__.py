@@ -50,6 +50,7 @@ from .errors import (
     MeetingUniquenessError,
     NonUniform,
     NonUniformRamification,
+    NotFound,
     NotSeparable,
     PrecisionExhausted,
     SchemaError,
@@ -96,6 +97,7 @@ __all__ = [
     "MeetingUniquenessError",
     "NonUniform",
     "NonUniformRamification",
+    "NotFound",
     "NotSeparable",
     "ObstructionCertificate",
     "ObstructionTranscript",

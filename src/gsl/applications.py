@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
-from .errors import DomainError, HypothesisViolation, NotSeparable, PrecisionExhausted, WildOrIrregular
+from .errors import DomainError, HypothesisViolation, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
 from .exact import Rat, UniPoly, discriminant, factor_int, is_prime, rat_to_str, rational_valuation
 from .modp import factor_mod_p, reduce_relative, roots_mod_p
 from .nfield import is_irreducible_rational
@@ -206,18 +206,20 @@ def adequate_specialization_search(
     bound: int = 200,
 ) -> tuple[int, AdequacyCertificate]:
     """The first integer t0 >= start (scanning count values) whose
-    specialization admits an adequacy certificate."""
-    t0 = start
-    for _ in range(count):
+    specialization admits an adequacy certificate.  Points on the branch
+    locus and points with a reducible specialization are skipped; NotFound
+    when no point qualifies."""
+    for t0 in range(start, start + count):
         try:
-            cert = adequacy_certificate(cover, t0, bound)
-        except (HypothesisViolation, DomainError):
-            t0 += 1
+            poly = specialize_poly(cover, t0)
+        except HypothesisViolation:
             continue
+        if not is_irreducible_rational(poly):
+            continue
+        cert = adequacy_certificate_for_field(poly, bound)
         if cert.adequate:
             return t0, cert
-        t0 += 1
-    raise DomainError(
+    raise NotFound(
         f"no adequate specialization found in [{start}, {start + count})"
     )
 

@@ -7,7 +7,7 @@ human-readable digest to stderr.
 Exit codes:
   0   success: everything verified / certificate found / value realized
   1   negative search result: not adequate, no obstruction certified,
-      nothing found below the bound
+      nothing found below the bound (NotFound from a search)
   2   at least one MISMATCH between prediction and oracle (dominates 3)
   3   at least one ORACLE_FAILURE (a local computation could not be
       certified where one was required)
@@ -21,7 +21,7 @@ sampling check in `analyze` and every equal-degree split over a finite
 field draw from a PRNG seeded by the GSL_SEED environment variable (any
 Python integer literal, default 0x5EED).  No output depends on the seed
 beyond that sampling check; an unparsable GSL_SEED raises DomainError on
-the first such draw.  --jobs never changes output order.
+the first such draw (exit 64).  --jobs never changes output order.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import (
     DomainError,
     GslError,
     HypothesisViolation,
+    NotFound,
     NotSeparable,
     PrecisionExhausted,
     SchemaError,
@@ -244,7 +245,7 @@ def _cmd_adequacy(args) -> int:
         try:
             t0, cert = adequate_specialization_search(
                 cover, start=args.start, count=args.count, bound=args.bound)
-        except DomainError as exc:
+        except NotFound as exc:
             _emit({"error": "DomainError", "message": str(exc)})
             _say(args.summary, str(exc))
             return EX_NOT_FOUND
@@ -294,7 +295,7 @@ def _cmd_realize(args) -> int:
     try:
         t0 = realize_local_class(cover, args.prime, args.target,
                                  bound=args.bound)
-    except DomainError as exc:
+    except NotFound as exc:
         _emit({"error": "DomainError", "message": str(exc)})
         _say(args.summary, str(exc))
         return EX_NOT_FOUND

@@ -15,6 +15,9 @@ field of the branch places, by rational (Duval-style) Puiseux expansion:
     keeps every coefficient inside the field generated by the residual
     roots, so the coefficient field at the end IS the residue field of the
     place (no parasitic roots of unity);
+  * the top level is the slope-0 side: H(0, y) is its residual, and
+    (q, m, u, v) = (1, 0, 1, 0) makes the substitution y -> w0 + y, so one
+    step resolves a residual at every level;
   * a place is resolved as soon as its residual root is simple -- from
     there the implicit function theorem pins a unique power series with no
     further field growth, so the residue data is exact, not truncated.
@@ -264,23 +267,6 @@ def _h_embed(adj: Adjunction, H: list[list]) -> list[list]:
     return [dense.trim(L, [adj.embed(c) for c in row]) for row in H]
 
 
-def _h_shift_y(K, H: list[list], xi) -> list[list]:
-    """H(x, y + xi)."""
-    n = len(H) - 1
-    out: list[list] = [[] for _ in range(n + 1)]
-    xi_pows = [K.one]
-    for _ in range(n):
-        xi_pows.append(K.mul(xi_pows[-1], xi))
-    for i, row in enumerate(H):
-        if not row:
-            continue
-        for b in range(i + 1):
-            c = math.comb(i, b)
-            scaled = dense.scale(K, row, K.scale(xi_pows[i - b], c))
-            out[b] = dense.add(K, out[b], scaled)
-    return out
-
-
 def _h_eval_x0(K, H: list[list]) -> list:
     """H(0, y) as a y-polynomial over K."""
     return dense.trim(K, [row[0] if row else K.zero for row in H])
@@ -320,8 +306,8 @@ def _duval_transform(K, H, q: int, mslope: int, u: int, v: int, w0, ell: int):
     for row in out:
         row = dense.trim(K, row)
         if row:
-            v0 = _kx_val(K, row)
-            assert v0 is not None and v0 >= ell, "transform must divide by x^ell"
+            if _kx_val(K, row) < ell:
+                raise DomainError(f"the transform is not divisible by x^{ell}")
             shifted.append(row[ell:])
         else:
             shifted.append(row)
@@ -356,33 +342,46 @@ class _Expander:
             )
 
     def places(self, K0: NumberField, H: list[list]) -> list[_Path]:
-        """All places over x = 0 of monic-in-y H over K0[x]."""
-        out: list[_Path] = []
+        """All places over x = 0 of monic-in-y H over K0[x]: the roots of
+        H(0, y) are resolved as the residual of the slope-0 side."""
         hy = _h_eval_x0(K0, H)
-        assert len(hy) - 1 == len(H) - 1, "H must stay monic in y"
-        for rho, mu in factor_nf(K0, hy):
-            adj = adjoin_root(K0, rho)
-            L = adj.field
-            tau_L = adj.embed(K0.gen()) if L is not K0 else K0.gen()
-            if mu == 1:
-                out.append(_Path(1, L, tau_L))
-                continue
-            HL = _h_embed(adj, H) if L is not K0 else H
-            H2 = _h_shift_y(L, HL, adj.root)
-            sub = self._polygon(L, H2, mu, tau_L, 1, 0)
-            got = sum(p.e * (p.field.degree // L.degree) for p in sub)
-            if got != mu:
-                raise NonUniformRamification(
-                    f"cluster of multiplicity {mu} resolved into places of "
-                    f"total degree {got}"
-                )
-            out.extend(sub)
+        if len(hy) != len(H):
+            raise DomainError("H must be monic in y")
+        out = self._resolve(K0, H, hy, K0.gen(), q=1, mslope=0, u=1, v=0, ell=0,
+                            e_acc=1, depth=0)
         total = sum(p.e * (p.field.degree // K0.degree) for p in out)
         if total != len(H) - 1:
             raise NonUniformRamification(
                 f"places over the locus have total degree {total}, "
                 f"not the Y-degree {len(H) - 1}"
             )
+        return out
+
+    def _resolve(
+        self, K, H, R, tau, q: int, mslope: int, u: int, v: int, ell: int,
+        e_acc: int, depth: int,
+    ) -> list[_Path]:
+        """Places through the side of slope mslope/q with residual R: a
+        simple root of R is one place, a repeated root is adjoined and
+        followed into the polygon of the Duval transform of H."""
+        out: list[_Path] = []
+        for rho, nu in factor_nf(K, R):
+            adj = adjoin_root(K, rho)
+            L = adj.field
+            tau_L = adj.embed(tau) if L is not K else tau
+            if nu == 1:
+                out.append(_Path(e_acc * q, L, tau_L))
+                continue
+            HL = _h_embed(adj, H) if L is not K else H
+            H2 = _duval_transform(L, HL, q, mslope, u, v, adj.root, ell)
+            sub = self._polygon(L, H2, nu, tau_L, e_acc * q, depth)
+            got = sum(p.e // (e_acc * q) * (p.field.degree // L.degree) for p in sub)
+            if got != nu:
+                raise NonUniformRamification(
+                    f"cluster of multiplicity {nu} resolved into places of "
+                    f"total degree {got}"
+                )
+            out.extend(sub)
         return out
 
     def _polygon(self, K, H, mu: int, tau, e_acc: int, depth: int) -> list[_Path]:
@@ -413,24 +412,21 @@ class _Expander:
                 row = H[j]
                 c = row[vline] if vline < len(row) else K.zero
                 R.append(c)
-            assert not K.is_zero(R[0]) and not K.is_zero(R[-1])
+            if K.is_zero(R[0]) or K.is_zero(R[-1]):
+                raise NonUniformRamification(
+                    "a polygon side's residual vanishes at an endpoint"
+                )
             if mslope == 1:
                 u, v = 1, q - 1
             else:
                 u = pow(q, -1, mslope)
                 v = (u * q - 1) // mslope
             ell = q * ya + mslope * xa
-            for rho_w, nu in factor_nf(K, R):
-                adj = adjoin_root(K, rho_w)
-                L = adj.field
-                tau_L = adj.embed(tau) if L is not K else tau
-                if nu == 1:
-                    out.append(_Path(e_acc * q, L, tau_L))
-                    continue
-                HL = _h_embed(adj, H) if L is not K else H
-                H3 = _duval_transform(L, HL, q, mslope, u, v, adj.root, ell)
-                out.extend(self._polygon(L, H3, nu, tau_L, e_acc * q, depth + 1))
-        assert extent == mu, "polygon sides must account for the full multiplicity"
+            out.extend(self._resolve(K, H, R, tau, q, mslope, u, v, ell, e_acc, depth + 1))
+        if extent != mu:
+            raise NonUniformRamification(
+                f"polygon sides of total extent {extent} at multiplicity {mu}"
+            )
         return out
 
 

@@ -16,6 +16,12 @@ class DomainError(GslError, ValueError):
     p = 2 where an odd prime is required, ...)."""
 
 
+class NotFound(DomainError):
+    """A search scanned its whole range without finding what it looks for
+    (an adequate specialization, a point in a square class), or had
+    nothing to scan."""
+
+
 class NotSeparable(GslError):
     """A polynomial required to be squarefree/separable is not."""
 

@@ -207,10 +207,6 @@ class UniPoly:
         return cls([Fraction(c)])
 
     @classmethod
-    def x(cls) -> "UniPoly":
-        return cls([0, 1])
-
-    @classmethod
     def from_json(cls, data: Sequence[str]) -> "UniPoly":
         return cls([rat_from_str(s) for s in data])
 
@@ -280,12 +276,6 @@ class UniPoly:
     def scale(self, c) -> "UniPoly":
         c = Fraction(c)
         return UniPoly([ci * c for ci in self.coeffs])
-
-    def shift_degree(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return UniPoly([Fraction(0)] * k + list(self.coeffs))
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
@@ -357,15 +347,6 @@ class UniPoly:
         if self.is_zero:
             return self
         return UniPoly(list(reversed(self.coeffs)))
-
-    def primitive_scale(self) -> tuple[int, "UniPoly"]:
-        """(d, d*self) for the least positive integer d clearing denominators."""
-        import math
-
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d, self.scale(d)
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -535,16 +516,8 @@ class BiPoly:
     def __repr__(self):
         return f"BiPoly(deg_y={self.degree_y})"
 
-    def eval_t(self, t0) -> UniPoly:
-        """P(t0, Y) as a UniPoly in Y."""
-        t0 = Fraction(t0)
-        return UniPoly([row(t0) for row in self.rows])
-
     def deriv_y(self) -> "BiPoly":
         return BiPoly([row.scale(i) for i, row in enumerate(self.rows)][1:])
-
-    def map_rows(self, fn) -> "BiPoly":
-        return BiPoly([fn(row) for row in self.rows])
 
 
 def resultant(f, g):

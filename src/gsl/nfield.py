@@ -92,9 +92,6 @@ class NumberField:
         r = u % self.modulus
         return tuple(r.coeff(i) for i in range(self.degree))
 
-    def to_unipoly(self, a: Sequence[Rat]) -> UniPoly:
-        return UniPoly(a)
-
     # -- arithmetic
 
     def add(self, a, b) -> tuple:
@@ -149,15 +146,6 @@ class NumberField:
         assert not r1.is_zero, "modulus must be irreducible"
         c = r1.coeff(0)
         return self.from_unipoly(s1.scale(1 / c))
-
-    def div(self, a, b) -> tuple:
-        return self.mul(a, self.inv(b))
-
-    def as_rat(self, a):
-        """The element as a Fraction if it lies in Q, else None."""
-        if all(x == 0 for x in a[1:]):
-            return a[0]
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,13 @@ not a heuristic):
    (b) repeated residual factors on integer slopes handled by recentering
        (with an exclusion floor so already-emitted sides are not double
        counted),
-   (c) repeated residual factors of degree >= 2 handled by recursing over a
-       larger unramified W', mapping invariants back down by multiplying
-       residue degrees (unramified base changes split factors into
-       conjugate families with identical invariants).
+   (c) one recentering step for both: a block psi^m is the cluster around
+       a root of psi above floor 0, a repeated residual the cluster around
+       the next digit above the side's slope.  A root of degree d >= 2
+       lives in the unramified W' of degree d; only its conjugate family
+       is analyzed there, and its residue degrees are multiplied by d
+       (the base change splits each factor into d conjugates with
+       identical invariants, exactly one of which reduces to that root).
 
 Anything wild (p divides a candidate ramification index) or outside the
 certified scope (a *fractional* slope whose residual is inseparable) raises
@@ -378,29 +381,8 @@ class _Analyzer:
                     rest = dense.mul(F, rest, g)
                 blocks.append(rest)
             lifted = hensel_lift(W, f, blocks)
-            for (g, m), Fj in zip(repeated, lifted):
-                dpsi = len(g) - 1
-                if dpsi == 1:
-                    c = W.lift_res(F.neg(g[0]))
-                    out.extend(self.cluster(W, Fj, c, Fraction(0), 0))
-                else:
-                    # unramified base change makes this cluster's centers
-                    # rational: analyze everything upstairs, then fold the
-                    # conjugate families back (counts divide by dpsi,
-                    # residue degrees multiply by dpsi)
-                    Wbig = self.ring(W.d * dpsi)
-                    emb = self.embed(W, Wbig)
-                    fup = [emb(cf) for cf in Fj]
-                    merged: dict[tuple[int, int], int] = {}
-                    for (e, fr, cnt) in self.splitting(Wbig, fup):
-                        merged[(e, fr)] = merged.get((e, fr), 0) + cnt
-                    for (e, fr), cnt in sorted(merged.items()):
-                        if cnt % dpsi != 0:
-                            raise NonUniform(
-                                "conjugate cluster families of unequal "
-                                "shape; input cannot be separable over W"
-                            )
-                        out.append((e, fr * dpsi, cnt // dpsi))
+            for (g, _), Fj in zip(repeated, lifted):
+                out.extend(self._recenter(W, Fj, W.zero, g, 0, Fraction(0), 0))
         emitted = sum(e * fr * c for e, fr, c in out)
         if emitted != len(f) - 1:
             raise PrecisionExhausted(
@@ -483,28 +465,36 @@ class _Analyzer:
                     "certified scope of this oracle"
                 )
             # integer slope, repeated residual: recenter
-            if drho == 1:
-                root = F.neg(rho[0])
-                shift = W.mul(W.from_int(self.p**h), W.lift_res(root))
-                new_center = W.add(center, shift)
-                out.extend(self.cluster(W, f, new_center, lam, depth + 1))
-            else:
-                Wbig = self.ring(W.d * drho)
-                emb = self.embed(W, Wbig)
-                rho_up = [Wbig.residue(emb(W.lift_res(c))) for c in rho]
-                rts = roots_over(Wbig.res, rho_up)
-                if not rts:
-                    raise DomainError(f"a residual factor has no root over {Wbig}")
-                shift = Wbig.mul(
-                    Wbig.from_int(self.p**h), Wbig.lift_res(rts[0])
-                )
-                new_center = Wbig.add(emb(center), shift)
-                fup = [emb(c) for c in f]
-                sub = self.cluster(Wbig, fup, new_center, lam, depth + 1)
-                # one conjugate family analyzed; scale residue degrees back
-                for (e2, fr, cnt) in sub:
-                    out.append((e2, fr * drho, cnt))
+            out.extend(self._recenter(W, f, center, rho, h, lam, depth + 1))
         return out
+
+    def _recenter(
+        self, W, f, center, rho, h: int, floor: Fraction, depth: int
+    ) -> list[tuple[int, int, int]]:
+        """The cluster of f around center + p^h r, for one root r of the
+        irreducible rho over W.res, above floor.  For deg rho >= 2 the root
+        lives in the unramified extension of degree deg rho: the cluster is
+        analyzed there, and residue degrees are multiplied by deg rho (the
+        base change splits each factor into deg rho conjugates with
+        identical invariants, exactly one of which reduces to r)."""
+        drho = len(rho) - 1
+        if drho == 1:
+            root = W.lift_res(W.res.neg(rho[0]))
+        else:
+            Wbig = self.ring(W.d * drho)
+            emb = self.embed(W, Wbig)
+            rho_up = [Wbig.residue(emb(W.lift_res(c))) for c in rho]
+            rts = roots_over(Wbig.res, rho_up)
+            if not rts:
+                raise DomainError(f"a residual factor has no root over {Wbig}")
+            W, root = Wbig, Wbig.lift_res(rts[0])
+            center = emb(center)
+            f = [emb(c) for c in f]
+        new_center = W.add(center, W.mul(W.from_int(self.p**h), root))
+        return [
+            (e, fr * drho, cnt)
+            for e, fr, cnt in self.cluster(W, f, new_center, floor, depth)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .errors import (
     HypothesisViolation,
     MeetingUniquenessError,
     NonUniform,
+    NotFound,
     PrecisionExhausted,
     WildOrIrregular,
 )
@@ -423,7 +424,7 @@ def realize_local_class(cover: Cover, p: int, target: str, bound: int | None = N
         raise DomainError("target class must be one of '1', 'u', 'p', 'up'")
     locus = next((bp.locus for bp in branch_points(cover) if bp.locus is not None), None)
     if locus is None:
-        raise DomainError("cover has no finite branch locus")
+        raise NotFound("cover has no finite branch locus")
     if bound is None:
         bound = 16 * p * p
     for t0 in range(1, bound + 1):
@@ -432,6 +433,6 @@ def realize_local_class(cover: Cover, p: int, target: str, bound: int | None = N
             continue
         if quadratic_local_class(mval, p) == target:
             return t0
-    raise DomainError(
+    raise NotFound(
         f"no specialization point below {bound} realizes class {target} at {p}"
     )

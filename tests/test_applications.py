@@ -15,7 +15,7 @@ from gsl.applications import (
     grunwald_obstruction,
     parametric_obstruction_report,
 )
-from gsl.errors import DomainError
+from gsl.errors import DomainError, NotFound
 from gsl.exact import UniPoly
 
 
@@ -156,3 +156,12 @@ def test_certificates_serialize(covers):
     rep = parametric_obstruction_report(v4, 2, 20)
     for doc in (cert.to_json(), ob.to_json(), rep.to_json()):
         json.dumps(doc, sort_keys=True)
+
+
+def test_adequate_search_skips_loci_and_reducible_points(covers):
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    # t0 = 0 and 1 lie on the branch loci; P(2, Y) and P(5, Y) are reducible
+    with pytest.raises(NotFound, match=r"\[0, 3\)"):
+        adequate_specialization_search(v4, start=0, count=3)
+    t0, cert = adequate_specialization_search(v4, start=0, count=30)
+    assert t0 == 21 and cert.adequate

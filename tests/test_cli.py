@@ -158,6 +158,25 @@ def test_realize_not_found_exit_1(capsys):
     assert code == 1 and "error" in doc
 
 
+def test_adequacy_search_not_found_exit_1(capsys):
+    # t0 = 0 and 1 lie on the branch loci, P(2, Y) is reducible
+    code, doc, _ = run(capsys, "adequacy", V4, "--search", "--start", "0",
+                       "--count", "3")
+    assert code == 1
+    assert doc == {"error": "DomainError",
+                   "message": "no adequate specialization found in [0, 3)"}
+
+
+def test_search_errors_are_not_negative_results(capsys, monkeypatch):
+    # an unparsable seed fails the first finite-field split: a usage error,
+    # not "nothing found"
+    monkeypatch.setenv("GSL_SEED", "seed")
+    for argv in (["adequacy", V4, "--search", "--count", "3"],
+                 ["realize", V4, "--prime", "5", "--target", "u"]):
+        code, doc, err = run(capsys, *argv)
+        assert code == 64 and "GSL_SEED" in doc["message"] and "GSL_SEED" in err
+
+
 def test_bundled_scheme(capsys):
     code, doc, _ = run(capsys, "analyze", "bundled:c2_sqrt_t", "--skip-sampling")
     assert code == 0 and doc["cover"] == "c2_sqrt_t"

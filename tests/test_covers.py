@@ -6,10 +6,15 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import gsl.covers
+from gsl import dense
 from gsl.covers import (
     PuiseuxPlace,
+    _duval_transform,
+    _Expander,
     branch_points,
     bundled_covers,
     conservative_bad_primes,
@@ -18,8 +23,9 @@ from gsl.covers import (
     puiseux_at,
     roots_of_unity_check,
 )
-from gsl.errors import NonUniformRamification, SchemaError
+from gsl.errors import DomainError, NonUniformRamification, SchemaError
 from gsl.exact import UniPoly
+from gsl.nfield import NumberField
 
 
 def _cover_dict(**over):
@@ -249,3 +255,95 @@ def test_expansion_places_must_fill_the_degree(monkeypatch):
     with pytest.raises(NonUniformRamification,
                        match="over the locus have total degree 0, not the Y-degree 2"):
         puiseux_at(cover, UniPoly.from_json(["0", "1"]))
+
+
+def test_resolved_clusters_must_fill_their_multiplicity(monkeypatch):
+    # the polygon of the repeated root y = 0 of H(0, y) = y^2 finds no place
+    monkeypatch.setattr(gsl.covers._Expander, "_polygon", lambda *args: [])
+    cover = bundled_covers()["c2_sqrt_t"]
+    with pytest.raises(NonUniformRamification,
+                       match="cluster of multiplicity 2 resolved into places of total degree 0"):
+        puiseux_at(cover, UniPoly.from_json(["0", "1"]))
+
+
+# ---------------------------------------------------------------------------
+# the expansion's checks raise typed errors (they hold under python -O)
+
+_Q = NumberField(UniPoly.from_json(["0", "1"]))
+_T = UniPoly.from_json(["0", "1"])
+
+
+def _rows(*rows):
+    """H over Q from rows of integer x-coefficients, by y-degree."""
+    return [dense.trim(_Q, [(Fraction(c),) for c in row]) for row in rows]
+
+
+def test_places_require_monic_in_y():
+    # x y^2 + y - x: the y-degree drops at x = 0
+    with pytest.raises(DomainError, match="monic in y"):
+        _Expander(10).places(_Q, _rows([0, -1], [1], [0, 1]))
+
+
+def test_duval_transform_requires_divisibility():
+    # y^2 - x under the slope-1/2 substitution is x^2 (1 + y)^2 - x^2
+    H = _rows([0, -1], [], [1])
+    assert _duval_transform(_Q, H, 2, 1, 1, 1, _Q.one, 2) == _rows([], [2], [1])
+    with pytest.raises(DomainError, match="divisible by x\\^3"):
+        _duval_transform(_Q, H, 2, 1, 1, 1, _Q.one, 3)
+
+
+def test_polygon_checks_residual_endpoints(monkeypatch):
+    # every side one unit too high: its residual vanishes at both ends
+    real = dense.newton_sides
+    monkeypatch.setattr(dense, "newton_sides", lambda pts: [
+        (xa, ya + 1, xb, yb + 1, lam) for xa, ya, xb, yb, lam in real(pts)])
+    with pytest.raises(NonUniformRamification, match="vanishes at an endpoint"):
+        puiseux_at(bundled_covers()["c2_sqrt_t"], _T)
+
+
+def test_polygon_sides_must_fill_the_multiplicity(monkeypatch):
+    monkeypatch.setattr(dense, "newton_sides", lambda pts: [])
+    with pytest.raises(NonUniformRamification,
+                       match="total extent 0 at multiplicity 2"):
+        puiseux_at(bundled_covers()["c2_sqrt_t"], _T)
+
+
+# ---------------------------------------------------------------------------
+# the Duval transform against pointwise evaluation
+
+_QI = NumberField(UniPoly.from_json(["1", "0", "1"]))
+_small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _transform_input(draw):
+    K = draw(st.sampled_from([_Q, _QI]))
+    elt = st.tuples(*[_small_rat] * K.degree)
+    H = [dense.trim(K, draw(st.lists(elt, max_size=3)))
+         for _ in range(draw(st.integers(1, 4)))]
+    assume(any(H))
+    w0 = draw(elt.filter(lambda a: not K.is_zero(a)))
+    # (1, 0, 1, 0) is the slope-0 step y -> w0 + y that resolves H(0, y)
+    params = draw(st.one_of(
+        st.just((1, 0, 1, 0)),
+        st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    ))
+    return K, H, w0, params
+
+
+@given(_transform_input())
+def test_duval_transform_matches_pointwise_evaluation(data):
+    K, H, w0, (q, m, u, v) = data
+    ell = min(q * a + m * i for i, row in enumerate(H) for a, c in enumerate(row)
+              if not K.is_zero(c))
+    H3 = _duval_transform(K, H, q, m, u, v, w0, ell)
+    for x0 in (Fraction(1, 2), Fraction(-3), Fraction(5, 7)):
+        x = K.scale(K.one, x0)
+        lhs = dense.trim(K, [dense.evaluate(K, row, x) for row in H3])
+        # H(w0^v x^q, x^m (w0^u + y)) / x^ell as a polynomial in y
+        X = K.mul(dense.power(K, w0, v), dense.power(K, x, q))
+        in_y = [K.mul(dense.evaluate(K, row, X), dense.power(K, x, m * i))
+                for i, row in enumerate(H)]
+        rhs = dense.scale(K, dense.shift(K, dense.trim(K, in_y), dense.power(K, w0, u)),
+                          K.scale(K.one, x0 ** -ell))
+        assert lhs == rhs

@@ -235,16 +235,65 @@ def test_side_checks_its_residual_polynomial(monkeypatch):
         local_splitting_type(upoly(-5, 0, 1), 5)
 
 
+# Repeated factors of degree >= 2, with their splittings derived by hand.
+# (x^2 + 1)^2 - 3 at 3: over Z_9, x^2 + 1 = (x - i)(x + i) and near i the
+# input is y^2 (2i + y)^2 - 3 with y = x - i, so y^2 ~ -3/4: e = 2 over the
+# residue field F_9.  (x^2 + 2)^2 - 5 at 5 likewise.  x^4 + 1 =
+# (x^2 + 3x + 1)(x^2 - 3x + 1) mod 7 gives two such blocks.  With 3*7^2 in
+# place of 7, near a root r of x^4 + 1 (in F_49) the input is
+# (x - r)^2 (4r^3)^2 - 3*7^2, a side of slope 1 with residual
+# z^2 - 3/(4r^3)^2; 3 is a square in F_49, so each of the 8 roots has
+# e = 1 and residue field F_49.  At a side: _UPSTAIRS is x^4 mod 3; at
+# slope 1, x = 3z, the residual is (z^2 + 1)^2 over F_3, and near z = i the
+# input is 81 (z - i)^2 (2i)^2 + 3^7, so v(z - i) = 3/2: e = 2 over F_9.
+_X4P1 = upoly(1, 0, 0, 0, 1)
+_REPEATED_UPSTAIRS = [
+    (upoly(1, 0, 1) * upoly(1, 0, 1) + upoly(-3), 3, ((2, 2, 1),)),
+    (upoly(2, 0, 1) * upoly(2, 0, 1) + upoly(-5), 5, ((2, 2, 1),)),
+    (_X4P1 * _X4P1 + upoly(-7), 7, ((2, 2, 2),)),
+    (_X4P1 * _X4P1 + upoly(-3 * 7**2), 7, ((1, 2, 4),)),
+    (_UPSTAIRS, 3, ((2, 2, 1),)),
+]
+
+
+def _union(*splittings):
+    merged: dict = {}
+    for factors in splittings:
+        for e, fr, cnt in factors:
+            merged[(e, fr)] = merged.get((e, fr), 0) + cnt
+    return tuple((e, fr, cnt) for (e, fr), cnt in sorted(merged.items()))
+
+
+@pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS)
+def test_repeated_factor_of_degree_at_least_two(f, p, want):
+    assert local_splitting_type(f, p).factors == want
+    # f(x + 1) reduces to other repeated factors: two disjoint blocks
+    g = f.compose(upoly(1, 1))
+    assert local_splitting_type(f * g, p).factors == _union(want, want)
+
+
+def test_two_clusters_upstairs_around_one_root():
+    (f, p, a), (g, _, b) = _REPEATED_UPSTAIRS[2:4]
+    assert local_splitting_type(f * g, p).factors == _union(a, b)
+
+
+@pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS)
+def test_splitting_does_not_reenter_itself(f, p, want, monkeypatch):
+    calls = []
+    real = _Analyzer.splitting
+
+    def counted(self, W, g):
+        calls.append(W.d)
+        return real(self, W, g)
+
+    monkeypatch.setattr(_Analyzer, "splitting", counted)
+    assert local_splitting_type(f, p).factors == want
+    assert calls == [1]
+
+
 def test_oracle_does_not_depend_on_the_seed(monkeypatch):
     # each input makes the oracle split polynomials over F_{p^2}
-    x4p1 = upoly(1, 0, 0, 0, 1)
-    inputs = [
-        (_UPSTAIRS, 3),
-        (upoly(1, 0, 1) * upoly(1, 0, 1) + upoly(-3), 3),  # (x^2 + 1)^2 - 3
-        (upoly(2, 0, 1) * upoly(2, 0, 1) + upoly(-5), 5),
-        (x4p1 * x4p1 + upoly(-7), 7),
-        (x4p1 * x4p1 + upoly(-3 * 7**2), 7),
-    ]
+    inputs = [(f, p) for f, p, _ in _REPEATED_UPSTAIRS]
     seen = set()
     for seed in ["1", "12345", "0x7FFF", ""]:
         monkeypatch.setenv("GSL_SEED", seed)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gsl.specialize
 from gsl.covers import RelativeField
-from gsl.covers import BranchPoint
-from gsl.errors import ChartMixing, DomainError, HypothesisViolation, MeetingUniquenessError
+from gsl.covers import BranchPoint, branch_points
+from gsl.errors import ChartMixing, DomainError, HypothesisViolation, MeetingUniquenessError, NotFound
 from gsl.exact import UniPoly
 from gsl.padic import quadratic_local_class
 from gsl.specialize import (
@@ -217,7 +218,12 @@ def test_realize_frozen_table(covers):
         assert quadratic_local_class(Fraction(t0), p) == target
 
 
-def test_realize_unreachable_below_bound(covers):
+def test_realize_unreachable_below_bound(covers, monkeypatch):
     c2 = covers["c2_sqrt_t"]
-    with pytest.raises(DomainError):
+    with pytest.raises(NotFound, match="below 3"):
         realize_local_class(c2, 5, "up", bound=3)
+    # only the point at infinity branches: there is no branch value to place
+    at_infinity = [bp for bp in branch_points(c2) if bp.locus is None]
+    monkeypatch.setattr(gsl.specialize, "branch_points", lambda cover: at_infinity)
+    with pytest.raises(NotFound, match="no finite branch locus"):
+        realize_local_class(c2, 5, "up")
