@@ -433,9 +433,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EX_USAGE
 
 
-def console() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

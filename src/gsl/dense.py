@@ -16,9 +16,13 @@ The coefficient ring R is any object with
 
 The element types live with the layers that own them: `modp.PrimeField`
 and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`,
-and `INTEGERS` below.  Element arithmetic stays in those types; this
-module only combines elements.  Newton-polygon sides, used by the p-adic
-oracle and by the Puiseux expansions, live here too.
+and `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
+elements: `exact.UniPoly` is its polynomial type, and its `divexact`
+serves the subresultant PRS.  Element arithmetic stays in those types;
+this module only combines elements.  `squarefree` is Yun's squarefree
+decomposition over any field of characteristic 0 (Q and number fields).
+Newton-polygon sides, used by the p-adic oracle and by the Puiseux
+expansions, live here too.
 """
 
 from __future__ import annotations
@@ -54,6 +58,35 @@ class _Integers:
 
 
 INTEGERS = _Integers()
+
+
+class _Rationals:
+    """Q as a coefficient ring, with `Fraction` elements."""
+
+    zero, one = Fraction(0), Fraction(1)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    from_int = staticmethod(Fraction)
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+    @staticmethod
+    def inv(a):
+        return 1 / a
+
+    @staticmethod
+    def divexact(a, b):
+        return a / b
+
+    def __repr__(self):
+        return "Q"
+
+
+RATIONALS = _Rationals()
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +189,26 @@ def ext_gcd(R, a, b):
         raise DomainError("ext_gcd arguments are not coprime")
     il = R.inv(r0[0])
     return scale(R, s0, il), scale(R, t0, il)
+
+
+def squarefree(R, f):
+    """Yun's squarefree decomposition of a monic f over a field of
+    characteristic 0: [(a, i)] with f = prod a^i, each a monic, squarefree
+    and of degree >= 1, the a pairwise coprime, i ascending."""
+    out = []
+    df = deriv(R, f)
+    g = gcd(R, f, df)
+    b = quorem(R, f, g)[0]
+    d = sub(R, quorem(R, df, g)[0], deriv(R, b))
+    i = 1
+    while len(b) > 1:
+        a = gcd(R, b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = quorem(R, b, a)[0]
+        d = sub(R, quorem(R, d, a)[0], deriv(R, b))
+        i += 1
+    return out
 
 
 def powmod(R, a, e: int, m):

@@ -11,8 +11,12 @@ Conventions used throughout the package:
 * JSON form of a `UniPoly` is a list of decimal strings (``"-82"``,
   ``"3/4"``), ascending degree; a `BiPoly` is a list of such lists.
 
-Resultants use the subresultant PRS so they work verbatim over Q and over
-Q[T]; no factorization over Q is exposed here.
+`UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
+kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Resultants use
+the subresultant PRS, which runs verbatim over `dense.RATIONALS` (two
+`UniPoly`, a rational resultant) and over `_UniPolyDomain`, the ring Q[T] of
+`UniPoly` values (two `BiPoly`, as in `disc_y`); no factorization over Q is
+exposed here.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import dense
+from .dense import RATIONALS
 from .errors import DomainError
 
 Rat = Fraction
@@ -188,7 +194,8 @@ def _norm(coeffs: Iterable) -> tuple[Rat, ...]:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q."""
+    """Dense univariate polynomial over Q, immutable; arithmetic runs in the
+    `dense` kernel over `dense.RATIONALS`."""
 
     __slots__ = ("coeffs",)
 
@@ -246,56 +253,34 @@ class UniPoly:
                 terms.append(f"{rat_to_str(c)}*x^{i}")
         return "UniPoly(" + " + ".join(terms) + ")"
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic (the `dense` kernel over Q) -----------------------------
+    @classmethod
+    def _of(cls, cs) -> "UniPoly":
+        """Wrap a trimmed list of Fractions returned by the kernel."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(cs))
+        return out
+
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        return UniPoly._of(dense.add(RATIONALS, self.coeffs, other.coeffs))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._of(dense.sub(RATIONALS, (), self.coeffs))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return UniPoly._of(dense.sub(RATIONALS, self.coeffs, other.coeffs))
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
+        return UniPoly._of(dense.mul(RATIONALS, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly([ci * c for ci in self.coeffs])
+        return UniPoly._of(dense.scale(RATIONALS, self.coeffs, Fraction(c)))
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        dlc = other.lc
-        db = other.degree
-        while len(r) - 1 >= db and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < db:
-                break
-            k = len(r) - 1 - db
-            f = r[-1] / dlc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= f * c
-            r.pop()
-        return UniPoly(q), UniPoly(r)
+        q, r = dense.quorem(RATIONALS, self.coeffs, other.coeffs)
+        return UniPoly._of(q), UniPoly._of(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -312,41 +297,21 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero:
             raise DomainError("monic normalization of the zero polynomial")
-        if self.lc == 1:
-            return self
-        return self.scale(1 / self.lc)
+        return UniPoly._of(dense.monic(RATIONALS, self.coeffs))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd (Euclid over Q)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Monic gcd (Euclid over Q); the zero polynomial when both are."""
+        return UniPoly._of(dense.gcd(RATIONALS, self.coeffs, other.coeffs))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly._of(dense.deriv(RATIONALS, self.coeffs))
 
     def compose(self, other: "UniPoly") -> "UniPoly":
-        """self(other(x)) by Horner."""
-        out = UniPoly()
-        for c in reversed(self.coeffs):
-            out = out * other + UniPoly.const(c)
-        return out
+        """self(other(x)) by Horner over Q[x]."""
+        return dense.evaluate(_UniPolyDomain, [UniPoly.const(c) for c in self.coeffs], other)
 
     def __call__(self, x) -> Rat:
-        x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def reverse(self) -> "UniPoly":
-        """x^deg * self(1/x)."""
-        if self.is_zero:
-            return self
-        return UniPoly(list(reversed(self.coeffs)))
+        return dense.evaluate(RATIONALS, self.coeffs, Fraction(x))
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -363,25 +328,9 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 # generic subresultant PRS
 
 
-class _RatDomain:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    add = staticmethod(lambda a, b: a + b)
-    sub = staticmethod(lambda a, b: a - b)
-    mul = staticmethod(lambda a, b: a * b)
-    neg = staticmethod(lambda a: -a)
-
-    @staticmethod
-    def divexact(a, b):
-        return a / b
-
-
 class _UniPolyDomain:
+    """Q[T] as a coefficient ring: the subresultant of `disc_y` runs over it."""
+
     zero = UniPoly()
     one = UniPoly.const(1)
 
@@ -394,13 +343,6 @@ class _UniPolyDomain:
     mul = staticmethod(UniPoly.__mul__)
     neg = staticmethod(UniPoly.__neg__)
     divexact = staticmethod(UniPoly.divexact)
-
-
-def _dpow(dom, a, n: int):
-    out = dom.one
-    for _ in range(n):
-        out = dom.mul(out, a)
-    return out
 
 
 def _prem(dom, A: list, B: list) -> list:
@@ -439,7 +381,7 @@ def _subresultant(dom, A: list, B: list):
     if dA == 0:
         return dom.one  # two constants
     if dB == 0:
-        out = _dpow(dom, B[0], dA)
+        out = dense.power(dom, B[0], dA)
         return out if s == 1 else dom.neg(out)
     g = dom.one
     h = dom.one
@@ -452,7 +394,7 @@ def _subresultant(dom, A: list, B: list):
         if not R:
             return dom.zero
         A = B
-        denom = dom.mul(g, _dpow(dom, h, delta))
+        denom = dom.mul(g, dense.power(dom, h, delta))
         B = [dom.divexact(c, denom) for c in R]
         g = A[-1]
         if delta == 0:
@@ -460,10 +402,10 @@ def _subresultant(dom, A: list, B: list):
         elif delta == 1:
             h = g
         else:
-            h = dom.divexact(_dpow(dom, g, delta), _dpow(dom, h, delta - 1))
+            h = dom.divexact(dense.power(dom, g, delta), dense.power(dom, h, delta - 1))
         if len(B) - 1 == 0:
             dA = len(A) - 1
-            out = dom.divexact(_dpow(dom, B[0], dA), _dpow(dom, h, dA - 1))
+            out = dom.divexact(dense.power(dom, B[0], dA), dense.power(dom, h, dA - 1))
             return out if s == 1 else dom.neg(out)
 
 
@@ -529,7 +471,7 @@ def resultant(f, g):
     if isinstance(f, UniPoly) and isinstance(g, UniPoly):
         if f.is_zero or g.is_zero:
             raise DomainError("resultant with a zero polynomial")
-        return _subresultant(_RatDomain, list(f.coeffs), list(g.coeffs))
+        return _subresultant(RATIONALS, list(f.coeffs), list(g.coeffs))
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
         if not f.rows or not g.rows:
             raise DomainError("resultant with a zero polynomial")

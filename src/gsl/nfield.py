@@ -5,8 +5,11 @@ Everything here is exact rational arithmetic; no floating point, no
 randomness.  The pieces:
 
   * NumberField -- Q[x]/(M) for a monic irreducible M, elements stored as
-    coefficient tuples of Fraction, inverses by extended Euclid.
-    Polynomials over a number field are `dense` lists of elements.
+    coefficient tuples of Fraction, inverses by `dense.ext_gcd` over
+    `dense.RATIONALS`.  Polynomials over a number field are `dense` lists
+    of elements.
+  * One squarefree decomposition, `dense.squarefree` (Yun), serves both
+    factorizations below, over Q and over K.
   * factor_rational -- complete factorization in Q[x]: Yun squarefree
     split, then Zassenhaus per squarefree part (factor mod p, the p-adic
     oracle's Hensel lift over Z/p^k past the Landau-Mignotte bound, subset
@@ -14,7 +17,8 @@ randomness.  The pieces:
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
-  * factor_nf -- factorization in K[y] by Trager's norm method; the norm
+  * factor_nf -- factorization in K[y]: Yun squarefree split, then
+    Trager's norm method on each squarefree part; the norm
     polynomial is computed by evaluation/interpolation, which is safe
     because M is monic (Res_x(M, B) = prod B(alpha_k) commutes with
     specializing the second variable).
@@ -35,6 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import dense
+from .dense import RATIONALS
 from .errors import DomainError, PrecisionExhausted
 from .exact import Rat, UniPoly, is_prime
 from .modp import PrimeField, factor_over
@@ -134,18 +139,12 @@ class NumberField:
         return all(x == y for x, y in zip(a, b))
 
     def inv(self, a) -> tuple:
-        """Inverse by extended Euclid on the representative and M."""
+        """Inverse by extended Euclid on the representative and M; raises
+        DomainError when they share a factor (M is then reducible)."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in a number field")
-        r0, r1 = self.modulus, UniPoly(a)
-        s0, s1 = UniPoly(), UniPoly.const(1)
-        while r1.degree > 0:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        assert not r1.is_zero, "modulus must be irreducible"
-        c = r1.coeff(0)
-        return self.from_unipoly(s1.scale(1 / c))
+        _, t = dense.ext_gcd(RATIONALS, self.modulus.coeffs, dense.trim(RATIONALS, list(a)))
+        return tuple(t) + self.zero[len(t):]
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +166,6 @@ def nf_poly_key(K, f):
 
 # ---------------------------------------------------------------------------
 # factorization over Q: Yun + Zassenhaus
-
-
-def _yun_squarefree(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's squarefree decomposition of a monic f over Q:
-    f = prod a_i^i with the a_i monic squarefree and pairwise coprime."""
-    out = []
-    g = f.gcd(f.derivative())
-    b = f.divexact(g).monic()
-    c = f.derivative().divexact(g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = b.gcd(d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = b.divexact(a).monic()
-        c = d.divexact(a)
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 def _to_int_monic(g: UniPoly) -> tuple[int, list[int]]:
@@ -288,7 +267,8 @@ def factor_rational(f: UniPoly) -> list[tuple[UniPoly, int]]:
         return []
     fm = f.monic()
     out: list[tuple[UniPoly, int]] = []
-    for sqf, mult in _yun_squarefree(fm):
+    for a, mult in dense.squarefree(RATIONALS, fm.coeffs):
+        sqf = UniPoly(a)
         if sqf.degree == 1:
             out.append((sqf, mult))
             continue
@@ -414,23 +394,10 @@ def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
             out.append((nf_from_unipoly(K, g), m))
         return out
     fm = dense.monic(K, f)
-    df = dense.deriv(K, fm)
-    sqf = fm if not df else dense.quorem(K, fm, dense.gcd(K, fm, df))[0]
-    sqf = dense.monic(K, sqf)
-    out = []
-    for g in _trager_squarefree(K, sqf):
-        mult = 0
-        cur = fm
-        while True:
-            q, r = dense.quorem(K, cur, g)
-            if r:
-                break
-            mult += 1
-            cur = q
-        assert mult >= 1
-        out.append((g, mult))
+    out = [(g, i) for a, i in dense.squarefree(K, fm) for g in _trager_squarefree(K, a)]
     out.sort(key=lambda t: nf_poly_key(K, t[0]))
-    assert sum((len(g) - 1) * m for g, m in out) == len(fm) - 1
+    if sum((len(g) - 1) * m for g, m in out) != len(fm) - 1:
+        raise DomainError("factor degrees do not add up to the degree of f")
     return out
 
 

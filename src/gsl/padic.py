@@ -574,9 +574,7 @@ def _merge(emissions) -> tuple[tuple[int, int, int], ...]:
     return tuple((e, f, c) for (e, f), c in sorted(merged.items()))
 
 
-def local_splitting_type(
-    f: UniPoly, p: int, ctx: Optional[PadicPrecisionCtx] = None
-) -> LocalSplittingType:
+def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     """Certified (e, f) multiset of f over Q_p for an odd prime p.
 
     f must be separable of degree >= 1 (any nonzero leading coefficient and
@@ -591,12 +589,9 @@ def local_splitting_type(
         raise DomainError(f"{p} is not prime")
     if f.is_zero or f.degree < 1:
         raise DomainError("need a polynomial of degree >= 1")
-    if ctx is not None and ctx.p != p:
-        raise DomainError("precision context was built for a different p")
     f = f.monic()
     g = _integral_model(f, p)
-    if ctx is None:
-        ctx = PadicPrecisionCtx.for_input(f, p)
+    ctx = PadicPrecisionCtx.for_input(f, p)
     last_exc: Exception | None = None
     for N in (ctx.precision, 2 * ctx.precision):
         analyzer = _Analyzer(p, N)
@@ -615,13 +610,11 @@ def local_splitting_type(
     )
 
 
-def galois_local_invariants(
-    f: UniPoly, p: int, ctx: Optional[PadicPrecisionCtx] = None
-) -> GaloisLocalInvariants:
+def galois_local_invariants(f: UniPoly, p: int) -> GaloisLocalInvariants:
     """(e, f, g) at p for an input whose splitting field data is uniform
     across factors (as for a specialization of a Galois cover); raises
     NonUniform when the oracle output is not of that shape."""
-    st = local_splitting_type(f, p, ctx)
+    st = local_splitting_type(f, p)
     if len(st.factors) != 1:
         raise NonUniform(
             f"local invariants at p={p} are not uniform: {st.factors}"

@@ -1,10 +1,12 @@
-"""The dense-polynomial kernel: ring identities checked over F_p, Z and Q,
-and the typed errors of its checks."""
+"""The dense-polynomial kernel: ring identities checked over F_p and Q,
+differential checks against sympy over Z, Q and number fields, and the
+typed errors of its checks."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy as sp
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsl import dense
@@ -14,48 +16,107 @@ from gsl.modp import PrimeField
 from gsl.nfield import NumberField
 
 F7 = PrimeField(7)
-Q = NumberField(UniPoly([Fraction(0), Fraction(1)]))  # Q as Q[x]/(x)
+QX = NumberField(UniPoly([Fraction(0), Fraction(1)]))  # Q as Q[x]/(x)
+FIELDS = st.sampled_from([
+    (F7, st.integers(0, 6)),
+    (dense.RATIONALS, st.fractions(-9, 9, max_denominator=4)),
+])
 
-polys7 = st.lists(st.integers(0, 6), max_size=7).map(lambda a: dense.trim(F7, a))
 monic_int = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(lambda a: a + [1])
+_x = sp.Symbol("x")
 
 
-def _to_unipoly(a):
-    return UniPoly([Fraction(c) for c in a])
+def _polys(R, elems):
+    return st.lists(elems, max_size=7).map(lambda a: dense.trim(R, a))
 
 
-@given(polys7, polys7.filter(bool))
-def test_quorem_identity_over_fp(a, b):
-    q, r = dense.quorem(F7, a, b)
+def _to_sympy(a) -> sp.Poly:
+    """A dense list of rationals as a sympy polynomial in x over Q."""
+    return sp.Poly([sp.Rational(str(c)) for c in reversed(a)] or [0], _x, domain=sp.QQ)
+
+
+def _from_sympy(P: sp.Poly) -> list:
+    return dense.trim(dense.RATIONALS, [Fraction(str(c)) for c in reversed(P.all_coeffs())])
+
+
+@given(st.data())
+def test_quorem_identity(data):
+    R, elems = data.draw(FIELDS)
+    a = data.draw(_polys(R, elems))
+    b = data.draw(_polys(R, elems).filter(bool))
+    q, r = dense.quorem(R, a, b)
     assert len(r) < len(b)
-    assert dense.add(F7, dense.mul(F7, q, b), r) == a
+    assert dense.add(R, dense.mul(R, q, b), r) == a
 
 
 @given(st.lists(st.integers(-50, 50), max_size=8).map(lambda a: dense.trim(dense.INTEGERS, a)), monic_int)
 def test_quorem_over_z_matches_q(a, b):
     q, r = dense.quorem(dense.INTEGERS, a, b)
-    uq, ur = divmod(_to_unipoly(a), _to_unipoly(b))
-    assert (_to_unipoly(q), _to_unipoly(r)) == (uq, ur)
+    sq, sr = _to_sympy(a).div(_to_sympy(b))
+    assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
 
 
-@given(polys7.filter(bool), polys7.filter(bool))
-def test_ext_gcd_bezout(a, b):
-    g = dense.gcd(F7, a, b)
+@given(st.data())
+def test_ext_gcd_bezout(data):
+    R, elems = data.draw(FIELDS)
+    a = data.draw(_polys(R, elems).filter(bool))
+    b = data.draw(_polys(R, elems).filter(bool))
+    g = dense.gcd(R, a, b)
     if len(g) > 1:
         with pytest.raises(DomainError):
-            dense.ext_gcd(F7, a, b)
+            dense.ext_gcd(R, a, b)
         return
-    s, t = dense.ext_gcd(F7, a, b)
-    assert dense.add(F7, dense.mul(F7, s, a), dense.mul(F7, t, b)) == [1]
+    s, t = dense.ext_gcd(R, a, b)
+    assert dense.add(R, dense.mul(R, s, a), dense.mul(R, t, b)) == [1]
     assert len(s) < max(len(b), 2) and len(t) < max(len(a), 2)
 
 
-@given(st.lists(st.integers(-9, 9), max_size=6), st.integers(-5, 5), st.integers(-5, 5))
-def test_shift_and_evaluate_over_q(coeffs, c, x):
-    a = dense.trim(Q, [Q.from_rat(v) for v in coeffs])
-    shifted = dense.shift(Q, a, Q.from_rat(c))
-    assert dense.evaluate(Q, shifted, Q.from_rat(x)) == dense.evaluate(Q, a, Q.from_rat(x + c))
-    assert _to_unipoly([v[0] for v in shifted]) == _to_unipoly(coeffs).compose(_to_unipoly([c, 1]))
+@given(st.sampled_from([QX, dense.RATIONALS]), st.lists(st.integers(-9, 9), max_size=6),
+       st.integers(-5, 5), st.integers(-5, 5))
+def test_shift_and_evaluate_over_q(R, coeffs, c, x):
+    a = dense.trim(R, [R.from_int(v) for v in coeffs])
+    shifted = dense.shift(R, a, R.from_int(c))
+    assert dense.evaluate(R, shifted, R.from_int(x)) == dense.evaluate(R, a, R.from_int(x + c))
+    rational = [v[0] for v in shifted] if R is QX else shifted
+    assert rational == _from_sympy(_to_sympy(coeffs).shift(c))
+
+
+_small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=15)
+@given(
+    st.sampled_from([None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2))]),
+    st.lists(st.tuples(st.lists(_small, min_size=1, max_size=2), st.integers(1, 3)),
+             min_size=1, max_size=3),
+)
+def test_squarefree_matches_sympy(field, factors):
+    """Yun over Q, Q(i) and Q(sqrt 2) against sympy's sqf_list: the parts
+    of a product of powers of small monic factors."""
+    y = sp.Symbol("y")
+    R, gen = (dense.RATIONALS, sp.Integer(0)) if field is None else (NumberField(field[0]), field[1])
+    f, expr = [R.one], sp.Integer(1)
+    for fac, e in factors:
+        g = [Fraction(a) if field is None else (Fraction(a), Fraction(b)) for a, b in fac]
+        for _ in range(e):
+            f = dense.mul(R, f, g + [R.one])
+        expr *= (sum((a + b * gen) * y**i for i, (a, b) in enumerate(fac)) + y ** len(fac)) ** e
+    ours = dense.squarefree(R, f)
+    mults = [i for _, i in ours]
+    assert mults == sorted(set(mults))
+    kwargs = {} if field is None else {"extension": gen}
+    _, parts = sp.sqf_list(sp.expand(expr), y, **kwargs)
+    want = []
+    for part, i in parts:
+        row = []
+        for c in sp.Poly(part, y).monic().all_coeffs()[::-1]:
+            if field is None:
+                row.append(Fraction(str(c)))
+            else:
+                ab = sp.Poly(sp.expand(c), gen).all_coeffs()[::-1] + [0]
+                row.append((Fraction(str(ab[0])), Fraction(str(ab[1]))))
+        want.append((row, i))
+    assert sorted(ours, key=lambda t: t[1]) == sorted(want, key=lambda t: t[1])
 
 
 def test_powmod_and_power():

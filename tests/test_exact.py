@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from gsl.errors import DomainError
 from gsl.exact import (
@@ -65,6 +67,39 @@ def test_gcd_divides(f, g):
     d = f.gcd(g)
     assert (f % d).is_zero and (g % d).is_zero
     assert d.lc == 1  # monic
+
+
+_x = sp.Symbol("x")
+
+
+def _to_sympy(f: UniPoly) -> sp.Poly:
+    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)] or [0],
+                   _x, domain=sp.QQ)
+
+
+def _from_sympy(P: sp.Poly) -> UniPoly:
+    return UniPoly(Fraction(str(c)) for c in reversed(P.all_coeffs()))
+
+
+@given(polys, polys, rats)
+def test_unipoly_matches_sympy(f, g, x):
+    F, G = _to_sympy(f), _to_sympy(g)
+    assert f + g == _from_sympy(F + G)
+    assert f - g == _from_sympy(F - G)
+    assert f * g == _from_sympy(F * G)
+    assert f.derivative() == _from_sympy(F.diff(_x))
+    assert f(x) == Fraction(str(F.eval(sp.Rational(x.numerator, x.denominator))))
+    if not g.is_zero:
+        assert divmod(f, g) == tuple(map(_from_sympy, F.div(G)))
+    if not (f.is_zero and g.is_zero):
+        assert f.gcd(g) == _from_sympy(F.gcd(G).monic())
+    if not (f.is_zero or g.is_zero):
+        # the determinant of the Sylvester matrix, the definition: sympy's
+        # Poly.resultant gets the sign wrong for some deg f < deg g, both odd
+        # (it gives Res(x + 1, x^3) = 1, not -1)
+        assert resultant(f, g) == Fraction(str(sylvester(F.as_expr(), G.as_expr(), _x).det()))
+    if f.degree >= 1:
+        assert discriminant(f) == Fraction(str(F.discriminant()))
 
 
 def test_json_roundtrip():

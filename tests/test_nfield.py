@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsl import dense
+from gsl import dense, nfield
 from gsl.errors import DomainError, PrecisionExhausted
 from gsl.exact import UniPoly
 from gsl.nfield import (
@@ -166,6 +166,9 @@ def test_number_field_inverse():
     assert K.mul(a, ainv) == K.one
     with pytest.raises(ZeroDivisionError):
         K.inv(K.zero)
+    L = NumberField(upoly(-1, 0, 1))  # x^2 - 1 = (x - 1)(x + 1) is reducible
+    with pytest.raises(DomainError):
+        L.inv(L.add(L.gen(), L.one))
 
 
 def test_adjoin_root_rejects_non_monic():
@@ -186,6 +189,36 @@ def test_zassenhaus_recombination_product_check(monkeypatch):
     monkeypatch.setattr(dense, "quorem", lying_quorem)
     with pytest.raises(PrecisionExhausted):
         factor_rational(upoly(-1, 0, 1))
+
+
+def test_factor_nf_degree_check(monkeypatch):
+    # a Trager split that drops a factor must not go unnoticed
+    real = nfield._trager_squarefree
+    monkeypatch.setattr(nfield, "_trager_squarefree", lambda K, h: real(K, h)[1:])
+    K = NumberField(upoly(1, 0, 1))
+    with pytest.raises(DomainError):
+        factor_nf(K, [K.one, K.zero, K.one])  # y^2 + 1 = (y - i)(y + i)
+
+
+def test_factor_nf_norms_stay_per_yun_part(monkeypatch):
+    # (y - sqrt 2)^2 (y^2 - 3) over Q(sqrt 2): Trager sees the parts
+    # y^2 - 3 (a norm of degree 4) and y - sqrt 2 (no norm), never their
+    # product of degree 3 (a norm of degree 6)
+    degrees = []
+    real = nfield._norm_poly
+
+    def spy(K, h, s):
+        N = real(K, h, s)
+        degrees.append(N.degree)
+        return N
+
+    monkeypatch.setattr(nfield, "_norm_poly", spy)
+    K = NumberField(upoly(-2, 0, 1))
+    r2 = K.gen()
+    f = dense.mul(K, dense.mul(K, [K.neg(r2), K.one], [K.neg(r2), K.one]),
+                  [K.from_rat(-3), K.zero, K.one])
+    assert [(len(g) - 1, m) for g, m in factor_nf(K, f)] == [(1, 2), (2, 1)]
+    assert degrees and max(degrees) <= 4
 
 
 # ---------------------------------------------------------------------------
