@@ -459,7 +459,8 @@ def _infinity_chart(P: BiPoly) -> BiPoly:
     for i in range(n + 1):
         ci = P.coeff(i)
         cap = (n - i) * s
-        assert ci.degree <= cap
+        if ci.degree > cap:
+            raise DomainError("the chart at infinity needs a cover monic in Y")
         coeffs = [Fraction(0)] * (cap + 1)
         for a in range(ci.degree + 1):
             coeffs[cap - a] = ci.coeff(a)

@@ -17,9 +17,10 @@ The coefficient ring R is any object with
 The element types live with the layers that own them: `modp.PrimeField`
 and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`,
 and `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
-elements: `exact.UniPoly` is its polynomial type, and its `divexact`
-serves the subresultant PRS.  Element arithmetic stays in those types;
-this module only combines elements.  `squarefree` is Yun's squarefree
+elements: `exact.UniPoly` is its polynomial type.  `INTEGERS.divexact`
+(exact division, `DomainError` otherwise) serves the subresultant PRS,
+which computes rational resultants over Z.  Element arithmetic stays in
+those types; this module only combines elements.  `squarefree` is Yun's squarefree
 decomposition over any field of characteristic 0 (Q and number fields).
 Newton-polygon sides, used by the p-adic oracle and by the Puiseux
 expansions, live here too.
@@ -53,6 +54,14 @@ class _Integers:
             return a
         raise DomainError(f"{a} is not a unit of Z: divide by monic polynomials only")
 
+    @staticmethod
+    def divexact(a, b):
+        """a / b for integers b | a; raises DomainError otherwise."""
+        q, r = divmod(a, b)
+        if r:
+            raise DomainError(f"{b} does not divide {a}")
+        return q
+
     def __repr__(self):
         return "Z"
 
@@ -77,10 +86,6 @@ class _Rationals:
     @staticmethod
     def inv(a):
         return 1 / a
-
-    @staticmethod
-    def divexact(a, b):
-        return a / b
 
     def __repr__(self):
         return "Q"

@@ -34,8 +34,10 @@ class WildOrIrregular(GslError):
 
 
 class PrecisionExhausted(GslError):
-    """Internal: the working p-adic precision was insufficient to certify a
-    step.  The oracle retries once at doubled precision before giving up."""
+    """The working p-adic precision was insufficient to certify a step.
+    Inside the oracle it moves the precision ladder up a rung (N doubles);
+    when the last rung fails too, the oracle raises it to its caller,
+    naming the rungs tried and the last failed check."""
 
 
 class NonUniform(GslError):

@@ -13,19 +13,20 @@ Conventions used throughout the package:
 
 `UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
 kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Resultants use
-the subresultant PRS, which runs verbatim over `dense.RATIONALS` (two
-`UniPoly`, a rational resultant) and over `_UniPolyDomain`, the ring Q[T] of
-`UniPoly` values (two `BiPoly`, as in `disc_y`); no factorization over Q is
-exposed here.
+the subresultant PRS, which runs verbatim over `dense.INTEGERS` (two
+`UniPoly` with their denominators cleared, a rational resultant) and over
+`_UniPolyDomain`, the ring Q[T] of `UniPoly` values (two `BiPoly`, as in
+`disc_y`); no factorization over Q is exposed here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dense
-from .dense import RATIONALS
+from .dense import INTEGERS, RATIONALS
 from .errors import DomainError
 
 Rat = Fraction
@@ -100,8 +101,6 @@ def crt_combine(pairs: Sequence[tuple[int, int]]) -> int:
 
     crt_combine([(9, 1), (25, 2)]) == 127
     """
-    import math
-
     if not pairs:
         raise DomainError("empty congruence system")
     M, X = 1, 0
@@ -121,8 +120,6 @@ def crt_combine(pairs: Sequence[tuple[int, int]]) -> int:
 def _pollard_brent(n: int) -> int:
     """A proper divisor of an odd composite n, by Brent's cycle variant of
     Pollard rho; deterministic (parameters scanned in fixed order)."""
-    import math
-
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -462,6 +459,12 @@ class BiPoly:
         return BiPoly([row.scale(i) for i, row in enumerate(self.rows)][1:])
 
 
+def _cleared(f: UniPoly) -> tuple[list[int], int]:
+    """(a f as a list of integers, a) for the least positive integer a."""
+    a = math.lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (a // c.denominator) for c in f.coeffs], a
+
+
 def resultant(f, g):
     """Resultant over the shared coefficient domain.
 
@@ -471,7 +474,11 @@ def resultant(f, g):
     if isinstance(f, UniPoly) and isinstance(g, UniPoly):
         if f.is_zero or g.is_zero:
             raise DomainError("resultant with a zero polynomial")
-        return _subresultant(RATIONALS, list(f.coeffs), list(g.coeffs))
+        # Res(f, g) = Res(a f, b g) / (a^deg g b^deg f), with a f and b g in Z[x]
+        A, a = _cleared(f)
+        B, b = _cleared(g)
+        r = _subresultant(INTEGERS, A, B)
+        return Fraction(r, a**g.degree * b**f.degree)
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
         if not f.rows or not g.rows:
             raise DomainError("resultant with a zero polynomial")

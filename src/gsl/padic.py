@@ -6,9 +6,9 @@ Q_p, together with multiplicities — independently of any global prediction
 machinery, so that predictions can be *verified* against this module.
 
 Method: work in truncated unramified extensions W = Z_p[x]/(Phi) mod p^N
-(elements: int tuples, polynomials over W: `dense` lists of them) with N
-at least 2*v_p(disc f)+1 (so every Hensel/Krasner step used is a theorem,
-not a heuristic):
+(elements: int tuples, polynomials over W: `dense` lists of them).  N
+starts at the floor 2*v_p(disc)+1 of the monic integral model and doubles,
+for at most LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
 
 1. factor f mod p; a squarefree reduction certifies an unramified answer
    immediately (Hensel);
@@ -28,6 +28,20 @@ not a heuristic):
        is analyzed there, and its residue degrees are multiplied by d
        (the base change splits each factor into d conjugates with
        identical invariants, exactly one of which reduces to that root).
+
+Each emission rests on an explicit check, so a low N can make the oracle
+move up a rung but never answer wrongly:
+
+* Hensel split, (1, deg g) for a simple factor g of f mod p: f mod p is
+  exact at any N, the lifted blocks multiply back to f over W, and the
+  degrees `splitting` emits add up to deg f.
+* Hensel-zone root, (1, 1) when G(c) = 0 mod p^N at a cluster center c:
+  2 v(G'(c)) < N, so by Hensel's lemma one root lies in W, above every
+  other root of the cluster.
+* Side of slope h/e, (e, deg rho) for a simple residual factor rho: the
+  polygon is read from coefficients of valuation < N (those that vanish
+  mod p^N lie above it), none lies below its side, the residual spans the
+  side, and the degrees `cluster` emits equal the sides' lengths.
 
 Anything wild (p divides a candidate ramification index) or outside the
 certified scope (a *fractional* slope whose residual is inseparable) raises
@@ -65,13 +79,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # precision bookkeeping
 
+# Rungs of the precision ladder N = (2v+1) 2^k.  The last, (2v+1) 128, is at
+# least 2 max(50, 2v+10) for every v: the ladder reaches every precision of
+# the fixed two-rung ladder the oracle used to run, so no input that
+# certified there fails here.
+LADDER_RUNGS = 8
+
 
 @dataclass(frozen=True)
 class PadicPrecisionCtx:
-    """Working precision for one oracle input.
+    """The starting precision of one oracle input.
 
-    Invariant: no Hensel split or cluster emission is trusted unless
-    precision >= 2*v_p(disc of the monic integral model) + 1.
+    Invariant: precision >= 2*v_p(disc of the monic integral model) + 1.
+    `for_input` returns exactly that floor, the first rung of the ladder
+    in `local_splitting_type`.  The floor is where the oracle starts, not
+    what makes it right: every emission rests on its own check, which
+    raises PrecisionExhausted when N is too low, and the oracle then
+    doubles N.
     """
 
     p: int
@@ -87,17 +111,26 @@ class PadicPrecisionCtx:
 
     @classmethod
     def for_input(cls, f: UniPoly, p: int) -> "PadicPrecisionCtx":
-        g = _integral_model(f.monic(), p)
-        d = discriminant(g)
-        if d == 0:
-            raise NotSeparable("input polynomial is not separable")
-        v = rational_valuation(d, p)
-        return cls(p=p, precision=max(50, 2 * v + 10), disc_valuation=v)
+        return _prepare(f.monic(), p)[1]
 
 
-def _integral_model(f: UniPoly, p: int) -> UniPoly:
-    """Monic integral-at-p model: substitute Y = Z/p^m and clear, choosing
-    the least m >= 0; the local algebra (hence every (e, f)) is unchanged."""
+def _prepare(f: UniPoly, p: int) -> tuple[UniPoly, PadicPrecisionCtx]:
+    """The monic integral model g of the monic f at p, and its precision
+    context.  g(Z) = p^(m n) f(Z / p^m) multiplies every root of f by p^m,
+    so v_p(disc g) = v_p(disc f) + m n (n - 1)."""
+    g, m = _integral_model(f, p)
+    d = discriminant(f)
+    if d == 0:
+        raise NotSeparable("input polynomial is not separable")
+    n = f.degree
+    v = rational_valuation(d, p) + m * n * (n - 1)
+    return g, PadicPrecisionCtx(p=p, precision=2 * v + 1, disc_valuation=v)
+
+
+def _integral_model(f: UniPoly, p: int) -> tuple[UniPoly, int]:
+    """(g, m): the monic integral-at-p model g of the monic f, by the
+    substitution Y = Z/p^m with the least m >= 0; the local algebra (hence
+    every (e, f)) is unchanged."""
     n = f.degree
     m = 0
     for i, c in enumerate(f.coeffs[:-1]):
@@ -107,10 +140,10 @@ def _integral_model(f: UniPoly, p: int) -> UniPoly:
         if v < 0:
             m = max(m, math.ceil(Fraction(-v, n - i)))
     if m == 0:
-        return f
+        return f, 0
     return UniPoly(
         [c * Fraction(p) ** (m * (n - i)) for i, c in enumerate(f.coeffs)]
-    )
+    ), m
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +437,13 @@ class _Analyzer:
         expected = 0
         start = 0
         if vals[0] is None:
-            # the center is within the Hensel zone of a single root: that
-            # root lies in W (Krasner/Newton), an (e, f) = (1, 1) factor.
-            if vals[1] is None:
-                raise PrecisionExhausted("two roots indistinguishable at p^N")
+            # v(G(0)) >= N > 2 v(G'(0)): by Hensel's lemma one root of G lies
+            # in W, an (e, f) = (1, 1) factor, of valuation above every other
+            # root's (the side (0, v(G(0))) - (1, v(G'(0))) is the steepest)
+            if vals[1] is None or 2 * vals[1] >= self.N:
+                raise PrecisionExhausted(
+                    f"Hensel zone: G(c) = 0 mod p^{self.N} needs 2 v(G'(c)) < {self.N}"
+                )
             out.append((1, 1, 1))
             expected += 1
             start = 1
@@ -578,10 +614,13 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     """Certified (e, f) multiset of f over Q_p for an odd prime p.
 
     f must be separable of degree >= 1 (any nonzero leading coefficient and
-    any rational coefficients: the input is normalized internally).  Raises
-    WildOrIrregular when the configuration is wild or outside the certified
-    scope, NotSeparable for inseparable input, DomainError for p = 2 or
-    composite p.
+    any rational coefficients: the input is normalized internally).  Works
+    at N = (2v+1) 2^k for k = 0, 1, ..., LADDER_RUNGS - 1, v = v_p(disc) of
+    the integral model, moving up a rung only when a check raises
+    PrecisionExhausted.  Raises WildOrIrregular when the configuration is
+    wild or outside the certified scope, PrecisionExhausted (naming the
+    rungs and the last failed check) when no rung certifies, NotSeparable
+    for inseparable input, DomainError for p = 2 or composite p.
     """
     if p == 2:
         raise DomainError("p = 2 is outside the tame oracle's domain")
@@ -589,11 +628,10 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
         raise DomainError(f"{p} is not prime")
     if f.is_zero or f.degree < 1:
         raise DomainError("need a polynomial of degree >= 1")
-    f = f.monic()
-    g = _integral_model(f, p)
-    ctx = PadicPrecisionCtx.for_input(f, p)
+    g, ctx = _prepare(f.monic(), p)
+    rungs = [ctx.precision << k for k in range(LADDER_RUNGS)]
     last_exc: Exception | None = None
-    for N in (ctx.precision, 2 * ctx.precision):
+    for N in rungs:
         analyzer = _Analyzer(p, N)
         W = analyzer.base_ring()
         fw = [W.from_rat(c) for c in g.coeffs]
@@ -604,9 +642,9 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
             )
         except PrecisionExhausted as exc:
             last_exc = exc
-            continue
-    raise WildOrIrregular(
-        f"could not certify the splitting at p={p}: {last_exc}"
+    raise PrecisionExhausted(
+        f"could not certify the splitting at p={p} at precisions "
+        f"{', '.join(map(str, rungs))}: {last_exc}"
     )
 
 

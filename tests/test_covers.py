@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import gsl.covers
 from gsl import dense
 from gsl.covers import (
+    Cover,
     PuiseuxPlace,
     _duval_transform,
     _Expander,
@@ -24,7 +25,7 @@ from gsl.covers import (
     roots_of_unity_check,
 )
 from gsl.errors import DomainError, NonUniformRamification, SchemaError
-from gsl.exact import UniPoly
+from gsl.exact import BiPoly, UniPoly
 from gsl.nfield import NumberField
 
 
@@ -135,6 +136,14 @@ def test_non_uniform_ramification_detected():
     })
     with pytest.raises(NonUniformRamification):
         branch_points(cover)
+
+
+def test_chart_at_infinity_rejects_a_cover_not_monic_in_y():
+    # T Y^2 - 1 bypasses load_cover's schema check; with an explicit prec,
+    # puiseux_at reaches the chart at infinity without computing disc_y
+    cover = Cover("not_monic", 2, BiPoly.from_json([["-1"], [], ["0", "1"]]))
+    with pytest.raises(DomainError, match="chart at infinity"):
+        puiseux_at(cover, None, prec=4)
 
 
 def test_precision_override_is_stable(covers):

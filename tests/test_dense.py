@@ -140,6 +140,15 @@ def test_division_by_non_monic_needs_a_unit():
     assert (q, r) == ([-1, -1], [2])
 
 
+def test_integer_divexact_raises_on_inexact_division():
+    assert dense.INTEGERS.divexact(-12, 4) == -3
+    assert dense.INTEGERS.divexact(0, -5) == 0
+    with pytest.raises(DomainError):
+        dense.INTEGERS.divexact(7, 2)
+    with pytest.raises(DomainError):
+        dense.INTEGERS.divexact(-7, 2)
+
+
 def test_ext_gcd_rejects_common_factor():
     with pytest.raises(DomainError):
         dense.ext_gcd(F7, [6, 0, 1], [6, 1])  # x^2 - 1 and x - 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
@@ -100,6 +100,21 @@ def test_unipoly_matches_sympy(f, g, x):
         assert resultant(f, g) == Fraction(str(sylvester(F.as_expr(), G.as_expr(), _x).det()))
     if f.degree >= 1:
         assert discriminant(f) == Fraction(str(F.discriminant()))
+
+
+# resultants over Q run over Z after clearing denominators: non-monic inputs
+# with large denominators exercise the a^deg g * b^deg f correction
+big_rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+non_monic = st.lists(big_rats, min_size=2, max_size=5).filter(
+    lambda cs: cs[-1] not in (0, 1)).map(UniPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_monic, non_monic)
+def test_resultant_with_large_denominators_matches_sylvester(f, g):
+    F, G = _to_sympy(f), _to_sympy(g)
+    assert resultant(f, g) == Fraction(str(sylvester(F.as_expr(), G.as_expr(), _x).det()))
+    assert discriminant(f) == Fraction(str(F.discriminant()))
 
 
 def test_json_roundtrip():

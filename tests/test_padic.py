@@ -4,15 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gsl.padic
 from gsl import dense
-from gsl.errors import DomainError, NonUniform, NotSeparable, WildOrIrregular
+from gsl.errors import DomainError, NonUniform, NotSeparable, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
 from gsl.modp import frobenius_data, roots_over
 from gsl.padic import (
+    PadicPrecisionCtx,
     Zq,
     _Analyzer,
     galois_local_invariants,
@@ -222,7 +223,7 @@ def test_side_requires_a_root_upstairs(monkeypatch):
 def test_splitting_checks_degree_conservation(monkeypatch):
     real = gsl.padic.factor_over
     monkeypatch.setattr(gsl.padic, "factor_over", lambda F, f: real(F, f)[:-1])
-    with pytest.raises(WildOrIrregular, match="degree bookkeeping mismatch"):
+    with pytest.raises(PrecisionExhausted, match="degree bookkeeping mismatch"):
         local_splitting_type(upoly(-1, 0, 1), 5)
 
 
@@ -231,7 +232,7 @@ def test_side_checks_its_residual_polynomial(monkeypatch):
     real = dense.newton_sides
     monkeypatch.setattr(dense, "newton_sides", lambda pts: [
         (xa, ya - 1, xb, yb - 1, lam) for xa, ya, xb, yb, lam in real(pts)])
-    with pytest.raises(WildOrIrregular, match="does not span its side"):
+    with pytest.raises(PrecisionExhausted, match="does not span its side"):
         local_splitting_type(upoly(-5, 0, 1), 5)
 
 
@@ -337,3 +338,102 @@ def test_oracle_splitting_of_product_is_merged_splitting(g, h, p):
     for e, fr, cnt in a + b:
         merged[(e, fr)] = merged.get((e, fr), 0) + cnt
     assert c == tuple((e, fr, cnt) for (e, fr), cnt in sorted(merged.items()))
+
+
+# ---------------------------------------------------------------------------
+# the precision ladder: start at 2 v_p(disc) + 1, double when a check fails
+
+
+def test_hensel_zone_root_needs_twice_the_derivative_valuation():
+    # x^2 + 9x + 27 at 3, mod 3^3: the center 0 is a root mod p^N, but
+    # v(G'(0)) = 2 and 2*2 >= 3, so Hensel's lemma does not apply.  The
+    # roots have valuation 3/2: one ramified quadratic, not two roots in Z_3.
+    analyzer = _Analyzer(3, 3)
+    W = analyzer.base_ring()
+    with pytest.raises(PrecisionExhausted, match="Hensel zone"):
+        analyzer.splitting(W, [W.from_int(c) for c in (27, 9, 1)])
+    assert local_splitting_type(upoly(27, 9, 1), 3).factors == ((2, 1, 1),)
+
+
+def _record_rungs(monkeypatch, fail_first):
+    """Record the precision of every oracle run; the first `fail_first`
+    runs raise PrecisionExhausted."""
+    real = _Analyzer.splitting
+    rungs = []
+
+    def splitting(self, W, f):
+        rungs.append(self.N)
+        if len(rungs) <= fail_first:
+            raise PrecisionExhausted("forced")
+        return real(self, W, f)
+
+    monkeypatch.setattr(_Analyzer, "splitting", splitting)
+    return rungs
+
+
+def test_first_rung_is_the_certified_floor(monkeypatch):
+    f = upoly(27, 9, 1)  # disc = -27, v_3 = 3
+    assert PadicPrecisionCtx.for_input(f, 3).precision == 7
+    rungs = _record_rungs(monkeypatch, 0)
+    assert local_splitting_type(f, 3).factors == ((2, 1, 1),)
+    assert rungs == [7]
+
+
+def test_forced_retry_leaves_the_answer_unchanged(monkeypatch):
+    want = {f: local_splitting_type(f, p) for f, p, _ in _REPEATED_UPSTAIRS}
+    rungs = _record_rungs(monkeypatch, 1)
+    for f, p, _ in _REPEATED_UPSTAIRS:
+        rungs.clear()
+        assert local_splitting_type(f, p) == want[f]
+        first = PadicPrecisionCtx.for_input(f, p).precision
+        assert rungs == [first, 2 * first]
+
+
+def test_integral_model_adds_its_exponent_to_the_disc_valuation():
+    # x^2 - 1/9 at 3: the model is Z^2 - 1 (m = 1), and v_3(disc) = -2 + 2
+    f = upoly(Fraction(-1, 9), 0, 1)
+    ctx = PadicPrecisionCtx.for_input(f, 3)
+    assert (ctx.disc_valuation, ctx.precision) == (0, 1)
+    assert local_splitting_type(f, 3).factors == ((1, 1, 2),)
+
+
+def test_exhausted_ladder_reports_precision_not_wildness(monkeypatch):
+    rungs = _record_rungs(monkeypatch, gsl.padic.LADDER_RUNGS)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"at precisions 7, 14, 28, 56, 112, 224, 448, 896: forced"):
+        local_splitting_type(upoly(27, 9, 1), 3)
+    assert rungs == [7 << k for k in range(gsl.padic.LADDER_RUNGS)]
+    # the last rung is at least twice max(50, 2v + 10), v = 3
+    assert rungs[-1] >= 2 * max(50, 2 * 3 + 10)
+
+
+# clustered inputs prod(x - (c + p^j d)) + p^k g, deg g < deg f
+clustered = st.tuples(
+    st.sampled_from([3, 5, 7]),
+    st.integers(-4, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), min_size=2, max_size=4),
+    st.integers(1, 6),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered)
+def test_oracle_matches_a_run_far_above_the_floor(data):
+    p, c, roots, k, g = data
+    f = upoly(1)
+    for j, d in roots:
+        f = f * upoly(-(c + p**j * d), 1)
+    f = f + upoly(*g[:f.degree]).scale(p**k)
+    disc = discriminant(f)
+    assume(disc != 0)
+    v = rational_valuation(disc, p)
+    analyzer = _Analyzer(p, 8 * v + 64)
+    W = analyzer.base_ring()
+    try:
+        want = gsl.padic._merge(analyzer.splitting(W, [W.from_rat(a) for a in f.coeffs]))
+    except WildOrIrregular:
+        with pytest.raises(WildOrIrregular):
+            local_splitting_type(f, p)
+        return
+    assert local_splitting_type(f, p).factors == want
