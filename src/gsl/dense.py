@@ -20,10 +20,15 @@ and `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
 elements: `exact.UniPoly` is its polynomial type.  `INTEGERS.divexact`
 (exact division, `DomainError` otherwise) serves the subresultant PRS,
 which computes rational resultants over Z.  Element arithmetic stays in
-those types; this module only combines elements.  `squarefree` is Yun's squarefree
-decomposition over any field of characteristic 0 (Q and number fields).
-Newton-polygon sides, used by the p-adic oracle and by the Puiseux
-expansions, live here too.
+those types; this module only combines elements.
+
+Over a field, `gcd` is Euclid with every remainder made monic, the one gcd
+of the package (F_q, Q, number fields).  `interpolate` is Newton's divided
+differences, the one interpolation: `exact.disc_y` and the Trager norms of
+`nfield` evaluate at integer points and interpolate over Q.  `squarefree`
+is Yun's squarefree decomposition over any field of characteristic 0 (Q
+and number fields).  Newton-polygon sides, used by the p-adic oracle and
+by the Puiseux expansions, live here too.
 """
 
 from __future__ import annotations
@@ -172,10 +177,13 @@ def monic(R, a):
 
 
 def gcd(R, a, b):
-    """Monic gcd over a field."""
+    """Monic gcd over a field.  Every remainder is made monic before it
+    becomes a divisor, so each division step needs no inverse and, over Q
+    and number fields, the remainders stay normalized."""
+    a, b = monic(R, a), monic(R, b)
     while b:
-        a, b = b, rem(R, a, b)
-    return monic(R, a)
+        a, b = b, monic(R, rem(R, a, b))
+    return a
 
 
 def ext_gcd(R, a, b):
@@ -247,6 +255,25 @@ def shift(R, a, c):
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             out[j] = R.add(out[j], R.mul(c, out[j + 1]))
+    return trim(R, out)
+
+
+def interpolate(R, xs, ys):
+    """The polynomial of degree < len(xs) taking the value ys[i] at xs[i],
+    for distinct xs over a field: Newton divided differences, then the
+    Newton form expanded by Horner, O(len(xs)^2) ring operations."""
+    c = list(ys)
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = R.mul(R.sub(c[i], c[i - 1]), R.inv(R.sub(xs[i], xs[i - j])))
+    out = c[-1:]
+    for i in range(n - 2, -1, -1):
+        # out <- out * (x - xs[i]) + c[i]
+        out = [R.zero] + out
+        for k in range(len(out) - 1):
+            out[k] = R.sub(out[k], R.mul(xs[i], out[k + 1]))
+        out[0] = R.add(out[0], c[i])
     return trim(R, out)
 
 

@@ -12,11 +12,14 @@ Conventions used throughout the package:
   ``"3/4"``), ascending degree; a `BiPoly` is a list of such lists.
 
 `UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
-kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Resultants use
-the subresultant PRS, which runs verbatim over `dense.INTEGERS` (two
-`UniPoly` with their denominators cleared, a rational resultant) and over
-`_UniPolyDomain`, the ring Q[T] of `UniPoly` values (two `BiPoly`, as in
-`disc_y`); no factorization over Q is exposed here.
+kernel's over `dense.RATIONALS`, kept in an immutable tuple.  The resultant
+of two `UniPoly` clears their denominators and runs the subresultant PRS
+over Z, where every division is exact.  The resultant of two `BiPoly`
+(Res_Y, as in `disc_y`) is never computed over Q[T]: it evaluates both at
+integer points T = t, takes those resultants (over Z, as above), and
+recovers the polynomial in T by Newton interpolation (`dense.interpolate`)
+through as many points as the Sylvester degree bound needs.  No
+factorization over Q is exposed here.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ def rational_valuation(x: Rat | int, p: int) -> int:
     """
     if not is_prime(p):
         raise DomainError(f"modulus {p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x: Rat | int, p: int) -> int:
+    """`rational_valuation` without the primality test, for callers that
+    have validated p once at their own entry."""
     x = Fraction(x)
     if x == 0:
         raise DomainError("valuation of 0 requested")
@@ -311,6 +320,14 @@ class UniPoly:
         return dense.evaluate(RATIONALS, self.coeffs, Fraction(x))
 
 
+class _UniPolyDomain:
+    """Q[x] as a coefficient ring, as far as `UniPoly.compose` needs it."""
+
+    zero = UniPoly()
+    add = staticmethod(UniPoly.__add__)
+    mul = staticmethod(UniPoly.__mul__)
+
+
 def squarefree_part(f: UniPoly) -> UniPoly:
     """Monic product of the distinct irreducible factors of f."""
     if f.is_zero:
@@ -322,53 +339,34 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# generic subresultant PRS
+# subresultant PRS over Z
 
 
-class _UniPolyDomain:
-    """Q[T] as a coefficient ring: the subresultant of `disc_y` runs over it."""
-
-    zero = UniPoly()
-    one = UniPoly.const(1)
-
-    @staticmethod
-    def is_zero(a: UniPoly):
-        return a.is_zero
-
-    add = staticmethod(UniPoly.__add__)
-    sub = staticmethod(UniPoly.__sub__)
-    mul = staticmethod(UniPoly.__mul__)
-    neg = staticmethod(UniPoly.__neg__)
-    divexact = staticmethod(UniPoly.divexact)
-
-
-def _prem(dom, A: list, B: list) -> list:
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B (coefficient
-    lists over dom, no trailing zeros)."""
-    dA, dB = len(A) - 1, len(B) - 1
+def _prem(A: list[int], B: list[int]) -> list[int]:
+    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B (integer
+    coefficient lists, no trailing zeros)."""
+    dB = len(B) - 1
     lcB = B[-1]
-    e = dA - dB + 1
+    e = len(A) - dB
     R = list(A)
     while len(R) - 1 >= dB:
         lcR = R[-1]
         k = len(R) - 1 - dB
-        R = [dom.mul(c, lcB) for c in R]
+        R = [c * lcB for c in R]
         for i, c in enumerate(B):
-            R[k + i] = dom.sub(R[k + i], dom.mul(lcR, c))
+            R[k + i] -= lcR * c
         R.pop()
-        while R and dom.is_zero(R[-1]):
-            R.pop()
+        dense.trim(INTEGERS, R)
         e -= 1
         if not R:
             break
-    for _ in range(e):
-        R = [dom.mul(c, lcB) for c in R]
-    return R
+    f = lcB**e
+    return [c * f for c in R]
 
 
-def _subresultant(dom, A: list, B: list):
-    """Resultant of A, B (non-zero coefficient lists over dom) by the
-    subresultant PRS; intermediate divisions stay in the domain."""
+def _subresultant(A: list[int], B: list[int]) -> int:
+    """Resultant of A, B (non-zero integer coefficient lists) by the
+    subresultant PRS; every intermediate division is exact over Z."""
     dA, dB = len(A) - 1, len(B) - 1
     s = 1
     if dA < dB:
@@ -376,34 +374,30 @@ def _subresultant(dom, A: list, B: list):
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
     if dA == 0:
-        return dom.one  # two constants
+        return 1  # two constants
     if dB == 0:
-        out = dense.power(dom, B[0], dA)
-        return out if s == 1 else dom.neg(out)
-    g = dom.one
-    h = dom.one
+        return s * B[0] ** dA
+    divexact = INTEGERS.divexact
+    g = h = 1
     while True:
         dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
-        R = _prem(dom, A, B)
+        R = _prem(A, B)
         if not R:
-            return dom.zero
+            return 0
         A = B
-        denom = dom.mul(g, dense.power(dom, h, delta))
-        B = [dom.divexact(c, denom) for c in R]
+        denom = g * h**delta
+        B = [divexact(c, denom) for c in R]
         g = A[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
-            h = dom.divexact(dense.power(dom, g, delta), dense.power(dom, h, delta - 1))
-        if len(B) - 1 == 0:
+        elif delta > 1:
+            h = divexact(g**delta, h ** (delta - 1))
+        if len(B) == 1:
             dA = len(A) - 1
-            out = dom.divexact(dense.power(dom, B[0], dA), dense.power(dom, h, dA - 1))
-            return out if s == 1 else dom.neg(out)
+            return s * divexact(B[0] ** dA, h ** (dA - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +459,39 @@ def _cleared(f: UniPoly) -> tuple[list[int], int]:
     return [c.numerator * (a // c.denominator) for c in f.coeffs], a
 
 
+def _sample_points():
+    """0, 1, -1, 2, -2, ...: the evaluation points of every interpolation
+    in this package."""
+    yield Fraction(0)
+    k = 1
+    while True:
+        yield Fraction(k)
+        yield Fraction(-k)
+        k += 1
+
+
+def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
+    """Res_Y(f, g) in Q[T] by evaluation at integer points and Newton
+    interpolation.  At a point t where neither leading row vanishes,
+    Res_Y(f, g)(t) = Res(f(t, Y), g(t, Y)); the Sylvester matrix bounds the
+    T-degree by deg_Y g * deg_T f + deg_Y f * deg_T g, so that many points
+    plus one determine it.  Points where a leading row vanishes are
+    skipped."""
+    m, n = f.degree_y, g.degree_y
+    bound = n * max(r.degree for r in f.rows) + m * max(r.degree for r in g.rows)
+    lead_f, lead_g = f.rows[-1], g.rows[-1]
+    xs: list[Rat] = []
+    ys: list[Rat] = []
+    for t in _sample_points():
+        if len(xs) > bound:
+            break
+        if lead_f(t) == 0 or lead_g(t) == 0:
+            continue
+        xs.append(t)
+        ys.append(resultant(UniPoly([r(t) for r in f.rows]), UniPoly([r(t) for r in g.rows])))
+    return UniPoly._of(dense.interpolate(RATIONALS, xs, ys))
+
+
 def resultant(f, g):
     """Resultant over the shared coefficient domain.
 
@@ -477,13 +504,11 @@ def resultant(f, g):
         # Res(f, g) = Res(a f, b g) / (a^deg g b^deg f), with a f and b g in Z[x]
         A, a = _cleared(f)
         B, b = _cleared(g)
-        r = _subresultant(INTEGERS, A, B)
-        return Fraction(r, a**g.degree * b**f.degree)
+        return Fraction(_subresultant(A, B), a**g.degree * b**f.degree)
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
         if not f.rows or not g.rows:
             raise DomainError("resultant with a zero polynomial")
-        out = _subresultant(_UniPolyDomain, list(f.rows), list(g.rows))
-        return out
+        return _bivariate_resultant(f, g)
     raise DomainError("resultant arguments must be two UniPoly or two BiPoly")
 
 

@@ -7,27 +7,41 @@ randomness.  The pieces:
   * NumberField -- Q[x]/(M) for a monic irreducible M, elements stored as
     coefficient tuples of Fraction, inverses by `dense.ext_gcd` over
     `dense.RATIONALS`.  Polynomials over a number field are `dense` lists
-    of elements.
+    of elements; their gcds are `dense.gcd`, Euclid with monic remainders.
   * One squarefree decomposition, `dense.squarefree` (Yun), serves both
     factorizations below, over Q and over K.
   * factor_rational -- complete factorization in Q[x]: Yun squarefree
-    split, then Zassenhaus per squarefree part (factor mod p, the p-adic
-    oracle's Hensel lift over Z/p^k past the Landau-Mignotte bound, subset
-    recombination over Z).
+    split, then Zassenhaus per squarefree part.  Each part is first
+    rescaled to a monic integer polynomial by the least integer D that
+    makes it integral (D^n g(x/D); D is built prime by prime from the
+    denominators, not as their lcm), which keeps coefficients, the
+    Landau-Mignotte bound and the Hensel precision small.  The Zassenhaus
+    prime is the first of four squarefree candidates with the fewest
+    factors mod p, ranked by the cycle type (`modp.frobenius_data`,
+    distinct-degree factorization only); only that prime is fully
+    factored, its factors are lifted by the p-adic oracle's Hensel lift
+    over Z/p^k past the Landau-Mignotte bound, and subsets are recombined
+    over Z.
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
   * factor_nf -- factorization in K[y]: Yun squarefree split, then
-    Trager's norm method on each squarefree part; the norm
-    polynomial is computed by evaluation/interpolation, which is safe
-    because M is monic (Res_x(M, B) = prod B(alpha_k) commutes with
-    specializing the second variable).
+    Trager's norm method on each squarefree part.  The norm polynomial
+    is computed at integer points, each value a resultant computed over Z,
+    and recovered by Newton interpolation (`dense.interpolate`);
+    this is safe because M is monic (Res_x(M, B) = prod B(alpha_k)
+    commutes with specializing the second variable).  One factor per
+    norm factor comes from a gcd with what is left of h; the last is that
+    rest, by exact division.
   * adjoin_root -- build K(beta) for a root beta of an irreducible
     rho in K[y], flattened to an absolute field Q(gamma) with
     gamma = beta + c*theta; irreducibility of the new modulus is certified
     by squarefreeness of the norm (Trager's lemma).
   * relative_min_poly -- minimal polynomial of an element over an embedded
     subfield Q(tau), found by exact linear algebra over Q.
+
+Every check on the way raises a typed error (`DomainError`,
+`NotSeparable`, `PrecisionExhausted`), so none depends on `assert`.
 """
 
 from __future__ import annotations
@@ -40,9 +54,9 @@ from typing import Sequence
 
 from . import dense
 from .dense import RATIONALS
-from .errors import DomainError, PrecisionExhausted
-from .exact import Rat, UniPoly, is_prime
-from .modp import PrimeField, factor_over
+from .errors import DomainError, NotSeparable, PrecisionExhausted
+from .exact import Rat, UniPoly, _sample_points, _valuation, factor_int, is_prime, resultant
+from .modp import PrimeField, factor_over, frobenius_data
 from .padic import Zq, hensel_lift
 
 
@@ -170,14 +184,20 @@ def nf_poly_key(K, f):
 
 def _to_int_monic(g: UniPoly) -> tuple[int, list[int]]:
     """Rescale monic g over Q to a monic integer polynomial: returns
-    (D, coeffs of D^n g(x/D)); roots scale by D."""
-    den = 1
-    for c in g.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    (D, coeffs of D^n g(x/D)); roots scale by D.  D is the least positive
+    integer with D^i a_(n-i) integral for every i: for each prime q of the
+    denominators, q enters D to the largest ceil(v_q(den a_(n-i)) / i)."""
     n = g.degree
-    out = [int(g.coeff(n - i) * den**i) for i in range(n, -1, -1)]
-    assert Fraction(g.coeff(n - 1) * den) == out[n - 1]
-    return den, out
+    if n < 0 or g.lc != 1:
+        raise DomainError("integral rescaling needs a monic polynomial")
+    dens = [g.coeff(n - i).denominator for i in range(1, n + 1)]
+    D = 1
+    for q in factor_int(math.lcm(*dens)):
+        D *= q ** max(-(-_valuation(den, q) // i) for i, den in enumerate(dens, 1))
+    out = [g.coeff(j) * D ** (n - j) for j in range(n + 1)]
+    if any(c.denominator != 1 for c in out):
+        raise DomainError(f"rescaling by {D} leaves a non-integral coefficient")
+    return D, [c.numerator for c in out]
 
 
 def _sym(c: int, m: int) -> int:
@@ -187,36 +207,43 @@ def _sym(c: int, m: int) -> int:
 
 def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     """Irreducible monic integer factors of a monic squarefree integer
-    polynomial."""
+    polynomial; NotSeparable when g is not squarefree."""
     n = len(g) - 1
     if n <= 1:
         return [list(g)]
-    # pick a prime keeping g squarefree, preferring few modular factors
-    best: tuple[int, list[list[int]]] | None = None
-    tried = 0
-    p = 2
+    # The prime: among the first four that keep g squarefree, the first
+    # with the fewest factors mod p (stop early at one).  The factor count
+    # is read off the cycle type, which needs distinct-degree factorization
+    # only; the full factorization runs at the chosen prime alone.  The
+    # primes where g mod p is not squarefree divide disc g, so once their
+    # product passes the Hadamard bound ||g||^(n-1) (n ||g||)^n of that
+    # determinant, disc g = 0.
+    norm2 = math.isqrt(sum(c * c for c in g)) + 1
+    disc_bound = norm2 ** (n - 1) * (n * norm2) ** n
+    gq = UniPoly(g)
+    best: tuple[int, int] | None = None
+    tried, skipped, p = 0, 1, 2
     while tried < 4:
         p += 1
         while not is_prime(p):
             p += 1
-        F = PrimeField(p)
-        gp = dense.trim(F, [c % p for c in g])
-        if len(gp) != n + 1:
-            continue  # cannot happen for monic g, kept for clarity
-        if len(dense.gcd(F, gp, dense.deriv(F, gp))) != 1:
+        try:
+            count = len(frobenius_data(gq, p).cycle_type.parts)
+        except NotSeparable:
+            skipped *= p
+            if skipped > disc_bound:
+                raise NotSeparable("Zassenhaus needs a squarefree polynomial") from None
             continue
-        facs = [f for f, _ in factor_over(F, gp)]
         tried += 1
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if len(facs) == 1:
+        if best is None or count < best[1]:
+            best = (p, count)
+        if count == 1:
             break
-    assert best is not None
-    p, facs = best
-    if len(facs) == 1:
+    p, count = best
+    if count == 1:
         return [list(g)]
+    facs = [f for f, _ in factor_over(PrimeField(p), [c % p for c in g])]
     # Landau-Mignotte: any monic factor has |coeff| <= 2^n * ||g||_2
-    norm2 = math.isqrt(sum(c * c for c in g)) + 1
     target = 2 * ((1 << n) * norm2) + 1
     k = 1
     while p**k < target:
@@ -296,58 +323,26 @@ def is_irreducible_rational(f: UniPoly) -> bool:
 # norms by evaluation/interpolation
 
 
-def _interpolate(points: list[tuple[Fraction, Fraction]]) -> UniPoly:
-    """Lagrange interpolation through distinct rational points."""
-    out = UniPoly()
-    for j, (xj, yj) in enumerate(points):
-        if yj == 0:
-            continue
-        num = UniPoly.const(1)
-        den = Fraction(1)
-        for i, (xi, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * UniPoly([-xi, Fraction(1)])
-            den *= xj - xi
-        out = out + num.scale(yj / den)
-    return out
-
-
-def _eval_points(count: int):
-    """0, 1, -1, 2, -2, ... as Fractions."""
-    yield Fraction(0)
-    k = 1
-    while True:
-        yield Fraction(k)
-        yield Fraction(-k)
-        k += 1
-
-
 def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     """N(z) = prod_k H(z, alpha_k) over the roots alpha_k of the modulus,
     where H(z, x) = sum_i h_i(x) (z - s*x)^i -- the norm from K to Q of
-    h(z - s*theta).  Computed by evaluating at deg(M)*deg(h)+1 rational
-    points and interpolating; valid because the modulus is monic, so
-    Res_x(M, B) = prod_k B(alpha_k) commutes with specializing z."""
+    h(z - s*theta).  Computed at deg(M)*deg(h)+1 integer points, each value
+    a resultant over Z, and recovered by Newton interpolation;
+    valid because the modulus is monic, so Res_x(M, B) = prod_k B(alpha_k)
+    commutes with specializing z."""
     d = len(h) - 1
-    assert d >= 1 and K.eq(h[-1], K.one), "norm needs a monic h"
+    if d < 1 or not K.eq(h[-1], K.one):
+        raise DomainError("the norm needs a monic h of degree >= 1")
     D = K.degree * d
-    from .exact import resultant
-
-    pts: list[tuple[Fraction, Fraction]] = []
-    gen = K.gen()
-    for z in _eval_points(D + 1):
-        arg = K.sub(K.from_rat(z), K.scale(gen, s))
-        val = dense.evaluate(K, h, arg)
-        if K.is_zero(val):
-            pts.append((z, Fraction(0)))
-        else:
-            B = UniPoly(val)
-            pts.append((z, resultant(K.modulus, B)))
-        if len(pts) == D + 1:
-            break
-    N = _interpolate(pts)
-    assert N.degree == D and N.lc == 1, "norm degree/leading term mismatch"
+    stheta = K.scale(K.gen(), s)
+    xs = list(itertools.islice(_sample_points(), D + 1))
+    ys = []
+    for z in xs:
+        val = dense.evaluate(K, h, K.sub(K.from_rat(z), stheta))
+        ys.append(Fraction(0) if K.is_zero(val) else resultant(K.modulus, UniPoly(val)))
+    N = UniPoly(dense.interpolate(RATIONALS, xs, ys))
+    if N.degree != D or N.lc != 1:
+        raise DomainError(f"the norm has degree {N.degree}, not {D}, or is not monic")
     return N
 
 
@@ -356,7 +351,12 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
 
 
 def _trager_squarefree(K: NumberField, h: list) -> list[list]:
-    """Irreducible monic factors of a squarefree monic h in K[y]."""
+    """Irreducible monic factors of a squarefree monic h in K[y].
+
+    With N(z) the norm of h(z - s theta) squarefree, each irreducible
+    factor N_i of N gives the factor gcd(h, N_i(y + s theta)) of h, of
+    degree deg N_i / [K : Q] (Trager).  The gcds run on what is left of h,
+    and the last factor is that rest, by exact division."""
     d = len(h) - 1
     if d == 1:
         return [h]
@@ -365,17 +365,26 @@ def _trager_squarefree(K: NumberField, h: list) -> list[list]:
         if N.gcd(N.derivative()).degree == 0:
             break
     factors_q = factor_rational(N)
-    assert all(m == 1 for _, m in factors_q)
+    if any(m != 1 for _, m in factors_q):
+        raise DomainError("the factors of a squarefree norm must be simple")
     if len(factors_q) == 1:
         return [h]
     out = []
+    rest = h
     stheta = K.scale(K.gen(), s)
-    for hq, _ in factors_q:
-        shifted = dense.shift(K, nf_from_unipoly(K, hq), stheta)
-        g = dense.gcd(K, h, shifted)
-        assert len(g) >= 2, "norm factor must meet h"
+    for hq, _ in factors_q[:-1]:
+        g = dense.gcd(K, rest, dense.shift(K, nf_from_unipoly(K, hq), stheta))
+        rest, r = dense.quorem(K, rest, g)
+        if r:
+            raise DomainError("a gcd with h does not divide h")
         out.append(g)
-    assert sum(len(g) - 1 for g in out) == d, "factor degrees must add up"
+    out.append(rest)
+    for g, (hq, _) in zip(out, factors_q):
+        if (len(g) - 1) * K.degree != hq.degree:
+            raise DomainError(
+                f"a factor of degree {len(g) - 1} does not match its norm "
+                f"factor of degree {hq.degree}"
+            )
     return out
 
 
@@ -463,7 +472,8 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
         T = dense.add(L, dense.mul(L, T, lin), nf_from_unipoly(L, UniPoly(coeff)))
     ML = nf_from_unipoly(L, K.modulus)
     g = dense.gcd(L, ML, T)
-    assert len(g) == 2, "shared root of modulus and transform must be unique"
+    if len(g) != 2:
+        raise DomainError("the modulus and its transform must share exactly one root")
     theta = L.neg(g[0])
     root = L.sub(gamma, L.scale(theta, c))
     return Adjunction(field=L, theta=theta, root=root, shift=c)

@@ -50,6 +50,7 @@ WildOrIrregular: the oracle refuses rather than guesses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, discriminant, is_prime, rational_valuation
+from .exact import Rat, UniPoly, _valuation, discriminant, is_prime
 from .modp import ExtField, PrimeField, factor_over, find_irreducible, mul_reduce, roots_over
 
 __all__ = [
@@ -111,20 +112,30 @@ class PadicPrecisionCtx:
 
     @classmethod
     def for_input(cls, f: UniPoly, p: int) -> "PadicPrecisionCtx":
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
         return _prepare(f.monic(), p)[1]
 
 
 def _prepare(f: UniPoly, p: int) -> tuple[UniPoly, PadicPrecisionCtx]:
-    """The monic integral model g of the monic f at p, and its precision
-    context.  g(Z) = p^(m n) f(Z / p^m) multiplies every root of f by p^m,
-    so v_p(disc g) = v_p(disc f) + m n (n - 1)."""
+    """The monic integral model g of the monic f at the prime p (its
+    primality is the caller's to test), and its precision context.
+    g(Z) = p^(m n) f(Z / p^m) multiplies every root of f by p^m, so
+    v_p(disc g) = v_p(disc f) + m n (n - 1)."""
     g, m = _integral_model(f, p)
-    d = discriminant(f)
+    d = _discriminant(f)
     if d == 0:
         raise NotSeparable("input polynomial is not separable")
     n = f.degree
-    v = rational_valuation(d, p) + m * n * (n - 1)
+    v = _valuation(d, p) + m * n * (n - 1)
     return g, PadicPrecisionCtx(p=p, precision=2 * v + 1, disc_valuation=v)
+
+
+@functools.lru_cache(maxsize=32)
+def _discriminant(f: UniPoly) -> Rat:
+    """disc f, kept for the last few monic inputs: a specialization is
+    checked at each of its meeting primes with the same polynomial."""
+    return discriminant(f)
 
 
 def _integral_model(f: UniPoly, p: int) -> tuple[UniPoly, int]:
@@ -136,7 +147,7 @@ def _integral_model(f: UniPoly, p: int) -> tuple[UniPoly, int]:
     for i, c in enumerate(f.coeffs[:-1]):
         if c == 0:
             continue
-        v = rational_valuation(c, p)
+        v = _valuation(c, p)
         if v < 0:
             m = max(m, math.ceil(Fraction(-v, n - i)))
     if m == 0:
@@ -181,10 +192,14 @@ class Zq:
 
     def add(self, a, b):
         pN = self.pN
+        if self.d == 1:
+            return ((a[0] + b[0]) % pN,)
         return tuple((x + y) % pN for x, y in zip(a, b))
 
     def sub(self, a, b):
         pN = self.pN
+        if self.d == 1:
+            return ((a[0] - b[0]) % pN,)
         return tuple((x - y) % pN for x, y in zip(a, b))
 
     def neg(self, a):
@@ -671,7 +686,7 @@ def quadratic_local_class(c: Rat | int, p: int) -> str:
     c = Fraction(c)
     if c == 0:
         raise DomainError("0 has no square class")
-    v = rational_valuation(c, p)
+    v = _valuation(c, p)
     unit = c / Fraction(p) ** v
     u = unit.numerator * pow(unit.denominator, -1, p) % p
     qr = pow(u, (p - 1) // 2, p) == 1

@@ -42,8 +42,8 @@ from .exact import (
     disc_y,  # unused here; bench/spans.py requires this binding
     factor_int,
     is_prime,
+    _valuation,
     rat_to_str,
-    rational_valuation,
 )
 from .modp import factor_mod_p, reduce_relative
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
@@ -78,18 +78,22 @@ def intersection_multiplicity(branch: BranchPoint, t0: Rat, p: int) -> int:
     locus of `branch` above the prime p (0 when they do not meet)."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    t0 = Fraction(t0)
+    return _multiplicity(branch, Fraction(t0), p)
+
+
+def _multiplicity(branch: BranchPoint, t0: Fraction, p: int) -> int:
+    """`intersection_multiplicity` for a prime p its caller has tested."""
     if branch.locus is None:
-        v = rational_valuation(t0, p) if t0 != 0 else 0
+        v = _valuation(t0, p) if t0 != 0 else 0
         return max(0, -v)
-    if t0 != 0 and rational_valuation(t0, p) < 0:
+    if t0 != 0 and _valuation(t0, p) < 0:
         return 0
     mval = branch.locus(t0)
     if mval == 0:
         raise HypothesisViolation(
             f"specialization point {t0} lies on a branch locus"
         )
-    return max(0, rational_valuation(mval, p))
+    return max(0, _valuation(mval, p))
 
 
 def meeting_prime(
@@ -98,10 +102,12 @@ def meeting_prime(
     """The unique branch that t = t0 meets above p, or None.  Raises
     MeetingUniquenessError when several loci meet t0 at the same prime
     (only possible at a bad prime)."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     t0 = Fraction(t0)
     hits = []
     for bp in branches:
-        a = intersection_multiplicity(bp, t0, p)
+        a = _multiplicity(bp, t0, p)
         if a > 0:
             hits.append((bp, a))
     if not hits:

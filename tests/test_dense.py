@@ -152,3 +152,40 @@ def test_integer_divexact_raises_on_inexact_division():
 def test_ext_gcd_rejects_common_factor():
     with pytest.raises(DomainError):
         dense.ext_gcd(F7, [6, 0, 1], [6, 1])  # x^2 - 1 and x - 1
+
+
+# ---------------------------------------------------------------------------
+# interpolation and the monic-remainder gcd
+
+
+@given(st.lists(st.fractions(-20, 20, max_denominator=5), min_size=1, max_size=8, unique=True),
+       st.data())
+def test_interpolate_matches_sympy(xs, data):
+    ys = data.draw(st.lists(st.fractions(-50, 50, max_denominator=7),
+                            min_size=len(xs), max_size=len(xs)))
+    ours = dense.interpolate(dense.RATIONALS, xs, ys)
+    theirs = sp.interpolate([(sp.Rational(str(x)), sp.Rational(str(y))) for x, y in zip(xs, ys)], _x)
+    assert ours == _from_sympy(sp.Poly(theirs, _x, domain=sp.QQ))
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True), st.data())
+def test_interpolate_over_fp_hits_every_point(xs, data):
+    ys = data.draw(st.lists(st.integers(0, 6), min_size=len(xs), max_size=len(xs)))
+    a = dense.interpolate(F7, xs, ys)
+    assert len(a) <= len(xs)
+    assert [dense.evaluate(F7, a, x) for x in xs] == ys
+
+
+@given(st.data())
+def test_gcd_is_monic_and_a_multiple_of_every_common_factor(data):
+    R, elems = data.draw(FIELDS)
+    a, b, c = (data.draw(_polys(R, elems)) for _ in range(3))
+    g = dense.gcd(R, dense.mul(R, a, c), dense.mul(R, b, c))
+    if not g:
+        assert not dense.mul(R, a, c) and not dense.mul(R, b, c)
+        return
+    assert R.is_zero(R.sub(g[-1], R.one))
+    for x in (a, b):
+        assert not dense.rem(R, dense.mul(R, x, c), g)
+    if c:
+        assert not dense.rem(R, g, c)  # c divides both, so it divides the gcd

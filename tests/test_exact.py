@@ -117,6 +117,45 @@ def test_resultant_with_large_denominators_matches_sylvester(f, g):
     assert discriminant(f) == Fraction(str(F.discriminant()))
 
 
+# Res_Y over Q[T] by evaluation at integer points and interpolation, against
+# the determinant of sympy's Sylvester matrix in Y (see the sign remark above)
+_t, _y = sp.symbols("t y")
+small_rows = st.lists(st.integers(-6, 6), max_size=3)
+nonzero_rows = st.lists(st.integers(-4, 4), min_size=1, max_size=2).filter(any)
+
+
+def _bipoly(rows) -> BiPoly:
+    return BiPoly([UniPoly(r) for r in rows])
+
+
+def _bi_to_sympy(P: BiPoly):
+    return sum(sp.Rational(str(c)) * _t**j * _y**i
+               for i, row in enumerate(P.rows) for j, c in enumerate(row.coeffs))
+
+
+def _t_poly(expr) -> UniPoly:
+    return UniPoly(Fraction(str(c)) for c in reversed(sp.Poly(sp.expand(expr), _t).all_coeffs()))
+
+
+@settings(max_examples=30)
+@given(st.lists(small_rows, min_size=1, max_size=4))
+def test_disc_y_matches_sympy(rows):
+    P = _bipoly(rows + [[1]])
+    assert disc_y(P) == _t_poly(sp.discriminant(_bi_to_sympy(P), _y))
+
+
+@settings(max_examples=30)
+@given(st.lists(small_rows, min_size=1, max_size=3), nonzero_rows,
+       st.lists(small_rows, min_size=1, max_size=2), nonzero_rows)
+def test_bivariate_resultant_skips_points_where_a_leading_row_vanishes(fr, lf, gr, lg):
+    # leading rows (T^3 - T) lf(T) and (T^2 - 4) lg(T) vanish at the first
+    # sample points 0, 1, -1, 2, -2
+    f = _bipoly(fr + [(UniPoly([0, -1, 0, 1]) * UniPoly(lf)).coeffs])
+    g = _bipoly(gr + [(UniPoly([-4, 0, 1]) * UniPoly(lg)).coeffs])
+    want = sylvester(_bi_to_sympy(f), _bi_to_sympy(g), _y).det()
+    assert resultant(f, g) == _t_poly(want)
+
+
 def test_json_roundtrip():
     f = upoly("-1/2", 0, 3)
     assert UniPoly.from_json(f.to_json()) == f

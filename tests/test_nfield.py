@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsl import dense, nfield
-from gsl.errors import DomainError, PrecisionExhausted
-from gsl.exact import UniPoly
+from gsl.errors import DomainError, NotSeparable, PrecisionExhausted
+from gsl.exact import UniPoly, factor_int
 from gsl.nfield import (
     NumberField,
     adjoin_root,
@@ -273,3 +273,138 @@ def test_factor_nf_matches_sympy(field, factors):
         expr *= sum((a + b * gen) * _y**i for i, (a, b) in enumerate(fac)) + _y ** len(fac)
     ours = sorted((tuple(g), m) for g, m in factor_nf(K, f))
     assert ours == _sympy_factors(expr, gen, gen)
+
+
+# ---------------------------------------------------------------------------
+# the integral rescaling and its metamorphic consequences
+
+
+@given(st.lists(st.fractions(-40, 40, max_denominator=60), min_size=1, max_size=5))
+def test_to_int_monic_scales_by_the_least_integer(coeffs):
+    g = UniPoly(coeffs + [1])
+    n = g.degree
+    D, out = nfield._to_int_monic(g)
+    assert out == [g.coeff(j) * D ** (n - j) for j in range(n + 1)]
+    assert all(isinstance(c, int) for c in out)
+    for q in factor_int(D):  # no proper divisor D/q makes every D^i a_(n-i) integral
+        assert any((g.coeff(n - i) * (D // q) ** i).denominator != 1 for i in range(1, n + 1))
+
+
+@settings(max_examples=25)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6).filter(lambda cs: cs[-1]),
+       st.fractions(-12, 12, max_denominator=12).filter(bool))
+def test_factor_rational_commutes_with_rescaling(coeffs, c):
+    """The factors of c^n f(x/c) are the factors g of f, each as c^deg g g(x/c)."""
+    f = UniPoly(coeffs)
+    n = f.degree
+    scaled = UniPoly([f.coeff(i) * c ** (n - i) for i in range(n + 1)])
+    want = sorted(
+        (tuple(g.coeff(i) * c ** (g.degree - i) for i in range(g.degree + 1)), m)
+        for g, m in factor_rational(f)
+    )
+    assert sorted((g.coeffs, m) for g, m in factor_rational(scaled)) == want
+
+
+# ---------------------------------------------------------------------------
+# every check of the rewritten Trager/Zassenhaus path is a typed raise
+
+
+def test_to_int_monic_checks_its_input_and_its_scale(monkeypatch):
+    with pytest.raises(DomainError):
+        nfield._to_int_monic(upoly(1, 2))  # not monic
+    monkeypatch.setattr(nfield, "factor_int", lambda n: {})  # D = 1
+    with pytest.raises(DomainError):
+        nfield._to_int_monic(upoly(Fraction(1, 3), 0, 1))
+
+
+def test_zassenhaus_rejects_a_polynomial_that_is_not_squarefree():
+    # (x - 1)^2: every prime divides its zero discriminant; the product of the
+    # skipped primes passes the Hadamard bound and the prime search stops
+    with pytest.raises(NotSeparable):
+        nfield._zassenhaus_monic_int([1, -2, 1])
+
+
+def test_norm_poly_checks_its_input_and_its_degree(monkeypatch):
+    K = NumberField(upoly(1, 0, 1))
+    with pytest.raises(DomainError):
+        nfield._norm_poly(K, [K.one, K.from_rat(2)], 0)  # not monic
+    monkeypatch.setattr(dense, "interpolate", lambda R, xs, ys: [R.one])
+    with pytest.raises(DomainError):
+        nfield._norm_poly(K, [K.one, K.zero, K.one], 1)
+
+
+def _gaussian_y2_plus_1():
+    K = NumberField(upoly(1, 0, 1))
+    return K, [K.one, K.zero, K.one]  # y^2 + 1 = (y - i)(y + i)
+
+
+def test_trager_checks_the_norm_factors(monkeypatch):
+    K, h = _gaussian_y2_plus_1()
+    assert len(nfield._trager_squarefree(K, h)) == 2
+    real = nfield.factor_rational
+    monkeypatch.setattr(nfield, "factor_rational", lambda N: [(g, 2) for g, _ in real(N)])
+    with pytest.raises(DomainError):  # a squarefree norm with repeated factors
+        nfield._trager_squarefree(K, h)
+    # the linear factor of y^2 + 1 does not match a norm factor of degree 4
+    monkeypatch.setattr(nfield, "factor_rational", lambda N: [(upoly(1, 1), 1), (N, 1)])
+    with pytest.raises(DomainError):
+        nfield._trager_squarefree(K, h)
+
+
+def test_trager_checks_each_gcd_divides(monkeypatch):
+    K, h = _gaussian_y2_plus_1()
+    real = dense.gcd
+    monkeypatch.setattr(
+        dense, "gcd", lambda R, a, b: [R.one, R.one] if isinstance(R, NumberField) else real(R, a, b)
+    )
+    with pytest.raises(DomainError):
+        nfield._trager_squarefree(K, h)
+
+
+def test_adjoin_root_checks_the_shared_root_is_unique(monkeypatch):
+    K = NumberField(upoly(-2, 0, 1))
+    rho = [K.from_rat(Fraction(-3)), K.zero, K.one]
+    real = dense.gcd
+    monkeypatch.setattr(
+        dense, "gcd", lambda R, a, b: [R.one] if isinstance(R, NumberField) else real(R, a, b)
+    )
+    with pytest.raises(DomainError):
+        adjoin_root(K, rho)
+
+
+# ---------------------------------------------------------------------------
+# a residual of the degree-6 cover C6 = Res_Z(Shanks(T, Z), (Y - Z)^2 - (T + 5))
+# at its quintic branch locus: a quartic over the quintic residue field whose
+# Trager norm has degree 20.  sympy needs several seconds for it.
+
+_C6_FIELD = ["2339/4", "435/2", "-359/4", "-65/2", "11/4", "1"]
+_C6_QUARTIC = [
+    ["172529/1786", "814/19", "3732/893", "-1067/1786", "-126/893"],
+    ["-47347/1786", "139/19", "4449/893", "-697/1786", "-166/893"],
+    ["-9647/3572", "-103/38", "-6293/1786", "-825/3572", "117/893"],
+    ["4698/893", "-45/76", "-3205/3572", "-127/3572", "31/893"],
+    ["1", "0", "0", "0", "0"],
+]
+
+
+def test_factor_nf_matches_sympy_on_a_c6_residual():
+    x = sp.Symbol("x")
+    M = sum(sp.Rational(c) * x**i for i, c in enumerate(_C6_FIELD))
+    K = NumberField(UniPoly.from_json(_C6_FIELD))
+    h = [tuple(Fraction(c) for c in row) for row in _C6_QUARTIC]
+    ours = sorted((tuple(g), m) for g, m in factor_nf(K, h))
+
+    alpha = sp.CRootOf(M, 0)
+    field = sp.QQ.algebraic_field(alpha)
+    expr = sum(sum(sp.Rational(c) * alpha**j for j, c in enumerate(row)) * _y**i
+               for i, row in enumerate(_C6_QUARTIC))
+    theirs = []
+    for fac, m in sp.Poly(expr, _y, domain=field).factor_list()[1]:
+        row = []
+        for c in fac.monic().all_coeffs()[::-1]:
+            r = sp.Poly(sp.rem(sp.Poly(sp.expand(c).subs(alpha, x), x), sp.Poly(M, x)), x)
+            cs = [Fraction(str(v)) for v in r.all_coeffs()[::-1]]
+            row.append(tuple(cs + [Fraction(0)] * (K.degree - len(cs))))
+        theirs.append((tuple(row), m))
+    assert ours == sorted(theirs)
+    assert [len(g) - 1 for g, _ in ours] == [1, 1, 1, 1]

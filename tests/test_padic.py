@@ -437,3 +437,23 @@ def test_oracle_matches_a_run_far_above_the_floor(data):
             local_splitting_type(f, p)
         return
     assert local_splitting_type(f, p).factors == want
+
+
+def test_discriminant_computed_once_per_polynomial(monkeypatch):
+    # a specialization is checked at each of its meeting primes with the same
+    # polynomial; its discriminant is computed once
+    calls = []
+    real = gsl.padic.discriminant
+    monkeypatch.setattr(gsl.padic, "discriminant", lambda f: calls.append(f) or real(f))
+    gsl.padic._discriminant.cache_clear()
+    f = upoly(-1001, 0, 0, 1)
+    for p in (5, 7, 11, 13):
+        local_splitting_type(f, p)
+        local_splitting_type(f.scale(5), p)  # the same monic input
+    assert calls == [f]
+    gsl.padic._discriminant.cache_clear()
+
+
+def test_precision_context_rejects_a_composite_modulus():
+    with pytest.raises(DomainError):
+        PadicPrecisionCtx.for_input(upoly(-2, 0, 1), 9)

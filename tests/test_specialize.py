@@ -63,6 +63,14 @@ def test_specializing_at_branch_point_rejected():
         intersection_multiplicity(b, Fraction(0), 5)
 
 
+def test_meeting_entries_reject_a_composite_modulus():
+    # p is tested once at each public entry; the loops behind it trust it
+    b = _branch(upoly(0, 1))
+    for entry in (intersection_multiplicity, lambda b, t0, p: meeting_prime([b], t0, p)):
+        with pytest.raises(DomainError):
+            entry(b, Fraction(50), 25)
+
+
 def test_meeting_uniqueness():
     b1 = _branch(upoly(0, 1))       # T
     b2 = _branch(upoly(-10, 1))     # T - 10
