@@ -18,7 +18,7 @@ from typing import Sequence
 from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
 from .errors import DomainError, HypothesisViolation, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
 from .exact import Rat, UniPoly, discriminant, factor_int, is_prime, rat_to_str, rational_valuation
-from .modp import factor_mod_p, reduce_relative, roots_mod_p
+from .modp import frobenius_data, reduce_relative, root_count, roots_mod_p
 from .nfield import is_irreducible_rational
 from .padic import LocalSplittingType, local_splitting_type
 from .specialize import meeting_primes, specialize_poly
@@ -46,15 +46,10 @@ def find_frobenius_primes(cover: Cover, order: int, bound: int) -> list[int]:
             if M.degree < 1:
                 continue
             try:
-                fac = factor_mod_p(M, p)
+                f = math.lcm(f, frobenius_data(M, p).order)
             except NotSeparable:
                 ok = False
                 break
-            degs = [g.degree for g, _ in fac]
-            if any(m > 1 for _, m in fac):
-                ok = False
-                break
-            f = math.lcm(f, math.lcm(*degs))
         if ok and f == order:
             out.append(p)
     return out
@@ -296,10 +291,8 @@ def _is_obstruction_prime(
         rel = bp.residue
         for a in roots:
             reduced = reduce_relative(list(rel.rel), rel.base, (p, a))
-            if reduced.degree >= 1:
-                rts = roots_mod_p(list(reduced.coeffs), p)
-                if len(rts) != reduced.degree:
-                    return False
+            if reduced.degree >= 1 and root_count(reduced.coeffs, p) != reduced.degree:
+                return False
     return True
 
 

@@ -4,7 +4,17 @@ Polynomials over a finite field F are `dense` lists of F-elements (ints in
 [0, p) for F_p; the public face is `PolyModP`).  The same factorization
 machinery runs over extension fields F_{p^d} (elements: int tuples over a
 fixed irreducible modulus), which the p-adic oracle uses for its unramified
-lifts; extension fields are internal.
+lifts; extension fields are internal.  `prime_field(p)` builds F_p, and
+tests p for primality, once per prime.
+
+Factorization runs in three steps (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14): squarefree decomposition, distinct-degree
+factorization (DDF) and equal-degree splitting (EDF).  The first two give
+`degree_blocks`: for each multiplicity m and degree r, the product of the
+irreducible factors of degree r and multiplicity m.  That is all a caller
+needs who reads only the degrees of the factors (a cycle type, the (e, f)
+of a simple factor in the p-adic oracle, a count of roots), so only
+`factor_over`, `roots_over` and their wrappers run EDF.
 
 Equal-degree splitting draws its candidates at random over every field,
 from a PRNG seeded by the GSL_SEED environment variable (fixed default
@@ -14,6 +24,7 @@ only makes each run's work reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -45,7 +56,7 @@ def seed_from_env() -> int:
 
 
 class PrimeField:
-    """F_p with int elements."""
+    """F_p with int elements; `prime_field(p)` builds it once per prime."""
 
     __slots__ = ("p", "q", "degree")
 
@@ -93,6 +104,14 @@ class PrimeField:
         return f"F_{self.p}"
 
 
+@functools.lru_cache(maxsize=256)
+def prime_field(p: int) -> PrimeField:
+    """F_p, for the last few hundred primes asked for: the primality test
+    in `PrimeField` runs once per prime, not once per use.  A composite p
+    raises DomainError on every call (errors are not cached)."""
+    return PrimeField(p)
+
+
 def mul_reduce(a, b, modulus, m: int) -> tuple:
     """The product of two int tuples of length d = deg(modulus), read as
     polynomials, reduced by the monic int polynomial `modulus` and mod m.
@@ -123,7 +142,7 @@ class ExtField:
 
     def __init__(self, p: int, chi: Sequence[int]):
         self.p = p
-        self.base = PrimeField(p)
+        self.base = prime_field(p)
         self.chi = [c % p for c in chi]
         if self.chi[-1] != 1:
             raise DomainError("extension field modulus must be monic")
@@ -283,20 +302,44 @@ def _edf(F, f, d):
     return factors
 
 
-def factor_over(F, f) -> list[tuple[list, int]]:
-    """Full factorization of a nonzero polynomial over the finite field F:
-    [(monic irreducible, multiplicity)], plus the unit is discarded.
-    Sorted by degree then coefficient index tuple."""
+def degree_blocks(F, f) -> list[tuple[list, int, int]]:
+    """[(block, r, mult)] for a nonzero f over the finite field F: the
+    squarefree decomposition of monic(f), each part split by distinct-degree
+    factorization.  A block is the product of the monic irreducible factors
+    of f that have degree r and multiplicity mult, so there are
+    deg(block) / r of them and prod block^mult = monic(f).  The factors
+    themselves are not split apart (no EDF)."""
     f = dense.trim(F, list(f))
     if not f:
         raise DomainError("factorization of the zero polynomial")
-    out = []
-    for g, mult in _sqf_decomp(F, f):
-        for block, r in _ddf(F, g):
-            for irr in _edf(F, block, r):
-                out.append((irr, mult))
+    return [
+        (block, r, mult)
+        for g, mult in _sqf_decomp(F, f)
+        for block, r in _ddf(F, g)
+    ]
+
+
+def factor_over(F, f) -> list[tuple[list, int]]:
+    """Full factorization of a nonzero polynomial over the finite field F:
+    [(monic irreducible, multiplicity)], plus the unit is discarded.
+    Sorted by degree then coefficient index tuple.  EDF on each of
+    `degree_blocks`."""
+    out = [
+        (irr, mult)
+        for block, r, mult in degree_blocks(F, f)
+        for irr in _edf(F, block, r)
+    ]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
+
+
+def _linear_part(F, f) -> list:
+    """gcd(x^q - x, f) for a nonzero f: the product of the distinct linear
+    factors of f, squarefree because x^q - x is."""
+    if len(f) == 1:
+        return [F.one]
+    xq = dense.powmod(F, [F.zero, F.one], F.q, f)
+    return dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
 
 
 def roots_over(F, f) -> list:
@@ -308,10 +351,7 @@ def roots_over(F, f) -> list:
     f = dense.trim(F, list(f))
     if not f:
         raise DomainError("roots of the zero polynomial")
-    if len(f) == 1:
-        return []
-    xq = dense.powmod(F, [F.zero, F.one], F.q, f)
-    lin = dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
+    lin = _linear_part(F, f)
     roots = [F.neg(g[0]) for g in _edf(F, lin, 1)] if len(lin) > 1 else []
     return sorted(roots)
 
@@ -375,7 +415,7 @@ class PolyModP:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, coeffs: Sequence[int], p: int):
-        cs = dense.trim(PrimeField(p), [c % p for c in coeffs])
+        cs = dense.trim(prime_field(p), [c % p for c in coeffs])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -411,7 +451,7 @@ class PolyModP:
         return cls(data["coeffs"], data["p"])
 
     def __call__(self, x: int) -> int:
-        return dense.evaluate(PrimeField(self.p), self.coeffs, x % self.p)
+        return dense.evaluate(prime_field(self.p), self.coeffs, x % self.p)
 
 
 @dataclass(frozen=True)
@@ -445,7 +485,7 @@ class FrobeniusData:
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
     """Coefficients of f mod p; errors when a denominator is divisible by p
     (the reduction would not be defined)."""
-    F = PrimeField(p)
+    F = prime_field(p)
     out = []
     for c in f.coeffs:
         if c.denominator % p == 0:
@@ -456,34 +496,41 @@ def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
     return dense.trim(F, out)
 
 
+def _reduce(f: UniPoly | Sequence[int], p: int) -> list[int]:
+    """f mod p, for a UniPoly or a sequence of ints."""
+    if isinstance(f, UniPoly):
+        return reduce_unipoly(f, p)
+    return dense.trim(prime_field(p), [c % p for c in f])
+
+
 def factor_mod_p(f: UniPoly | Sequence[int], p: int) -> list[tuple[PolyModP, int]]:
     """Full factorization of f mod p (p = 2 allowed): list of
     (monic irreducible PolyModP, multiplicity), sorted by degree then
     lexicographic coefficient order.  Errors on the zero polynomial and on
     composite p."""
-    F = PrimeField(p)
-    coeffs = reduce_unipoly(f, p) if isinstance(f, UniPoly) else [c % p for c in f]
-    if not dense.trim(F, list(coeffs)):
+    coeffs = _reduce(f, p)
+    if not coeffs:
         raise DomainError("factorization of the zero polynomial mod p")
-    return [(PolyModP(g, p), m) for g, m in factor_over(F, coeffs)]
+    return [(PolyModP(g, p), m) for g, m in factor_over(prime_field(p), coeffs)]
 
 
-def frobenius_data(f: UniPoly, p: int) -> FrobeniusData:
-    """Cycle type and order of Frobenius at p acting on the roots of f.
+def frobenius_data(f: UniPoly | Sequence[int], p: int) -> FrobeniusData:
+    """Cycle type and order of Frobenius at p acting on the roots of f,
+    read off `degree_blocks` (no equal-degree splitting).
 
-    Requires p to preserve the degree of f and f mod p to be squarefree
-    (equivalently, for monic integral f: p does not divide disc(f));
-    raises NotSeparable / DomainError otherwise.
+    Requires p to preserve the degree of a UniPoly f and f mod p to be
+    squarefree of degree >= 1 (for monic integral f: p does not divide
+    disc(f)); raises DomainError (degree drop, zero polynomial) or
+    NotSeparable (a repeated factor, a constant) otherwise.
     """
-    coeffs = reduce_unipoly(f, p)
-    if len(coeffs) - 1 != f.degree:
+    coeffs = _reduce(f, p)
+    if isinstance(f, UniPoly) and len(coeffs) - 1 != f.degree:
         raise DomainError(f"degree of f drops mod {p} (p divides the leading coefficient)")
-    F = PrimeField(p)
-    d = dense.deriv(F, coeffs)
-    if not d or len(dense.gcd(F, coeffs, d)) > 1:
+    blocks = degree_blocks(prime_field(p), coeffs)
+    if len(coeffs) < 2 or any(mult > 1 for _, _, mult in blocks):
         raise NotSeparable(f"f mod {p} is not squarefree")
     parts = []
-    for block, r in _ddf(F, dense.monic(F, coeffs)):
+    for block, r, _ in blocks:
         parts.extend([r] * ((len(block) - 1) // r))
     ct = CycleType(tuple(parts))
     return FrobeniusData(cycle_type=ct, order=ct.order)
@@ -491,11 +538,19 @@ def frobenius_data(f: UniPoly, p: int) -> FrobeniusData:
 
 def roots_mod_p(f: UniPoly | Sequence[int], p: int) -> list[int]:
     """Sorted distinct roots of f mod p in [0, p)."""
-    F = PrimeField(p)
-    coeffs = reduce_unipoly(f, p) if isinstance(f, UniPoly) else [c % p for c in f]
-    if not dense.trim(F, list(coeffs)):
+    coeffs = _reduce(f, p)
+    if not coeffs:
         raise DomainError("roots of the zero polynomial mod p")
-    return roots_over(F, coeffs)
+    return roots_over(prime_field(p), coeffs)
+
+
+def root_count(f: UniPoly | Sequence[int], p: int) -> int:
+    """The number of distinct roots of f mod p, deg gcd(x^p - x, f),
+    without computing them."""
+    coeffs = _reduce(f, p)
+    if not coeffs:
+        raise DomainError("roots of the zero polynomial mod p")
+    return len(_linear_part(prime_field(p), coeffs)) - 1
 
 
 def reduce_relative(
@@ -510,7 +565,7 @@ def reduce_relative(
     be p-integral.
     """
     p, a = place
-    F = PrimeField(p)
+    F = prime_field(p)
     if dense.evaluate(F, reduce_unipoly(m, p), a % p) != 0:
         raise DomainError(f"{a} is not a root of the locus mod {p}")
     out = [dense.evaluate(F, reduce_unipoly(c, p), a % p) for c in r]

@@ -56,7 +56,7 @@ from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import Rat, UniPoly, _sample_points, _valuation, factor_int, is_prime, resultant
-from .modp import PrimeField, factor_over, frobenius_data
+from .modp import factor_over, frobenius_data, prime_field
 from .padic import Zq, hensel_lift
 
 
@@ -242,7 +242,7 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     p, count = best
     if count == 1:
         return [list(g)]
-    facs = [f for f, _ in factor_over(PrimeField(p), [c % p for c in g])]
+    facs = [f for f, _ in factor_over(prime_field(p), [c % p for c in g])]
     # Landau-Mignotte: any monic factor has |coeff| <= 2^n * ||g||_2
     target = 2 * ((1 << n) * norm2) + 1
     k = 1

@@ -10,31 +10,41 @@ Method: work in truncated unramified extensions W = Z_p[x]/(Phi) mod p^N
 starts at the floor 2*v_p(disc)+1 of the monic integral model and doubles,
 for at most LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
 
-1. factor f mod p; a squarefree reduction certifies an unramified answer
-   immediately (Hensel);
-2. otherwise lift the block decomposition (one block per irreducible
-   psi^m) with the multifactor Hensel lift `hensel_lift`, which also
-   serves Zassenhaus factorization over Q (W = Zq(p, k, [0, 1]) = Z/p^k);
+1. split f mod p into degree blocks (`modp.degree_blocks`: squarefree
+   decomposition, then distinct-degree factorization).  The simple
+   factors of degree r are read off their block as (1, r), by Hensel's
+   lemma, and never split apart; a squarefree reduction certifies an
+   unramified answer immediately;
+2. otherwise split only the repeated blocks into irreducibles psi
+   (`modp.factor_over`) and lift the block decomposition (one block per
+   psi^m, one leaf for all simple factors) with the multifactor Hensel
+   lift `hensel_lift`, which also serves Zassenhaus factorization over Q
+   (W = Zq(p, k, [0, 1]) = Z/p^k);
 3. analyze each repeated block as a root cluster: Newton polygon of the
    shifted polynomial, residual polynomials over the residue field, with
-   (a) separable residual factors emitted as (e, deg) pairs,
+   (a) separable residual factors emitted as (e, deg) pairs, read off the
+       residual's degree blocks like the simple factors in step 1,
    (b) repeated residual factors on integer slopes handled by recentering
        (with an exclusion floor so already-emitted sides are not double
        counted),
    (c) one recentering step for both: a block psi^m is the cluster around
        a root of psi above floor 0, a repeated residual the cluster around
        the next digit above the side's slope.  A root of degree d >= 2
-       lives in the unramified W' of degree d; only its conjugate family
-       is analyzed there, and its residue degrees are multiplied by d
-       (the base change splits each factor into d conjugates with
+       lives in an unramified W' of degree d over W; only its conjugate
+       family is analyzed there, and its residue degrees are multiplied
+       by d (the base change splits each factor into d conjugates with
        identical invariants, exactly one of which reduces to that root).
+       From W = Z_p the root costs nothing: W' = Z_p[x]/(psi) mod p^N,
+       and its generator x is a root of psi.  From a larger W, W' is the
+       unramified extension of degree W.d * d over Z_p, W embeds into it,
+       and the root is searched for in its residue field (`roots_over`).
 
 Each emission rests on an explicit check, so a low N can make the oracle
 move up a rung but never answer wrongly:
 
-* Hensel split, (1, deg g) for a simple factor g of f mod p: f mod p is
-  exact at any N, the lifted blocks multiply back to f over W, and the
-  degrees `splitting` emits add up to deg f.
+* Hensel split, (1, r) for each simple factor of degree r of f mod p:
+  f mod p is exact at any N, the lifted blocks multiply back to f over W,
+  and the degrees `splitting` emits add up to deg f.
 * Hensel-zone root, (1, 1) when G(c) = 0 mod p^N at a cluster center c:
   2 v(G'(c)) < N, so by Hensel's lemma one root lies in W, above every
   other root of the cluster.
@@ -65,7 +75,15 @@ from .errors import (
     WildOrIrregular,
 )
 from .exact import Rat, UniPoly, _valuation, discriminant, is_prime
-from .modp import ExtField, PrimeField, factor_over, find_irreducible, mul_reduce, roots_over
+from .modp import (
+    ExtField,
+    degree_blocks,
+    factor_over,
+    find_irreducible,
+    mul_reduce,
+    prime_field,
+    roots_over,
+)
 
 __all__ = [
     "LocalSplittingType",
@@ -176,7 +194,7 @@ class Zq:
         if self.Phi[-1] != 1:
             raise DomainError("the modulus of an unramified extension must be monic")
         self.d = len(chi) - 1
-        self.res = PrimeField(p) if self.d == 1 else ExtField(p, list(chi))
+        self.res = prime_field(p) if self.d == 1 else ExtField(p, list(chi))
         self.zero = (0,) * self.d
         self.one = tuple([1] + [0] * (self.d - 1))
 
@@ -352,7 +370,7 @@ class _Analyzer:
     def __init__(self, p: int, N: int):
         self.p = p
         self.N = N
-        self.Fp = PrimeField(p)
+        self.Fp = prime_field(p)
         self._wcache: dict[int, Zq] = {}
 
     def base_ring(self) -> Zq:
@@ -368,11 +386,6 @@ class _Analyzer:
     def embed(self, W: Zq, Wbig: Zq):
         """Return a map W -> Wbig (send the generator to a Hensel-lifted
         root of W.Phi in Wbig)."""
-        if W.d == 1:
-            def emb1(a):
-                return Wbig.from_int(a[0])
-
-            return emb1
         # root of W's residue modulus chi inside Wbig's residue field
         F = Wbig.res
         chi_up = [F.from_int(c) for c in W.Phi]
@@ -404,18 +417,23 @@ class _Analyzer:
     # -- the recursion -------------------------------------------------------
     def splitting(self, W: Zq, f) -> list[tuple[int, int, int]]:
         """(e, f_rel, count) multiset for monic f over W, f separable over
-        Frac(W)."""
+        Frac(W).  A simple factor of f mod p of degree r is read off its
+        degree block as (1, r); only the repeated blocks are split into
+        their irreducible factors, each the center of a cluster."""
         F = W.res
         fbar = wp_reduce_res(W, f)
         if len(fbar) - 1 != len(f) - 1:
             raise PrecisionExhausted("leading coefficient vanished mod p")
-        fac = factor_over(F, fbar)
         out: list[tuple[int, int, int]] = []
-        simple = [g for g, m in fac if m == 1]
-        repeated = [(g, m) for g, m in fac if m > 1]
-        for g in simple:
-            out.append((1, len(g) - 1, 1))
+        simple, repeated = [], []
+        for block, r, mult in degree_blocks(F, fbar):
+            if mult == 1:
+                out.append((1, r, (len(block) - 1) // r))
+                simple.append(block)
+            else:
+                repeated.extend((g, mult) for g, _ in factor_over(F, block))
         if repeated:
+            repeated.sort(key=lambda t: (len(t[0]), t[0]))
             blocks = []
             for g, m in repeated:
                 blk = g
@@ -504,18 +522,21 @@ class _Analyzer:
         res = dense.trim(F, res)
         if len(res) - 1 != r or F.is_zero(res[0]):
             raise PrecisionExhausted("residual polynomial does not span its side")
+        blocks = degree_blocks(F, res)
+        if e > 1 and any(mu > 1 for _, _, mu in blocks):
+            raise WildOrIrregular(
+                "fractional slope with inseparable residual: outside the "
+                "certified scope of this oracle"
+            )
         out: list[tuple[int, int, int]] = []
-        for rho, mu in factor_over(F, res):
-            drho = len(rho) - 1
+        repeated = []
+        for block, deg, mu in blocks:
             if mu == 1:
-                out.append((e, drho, 1))
-                continue
-            if e > 1:
-                raise WildOrIrregular(
-                    "fractional slope with inseparable residual: outside the "
-                    "certified scope of this oracle"
-                )
-            # integer slope, repeated residual: recenter
+                out.append((e, deg, (len(block) - 1) // deg))
+            else:
+                repeated.extend(rho for rho, _ in factor_over(F, block))
+        # integer slope, repeated residual: recenter
+        for rho in sorted(repeated, key=lambda g: (len(g), g)):
             out.extend(self._recenter(W, f, center, rho, h, lam, depth + 1))
         return out
 
@@ -527,10 +548,20 @@ class _Analyzer:
         lives in the unramified extension of degree deg rho: the cluster is
         analyzed there, and residue degrees are multiplied by deg rho (the
         base change splits each factor into deg rho conjugates with
-        identical invariants, exactly one of which reduces to r)."""
+        identical invariants, exactly one of which reduces to r).
+
+        Over W = Z_p that extension is built as Z_p[x]/(rho) itself, whose
+        generator x is a root of rho: nothing is searched for.  Over a
+        larger W, r is a root of rho found in the residue field of the
+        unramified extension of degree W.d * deg rho."""
         drho = len(rho) - 1
         if drho == 1:
             root = W.lift_res(W.res.neg(rho[0]))
+        elif W.d == 1:
+            up = Zq(self.p, self.N, rho)
+            center = up.from_int(center[0])
+            f = [up.from_int(c[0]) for c in f]
+            W, root = up, up.lift_res(up.res.gen)
         else:
             Wbig = self.ring(W.d * drho)
             emb = self.embed(W, Wbig)

@@ -32,6 +32,7 @@ from .errors import (
     MeetingUniquenessError,
     NonUniform,
     NotFound,
+    NotSeparable,
     PrecisionExhausted,
     WildOrIrregular,
 )
@@ -45,7 +46,7 @@ from .exact import (
     _valuation,
     rat_to_str,
 )
-from .modp import factor_mod_p, reduce_relative
+from .modp import frobenius_data, reduce_relative
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
 
 
@@ -185,9 +186,11 @@ def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
     polynomial reduced there."""
     rel = branch.residue
     reduced = reduce_relative(list(rel.rel), rel.base, (p, residue))
-    fac = factor_mod_p(reduced.coeffs, p)
-    degs = {len(g.coeffs) - 1 for g, _ in fac}
-    if len(degs) != 1 or any(m != 1 for _, m in fac):
+    try:
+        degs = set(frobenius_data(reduced.coeffs, p).cycle_type.parts)
+    except NotSeparable:
+        degs = set()
+    if len(degs) != 1:
         raise NonUniform(
             f"branch residue data degenerates at p = {p}; "
             "the prime must be treated as bad"

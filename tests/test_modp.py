@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gsl.modp
 from gsl import dense
 from gsl.errors import DomainError, NotSeparable
 from gsl.exact import UniPoly
@@ -13,12 +14,15 @@ from gsl.modp import (
     ExtField,
     PrimeField,
     _is_irreducible,
+    degree_blocks,
     factor_mod_p,
     factor_over,
     find_irreducible,
     frobenius_data,
+    prime_field,
     reduce_relative,
     reduce_unipoly,
+    root_count,
     roots_mod_p,
     roots_over,
 )
@@ -109,6 +113,8 @@ def test_reduce_relative_quadratic_residue_field():
 def test_factor_rejects_zero():
     with pytest.raises(DomainError):
         factor_mod_p([0], 5)
+    with pytest.raises(DomainError):
+        degree_blocks(PrimeField(5), [0, 0])
 
 
 def test_ext_field_rejects_non_monic_modulus():
@@ -210,3 +216,103 @@ def test_splitting_results_do_not_depend_on_the_seed(monkeypatch, F):
         monkeypatch.setenv("GSL_SEED", seed)
         seen.add(repr((factor_over(F, f), roots_over(F, f))))
     assert len(seen) == 1
+
+
+# ---------------------------------------------------------------------------
+# F_p once per prime
+
+
+def test_prime_field_tests_each_prime_once(monkeypatch):
+    calls = []
+    real = gsl.modp.is_prime
+    monkeypatch.setattr(gsl.modp, "is_prime", lambda n: calls.append(n) or real(n))
+    prime_field.cache_clear()
+    f = upoly(-2, 0, 1)
+    for _ in range(3):
+        factor_mod_p(f, 10007)
+        roots_mod_p(f, 10007)
+        frobenius_data(f, 10007)
+        reduce_unipoly(f, 10007)
+    assert prime_field(10007) is prime_field(10007)
+    assert calls == [10007]
+    prime_field.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 9, 15, 561, 10007 * 10009])
+def test_prime_field_rejects_a_composite_modulus(n):
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(DomainError, match="not prime"):
+            prime_field(n)
+    with pytest.raises(DomainError, match="not prime"):
+        factor_mod_p([1, 0, 1], n)
+    with pytest.raises(DomainError, match="not prime"):
+        root_count(upoly(1, 0, 1), n)
+
+
+# ---------------------------------------------------------------------------
+# degree blocks: squarefree and distinct-degree factorization, no EDF
+
+
+def _count_roots_by_brute_force(p, k, f):
+    """Distinct roots of f (ints mod p) in F_{p^k}, by evaluation at every
+    element."""
+    F = ExtField(p, find_irreducible(PrimeField(p), k)) if k > 1 else PrimeField(p)
+    fk = [F.from_int(c) for c in f]
+    return sum(F.is_zero(dense.evaluate(F, fk, F.element_by_index(i)))
+               for i in range(p**k))
+
+
+@given(st.sampled_from([3, 5, 7]),
+       st.lists(st.tuples(st.lists(st.integers(0, 6), min_size=1, max_size=3),
+                          st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(1, 6))
+def test_degree_blocks_against_brute_force_root_counts(p, parts, lc):
+    F = PrimeField(p)
+    # a product of powers of small monic polynomials, with a unit in front
+    f = [lc % p or 1]
+    for cs, m in parts:
+        g = [c % p for c in cs] + [1]
+        for _ in range(m):
+            f = dense.mul(F, f, g)
+    blocks = degree_blocks(F, f)
+    # prod block^mult is monic(f); each block has degree a multiple of r
+    prod = [1]
+    for block, r, mult in blocks:
+        assert block[-1] == 1 and (len(block) - 1) % r == 0
+        for _ in range(mult):
+            prod = dense.mul(F, prod, block)
+    assert prod == dense.monic(F, f)
+    # a degree-r irreducible has r distinct roots in F_{p^k} when r | k
+    for k in (1, 2, 3):
+        want = sum((len(block) - 1) for block, r, _ in blocks if k % r == 0)
+        assert _count_roots_by_brute_force(p, k, f) == want
+    # and the blocks are the products of factor_over's irreducibles
+    grouped: dict = {}
+    for g, mult in factor_over(F, f):
+        key = (len(g) - 1, mult)
+        grouped[key] = dense.mul(F, grouped.get(key, [1]), g)
+    assert grouped == {(r, mult): block for block, r, mult in blocks}
+
+
+def test_frobenius_data_reads_reduced_coefficients():
+    # x^4 + 1 mod 3 = (x^2 + x + 2)(x^2 + 2x + 2): two quadratics
+    assert frobenius_data([1, 0, 0, 0, 1], 3).cycle_type.parts == (2, 2)
+    assert frobenius_data([4, 0, 0, 0, 7], 3).cycle_type.parts == (2, 2)
+    with pytest.raises(NotSeparable):
+        frobenius_data([1, 2, 1], 3)  # (x + 1)^2
+    with pytest.raises(NotSeparable):
+        frobenius_data([2], 3)  # a constant has no cycle type
+    with pytest.raises(DomainError):
+        frobenius_data([3, 6], 3)  # zero mod 3
+
+
+@given(st.sampled_from([3, 5, 7, 101]), st.lists(st.integers(-50, 50), min_size=1, max_size=7))
+def test_root_count_is_the_number_of_roots(p, cs):
+    f = upoly(*cs)
+    if not any(c % p for c in cs):
+        with pytest.raises(DomainError):
+            root_count(f, p)
+        return
+    assert root_count(f, p) == len(roots_mod_p(f, p))
+    assert root_count(cs, p) == sum(
+        dense.evaluate(PrimeField(p), [c % p for c in cs], a) == 0 for a in range(p))

@@ -1,5 +1,6 @@
 """The certified p-adic oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import gsl.padic
 from gsl import dense
+from gsl.covers import bundled_covers, conservative_bad_primes
 from gsl.errors import DomainError, NonUniform, NotSeparable, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
 from gsl.modp import frobenius_data, roots_over
@@ -21,6 +23,7 @@ from gsl.padic import (
     local_splitting_type,
     quadratic_local_class,
 )
+from gsl.specialize import specialize_poly
 
 
 def upoly(*coeffs):
@@ -204,6 +207,16 @@ def test_hensel_lift_of_a_block_ignores_how_the_rest_is_grouped():
 # (x^2 + 9)^2 + 3^7 at p = 3: at slope 1 the residual is (y^2 + 1)^2 mod 3,
 # a repeated quadratic, so the oracle recenters over F_9
 _UPSTAIRS = upoly(81 + 3**7, 0, 18, 0, 1)
+# g(x) g'(x) with g = ((x - i)^2 - 9(1 + i))^2 + 3^7 and g' its conjugate
+# (i -> -i), at p = 3: mod 3 it is (x^2 + 1)^4, so the oracle recenters from
+# Z_3 into Z_9 = Z_3[i] around i.  There, with y = x - i, g is
+# (y^2 - 9(1 + i))^2 + 3^7: at slope 1 the residual is (z^2 - (1 + i))^2,
+# and 1 + i (of order 8 in F_9^*) is not a square, so the residual is a
+# repeated irreducible quadratic over F_9 and the cluster moves to F_81.
+# Near y = 3 s, s^2 = 1 + i, the input is 81 (2 s w)^2 + 3^7 in y = 3(s + w),
+# so v(w) = 3/2: e = 2 over F_81, one factor (2, 4) over Q_3.
+_TWO_STOREYS = UniPoly([Fraction(c) for c in
+                        (4898836, -144432, -109472, -1152, 4992, 72, -32, 0, 1)])
 
 
 def test_embed_requires_a_root_of_the_residue_modulus(monkeypatch):
@@ -214,15 +227,23 @@ def test_embed_requires_a_root_of_the_residue_modulus(monkeypatch):
 
 
 def test_side_requires_a_root_upstairs(monkeypatch):
-    assert local_splitting_type(_UPSTAIRS, 3).factors == ((2, 2, 1),)
-    monkeypatch.setattr(gsl.padic, "roots_over", lambda F, f: [])
+    # _TWO_STOREYS recenters from Z_3 into Z_9 and then, at a side over F_9,
+    # on a repeated quadratic residual: the path that searches for a root
+    assert local_splitting_type(_TWO_STOREYS, 3).factors == ((2, 4, 1),)
+    real = gsl.padic.roots_over
+
+    def no_residual_root(F, f):
+        # the residue modulus x^2 + 1 of Z_9 keeps its roots in F_81
+        return real(F, f) if f == [F.from_int(c) for c in (1, 0, 1)] else []
+
+    monkeypatch.setattr(gsl.padic, "roots_over", no_residual_root)
     with pytest.raises(DomainError, match="residual factor has no root"):
-        local_splitting_type(_UPSTAIRS, 3)
+        local_splitting_type(_TWO_STOREYS, 3)
 
 
 def test_splitting_checks_degree_conservation(monkeypatch):
-    real = gsl.padic.factor_over
-    monkeypatch.setattr(gsl.padic, "factor_over", lambda F, f: real(F, f)[:-1])
+    real = gsl.padic.degree_blocks
+    monkeypatch.setattr(gsl.padic, "degree_blocks", lambda F, f: real(F, f)[:-1])
     with pytest.raises(PrecisionExhausted, match="degree bookkeeping mismatch"):
         local_splitting_type(upoly(-1, 0, 1), 5)
 
@@ -254,6 +275,7 @@ _REPEATED_UPSTAIRS = [
     (_X4P1 * _X4P1 + upoly(-7), 7, ((2, 2, 2),)),
     (_X4P1 * _X4P1 + upoly(-3 * 7**2), 7, ((1, 2, 4),)),
     (_UPSTAIRS, 3, ((2, 2, 1),)),
+    (_TWO_STOREYS, 3, ((2, 4, 1),)),
 ]
 
 
@@ -292,8 +314,49 @@ def test_splitting_does_not_reenter_itself(f, p, want, monkeypatch):
     assert calls == [1]
 
 
+# ((x^4 + 1)^2 - 7)(x^2 + 1)(x^3 - 2) at 7: the repeated blocks of
+# _X4P1 * _X4P1 + upoly(-7) next to simple factors of degree 2 and 3 mod 7
+# (-1 is not a square mod 7, 2 is not a cube)
+_MIXED = (_X4P1 * _X4P1 + upoly(-7)) * upoly(1, 0, 1) * upoly(-2, 0, 0, 1)
+
+
+@pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS[:-1] + [
+    (_MIXED, 7, ((1, 2, 1), (1, 3, 1), (2, 2, 2)))])
+def test_only_repeated_factors_are_split_and_no_root_is_searched(f, p, want, monkeypatch):
+    # equal-degree splitting runs only on blocks of repeated factors, and
+    # recentering from Z_p builds its extension from the residual factor
+    repeated, split, searched = [], [], []
+    real_blocks, real_edf = gsl.padic.degree_blocks, gsl.modp._edf
+
+    def blocks(F, g):
+        out = real_blocks(F, g)
+        repeated.extend(b for b, _, mult in out if mult > 1)
+        return out
+
+    monkeypatch.setattr(gsl.padic, "degree_blocks", blocks)
+    monkeypatch.setattr(gsl.modp, "_edf", lambda F, g, d: split.append(g) or real_edf(F, g, d))
+    for name in ("roots_over", "find_irreducible"):
+        monkeypatch.setattr(gsl.padic, name, lambda *a, name=name: searched.append(name))
+    monkeypatch.setattr(_Analyzer, "embed", lambda *a: searched.append("embed"))
+    assert local_splitting_type(f, p).factors == want
+    assert split and all(g in repeated for g in split)
+    assert searched == []
+
+
+def test_recentering_above_z_p_still_searches_for_roots(monkeypatch):
+    # the control for the test above: _TWO_STOREYS recenters a second time
+    # from Z_9, and there a root of the residual is searched for in F_81
+    searched = []
+    real = gsl.padic.roots_over
+    monkeypatch.setattr(gsl.padic, "roots_over",
+                        lambda F, f: searched.append(F.q) or real(F, f))
+    assert local_splitting_type(_TWO_STOREYS, 3).factors == ((2, 4, 1),)
+    assert searched == [81, 81]  # the residue modulus of Z_9, the residual
+
+
 def test_oracle_does_not_depend_on_the_seed(monkeypatch):
-    # each input makes the oracle split polynomials over F_{p^2}
+    # the x^4 + 1 inputs split a repeated block into two quadratics at random
+    # over F_7, and _TWO_STOREYS searches for roots at random over F_81
     inputs = [(f, p) for f, p, _ in _REPEATED_UPSTAIRS]
     seen = set()
     for seed in ["1", "12345", "0x7FFF", ""]:
@@ -338,6 +401,104 @@ def test_oracle_splitting_of_product_is_merged_splitting(g, h, p):
     for e, fr, cnt in a + b:
         merged[(e, fr)] = merged.get((e, fr), 0) + cnt
     assert c == tuple((e, fr, cnt) for (e, fr), cnt in sorted(merged.items()))
+
+
+# clustered inputs prod(x - (c + p^j d)) + p^k g, deg g < deg f
+clustered = st.tuples(
+    st.sampled_from([3, 5, 7]),
+    st.integers(-4, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), min_size=2, max_size=4),
+    st.integers(1, 6),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+)
+
+
+def _clustered_input(data):
+    p, c, roots, k, g = data
+    f = upoly(1)
+    for j, d in roots:
+        f = f * upoly(-(c + p**j * d), 1)
+    return p, f + upoly(*g[:f.degree]).scale(p**k)
+
+
+def _outcome(f, p):
+    """The oracle's answer, with a refusal as "refused"."""
+    try:
+        return local_splitting_type(f, p).factors
+    except WildOrIrregular:
+        return "refused"
+
+
+# inputs g^2 (x - a) + p^k h whose reduction has a repeated factor g of
+# degree 1 to 3, so that the oracle recenters (from Z_p into Z_{p^deg g})
+repeated_residual = st.tuples(
+    st.sampled_from([3, 5, 7]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.integers(-5, 5),
+    st.integers(1, 6),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+)
+
+
+def _repeated_residual_input(data):
+    p, g, a, k, h = data
+    g = upoly(*g, 1)
+    f = g * g * upoly(-a, 1)
+    return p, f + upoly(*h).scale(p**k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_residual, small_rat, st.integers(-9, 9), st.sampled_from([1, 2, 4, 8]))
+def test_oracle_invariant_under_reversal_translation_and_unit_scaling(data, c, un, ud):
+    # x^n f(1/x), f(Y + c) and f(uY) for a p-adic unit u have the same
+    # local fields as f
+    p, f = _repeated_residual_input(data)
+    assume(discriminant(f) != 0 and un % p and ud % p)
+    want = _outcome(f, p)
+    transformed = [f.compose(upoly(c, 1)), f.compose(UniPoly([Fraction(0), Fraction(un, ud)]))]
+    if f.coeffs[0] != 0:
+        transformed.append(UniPoly(list(reversed(f.coeffs))))
+    for g in transformed:
+        assert _outcome(g, p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(repeated_residual.map(_repeated_residual_input),
+                 clustered.map(_clustered_input)))
+def test_base_change_to_the_unramified_quadratic_extension(data):
+    # over Q_{p^2} a factor (e, f) of f over Q_p splits into gcd(f, 2)
+    # factors (e, f / gcd(f, 2)); the oracle run over W = Z_{p^2} recenters
+    # through the search for roots of residual factors, the run over Z_p
+    # through the extension each residual factor generates
+    p, f = data
+    assume(discriminant(f) != 0)
+    want = _outcome(f, p)
+    assume(want != "refused")
+    analyzer = _Analyzer(p, 8 * rational_valuation(discriminant(f), p) + 64)
+    W = analyzer.ring(2)
+    got = gsl.padic._merge(analyzer.splitting(W, [W.from_rat(a) for a in f.coeffs]))
+    assert got == gsl.padic._merge(
+        (e, fr // math.gcd(fr, 2), cnt * math.gcd(fr, 2)) for e, fr, cnt in want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(bundled_covers())), st.integers(-2, 2), st.integers(0, 3),
+       small_rat, st.sampled_from([5, 7, 11, 13, 17, 19, 23]))
+def test_specializations_of_bundled_covers_are_isotypic(covers, name, a, k, b, p):
+    # the specialization of a Galois cover off its branch locus is a
+    # Galois algebra: every local factor at a good prime has one (e, f);
+    # t0 = a + p^k b meets the branch points 0 and 1 at p when k >= 1
+    cover = covers[name]
+    t0 = a + p**k * b
+    assume(p not in conservative_bad_primes(cover))
+    assume(cover.analysis.disc_sf(t0) != 0)
+    f = specialize_poly(cover, t0)
+    assume(f.degree == cover.degree and discriminant(f) != 0)
+    try:
+        inv = galois_local_invariants(f, p)
+    except WildOrIrregular:
+        assume(False)
+    assert inv.e * inv.f * inv.g == cover.degree
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +568,10 @@ def test_exhausted_ladder_reports_precision_not_wildness(monkeypatch):
     assert rungs[-1] >= 2 * max(50, 2 * 3 + 10)
 
 
-# clustered inputs prod(x - (c + p^j d)) + p^k g, deg g < deg f
-clustered = st.tuples(
-    st.sampled_from([3, 5, 7]),
-    st.integers(-4, 4),
-    st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), min_size=2, max_size=4),
-    st.integers(1, 6),
-    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(clustered)
 def test_oracle_matches_a_run_far_above_the_floor(data):
-    p, c, roots, k, g = data
-    f = upoly(1)
-    for j, d in roots:
-        f = f * upoly(-(c + p**j * d), 1)
-    f = f + upoly(*g[:f.degree]).scale(p**k)
+    p, f = _clustered_input(data)
     disc = discriminant(f)
     assume(disc != 0)
     v = rational_valuation(disc, p)
