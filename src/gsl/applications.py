@@ -46,7 +46,7 @@ def find_frobenius_primes(cover: Cover, order: int, bound: int) -> list[int]:
             if M.degree < 1:
                 continue
             try:
-                f = math.lcm(f, frobenius_data(M, p).order)
+                f = math.lcm(f, *frobenius_data(M, p))
             except NotSeparable:
                 ok = False
                 break
@@ -291,7 +291,7 @@ def _is_obstruction_prime(
         rel = bp.residue
         for a in roots:
             reduced = reduce_relative(list(rel.rel), rel.base, (p, a))
-            if reduced.degree >= 1 and root_count(reduced.coeffs, p) != reduced.degree:
+            if len(reduced) >= 2 and root_count(reduced, p) != len(reduced) - 1:
                 return False
     return True
 
@@ -336,9 +336,11 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
                 transcripts.append(ObstructionTranscript(
                     prime=p, t0=t0, locus=bp.locus, splitting=st, ok=ok,
                 ))
-        # one non-meeting sample: expect unramified
-        t0 = Fraction(next(
-            t for t in range(1, 10 * p)
+        # one non-meeting sample: expect unramified.  None when every
+        # residue mod p is a root of a finite locus: then no p-integral t0
+        # avoids the loci, and p has no such control sample.
+        t0 = next((
+            Fraction(t) for t in range(1, 10 * p)
             if all(
                 bp.locus is None or (
                     bp.locus(Fraction(t)) != 0
@@ -346,7 +348,9 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
                 )
                 for bp in branches
             )
-        ))
+        ), None)
+        if t0 is None:
+            continue
         f_t0 = specialize_poly(cover, t0)
         st = local_splitting_type(f_t0, p)
         transcripts.append(ObstructionTranscript(

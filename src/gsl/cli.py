@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -148,8 +149,9 @@ def _cmd_verify(args) -> int:
     primes = _parse_primes(args.primes)
     t0s = [rat_to_str(_parse_rat(s)) for s in args.t0]
     tasks = [(cover, s, primes) for s in t0s]
-    if args.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
+        with multiprocessing.Pool(processes=jobs) as pool:
             reports = pool.map(_verify_worker, tasks)
     else:
         reports = [_verify_worker(t) for t in tasks]
@@ -347,7 +349,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--primes", default=None,
                    help="comma-separated primes to check (default: all meeting primes)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for multiple --t0 (output order is stable)")
+                   help="worker processes for multiple --t0, at most one per --t0 and "
+                        "per CPU (output order is stable)")
     summary_arg(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -659,10 +659,9 @@ def probabilistic_galois_check(
             [cover.poly.coeff(i)(t0) for i in range(cover.degree + 1)]
         )
         try:
-            fd = frobenius_data(f_t0, p)
+            degs = set(frobenius_data(f_t0, p))
         except (NotSeparable, DomainError):
             continue
-        degs = set(fd.cycle_type.parts)
         if len(degs) != 1:
             return False
         done += 1

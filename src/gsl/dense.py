@@ -13,6 +13,8 @@ The coefficient ring R is any object with
     R.from_int(n)            the image of an integer (derivatives only)
     R.inv(a)                 inverse of a unit (division by a divisor that
                              is not monic, monic normalization, ext_gcd)
+    R.p, R.pth_root(a)       the characteristic and the inverse of
+                             Frobenius (`squarefree` over F_q only)
 
 The element types live with the layers that own them: `modp.PrimeField`
 and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`,
@@ -26,9 +28,11 @@ Over a field, `gcd` is Euclid with every remainder made monic, the one gcd
 of the package (F_q, Q, number fields).  `interpolate` is Newton's divided
 differences, the one interpolation: `exact.disc_y` and the Trager norms of
 `nfield` evaluate at integer points and interpolate over Q.  `squarefree`
-is Yun's squarefree decomposition over any field of characteristic 0 (Q
-and number fields).  Newton-polygon sides, used by the p-adic oracle and
-by the Puiseux expansions, live here too.
+is Musser's squarefree decomposition, the one for every field: Q, number
+fields and F_q, where the part whose multiplicities p divides is a p-th
+power decomposed through its p-th root (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14).  Newton-polygon sides, used by the p-adic
+oracle and by the Puiseux expansions, live here too.
 """
 
 from __future__ import annotations
@@ -205,22 +209,32 @@ def ext_gcd(R, a, b):
 
 
 def squarefree(R, f):
-    """Yun's squarefree decomposition of a monic f over a field of
-    characteristic 0: [(a, i)] with f = prod a^i, each a monic, squarefree
-    and of degree >= 1, the a pairwise coprime, i ascending."""
+    """Musser's squarefree decomposition of a monic f over a field: [(a, i)]
+    with f = prod a^i, each a monic, squarefree and of degree >= 1, the a
+    pairwise coprime, i ascending.
+
+    c = gcd(f, f') holds each irreducible factor once less than f does,
+    except those whose multiplicity the characteristic divides, which it
+    holds whole; w = f / c holds each of the others once.  Step i splits
+    off those of multiplicity i.  In characteristic p what is left of c is
+    a p-th power, whose p-th root (R.p, R.pth_root) is decomposed the same
+    way with multiplicities times p."""
     out = []
-    df = deriv(R, f)
-    g = gcd(R, f, df)
-    b = quorem(R, f, g)[0]
-    d = sub(R, quorem(R, df, g)[0], deriv(R, b))
+    c = gcd(R, f, deriv(R, f))
+    w = quorem(R, f, c)[0]
     i = 1
-    while len(b) > 1:
-        a = gcd(R, b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b = quorem(R, b, a)[0]
-        d = sub(R, quorem(R, d, a)[0], deriv(R, b))
+    while len(w) > 1:
+        y = gcd(R, w, c)
+        z = quorem(R, w, y)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w = y
+        c = quorem(R, c, y)[0]
         i += 1
+    if len(c) > 1:
+        root = [R.pth_root(a) for a in c[:: R.p]]
+        out.extend((a, j * R.p) for a, j in squarefree(R, root))
+        out.sort(key=lambda t: t[1])
     return out
 
 

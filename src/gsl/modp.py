@@ -1,19 +1,21 @@
 """Finite fields and factorization over them.
 
-Polynomials over a finite field F are `dense` lists of F-elements (ints in
-[0, p) for F_p; the public face is `PolyModP`).  The same factorization
-machinery runs over extension fields F_{p^d} (elements: int tuples over a
-fixed irreducible modulus), which the p-adic oracle uses for its unramified
-lifts; extension fields are internal.  `prime_field(p)` builds F_p, and
-tests p for primality, once per prime.
+Polynomials over a finite field F are `dense` lists of F-elements: ints
+in [0, p) for F_p, and int tuples over a fixed irreducible modulus for the
+extension fields F_{p^d} that the p-adic oracle uses for its unramified
+lifts.  The functions over F_p that take a `UniPoly` or a sequence of ints
+return plain trimmed int lists.  `prime_field(p)` builds F_p, and tests p
+for primality, once per prime.
 
 Factorization runs in three steps (von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 14): squarefree decomposition, distinct-degree
-factorization (DDF) and equal-degree splitting (EDF).  The first two give
-`degree_blocks`: for each multiplicity m and degree r, the product of the
-irreducible factors of degree r and multiplicity m.  That is all a caller
-needs who reads only the degrees of the factors (a cycle type, the (e, f)
-of a simple factor in the p-adic oracle, a count of roots), so only
+Computer Algebra, ch. 14): squarefree decomposition (`dense.squarefree`,
+the one for every field), distinct-degree factorization (DDF) and
+equal-degree splitting (EDF).  The first two give `degree_blocks`: for
+each multiplicity m and degree r, the product of the irreducible factors
+of degree r and multiplicity m.  That answers every question about the
+degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple),
+the (e, f) of a simple factor in the p-adic oracle, irreducibility
+(`find_irreducible`) and the Zassenhaus prime's factor count.  Only
 `factor_over`, `roots_over` and their wrappers run EDF.
 
 Equal-degree splitting draws its candidates at random over every field,
@@ -28,7 +30,6 @@ import functools
 import math
 import os
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import dense
@@ -202,39 +203,6 @@ class ExtField:
 # factorization over F (squarefree / distinct-degree / equal-degree)
 
 
-def _sqf_decomp(F, f):
-    """[(g, mult)] with g squarefree monic, f = prod g^mult (f monic)."""
-    p = F.p
-    out = []
-
-    def rec(f, mult):
-        if len(f) <= 1:
-            return
-        df = dense.deriv(F, f)
-        if not df:
-            # f = h(x^p); take p-th root of coefficients
-            root = [F.pth_root(c) for c in f[::p]]
-            rec(root, mult * p)
-            return
-        g = dense.gcd(F, f, df)
-        w = dense.quorem(F, f, g)[0]  # product of factors with mult not
-        # divisible by p, each taken once... iterate classical Yun-ish:
-        i = 1
-        while len(w) > 1:
-            y = dense.gcd(F, w, g)
-            z = dense.quorem(F, w, y)[0]
-            if len(z) > 1:
-                out.append((dense.monic(F, z), i * mult))
-            w = y
-            g = dense.quorem(F, g, y)[0]
-            i += 1
-        if len(g) > 1:
-            rec(g, mult)
-
-    rec(dense.monic(F, f), 1)
-    return out
-
-
 def _ddf(F, f):
     """Distinct-degree factorization of a squarefree monic f:
     [(product-of-degree-r-factors, r)]."""
@@ -314,7 +282,7 @@ def degree_blocks(F, f) -> list[tuple[list, int, int]]:
         raise DomainError("factorization of the zero polynomial")
     return [
         (block, r, mult)
-        for g, mult in _sqf_decomp(F, f)
+        for g, mult in dense.squarefree(F, dense.monic(F, f))
         for block, r in _ddf(F, g)
     ]
 
@@ -358,7 +326,8 @@ def roots_over(F, f) -> list:
 
 def find_irreducible(F_p: PrimeField, degree: int) -> list[int]:
     """Deterministically find a monic irreducible of the given degree over
-    F_p (ascending enumeration)."""
+    F_p (ascending enumeration): the first candidate that is one degree
+    block of that degree."""
     p = F_p.p
     if degree == 1:
         return [0, 1]
@@ -370,116 +339,9 @@ def find_irreducible(F_p: PrimeField, degree: int) -> list[int]:
             coeffs.append(i % p)
             i //= p
         f = coeffs + [1]
-        if _is_irreducible(F_p, f):
+        if [(r, m) for _, r, m in degree_blocks(F_p, f)] == [(degree, 1)]:
             return f
     raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-def _is_irreducible(F, f) -> bool:
-    n = len(f) - 1
-    if n == 1:
-        return True
-    x = [F.zero, F.one]
-    h = dense.powmod(F, x, F.q**n, f)
-    if dense.sub(F, h, x):
-        return False
-    for r in {d for d in _prime_divisors(n)}:
-        h = dense.powmod(F, x, F.q ** (n // r), f)
-        if len(dense.gcd(F, dense.sub(F, h, x), f)) > 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# public face over F_p
-
-
-class PolyModP:
-    """Monic-or-not polynomial over F_p: coefficients ascending, ints in
-    [0, p)."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, coeffs: Sequence[int], p: int):
-        cs = dense.trim(prime_field(p), [c % p for c in coeffs])
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyModP is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyModP)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"PolyModP({list(self.coeffs)}, p={self.p})"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PolyModP":
-        return cls(data["coeffs"], data["p"])
-
-    def __call__(self, x: int) -> int:
-        return dense.evaluate(prime_field(self.p), self.coeffs, x % self.p)
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Sorted multiset of irreducible-factor degrees of a squarefree
-    polynomial mod p = the cycle type of Frobenius on its roots.
-    Parts sum to the polynomial's degree."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
-
-    @property
-    def order(self) -> int:
-        return math.lcm(*self.parts) if self.parts else 1
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
-
-
-@dataclass(frozen=True)
-class FrobeniusData:
-    cycle_type: CycleType
-    order: int
-
-    def to_json(self) -> dict:
-        return {"cycle_type": self.cycle_type.to_json(), "order": self.order}
 
 
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
@@ -503,20 +365,21 @@ def _reduce(f: UniPoly | Sequence[int], p: int) -> list[int]:
     return dense.trim(prime_field(p), [c % p for c in f])
 
 
-def factor_mod_p(f: UniPoly | Sequence[int], p: int) -> list[tuple[PolyModP, int]]:
+def factor_mod_p(f: UniPoly | Sequence[int], p: int) -> list[tuple[list[int], int]]:
     """Full factorization of f mod p (p = 2 allowed): list of
-    (monic irreducible PolyModP, multiplicity), sorted by degree then
+    (monic irreducible int list, multiplicity), sorted by degree then
     lexicographic coefficient order.  Errors on the zero polynomial and on
     composite p."""
     coeffs = _reduce(f, p)
     if not coeffs:
         raise DomainError("factorization of the zero polynomial mod p")
-    return [(PolyModP(g, p), m) for g, m in factor_over(prime_field(p), coeffs)]
+    return factor_over(prime_field(p), coeffs)
 
 
-def frobenius_data(f: UniPoly | Sequence[int], p: int) -> FrobeniusData:
-    """Cycle type and order of Frobenius at p acting on the roots of f,
-    read off `degree_blocks` (no equal-degree splitting).
+def frobenius_data(f: UniPoly | Sequence[int], p: int) -> tuple[int, ...]:
+    """The cycle type of Frobenius at p acting on the roots of f: the
+    sorted degrees of the irreducible factors of f mod p, read off
+    `degree_blocks` (no equal-degree splitting).  Its order is their lcm.
 
     Requires p to preserve the degree of a UniPoly f and f mod p to be
     squarefree of degree >= 1 (for monic integral f: p does not divide
@@ -532,8 +395,7 @@ def frobenius_data(f: UniPoly | Sequence[int], p: int) -> FrobeniusData:
     parts = []
     for block, r, _ in blocks:
         parts.extend([r] * ((len(block) - 1) // r))
-    ct = CycleType(tuple(parts))
-    return FrobeniusData(cycle_type=ct, order=ct.order)
+    return tuple(sorted(parts))
 
 
 def roots_mod_p(f: UniPoly | Sequence[int], p: int) -> list[int]:
@@ -555,19 +417,18 @@ def root_count(f: UniPoly | Sequence[int], p: int) -> int:
 
 def reduce_relative(
     r: Sequence[UniPoly], m: UniPoly, place: tuple[int, int]
-) -> PolyModP:
+) -> list[int]:
     """Reduce a polynomial r(Z) with coefficients in Q[t]/(m) at the
     degree-one place (p, a), where a is a root of m mod p: substitute
     t -> a and reduce mod p.
 
     r is given as its coefficient sequence (each a UniPoly in t, ascending
-    Z-degree).  Errors when m(a) is not 0 mod p or a coefficient fails to
+    Z-degree); the result is a trimmed int list.  Errors when m(a) is not 0 mod p or a coefficient fails to
     be p-integral.
     """
     p, a = place
     F = prime_field(p)
     if dense.evaluate(F, reduce_unipoly(m, p), a % p) != 0:
         raise DomainError(f"{a} is not a root of the locus mod {p}")
-    out = [dense.evaluate(F, reduce_unipoly(c, p), a % p) for c in r]
-    return PolyModP(out, p)
+    return dense.trim(F, [dense.evaluate(F, reduce_unipoly(c, p), a % p) for c in r])
 

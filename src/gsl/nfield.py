@@ -8,24 +8,23 @@ randomness.  The pieces:
     coefficient tuples of Fraction, inverses by `dense.ext_gcd` over
     `dense.RATIONALS`.  Polynomials over a number field are `dense` lists
     of elements; their gcds are `dense.gcd`, Euclid with monic remainders.
-  * One squarefree decomposition, `dense.squarefree` (Yun), serves both
+  * One squarefree decomposition, `dense.squarefree`, serves both
     factorizations below, over Q and over K.
-  * factor_rational -- complete factorization in Q[x]: Yun squarefree
+  * factor_rational -- complete factorization in Q[x]: squarefree
     split, then Zassenhaus per squarefree part.  Each part is first
     rescaled to a monic integer polynomial by the least integer D that
     makes it integral (D^n g(x/D); D is built prime by prime from the
     denominators, not as their lcm), which keeps coefficients, the
     Landau-Mignotte bound and the Hensel precision small.  The Zassenhaus
     prime is the first of four squarefree candidates with the fewest
-    factors mod p, ranked by the cycle type (`modp.frobenius_data`,
-    distinct-degree factorization only); only that prime is fully
-    factored, its factors are lifted by the p-adic oracle's Hensel lift
-    over Z/p^k past the Landau-Mignotte bound, and subsets are recombined
-    over Z.
+    factors mod p, counted from `modp.degree_blocks` (distinct-degree
+    factorization only); only that prime is fully factored, its factors
+    are lifted by the p-adic oracle's Hensel lift over Z/p^k past the
+    Landau-Mignotte bound, and subsets are recombined over Z.
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
-  * factor_nf -- factorization in K[y]: Yun squarefree split, then
+  * factor_nf -- factorization in K[y]: squarefree split, then
     Trager's norm method on each squarefree part.  The norm polynomial
     is computed at integer points, each value a resultant computed over Z,
     and recovered by Newton interpolation (`dense.interpolate`);
@@ -56,7 +55,7 @@ from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import Rat, UniPoly, _sample_points, _valuation, factor_int, is_prime, resultant
-from .modp import factor_over, frobenius_data, prime_field
+from .modp import degree_blocks, factor_over, prime_field
 from .padic import Zq, hensel_lift
 
 
@@ -179,7 +178,7 @@ def nf_poly_key(K, f):
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q: Yun + Zassenhaus
+# factorization over Q: squarefree + Zassenhaus
 
 
 def _to_int_monic(g: UniPoly) -> tuple[int, list[int]]:
@@ -213,27 +212,26 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
         return [list(g)]
     # The prime: among the first four that keep g squarefree, the first
     # with the fewest factors mod p (stop early at one).  The factor count
-    # is read off the cycle type, which needs distinct-degree factorization
-    # only; the full factorization runs at the chosen prime alone.  The
-    # primes where g mod p is not squarefree divide disc g, so once their
-    # product passes the Hadamard bound ||g||^(n-1) (n ||g||)^n of that
-    # determinant, disc g = 0.
+    # is read off the degree blocks, which need distinct-degree
+    # factorization only; the full factorization runs at the chosen prime
+    # alone.  The primes where g mod p is not squarefree divide disc g, so
+    # once their product passes the Hadamard bound ||g||^(n-1) (n ||g||)^n
+    # of that determinant, disc g = 0.
     norm2 = math.isqrt(sum(c * c for c in g)) + 1
     disc_bound = norm2 ** (n - 1) * (n * norm2) ** n
-    gq = UniPoly(g)
     best: tuple[int, int] | None = None
     tried, skipped, p = 0, 1, 2
     while tried < 4:
         p += 1
         while not is_prime(p):
             p += 1
-        try:
-            count = len(frobenius_data(gq, p).cycle_type.parts)
-        except NotSeparable:
+        blocks = degree_blocks(prime_field(p), [c % p for c in g])
+        if any(mult > 1 for _, _, mult in blocks):
             skipped *= p
             if skipped > disc_bound:
-                raise NotSeparable("Zassenhaus needs a squarefree polynomial") from None
+                raise NotSeparable("Zassenhaus needs a squarefree polynomial")
             continue
+        count = sum((len(block) - 1) // r for block, r, _ in blocks)
         tried += 1
         if best is None or count < best[1]:
             best = (p, count)
@@ -408,11 +406,6 @@ def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
     if sum((len(g) - 1) * m for g, m in out) != len(fm) - 1:
         raise DomainError("factor degrees do not add up to the degree of f")
     return out
-
-
-def nf_roots(K: NumberField, f: list) -> list:
-    """Roots of f in K (each root once), deterministically ordered."""
-    return [K.neg(g[0]) for g, _ in factor_nf(K, f) if len(g) == 2]
 
 
 # ---------------------------------------------------------------------------

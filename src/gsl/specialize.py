@@ -187,7 +187,7 @@ def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
     rel = branch.residue
     reduced = reduce_relative(list(rel.rel), rel.base, (p, residue))
     try:
-        degs = set(frobenius_data(reduced.coeffs, p).cycle_type.parts)
+        degs = set(frobenius_data(reduced, p))
     except NotSeparable:
         degs = set()
     if len(degs) != 1:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from gsl.applications import (
     HYPOTHESIS_NOT_MET,
@@ -15,6 +16,7 @@ from gsl.applications import (
     grunwald_obstruction,
     parametric_obstruction_report,
 )
+from gsl.covers import load_cover
 from gsl.errors import DomainError, NotFound
 from gsl.exact import UniPoly
 
@@ -119,6 +121,25 @@ def test_grunwald_obstruction_v4(covers):
     # every transcript line is locally small: e = 1 or e*f divides 2
     for t in cert.transcripts:
         assert t.ok
+
+
+def test_grunwald_obstruction_without_a_control_sample():
+    # Y^2 = T(T-1)(T-2): every residue mod 3 is a root of a finite locus, so
+    # no 3-integral t0 avoids the loci and 3 has no unramified control sample
+    cover = load_cover({"name": "c2_cubic", "group_order": 2,
+                        "P": [["0", "-2", "3", "-1"], [], ["1"]],
+                        "assert_regular_galois": True})
+    cert = grunwald_obstruction(cover, 2, 3)
+    # 3 is the only odd prime <= 3, 3 = 1 mod 2, and T, T-1, T-2 split mod 3
+    assert cert.primes == (3,) and cert.all_ok
+    # one sample per branch point, none more: t0 = a + 3k meets T - a with
+    # multiplicity one first at k = 1, and t0 = 1/3 meets infinity
+    assert sorted(t.t0 for t in cert.transcripts) == [Fraction(1, 3), 3, 4, 5]
+    for t in cert.transcripts:
+        value = t.t0 * (t.t0 - 1) * (t.t0 - 2)
+        v3 = sp.multiplicity(3, value.numerator) - sp.multiplicity(3, value.denominator)
+        # Y^2 - value is ramified over Q_3 exactly when v_3(value) is odd
+        assert v3 % 2 == 1 and t.splitting.factors == ((2, 1, 1),)
 
 
 def test_grunwald_non_vacuity(covers):

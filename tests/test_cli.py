@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gsl.cli
 import gsl.covers
 from gsl.cli import main
 
@@ -50,6 +51,35 @@ def test_verify_multiple_t0_order_stable(capsys):
     assert code1 == code2 == 0
     assert doc1 == doc2
     assert [r["t0"] for r in doc1["reports"]] == ["21", "7", "-3/7"]
+
+
+@pytest.mark.parametrize("cpus, want", [(64, 3), (2, 2), (None, None)])
+def test_verify_jobs_pool_is_capped(capsys, monkeypatch, cpus, want):
+    """--jobs 16 on three points starts min(16, 3, CPUs) workers, none when
+    that is 1 (os.cpu_count() may return None: one CPU), with the same
+    output as --jobs 1.  The fake pool maps in-process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(gsl.cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(gsl.cli.os, "cpu_count", lambda: cpus)
+    t0s = ["--t0", "21", "--t0", "7", "--t0=-3/7"]
+    code1, doc1, _ = run(capsys, "verify", V4, *t0s)
+    code16, doc16, _ = run(capsys, "verify", V4, *t0s, "--jobs", "16")
+    assert sizes == ([] if want is None else [want])
+    assert code1 == code16 == 0 and doc1 == doc16
 
 
 def test_verify_batch_analyses_the_cover_once(capsys, monkeypatch):

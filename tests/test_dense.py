@@ -1,18 +1,19 @@
 """The dense-polynomial kernel: ring identities checked over F_p and Q,
-differential checks against sympy over Z, Q and number fields, and the
-typed errors of its checks."""
+differential checks against sympy over Z, Q, number fields and F_p, and
+the typed errors of its checks."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsl import dense
 from gsl.errors import DomainError
 from gsl.exact import UniPoly
-from gsl.modp import PrimeField
+from gsl.modp import ExtField, PrimeField
 from gsl.nfield import NumberField
 
 F7 = PrimeField(7)
@@ -82,35 +83,74 @@ def test_shift_and_evaluate_over_q(R, coeffs, c, x):
 
 
 _small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+F9 = ExtField(3, [1, 0, 1])  # F_3[i], i^2 = -1
+# Q, Q(i), Q(sqrt 2), F_3, F_5 (checked against sympy) and F_9 (checked by
+# its defining properties)
+_SQF_FIELDS = [None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2)), 3, 5, F9]
 
 
-@settings(max_examples=15)
+@settings(max_examples=30)
+@example(3, [([(1, 0)], 3)])  # (y + 1)^3 over F_3: a pure p-th power
 @given(
-    st.sampled_from([None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2))]),
-    st.lists(st.tuples(st.lists(_small, min_size=1, max_size=2), st.integers(1, 3)),
+    st.sampled_from(_SQF_FIELDS),
+    st.lists(st.tuples(st.lists(_small, min_size=1, max_size=2), st.integers(1, 10)),
              min_size=1, max_size=3),
 )
 def test_squarefree_matches_sympy(field, factors):
-    """Yun over Q, Q(i) and Q(sqrt 2) against sympy's sqf_list: the parts
-    of a product of powers of small monic factors."""
+    """Musser over Q, Q(i), Q(sqrt 2), F_3 and F_5 against sympy's sqf_list:
+    the parts of a product of powers of small monic factors.  Over F_q the
+    multiplicities reach 2p, so the p-th-root branch runs; over Q and the
+    number fields they stop at 3, which keeps sympy fast.  Over F_9 the parts
+    must multiply back to f and be monic, squarefree and pairwise coprime,
+    which determines them."""
     y = sp.Symbol("y")
-    R, gen = (dense.RATIONALS, sp.Integer(0)) if field is None else (NumberField(field[0]), field[1])
+    if field is None:
+        R, gen, top = dense.RATIONALS, sp.Integer(0), 3
+    elif isinstance(field, int):
+        R, gen, top = PrimeField(field), sp.Integer(0), 2 * field
+    elif field is F9:
+        R, gen, top = F9, None, 6
+    else:
+        R, gen, top = NumberField(field[0]), field[1], 3
+
+    def elem(a, b):  # a + b * gen in R
+        if R is F9:
+            return (a % 3, b % 3)
+        return (Fraction(a), Fraction(b)) if isinstance(R, NumberField) else R.from_int(a)
+
     f, expr = [R.one], sp.Integer(1)
     for fac, e in factors:
-        g = [Fraction(a) if field is None else (Fraction(a), Fraction(b)) for a, b in fac]
+        e = min(e, top)
+        g = [elem(a, b) for a, b in fac] + [R.one]
         for _ in range(e):
-            f = dense.mul(R, f, g + [R.one])
-        expr *= (sum((a + b * gen) * y**i for i, (a, b) in enumerate(fac)) + y ** len(fac)) ** e
+            f = dense.mul(R, f, g)
+        if gen is not None:
+            expr *= (sum((a + b * gen) * y**i for i, (a, b) in enumerate(fac)) + y ** len(fac)) ** e
     ours = dense.squarefree(R, f)
     mults = [i for _, i in ours]
     assert mults == sorted(set(mults))
-    kwargs = {} if field is None else {"extension": gen}
-    _, parts = sp.sqf_list(sp.expand(expr), y, **kwargs)
+    if field is F9:
+        prod = [R.one]
+        for a, i in ours:
+            assert a[-1] == R.one and dense.gcd(R, a, dense.deriv(R, a)) == [R.one]
+            for _ in range(i):
+                prod = dense.mul(R, prod, a)
+        assert prod == f
+        for (a, _), (b, _) in itertools.combinations(ours, 2):
+            assert dense.gcd(R, a, b) == [R.one]
+        return
+    if isinstance(field, int):
+        _, parts = sp.Poly(expr, y, modulus=field).sqf_list()
+    else:
+        kwargs = {} if field is None else {"extension": gen}
+        _, parts = sp.sqf_list(sp.expand(expr), y, **kwargs)
     want = []
     for part, i in parts:
         row = []
         for c in sp.Poly(part, y).monic().all_coeffs()[::-1]:
-            if field is None:
+            if isinstance(field, int):
+                row.append(int(c) % field)
+            elif field is None:
                 row.append(Fraction(str(c)))
             else:
                 ab = sp.Poly(sp.expand(c), gen).all_coeffs()[::-1] + [0]
