@@ -218,9 +218,12 @@ def squarefree(R, f):
     holds whole; w = f / c holds each of the others once.  Step i splits
     off those of multiplicity i.  In characteristic p what is left of c is
     a p-th power, whose p-th root (R.p, R.pth_root) is decomposed the same
-    way with multiplicities times p."""
-    out = []
+    way with multiplicities times p.  A unit c answers at once: f is
+    squarefree (or constant, with no parts)."""
     c = gcd(R, f, deriv(R, f))
+    if len(c) == 1:
+        return [(f, 1)] if len(f) > 1 else []
+    out = []
     w = quorem(R, f, c)[0]
     i = 1
     while len(w) > 1:

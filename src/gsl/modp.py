@@ -276,10 +276,13 @@ def degree_blocks(F, f) -> list[tuple[list, int, int]]:
     factorization.  A block is the product of the monic irreducible factors
     of f that have degree r and multiplicity mult, so there are
     deg(block) / r of them and prod block^mult = monic(f).  The factors
-    themselves are not split apart (no EDF)."""
+    themselves are not split apart (no EDF).  A linear f is its own
+    block."""
     f = dense.trim(F, list(f))
     if not f:
         raise DomainError("factorization of the zero polynomial")
+    if len(f) == 2:
+        return [(dense.monic(F, f), 1, 1)]
     return [
         (block, r, mult)
         for g, mult in dense.squarefree(F, dense.monic(F, f))

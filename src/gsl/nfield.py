@@ -19,8 +19,8 @@ randomness.  The pieces:
     prime is the first of four squarefree candidates with the fewest
     factors mod p, counted from `modp.degree_blocks` (distinct-degree
     factorization only); only that prime is fully factored, its factors
-    are lifted by the p-adic oracle's Hensel lift over Z/p^k past the
-    Landau-Mignotte bound, and subsets are recombined over Z.
+    are lifted by the multifactor Hensel lift `padic.hensel_lift` over
+    Z/p^k past the Landau-Mignotte bound, and subsets are recombined over Z.
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.

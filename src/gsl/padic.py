@@ -16,12 +16,14 @@ for at most LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
    lemma, and never split apart; a squarefree reduction certifies an
    unramified answer immediately;
 2. otherwise split only the repeated blocks into irreducibles psi
-   (`modp.factor_over`) and lift the block decomposition (one block per
-   psi^m, one leaf for all simple factors) with the multifactor Hensel
-   lift `hensel_lift`, which also serves Zassenhaus factorization over Q
-   (W = Zq(p, k, [0, 1]) = Z/p^k);
-3. analyze each repeated block as a root cluster: Newton polygon of the
-   shifted polynomial, residual polynomials over the residue field, with
+   (`modp.factor_over`); nothing is lifted.  The factors of f whose roots
+   do not reduce to a root c of psi are units at c, so the Newton polygon
+   of the whole f(x + c) is that of the psi^m part followed by a slope-0
+   side, and on every side of positive slope the two residual
+   polynomials differ by a unit factor;
+3. analyze each psi^m as the root cluster of the whole f around a root
+   of psi above floor 0: Newton polygon of the shifted polynomial,
+   residual polynomials over the residue field, with
    (a) separable residual factors emitted as (e, deg) pairs, read off the
        residual's degree blocks like the simple factors in step 1,
    (b) repeated residual factors on integer slopes handled by recentering
@@ -42,9 +44,9 @@ for at most LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
 Each emission rests on an explicit check, so a low N can make the oracle
 move up a rung but never answer wrongly:
 
-* Hensel split, (1, r) for each simple factor of degree r of f mod p:
-  f mod p is exact at any N, the lifted blocks multiply back to f over W,
-  and the degrees `splitting` emits add up to deg f.
+* Simple factors, (1, r) for each simple factor of degree r of f mod p:
+  f mod p is exact at any N, each cluster psi^m is read on f itself,
+  exact mod p^N, and the degrees `splitting` emits add up to deg f.
 * Hensel-zone root, (1, 1) when G(c) = 0 mod p^N at a cluster center c:
   2 v(G'(c)) < N, so by Hensel's lemma one root lies in W, above every
   other root of the cluster.
@@ -303,7 +305,8 @@ def wp_reduce_res(W, f):
 
 def hensel_lift(W: Zq, f, factors):
     """Monic lifts over W = Zq(p, N, chi) of a factorization of the monic f
-    mod p into monic, pairwise coprime factors over W.res, in input order.
+    mod p into monic, pairwise coprime factors over W.res, in input order;
+    Zassenhaus factorization over Q (`nfield`) lifts over W = Z/p^k.
 
     A factor tree (von zur Gathen & Gerhard, Modern Computer Algebra,
     ch. 15): split the factors into two halves, lift that pair with
@@ -419,36 +422,22 @@ class _Analyzer:
         """(e, f_rel, count) multiset for monic f over W, f separable over
         Frac(W).  A simple factor of f mod p of degree r is read off its
         degree block as (1, r); only the repeated blocks are split into
-        their irreducible factors, each the center of a cluster."""
+        their irreducible factors g, and each g^m is read as the cluster of
+        the whole f around a root of g above floor 0 (step 2 of the module
+        docstring says why nothing needs lifting first)."""
         F = W.res
         fbar = wp_reduce_res(W, f)
         if len(fbar) - 1 != len(f) - 1:
             raise PrecisionExhausted("leading coefficient vanished mod p")
         out: list[tuple[int, int, int]] = []
-        simple, repeated = [], []
+        repeated = []
         for block, r, mult in degree_blocks(F, fbar):
             if mult == 1:
                 out.append((1, r, (len(block) - 1) // r))
-                simple.append(block)
             else:
-                repeated.extend((g, mult) for g, _ in factor_over(F, block))
-        if repeated:
-            repeated.sort(key=lambda t: (len(t[0]), t[0]))
-            blocks = []
-            for g, m in repeated:
-                blk = g
-                for _ in range(m - 1):
-                    blk = dense.mul(F, blk, g)
-                blocks.append(blk)
-            if simple:
-                # one leaf for the simple factors: their lifts are never read
-                rest = simple[0]
-                for g in simple[1:]:
-                    rest = dense.mul(F, rest, g)
-                blocks.append(rest)
-            lifted = hensel_lift(W, f, blocks)
-            for (g, _), Fj in zip(repeated, lifted):
-                out.extend(self._recenter(W, Fj, W.zero, g, 0, Fraction(0), 0))
+                repeated.extend(g for g, _ in factor_over(F, block))
+        for g in sorted(repeated, key=lambda g: (len(g), g)):
+            out.extend(self._recenter(W, f, W.zero, g, 0, Fraction(0), 0))
         emitted = sum(e * fr * c for e, fr, c in out)
         if emitted != len(f) - 1:
             raise PrecisionExhausted(

@@ -74,16 +74,10 @@ class MeetingDatum:
         }
 
 
-def intersection_multiplicity(branch: BranchPoint, t0: Rat, p: int) -> int:
-    """The intersection multiplicity of the section t = t0 with the branch
-    locus of `branch` above the prime p (0 when they do not meet)."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return _multiplicity(branch, Fraction(t0), p)
-
-
 def _multiplicity(branch: BranchPoint, t0: Fraction, p: int) -> int:
-    """`intersection_multiplicity` for a prime p its caller has tested."""
+    """The intersection multiplicity of the section t = t0 with the branch
+    locus of `branch` above the prime p (0 when they do not meet), for a
+    prime p its caller has tested."""
     if branch.locus is None:
         v = _valuation(t0, p) if t0 != 0 else 0
         return max(0, -v)

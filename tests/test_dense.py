@@ -89,6 +89,12 @@ F9 = ExtField(3, [1, 0, 1])  # F_3[i], i^2 = -1
 _SQF_FIELDS = [None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2)), 3, 5, F9]
 
 
+@pytest.mark.parametrize("R", [dense.RATIONALS, PrimeField(5), F9, NumberField(UniPoly([1, 0, 1]))],
+                         ids=["Q", "F5", "F9", "Q(i)"])
+def test_squarefree_of_a_constant_has_no_parts(R):
+    assert dense.squarefree(R, [R.one]) == []
+
+
 @settings(max_examples=30)
 @example(3, [([(1, 0)], 3)])  # (y + 1)^3 over F_3: a pure p-th power
 @given(

@@ -308,6 +308,18 @@ def test_degree_blocks_against_brute_force_root_counts(p, parts, lc):
     assert grouped == {(r, mult): block for block, r, mult in blocks}
 
 
+@pytest.mark.parametrize("F, f", [
+    (PrimeField(7), [3, 2]),
+    (PrimeField(7), [0, 5, 0]),  # 5x, with a vanished leading coefficient
+    (ExtField(3, [1, 0, 1]), [(0, 1), (1, 1)]),  # (1 + i) x + i over F_9
+])
+def test_degree_blocks_of_a_linear_input_skip_the_squarefree_pass(F, f, monkeypatch):
+    monic = dense.monic(F, dense.trim(F, list(f)))
+    monkeypatch.setattr(dense, "squarefree",
+                        lambda *a: pytest.fail("squarefree pass on a linear input"))
+    assert degree_blocks(F, f) == [(monic, 1, 1)]
+
+
 def test_frobenius_data_reads_reduced_coefficients():
     # x^4 + 1 mod 3 = (x^2 + x + 2)(x^2 + 2x + 2): two quadratics
     assert frobenius_data([1, 0, 0, 0, 1], 3) == (2, 2)

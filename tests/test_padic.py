@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gsl.padic
@@ -13,7 +13,7 @@ from gsl import dense
 from gsl.covers import bundled_covers, conservative_bad_primes
 from gsl.errors import DomainError, NonUniform, NotSeparable, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
-from gsl.modp import frobenius_data, roots_over
+from gsl.modp import degree_blocks, factor_over, frobenius_data, prime_field, roots_over
 from gsl.padic import (
     PadicPrecisionCtx,
     Zq,
@@ -604,3 +604,83 @@ def test_discriminant_computed_once_per_polynomial(monkeypatch):
 def test_precision_context_rejects_a_composite_modulus():
     with pytest.raises(DomainError):
         PadicPrecisionCtx.for_input(upoly(-2, 0, 1), 9)
+
+
+# ---------------------------------------------------------------------------
+# each cluster is read on the whole f: no Hensel lift
+
+
+def _splitting_through_lifted_blocks(analyzer, W, f):
+    """`_Analyzer.splitting` with the clusters read on lifted blocks: the
+    block factorization of f mod p (one block per g^m, one for all simple
+    factors) is Hensel-lifted over W and each g^m cluster is read on its
+    own lift."""
+    F = W.res
+    out, simple, repeated = [], [], []
+    for block, r, mult in degree_blocks(F, gsl.padic.wp_reduce_res(W, f)):
+        if mult == 1:
+            out.append((1, r, (len(block) - 1) // r))
+            simple.append(block)
+        else:
+            repeated.extend((g, mult) for g, _ in factor_over(F, block))
+    repeated.sort(key=lambda t: (len(t[0]), t[0]))
+    blocks = []
+    for g, m in repeated:
+        blocks.append([F.one])
+        for _ in range(m):
+            blocks[-1] = dense.mul(F, blocks[-1], g)
+    if simple:
+        rest = [F.one]
+        for g in simple:
+            rest = dense.mul(F, rest, g)
+        blocks.append(rest)
+    for (g, _), lifted in zip(repeated, hensel_lift(W, f, blocks)):
+        out.extend(analyzer._recenter(W, lifted, W.zero, g, 0, Fraction(0), 0))
+    if sum(e * fr * c for e, fr, c in out) != len(f) - 1:
+        raise PrecisionExhausted("degree bookkeeping mismatch")
+    return out
+
+
+def _ladder(split, f, p):
+    """What `split` gives at each rung of the oracle's ladder for f at p,
+    up to the first answer or refusal (a failed rung as its error's name)."""
+    g, ctx = gsl.padic._prepare(f.monic(), p)
+    out = []
+    for k in range(gsl.padic.LADDER_RUNGS):
+        analyzer = _Analyzer(p, ctx.precision << k)
+        W = analyzer.base_ring()
+        try:
+            out.append(split(analyzer, W, [W.from_rat(c) for c in g.coeffs]))
+            break
+        except PrecisionExhausted:
+            out.append("PrecisionExhausted")
+        except WildOrIrregular:
+            out.append("WildOrIrregular")
+            break
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@example((3, _REPEATED_UPSTAIRS[0][0]))  # (x^2 + 1)^2 - 3: a quadratic block
+@example((7, _MIXED))  # two quadratic blocks next to simple factors
+@given(st.one_of(repeated_residual.map(_repeated_residual_input),
+                 clustered.map(_clustered_input)))
+def test_clusters_read_on_the_whole_f_match_clusters_read_on_lifted_blocks(data):
+    # the factors of f away from a cluster are units there: they add a
+    # slope-0 side and a unit factor to each residual, so the emissions,
+    # and the rungs at which they are certified, are those of the lift
+    p, f = data
+    assume(discriminant(f) != 0)
+    fbar = [int(c) % p for c in gsl.padic._prepare(f.monic(), p)[0].coeffs]
+    degrees = {len(g) - 1 for block, _, mult in degree_blocks(prime_field(p), fbar)
+               if mult > 1 for g, _ in factor_over(prime_field(p), block)}
+    assume(degrees and degrees <= {1, 2})
+    assert _ladder(_Analyzer.splitting, f, p) == _ladder(_splitting_through_lifted_blocks, f, p)
+
+
+@pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS + [
+    (_MIXED, 7, ((1, 2, 1), (1, 3, 1), (2, 2, 2)))])
+def test_oracle_lifts_nothing(f, p, want, monkeypatch):
+    monkeypatch.setattr(gsl.padic, "hensel_lift",
+                        lambda *a: pytest.fail("the oracle lifted a factorization"))
+    assert local_splitting_type(f, p).factors == want

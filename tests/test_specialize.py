@@ -17,7 +17,6 @@ from gsl.specialize import (
     PARTIAL_MATCH,
     SKIPPED_BAD_PRIME,
     approximate_specialization_point,
-    intersection_multiplicity,
     meeting_prime,
     meeting_primes,
     predict_decomposition,
@@ -42,9 +41,9 @@ def _branch(locus, e=2):
 
 def test_intersection_multiplicity_finite():
     b = _branch(upoly(0, 1))  # locus T
-    assert intersection_multiplicity(b, Fraction(50), 5) == 2
-    assert intersection_multiplicity(b, Fraction(3), 5) == 0
-    assert intersection_multiplicity(b, Fraction(1, 5), 5) == 0  # pole: misses finite chart
+    assert meeting_prime([b], Fraction(50), 5).multiplicity == 2
+    assert meeting_prime([b], Fraction(3), 5) is None
+    assert meeting_prime([b], Fraction(1, 5), 5) is None  # pole: misses finite chart
 
 
 def test_intersection_multiplicity_infinity():
@@ -52,23 +51,22 @@ def test_intersection_multiplicity_infinity():
                     residue=RelativeField(base=upoly(0, 1),
                                           rel=(UniPoly(), UniPoly.const(Fraction(1)))),
                     d_order=1)
-    assert intersection_multiplicity(b, Fraction(1, 5), 5) == 1
-    assert intersection_multiplicity(b, Fraction(7, 25), 5) == 2
-    assert intersection_multiplicity(b, Fraction(5), 5) == 0
+    assert meeting_prime([b], Fraction(1, 5), 5).multiplicity == 1
+    assert meeting_prime([b], Fraction(7, 25), 5).multiplicity == 2
+    assert meeting_prime([b], Fraction(5), 5) is None
 
 
 def test_specializing_at_branch_point_rejected():
     b = _branch(upoly(0, 1))
     with pytest.raises(HypothesisViolation):
-        intersection_multiplicity(b, Fraction(0), 5)
+        meeting_prime([b], Fraction(0), 5)
 
 
 def test_meeting_entries_reject_a_composite_modulus():
-    # p is tested once at each public entry; the loops behind it trust it
+    # p is tested once at the public entry; the loop behind it trusts it
     b = _branch(upoly(0, 1))
-    for entry in (intersection_multiplicity, lambda b, t0, p: meeting_prime([b], t0, p)):
-        with pytest.raises(DomainError):
-            entry(b, Fraction(50), 25)
+    with pytest.raises(DomainError):
+        meeting_prime([b], Fraction(50), 25)
 
 
 def test_meeting_uniqueness():
