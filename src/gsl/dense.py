@@ -17,12 +17,13 @@ The coefficient ring R is any object with
                              Frobenius (`squarefree` over F_q only)
 
 The element types live with the layers that own them: `modp.PrimeField`
-and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`,
-and `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
-elements: `exact.UniPoly` is its polynomial type.  `INTEGERS.divexact`
-(exact division, `DomainError` otherwise) serves the subresultant PRS,
-which computes rational resultants over Z.  Element arithmetic stays in
-those types; this module only combines elements.
+and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`
+(integer vectors over one positive denominator), and `INTEGERS` and
+`RATIONALS` below.  `RATIONALS` is Q with `Fraction` elements:
+`exact.UniPoly` is its polynomial type.  `INTEGERS.divexact` (exact
+division, `DomainError` otherwise) serves the subresultant PRS, which
+computes rational resultants over Z.  Element arithmetic stays in those
+types; this module only combines elements.
 
 Over a field, `gcd` is Euclid with every remainder made monic, the one gcd
 of the package (F_q, Q, number fields).  `interpolate` is Newton's divided

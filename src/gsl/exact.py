@@ -470,15 +470,23 @@ def _sample_points():
         k += 1
 
 
+def _total_degree(f: BiPoly) -> int:
+    return max(i + r.degree for i, r in enumerate(f.rows) if not r.is_zero)
+
+
 def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
     """Res_Y(f, g) in Q[T] by evaluation at integer points and Newton
     interpolation.  At a point t where neither leading row vanishes,
-    Res_Y(f, g)(t) = Res(f(t, Y), g(t, Y)); the Sylvester matrix bounds the
-    T-degree by deg_Y g * deg_T f + deg_Y f * deg_T g, so that many points
-    plus one determine it.  Points where a leading row vanishes are
-    skipped."""
+    Res_Y(f, g)(t) = Res(f(t, Y), g(t, Y)).  Its T-degree is at most the
+    Sylvester bound deg_Y g * deg_T f + deg_Y f * deg_T g, and at most
+    totdeg f * totdeg g (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 8 sec. 7); the smaller bound plus one points determine
+    it.  Points where a leading row vanishes are skipped."""
     m, n = f.degree_y, g.degree_y
-    bound = n * max(r.degree for r in f.rows) + m * max(r.degree for r in g.rows)
+    bound = min(
+        n * max(r.degree for r in f.rows) + m * max(r.degree for r in g.rows),
+        _total_degree(f) * _total_degree(g),
+    )
     lead_f, lead_g = f.rows[-1], g.rows[-1]
     xs: list[Rat] = []
     ys: list[Rat] = []

@@ -1,13 +1,16 @@
 """Exact number-field arithmetic and certified factorization over Q and
 over number fields.
 
-Everything here is exact rational arithmetic; no floating point, no
-randomness.  The pieces:
+Everything here is exact integer and rational arithmetic; no floating
+point, no randomness.  The pieces:
 
-  * NumberField -- Q[x]/(M) for a monic irreducible M, elements stored as
-    coefficient tuples of Fraction, inverses by `dense.ext_gcd` over
-    `dense.RATIONALS`.  Polynomials over a number field are `dense` lists
-    of elements; their gcds are `dense.gcd`, Euclid with monic remainders.
+  * NumberField -- Q[x]/(M) for a monic irreducible M, each element one
+    integer vector over one positive denominator, (c_0, ..., c_(n-1), den),
+    kept with gcd 1 (as FLINT's fmpq_poly stores Q[x]), so the ring
+    operations run on Python ints with one gcd normalization per result;
+    inverses by fraction-free (Bareiss) elimination on the matrix of
+    multiplication.  Polynomials over a number field are `dense` lists of
+    elements; their gcds are `dense.gcd`, Euclid with monic remainders.
   * One squarefree decomposition, `dense.squarefree`, serves both
     factorizations below, over Q and over K.
   * factor_rational -- complete factorization in Q[x]: squarefree
@@ -31,7 +34,9 @@ randomness.  The pieces:
     this is safe because M is monic (Res_x(M, B) = prod B(alpha_k)
     commutes with specializing the second variable).  One factor per
     norm factor comes from a gcd with what is left of h; the last is that
-    rest, by exact division.
+    rest, by exact division.  The norm is proved squarefree once, and its
+    factors come from the same per-part Zassenhaus step as factor_rational's
+    (`_factor_squarefree`), with no second squarefree decomposition.
   * adjoin_root -- build K(beta) for a root beta of an irreducible
     rho in K[y], flattened to an absolute field Q(gamma) with
     gamma = beta + c*theta; irreducibility of the new modulus is certified
@@ -64,23 +69,36 @@ from .padic import Zq, hensel_lift
 
 
 class NumberField:
-    """Q[x]/(M(x)) for monic irreducible M; elements are tuples of Fraction
-    of length deg(M) (coefficients of the canonical representative, low to
-    high).  Irreducibility of M is the caller's responsibility -- every
+    """Q[x]/(M(x)) for monic irreducible M.  An element is a tuple of ints
+    (c_0, ..., c_(n-1), den) standing for sum c_i x^i / den, n = deg M, kept
+    canonical: den > 0 and gcd(c_0, ..., c_(n-1), den) = 1, so equal
+    elements are equal tuples.  The modulus is kept as the integer vector
+    D (M - x^n) for the least D > 0 that makes it integral, and x^n
+    reduces to minus that vector over D.  The ring operations run on
+    Python ints with one gcd normalization per result; `coords` and
+    `from_coords` convert to and from rational coordinates at the
+    boundary.  Irreducibility of M is the caller's responsibility -- every
     modulus built inside this module is certified at construction time
     (factor_rational output, or a squarefree norm via Trager's lemma)."""
 
-    __slots__ = ("modulus", "degree", "zero", "one")
+    __slots__ = ("modulus", "degree", "zero", "one", "_red", "_red_den", "_pad")
 
     def __init__(self, modulus: UniPoly):
         if modulus.degree < 1:
             raise DomainError("number field modulus must have degree >= 1")
         if modulus.lc != 1:
             raise DomainError("number field modulus must be monic")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "degree", modulus.degree)
-        object.__setattr__(self, "zero", (Fraction(0),) * self.degree)
-        object.__setattr__(self, "one", self.from_rat(Fraction(1)))
+        n = modulus.degree
+        low = modulus.coeffs[:n]
+        D = math.lcm(*(c.denominator for c in low))
+        set_ = object.__setattr__
+        set_(self, "modulus", modulus)
+        set_(self, "degree", n)
+        set_(self, "_red", tuple(c.numerator * (D // c.denominator) for c in low))
+        set_(self, "_red_den", D)
+        set_(self, "_pad", (0,) * (n - 1))
+        set_(self, "zero", (0,) * n + (1,))
+        set_(self, "one", (1,) + self._pad + (1,))
 
     def __setattr__(self, *a):
         raise AttributeError("NumberField is immutable")
@@ -88,12 +106,10 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({self.modulus!r})"
 
-    # -- element construction
+    # -- element construction and coordinates
 
     def from_rat(self, c) -> tuple:
-        out = [Fraction(0)] * self.degree
-        out[0] = Fraction(c)
-        return tuple(out)
+        return (c.numerator,) + self._pad + (c.denominator,)
 
     from_int = from_rat
 
@@ -101,63 +117,150 @@ class NumberField:
         """The class of x, i.e. the distinguished root of the modulus."""
         if self.degree == 1:
             # x = -M[0] is rational.
-            return (-self.modulus.coeff(0),)
-        out = [Fraction(0)] * self.degree
-        out[1] = Fraction(1)
-        return tuple(out)
+            return self.from_rat(-self.modulus.coeff(0))
+        return (0, 1) + self._pad[1:] + (1,)
+
+    @staticmethod
+    def coords(a) -> list[Fraction]:
+        """The rational coordinates of a, low to high."""
+        den = a[-1]
+        return [Fraction(c, den) for c in a[:-1]]
+
+    def from_coords(self, cs: Sequence[Rat]) -> tuple:
+        """The element with rational coordinates cs (at most deg M of them,
+        low to high).  Over the lcm of the reduced denominators the
+        numerators share no factor with it, so the tuple is canonical."""
+        den = math.lcm(*(c.denominator for c in cs))
+        out = [c.numerator * (den // c.denominator) for c in cs]
+        return tuple(out) + (0,) * (self.degree - len(out)) + (den,)
 
     def from_unipoly(self, u: UniPoly) -> tuple:
-        r = u % self.modulus
-        return tuple(r.coeff(i) for i in range(self.degree))
+        return self.from_coords((u % self.modulus).coeffs)
 
     # -- arithmetic
 
     def add(self, a, b) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return _combine(a, b, 1)
 
     def sub(self, a, b) -> tuple:
-        return tuple(x - y for x, y in zip(a, b))
+        return _combine(a, b, -1)
 
     def neg(self, a) -> tuple:
-        return tuple(-x for x in a)
+        return tuple([-x for x in a[:-1]]) + a[-1:]
 
     def scale(self, a, c) -> tuple:
-        c = Fraction(c)
-        return tuple(x * c for x in a)
+        """c a for a rational c."""
+        num = c.numerator
+        if not num:
+            return self.zero
+        v = [x * num for x in a]
+        v[-1] = a[-1] * c.denominator
+        return _canonical(v)
 
     def mul(self, a, b) -> tuple:
         n = self.degree
-        raw = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a):
+        raw = [0] * (2 * n - 1)
+        for i in range(n):
+            x = a[i]
             if x:
-                for j, y in enumerate(b):
+                for j in range(n):
+                    y = b[j]
                     if y:
                         raw[i + j] += x * y
-        # reduce mod M: x^n = -(M - x^n)
-        m = self.modulus
+        den = a[n] * b[n]
+        # reduce mod M: x^k = -x^(k-n) D (M - x^n) / D, each step scaled by
+        # the least factor of D that keeps the numerators integral
+        red, D = self._red, self._red_den
         for k in range(2 * n - 2, n - 1, -1):
-            c = raw[k]
+            c = raw.pop()
             if c:
-                raw[k] = Fraction(0)
-                for i in range(n):
-                    mi = m.coeff(i)
-                    if mi:
-                        raw[k - n + i] -= c * mi
-        return tuple(raw[:n])
+                if D != 1:
+                    g = math.gcd(c, D)
+                    if g != D:
+                        s = D // g
+                        raw = [r * s for r in raw]
+                        den *= s
+                    c //= g
+                base = k - n
+                for i, m in enumerate(red):
+                    if m:
+                        raw[base + i] -= c * m
+        raw.append(den)
+        return _canonical(raw)
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return a == self.zero
 
     def eq(self, a, b) -> bool:
-        return all(x == y for x, y in zip(a, b))
+        return a == b
 
     def inv(self, a) -> tuple:
-        """Inverse by extended Euclid on the representative and M; raises
-        DomainError when they share a factor (M is then reducible)."""
+        """Inverse by fraction-free (Bareiss) elimination on the matrix of
+        multiplication by a, whose columns are a x^j; raises DomainError
+        when it is singular (a shares a factor with M, then reducible)."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in a number field")
-        _, t = dense.ext_gcd(RATIONALS, self.modulus.coeffs, dense.trim(RATIONALS, list(a)))
-        return tuple(t) + self.zero[len(t):]
+        n = self.degree
+        x = self.gen()
+        cols = [a]
+        for _ in range(n - 1):
+            cols.append(self.mul(cols[-1], x))
+        # sum_j w_j num(a x^j) = 1 with w_j = v_j / den(a x^j), v the answer
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        y, det = _solve_bareiss(rows)
+        v = [yj * col[n] for yj, col in zip(y, cols)]
+        if det < 0:
+            v, det = [-c for c in v], -det
+        v.append(det)
+        return _canonical(v)
+
+
+def _solve_bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """(y, d) with A (y / d) = b for the n x (n + 1) integer matrix [A | b],
+    A nonsingular: Bareiss's fraction-free elimination, whose last pivot d
+    is det A up to sign, then back substitution, in which every division
+    is exact because d A^-1 is integral.  Changes rows in place; raises
+    DomainError when A is singular."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            raise DomainError("a non-zero element is not invertible: the modulus is reducible")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        pk = rk[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            c = ri[k]
+            rows[i] = ri[:k + 1] + [(pk * ri[j] - c * rk[j]) // prev for j in range(k + 1, n + 1)]
+        prev = pk
+    d = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        t = d * ri[n] - sum(ri[j] * y[j] for j in range(i + 1, n))
+        y[i] = t // ri[i]
+    return y, d
+
+
+def _combine(a, b, sign: int) -> tuple:
+    """a + sign b over the lcm of the two denominators."""
+    da, db = a[-1], b[-1]
+    g = math.gcd(da, db)
+    sa, sb = db // g, sign * (da // g)
+    v = [x * sa + y * sb for x, y in zip(a, b)]
+    v[-1] = da * sa
+    return _canonical(v)
+
+
+def _canonical(v: list[int]) -> tuple:
+    """v, numerators then a positive denominator, as the canonical element:
+    every entry divided by their gcd."""
+    g = math.gcd(*v)
+    if g != 1:
+        v = [c // g for c in v]
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +275,7 @@ def nf_poly_key(K, f):
     """Deterministic sort key: (degree, flattened rational coefficients)."""
     flat = []
     for el in f:
-        for c in el:
+        for c in K.coords(el):
             flat.append((c.numerator, c.denominator))
     return (len(f), tuple(flat))
 
@@ -282,6 +385,25 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     return out
 
 
+def _factor_squarefree(g: UniPoly) -> list[UniPoly]:
+    """Monic irreducible factors over Q of a monic squarefree g, sorted
+    deterministically: Zassenhaus on the integral rescaling of g, then
+    the root scaling undone."""
+    if g.degree == 1:
+        return [g]
+    den, gz = _to_int_monic(g)
+    out = []
+    for h in _zassenhaus_monic_int(gz):
+        d = len(h) - 1
+        out.append(UniPoly([Fraction(h[i], den ** (d - i)) for i in range(d + 1)]))
+    out.sort(key=_rational_key)
+    return out
+
+
+def _rational_key(g: UniPoly):
+    return (g.degree, tuple((c.numerator, c.denominator) for c in g.coeffs))
+
+
 def factor_rational(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Complete factorization of f over Q: a list of (monic irreducible,
     multiplicity), sorted deterministically.  The leading coefficient is
@@ -290,23 +412,12 @@ def factor_rational(f: UniPoly) -> list[tuple[UniPoly, int]]:
         raise DomainError("factorization of the zero polynomial")
     if f.degree == 0:
         return []
-    fm = f.monic()
-    out: list[tuple[UniPoly, int]] = []
-    for a, mult in dense.squarefree(RATIONALS, fm.coeffs):
-        sqf = UniPoly(a)
-        if sqf.degree == 1:
-            out.append((sqf, mult))
-            continue
-        den, gz = _to_int_monic(sqf)
-        for h in _zassenhaus_monic_int(gz):
-            # undo the root scaling x -> x/den
-            d = len(h) - 1
-            coeffs = [Fraction(h[i], den ** (d - i)) for i in range(d + 1)]
-            out.append((UniPoly(coeffs), mult))
-    out.sort(key=lambda t: (
-        t[0].degree,
-        tuple((c.numerator, c.denominator) for c in t[0].coeffs),
-    ))
+    out = [
+        (g, mult)
+        for a, mult in dense.squarefree(RATIONALS, f.monic().coeffs)
+        for g in _factor_squarefree(UniPoly._of(a))
+    ]
+    out.sort(key=lambda t: _rational_key(t[0]))
     return out
 
 
@@ -337,7 +448,7 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     ys = []
     for z in xs:
         val = dense.evaluate(K, h, K.sub(K.from_rat(z), stheta))
-        ys.append(Fraction(0) if K.is_zero(val) else resultant(K.modulus, UniPoly(val)))
+        ys.append(Fraction(0) if K.is_zero(val) else resultant(K.modulus, UniPoly(K.coords(val))))
     N = UniPoly(dense.interpolate(RATIONALS, xs, ys))
     if N.degree != D or N.lc != 1:
         raise DomainError(f"the norm has degree {N.degree}, not {D}, or is not monic")
@@ -362,22 +473,20 @@ def _trager_squarefree(K: NumberField, h: list) -> list[list]:
         N = _norm_poly(K, h, s)
         if N.gcd(N.derivative()).degree == 0:
             break
-    factors_q = factor_rational(N)
-    if any(m != 1 for _, m in factors_q):
-        raise DomainError("the factors of a squarefree norm must be simple")
+    factors_q = _factor_squarefree(N)
     if len(factors_q) == 1:
         return [h]
     out = []
     rest = h
     stheta = K.scale(K.gen(), s)
-    for hq, _ in factors_q[:-1]:
+    for hq in factors_q[:-1]:
         g = dense.gcd(K, rest, dense.shift(K, nf_from_unipoly(K, hq), stheta))
         rest, r = dense.quorem(K, rest, g)
         if r:
             raise DomainError("a gcd with h does not divide h")
         out.append(g)
     out.append(rest)
-    for g, (hq, _) in zip(out, factors_q):
+    for g, hq in zip(out, factors_q):
         if (len(g) - 1) * K.degree != hq.degree:
             raise DomainError(
                 f"a factor of degree {len(g) - 1} does not match its norm "
@@ -397,7 +506,7 @@ def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
     if K.degree == 1:
         # the field is Q in disguise; use the rational machinery directly
         out = []
-        for g, m in factor_rational(UniPoly([e[0] for e in f])):
+        for g, m in factor_rational(UniPoly([K.coords(e)[0] for e in f])):
             out.append((nf_from_unipoly(K, g), m))
         return out
     fm = dense.monic(K, f)
@@ -423,9 +532,9 @@ class Adjunction:
     root: tuple
     shift: int
 
-    def embed(self, a: Sequence[Rat]) -> tuple:
+    def embed(self, a: tuple) -> tuple:
         L = self.field
-        return dense.evaluate(L, [L.from_rat(c) for c in a], self.theta)
+        return dense.evaluate(L, [L.from_rat(c) for c in NumberField.coords(a)], self.theta)
 
 
 def adjoin_root(K: NumberField, rho: list) -> Adjunction:
@@ -444,8 +553,8 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
             field=K, theta=K.gen(), root=K.neg(rho[0]), shift=0,
         )
     if K.degree == 1:
-        a = K.gen()[0]
-        M = UniPoly([c[0] for c in rho])
+        a = K.coords(K.gen())[0]
+        M = UniPoly([K.coords(c)[0] for c in rho])
         L = NumberField(M)
         return Adjunction(
             field=L, theta=L.from_rat(a), root=L.gen(), shift=0,
@@ -462,7 +571,7 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
     lin = [gamma, L.from_rat(-c)]
     T: list = []
     for coeff in reversed(rho):
-        T = dense.add(L, dense.mul(L, T, lin), nf_from_unipoly(L, UniPoly(coeff)))
+        T = dense.add(L, dense.mul(L, T, lin), nf_from_unipoly(L, UniPoly(K.coords(coeff))))
     ML = nf_from_unipoly(L, K.modulus)
     g = dense.gcd(L, ML, T)
     if len(g) != 2:
@@ -530,8 +639,8 @@ def relative_min_poly(
         for b in range(d):
             for a in range(base_degree):
                 cols.append(L.mul(tau_pows[a], el_pows[b]))
-        A = [[cols[j][i] for j in range(len(cols))] for i in range(nL)]
-        rhs = [-el_pows[d][i] for i in range(nL)]
+        A = [list(row) for row in zip(*(L.coords(c) for c in cols))]
+        rhs = [-c for c in L.coords(el_pows[d])]
         x = _solve_linear(A, rhs)
         if x is None:
             continue

@@ -284,7 +284,7 @@ _T = UniPoly.from_json(["0", "1"])
 
 def _rows(*rows):
     """H over Q from rows of integer x-coefficients, by y-degree."""
-    return [dense.trim(_Q, [(Fraction(c),) for c in row]) for row in rows]
+    return [dense.trim(_Q, [_Q.from_int(c) for c in row]) for row in rows]
 
 
 def test_places_require_monic_in_y():
@@ -327,7 +327,7 @@ _small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 @st.composite
 def _transform_input(draw):
     K = draw(st.sampled_from([_Q, _QI]))
-    elt = st.tuples(*[_small_rat] * K.degree)
+    elt = st.lists(_small_rat, min_size=K.degree, max_size=K.degree).map(K.from_coords)
     H = [dense.trim(K, draw(st.lists(elt, max_size=3)))
          for _ in range(draw(st.integers(1, 4)))]
     assume(any(H))

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
+from gsl import exact
 from gsl.errors import DomainError
 from gsl.exact import (
     BiPoly,
@@ -154,6 +155,50 @@ def test_bivariate_resultant_skips_points_where_a_leading_row_vanishes(fr, lf, g
     g = _bipoly(gr + [(UniPoly([-4, 0, 1]) * UniPoly(lg)).coeffs])
     want = sylvester(_bi_to_sympy(f), _bi_to_sympy(g), _y).det()
     assert resultant(f, g) == _t_poly(want)
+
+
+@st.composite
+def _shaped_cover(draw, triangular: bool):
+    """P monic in Y of Y-degree m: with triangular rows (deg_T of the Y^i row
+    at most m - i, as in C6) the total-degree bound on deg_T disc_y is the
+    tighter one; with rows of one T-degree k the Sylvester bound can be."""
+    m = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    rows = [draw(st.lists(st.integers(-5, 5), min_size=1, max_size=(m - i if triangular else k) + 1))
+            for i in range(m)]
+    return _bipoly(rows + [[1]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.booleans())
+def test_disc_y_through_the_tighter_degree_bound_matches_sympy(data, triangular):
+    P = data.draw(_shaped_cover(triangular))
+    PY = P.deriv_y()
+    m = P.degree_y
+    sylvester_bound = (m - 1) * max(r.degree for r in P.rows) + m * max(r.degree for r in PY.rows)
+    total_bound = exact._total_degree(P) * exact._total_degree(PY)
+    assume(total_bound < sylvester_bound if triangular else sylvester_bound < total_bound)
+    assert disc_y(P) == _t_poly(sp.discriminant(_bi_to_sympy(P), _y))
+
+
+# the degree-6 cover C6 of the benchmark: rows of T-degree 4, 3, 3, 2, 2, 1, 0
+_C6 = [[-19, 6, 27, 10, 1], [-24, -84, -36, -4], [84, 38, -6, -2], [-2, 26, 6],
+       [-21, -5, 1], [0, -2], [1]]
+
+
+def test_disc_y_of_c6_takes_31_resultants(monkeypatch):
+    # totdeg P * totdeg P_Y = 6 * 5 = 30 < the Sylvester bound 38
+    calls = []
+    real = exact.resultant
+
+    def spy(f, g):
+        if isinstance(f, UniPoly):
+            calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(exact, "resultant", spy)
+    assert disc_y(_bipoly(_C6)).degree == 21
+    assert len(calls) == 31
 
 
 def test_json_roundtrip():

@@ -1,6 +1,7 @@
 """Number-field arithmetic: factorization over Q and over number fields,
 adjoining roots, relative minimal polynomials."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,84 @@ def test_factor_rational_product_of_linears(a, b):
         for _ in range(m):
             prod = prod * g
     assert prod == f
+
+
+# ---------------------------------------------------------------------------
+# number-field arithmetic against sympy, and the canonical form
+
+_x = sp.Symbol("x")
+# Q(i), Q(sqrt 2), a cubic, and a quintic residue field of C6 whose modulus
+# has non-integral coefficients
+_FIELDS = [
+    upoly(1, 0, 1),
+    upoly(-2, 0, 1),
+    upoly(-1, -1, 0, 1),
+    UniPoly.from_json(["2339/4", "435/2", "-359/4", "-65/2", "11/4", "1"]),
+]
+_rats = st.fractions(-50, 50, max_denominator=30)
+
+
+def _sympy_poly(cs) -> sp.Poly:
+    return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(cs)] or [0],
+                   _x, domain=sp.QQ)
+
+
+def _sympy_coords(P: sp.Poly, n: int) -> list:
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())]
+    return (cs + [Fraction(0)] * n)[:n]
+
+
+@st.composite
+def _field_and_elements(draw):
+    M = draw(st.sampled_from(_FIELDS))
+    K = NumberField(M)
+    elt = st.lists(_rats, min_size=K.degree, max_size=K.degree)
+    return K, draw(elt), draw(elt), draw(_rats), draw(st.lists(_rats, max_size=9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_and_elements())
+def test_number_field_arithmetic_matches_sympy(data):
+    K, ca, cb, c, u = data
+    n = K.degree
+    a, b = K.from_coords(ca), K.from_coords(cb)
+    A, B, M = _sympy_poly(ca), _sympy_poly(cb), _sympy_poly(K.modulus.coeffs)
+    assert K.coords(a) == ca and K.coords(b) == cb
+    assert K.coords(K.add(a, b)) == _sympy_coords(A + B, n)
+    assert K.coords(K.sub(a, b)) == _sympy_coords(A - B, n)
+    assert K.coords(K.neg(a)) == _sympy_coords(-A, n)
+    assert K.coords(K.mul(a, b)) == _sympy_coords((A * B).rem(M), n)
+    assert K.coords(K.scale(a, c)) == _sympy_coords(A * sp.Rational(c.numerator, c.denominator), n)
+    assert K.coords(K.from_unipoly(UniPoly(u))) == _sympy_coords(_sympy_poly(u).rem(M), n)
+    if not K.is_zero(a):
+        assert K.coords(K.inv(a)) == _sympy_coords(sp.invert(A, M), n)
+
+
+def _is_canonical(K, a) -> bool:
+    return (len(a) == K.degree + 1 and all(isinstance(c, int) for c in a)
+            and a[-1] > 0 and math.gcd(*a) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_and_elements())
+def test_number_field_elements_stay_canonical(data):
+    """Every result is an integer vector over a positive denominator with
+    gcd 1, so equal elements are equal tuples, whatever path built them."""
+    K, ca, cb, c, _ = data
+    a, b = K.from_coords(ca), K.from_coords(cb)
+    results = [a, b, K.add(a, b), K.sub(a, b), K.neg(a), K.mul(a, b), K.scale(a, c),
+               K.from_rat(c), K.zero, K.one, K.gen()]
+    if not K.is_zero(a):
+        results.append(K.inv(a))
+    assert all(_is_canonical(K, r) for r in results)
+    assert K.sub(K.add(a, b), b) == a
+    assert K.mul(a, b) == K.mul(b, a)
+    assert K.add(a, K.neg(a)) == K.zero
+    assert K.add(K.scale(a, Fraction(1, 3)), K.scale(a, Fraction(2, 3))) == a
+    assert K.is_zero(K.sub(a, a)) and K.eq(K.scale(b, 1), b)
+    if not K.is_zero(a):
+        assert K.mul(a, K.inv(a)) == K.one
+        assert K.mul(K.mul(a, b), K.inv(a)) == b
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +348,9 @@ def test_factor_nf_matches_sympy(field, factors):
     K = NumberField(modulus)
     f, expr = [K.one], sp.Integer(1)
     for fac in factors:
-        f = dense.mul(K, f, [(Fraction(a), Fraction(b)) for a, b in fac] + [K.one])
+        f = dense.mul(K, f, [K.from_coords([a, b]) for a, b in fac] + [K.one])
         expr *= sum((a + b * gen) * _y**i for i, (a, b) in enumerate(fac)) + _y ** len(fac)
-    ours = sorted((tuple(g), m) for g, m in factor_nf(K, f))
+    ours = sorted((tuple(tuple(K.coords(c)) for c in g), m) for g, m in factor_nf(K, f))
     assert ours == _sympy_factors(expr, gen, gen)
 
 
@@ -341,12 +420,12 @@ def _gaussian_y2_plus_1():
 def test_trager_checks_the_norm_factors(monkeypatch):
     K, h = _gaussian_y2_plus_1()
     assert len(nfield._trager_squarefree(K, h)) == 2
-    real = nfield.factor_rational
-    monkeypatch.setattr(nfield, "factor_rational", lambda N: [(g, 2) for g, _ in real(N)])
+    real = nfield._factor_squarefree
+    monkeypatch.setattr(nfield, "_factor_squarefree", lambda N: [g for g in real(N) for _ in "ab"])
     with pytest.raises(DomainError):  # a squarefree norm with repeated factors
         nfield._trager_squarefree(K, h)
     # the linear factor of y^2 + 1 does not match a norm factor of degree 4
-    monkeypatch.setattr(nfield, "factor_rational", lambda N: [(upoly(1, 1), 1), (N, 1)])
+    monkeypatch.setattr(nfield, "_factor_squarefree", lambda N: [upoly(1, 1), N])
     with pytest.raises(DomainError):
         nfield._trager_squarefree(K, h)
 
@@ -391,8 +470,8 @@ def test_factor_nf_matches_sympy_on_a_c6_residual():
     x = sp.Symbol("x")
     M = sum(sp.Rational(c) * x**i for i, c in enumerate(_C6_FIELD))
     K = NumberField(UniPoly.from_json(_C6_FIELD))
-    h = [tuple(Fraction(c) for c in row) for row in _C6_QUARTIC]
-    ours = sorted((tuple(g), m) for g, m in factor_nf(K, h))
+    h = [K.from_coords([Fraction(c) for c in row]) for row in _C6_QUARTIC]
+    ours = sorted((tuple(tuple(K.coords(c)) for c in g), m) for g, m in factor_nf(K, h))
 
     alpha = sp.CRootOf(M, 0)
     field = sp.QQ.algebraic_field(alpha)
