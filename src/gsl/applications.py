@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
 from .errors import DomainError, HypothesisViolation, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
-from .exact import Rat, UniPoly, discriminant, factor_int, is_prime, rat_to_str, rational_valuation
+from .exact import JsonRecord, Rat, UniPoly, discriminant, factor_int, is_prime, rational_valuation
 from .modp import frobenius_data, reduce_relative, root_count, roots_mod_p
 from .nfield import is_irreducible_rational
 from .padic import LocalSplittingType, local_splitting_type
@@ -60,7 +60,7 @@ def find_frobenius_primes(cover: Cover, order: int, bound: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class AdequacyWitness:
+class AdequacyWitness(JsonRecord):
     """One odd tame prime witnessing local depth for one prime divisor of
     the degree: some completion of the field has e*f with the required
     power of ell."""
@@ -71,18 +71,9 @@ class AdequacyWitness:
     ramified: bool
     oracle: LocalSplittingType
 
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "e": self.e,
-            "f": self.f,
-            "ramified": self.ramified,
-            "oracle": self.oracle.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class AdequacyCertificate:
+class AdequacyCertificate(JsonRecord):
     """Witness data for the crossed-product adequacy of a number field
     K = Q[Y]/(poly): for each prime ell dividing n = deg(poly), two
     distinct odd tame primes where some completion K_w has
@@ -96,19 +87,6 @@ class AdequacyCertificate:
     adequate: bool
     searched: tuple[int, ...]
     bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "poly": self.poly.to_json(),
-            "degree": self.degree,
-            "witnesses": {
-                str(ell): [w.to_json() for w in ws]
-                for ell, ws in sorted(self.witnesses.items())
-            },
-            "adequate": self.adequate,
-            "searched": list(self.searched),
-            "bound": self.bound,
-        }
 
 
 def _qualifies(st: LocalSplittingType, ell: int, a: int) -> tuple[int, int] | None:
@@ -224,7 +202,7 @@ def adequate_specialization_search(
 
 
 @dataclass(frozen=True)
-class ObstructionTranscript:
+class ObstructionTranscript(JsonRecord):
     """One sampled specialization at one obstruction prime: the oracle
     output and whether it satisfies the local smallness law
     (e = 1, or e*f divides the branch inertia order)."""
@@ -235,18 +213,9 @@ class ObstructionTranscript:
     splitting: LocalSplittingType
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "t0": rat_to_str(Fraction(self.t0)),
-            "locus": None if self.locus is None else self.locus.to_json(),
-            "splitting": self.splitting.to_json(),
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(JsonRecord):
     """Primes where every rational specialization of the cover is locally
     small: p = 1 mod q, every branch locus splits into distinct linear
     factors mod p, and every branch residue polynomial splits likewise at
@@ -261,16 +230,6 @@ class ObstructionCertificate:
     primes: tuple[int, ...]
     transcripts: tuple[ObstructionTranscript, ...]
     all_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "cover": self.cover,
-            "q": self.q,
-            "bound": self.bound,
-            "primes": list(self.primes),
-            "transcripts": [t.to_json() for t in self.transcripts],
-            "all_ok": self.all_ok,
-        }
 
 
 def _is_obstruction_prime(
@@ -373,7 +332,7 @@ NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 
 
 @dataclass(frozen=True)
-class ParametricObstructionReport:
+class ParametricObstructionReport(JsonRecord):
     """Obstruction analysis for the parametric family of specializations.
 
     The interpretation of the obstruction primes (that no parametric set
@@ -391,19 +350,12 @@ class ParametricObstructionReport:
     assumption: str
     certificate: ObstructionCertificate | None
 
-    def to_json(self) -> dict:
-        return {
-            "cover": self.cover,
-            "q": self.q,
-            "status": self.status,
-            "assumption": self.assumption,
-            "certificate": None if self.certificate is None else self.certificate.to_json(),
-        }
-
 
 def parametric_obstruction_report(
     cover: Cover, q: int, bound: int
 ) -> ParametricObstructionReport:
+    if q < 2:
+        raise DomainError("q must be >= 2")
     branches = branch_points(cover)
     n = cover.group_order
     q_branches = sum(1 for bp in branches if bp.ram_index % q == 0)

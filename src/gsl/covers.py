@@ -46,7 +46,7 @@ from .errors import (
     SchemaError,
     UnstableResidueField,
 )
-from .exact import BiPoly, Rat, UniPoly, disc_y, discriminant, factor_int, is_prime, squarefree_part
+from .exact import BiPoly, JsonRecord, Rat, UniPoly, disc_y, discriminant, factor_int, is_prime, squarefree_part
 from .modp import frobenius_data, seed_from_env
 from .nfield import (
     Adjunction,
@@ -83,6 +83,7 @@ class Cover:
         return _analyze(self)
 
     def to_json(self) -> dict:
+        # not a JsonRecord: this is the input schema ("P", and the declaration)
         return {
             "name": self.name,
             "group_order": self.group_order,
@@ -168,7 +169,7 @@ def bundled_covers() -> dict[str, Cover]:
 
 
 @dataclass(frozen=True)
-class RelativeField:
+class RelativeField(JsonRecord):
     """A residue field presented relative to the field of definition of a
     branch point: `base` is the minimal polynomial m of the branch
     coordinate, `rel` the monic minimal polynomial r(Z) of a residue field
@@ -180,19 +181,6 @@ class RelativeField:
     @property
     def degree(self) -> int:
         return len(self.rel) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "rel": [c.to_json() for c in self.rel],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RelativeField":
-        return cls(
-            base=UniPoly.from_json(data["base"]),
-            rel=tuple(UniPoly.from_json(c) for c in data["rel"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -207,7 +195,7 @@ class PuiseuxPlace:
 
 
 @dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(JsonRecord):
     """A branch point of the cover: locus None means the point at infinity
     (base coordinate U = 1/T); d_order is the residue degree of the places
     over the field of definition of the point."""
@@ -216,14 +204,6 @@ class BranchPoint:
     ram_index: int
     residue: RelativeField
     d_order: int
-
-    def to_json(self) -> dict:
-        return {
-            "locus": None if self.locus is None else self.locus.to_json(),
-            "ram_index": self.ram_index,
-            "residue": self.residue.to_json(),
-            "d_order": self.d_order,
-        }
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ Conventions used throughout the package:
 * bivariate polynomials P(T, Y) are stored as a tuple of rows indexed by
   Y-degree, each row a `UniPoly` in T;
 * JSON form of a `UniPoly` is a list of decimal strings (``"-82"``,
-  ``"3/4"``), ascending degree; a `BiPoly` is a list of such lists.
+  ``"3/4"``), ascending degree; a `BiPoly` is a list of such lists;
+* a result record (a frozen dataclass deriving `JsonRecord`) is a JSON
+  object of its fields in declaration order, each value encoded by
+  `_json_value`.
 
 `UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
 kernel's over `dense.RATIONALS`, kept in an immutable tuple.  The resultant
@@ -48,6 +51,33 @@ def rat_to_str(x: Rat) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+_JSON_SCALARS = (int, str, bool, type(None))
+
+
+def _json_value(v):
+    """The JSON form of one field value: None, bools, ints and strings as
+    they are, a Fraction as its decimal string, a tuple as an array, a dict
+    with its keys as strings, anything else by its own `to_json`."""
+    if isinstance(v, _JSON_SCALARS):
+        return v
+    if isinstance(v, Fraction):
+        return rat_to_str(v)
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _json_value(x) for k, x in v.items()}
+    return v.to_json()
+
+
+class JsonRecord:
+    """Base of the frozen result dataclasses: `to_json` is the object of the
+    fields, in declaration order, each value by `_json_value`."""
+
+    def to_json(self) -> dict:
+        values = vars(self)
+        return {name: _json_value(values[name]) for name in self.__dataclass_fields__}
 
 
 def rational_valuation(x: Rat | int, p: int) -> int:

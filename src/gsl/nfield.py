@@ -41,8 +41,9 @@ point, no randomness.  The pieces:
     rho in K[y], flattened to an absolute field Q(gamma) with
     gamma = beta + c*theta; irreducibility of the new modulus is certified
     by squarefreeness of the norm (Trager's lemma).
-  * relative_min_poly -- minimal polynomial of an element over an embedded
-    subfield Q(tau), found by exact linear algebra over Q.
+  * relative_min_poly -- minimal polynomial of a generator of the field
+    over an embedded subfield Q(tau): one square integer system, solved
+    by Bareiss elimination.
 
 Every check on the way raises a typed error (`DomainError`,
 `NotSeparable`, `PrecisionExhausted`), so none depends on `assert`.
@@ -207,7 +208,10 @@ class NumberField:
             cols.append(self.mul(cols[-1], x))
         # sum_j w_j num(a x^j) = 1 with w_j = v_j / den(a x^j), v the answer
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
-        y, det = _solve_bareiss(rows)
+        sol = _solve_bareiss(rows)
+        if sol is None:
+            raise DomainError("a non-zero element is not invertible: the modulus is reducible")
+        y, det = sol
         v = [yj * col[n] for yj, col in zip(y, cols)]
         if det < 0:
             v, det = [-c for c in v], -det
@@ -215,18 +219,18 @@ class NumberField:
         return _canonical(v)
 
 
-def _solve_bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+def _solve_bareiss(rows: list[list[int]]) -> tuple[list[int], int] | None:
     """(y, d) with A (y / d) = b for the n x (n + 1) integer matrix [A | b],
     A nonsingular: Bareiss's fraction-free elimination, whose last pivot d
     is det A up to sign, then back substitution, in which every division
-    is exact because d A^-1 is integral.  Changes rows in place; raises
-    DomainError when A is singular."""
+    is exact because d A^-1 is integral.  Changes rows in place; None when
+    A is singular."""
     n = len(rows)
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if rows[i][k]), None)
         if piv is None:
-            raise DomainError("a non-zero element is not invertible: the modulus is reducible")
+            return None
         rows[k], rows[piv] = rows[piv], rows[k]
         rk = rows[k]
         pk = rk[k]
@@ -585,69 +589,40 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
 # relative minimal polynomials by linear algebra
 
 
-def _solve_linear(A: list[list[Fraction]], b: list[Fraction]):
-    """One exact solution of A x = b, or None if inconsistent; free
-    variables are set to zero."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M = [list(A[i]) + [b[i]] for i in range(rows)]
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
-        piv_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if M[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for c, i in piv_of_col.items():
-        x[c] = M[i][cols]
-    return x
-
-
 def relative_min_poly(
     L: NumberField, tau: tuple, el: tuple, base_degree: int
 ) -> list[UniPoly]:
     """Minimal polynomial of el over the subfield Q(tau) of L, where tau
-    generates a subfield of degree base_degree over Q.  Returned as monic
-    coefficient polynomials in tau (each a UniPoly over Q of degree <
-    base_degree, low to high Z-degree)."""
+    generates a subfield of degree base_degree over Q and el generates L
+    over it.  Returned as monic coefficient polynomials in tau (each a
+    UniPoly over Q of degree < base_degree, low to high Z-degree).
+
+    With d = [L : Q] / base_degree, the tau^a el^b (a < base_degree,
+    b < d) are a basis of L over Q, and the coordinates of -el^d in that
+    basis are the coefficients: one square system, solved by Bareiss
+    elimination as in `inv`.  DomainError when it is singular, that is
+    when el does not generate L over Q(tau)."""
     nL = L.degree
     if nL % base_degree != 0:
         raise DomainError("subfield degree must divide the field degree")
-    dmax = nL // base_degree
+    d = nL // base_degree
     tau_pows = [L.one]
     for _ in range(base_degree - 1):
         tau_pows.append(L.mul(tau_pows[-1], tau))
-    el_pows = [L.one]
-    for _ in range(dmax):
-        el_pows.append(L.mul(el_pows[-1], el))
-    for d in range(1, dmax + 1):
-        cols = []
-        for b in range(d):
-            for a in range(base_degree):
-                cols.append(L.mul(tau_pows[a], el_pows[b]))
-        A = [list(row) for row in zip(*(L.coords(c) for c in cols))]
-        rhs = [-c for c in L.coords(el_pows[d])]
-        x = _solve_linear(A, rhs)
-        if x is None:
-            continue
-        out = []
-        for b in range(d):
-            chunk = x[b * base_degree : (b + 1) * base_degree]
-            out.append(UniPoly(chunk))
-        out.append(UniPoly.const(1))
-        return out
-    raise DomainError("element has no minimal polynomial below dmax")  # unreachable
+    cols = []
+    el_pow = L.one
+    for _ in range(d):
+        cols.extend(L.mul(t, el_pow) for t in tau_pows)
+        el_pow = L.mul(el_pow, el)
+    # sum_j w_j num(col_j) / den(col_j) = -num(el^d) / den(el^d) with
+    # w_j = y_j den(col_j) / (det den(el^d)), y / det the integer solution
+    rows = [[col[i] for col in cols] + [-el_pow[i]] for i in range(nL)]
+    sol = _solve_bareiss(rows)
+    if sol is None:
+        raise DomainError("the element does not generate the field over the subfield")
+    y, det = sol
+    den = det * el_pow[nL]
+    x = [Fraction(yj * col[nL], den) for yj, col in zip(y, cols)]
+    return [
+        UniPoly(x[b * base_degree:(b + 1) * base_degree]) for b in range(d)
+    ] + [UniPoly.const(1)]

@@ -76,7 +76,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, _valuation, discriminant, is_prime
+from .exact import JsonRecord, Rat, UniPoly, _valuation, discriminant, is_prime
 from .modp import (
     ExtField,
     degree_blocks,
@@ -583,6 +583,7 @@ class LocalSplittingType:
     certified: bool
 
     def to_json(self) -> dict:
+        # not a JsonRecord: each factor class is an {e, f, count} object
         return {
             "p": self.p,
             "factors": [
@@ -590,17 +591,6 @@ class LocalSplittingType:
             ],
             "certified": self.certified,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LocalSplittingType":
-        return cls(
-            p=data["p"],
-            factors=tuple(
-                (int(d["e"]), int(d["f"]), int(d["count"]))
-                for d in data["factors"]
-            ),
-            certified=bool(data["certified"]),
-        )
 
     @property
     def degree(self) -> int:
@@ -619,7 +609,7 @@ class LocalSplittingType:
 
 
 @dataclass(frozen=True)
-class GaloisLocalInvariants:
+class GaloisLocalInvariants(JsonRecord):
     """Uniform (e, f, g) of a Galois input at p."""
 
     p: int
@@ -627,15 +617,6 @@ class GaloisLocalInvariants:
     f: int
     g: int
     certified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "e": self.e,
-            "f": self.f,
-            "g": self.g,
-            "certified": self.certified,
-        }
 
 
 def _merge(emissions) -> tuple[tuple[int, int, int], ...]:

@@ -37,6 +37,7 @@ from .errors import (
     WildOrIrregular,
 )
 from .exact import (
+    JsonRecord,
     Rat,
     UniPoly,
     crt_combine,
@@ -44,7 +45,6 @@ from .exact import (
     factor_int,
     is_prime,
     _valuation,
-    rat_to_str,
 )
 from .modp import frobenius_data, reduce_relative
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
@@ -55,7 +55,7 @@ from .padic import LocalSplittingType, local_splitting_type, quadratic_local_cla
 
 
 @dataclass(frozen=True)
-class MeetingDatum:
+class MeetingDatum(JsonRecord):
     """t0 meets one branch locus at p: with which multiplicity, and at
     which residue (the common value of t0 and the locus root mod p; 0 on
     the 1/T chart for the point at infinity)."""
@@ -64,14 +64,6 @@ class MeetingDatum:
     locus: UniPoly | None
     multiplicity: int
     residue: int
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "locus": None if self.locus is None else self.locus.to_json(),
-            "multiplicity": self.multiplicity,
-            "residue": self.residue,
-        }
 
 
 def _multiplicity(branch: BranchPoint, t0: Fraction, p: int) -> int:
@@ -148,7 +140,7 @@ def meeting_primes(branches: Sequence[BranchPoint], t0: Rat) -> list[int]:
 
 
 @dataclass(frozen=True)
-class DecompositionPrediction:
+class DecompositionPrediction(JsonRecord):
     """Predicted local invariants of the specialized splitting field at p.
 
     mode "exact": inertia e and residue degree f are both pinned.
@@ -161,16 +153,6 @@ class DecompositionPrediction:
     f: int | None
     f_lower: int | None
     meeting: MeetingDatum | None
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "mode": self.mode,
-            "e": self.e,
-            "f": self.f,
-            "f_lower": self.f_lower,
-            "meeting": None if self.meeting is None else self.meeting.to_json(),
-        }
 
 
 def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
@@ -242,7 +224,7 @@ ORACLE_FAILURE = "ORACLE_FAILURE"
 
 
 @dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(JsonRecord):
     """One prime of one specialization: the prediction, what the oracle
     said, and the comparison verdict."""
 
@@ -252,28 +234,12 @@ class ReportEntry:
     verdict: str
     note: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "prediction": None if self.prediction is None else self.prediction.to_json(),
-            "oracle": None if self.oracle is None else self.oracle.to_json(),
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
-class SpecializationReport:
+class SpecializationReport(JsonRecord):
     cover: str
     t0: Rat
     entries: tuple[ReportEntry, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "cover": self.cover,
-            "t0": rat_to_str(Fraction(self.t0)),
-            "entries": [e.to_json() for e in self.entries],
-        }
 
     @property
     def worst(self) -> str:

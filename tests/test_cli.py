@@ -171,6 +171,12 @@ def test_obstruct_hypothesis_not_met_exit_1(capsys):
     assert doc["status"] == "HYPOTHESIS_NOT_MET"
 
 
+def test_obstruct_q_zero_is_a_usage_error(capsys):
+    code, doc, _ = run(capsys, "obstruct", V4, "--q", "0")
+    assert code == 64
+    assert doc == {"error": "DomainError", "message": "q must be >= 2"}
+
+
 def test_frobenius_primes(capsys):
     code, doc, _ = run(capsys, "frobenius-primes", V4, "--order", "2",
                        "--bound", "20")

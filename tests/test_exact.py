@@ -1,5 +1,8 @@
-"""Exact polynomial arithmetic and integer utilities."""
+"""Exact polynomial arithmetic, integer utilities and the JSON encoding
+of result records."""
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,9 +12,12 @@ from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from gsl import exact
-from gsl.errors import DomainError
+from gsl.applications import adequacy_certificate, parametric_obstruction_report
+from gsl.covers import branch_points
+from gsl.errors import DomainError, HypothesisViolation
 from gsl.exact import (
     BiPoly,
+    JsonRecord,
     UniPoly,
     crt_combine,
     disc_y,
@@ -24,6 +30,8 @@ from gsl.exact import (
     resultant,
     squarefree_part,
 )
+from gsl.padic import galois_local_invariants
+from gsl.specialize import verify_specialization
 
 rats = st.fractions(
     min_value=-30, max_value=30, max_denominator=6
@@ -206,6 +214,56 @@ def test_json_roundtrip():
     assert UniPoly.from_json(f.to_json()) == f
     assert f.to_json() == ["-1/2", "0", "3"]
     assert UniPoly.from_json([]).is_zero
+
+
+def _records(rec):
+    """rec and every JsonRecord nested in its fields."""
+    yield rec
+    stack = [getattr(rec, f.name) for f in dataclasses.fields(rec)]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, JsonRecord):
+            yield from _records(v)
+        elif isinstance(v, tuple):
+            stack.extend(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+
+
+@pytest.fixture(scope="module")
+def record_battery(covers):
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    tops = [
+        verify_specialization(v4, Fraction(26)),  # "divisible" mode at 5
+        verify_specialization(v4, Fraction(-3, 7), primes=(11,)),  # unramified
+        adequacy_certificate(v4, Fraction(21)),
+        parametric_obstruction_report(v4, 2, 20),
+        parametric_obstruction_report(covers["c2_sqrt_t"], 2, 20),  # no certificate
+        galois_local_invariants(upoly(1, 0, 1), 5),
+        *branch_points(covers["c3_shanks"]),
+    ]
+    return [r for top in tops for r in _records(top)]
+
+
+@given(t0=rats, name=st.sampled_from(["c2_sqrt_t", "c3_shanks", "v4_sqrt_t_sqrt_t_minus_1"]))
+def test_json_records_are_their_fields_in_order(record_battery, covers, t0, name):
+    """Every result record encodes as an object of its fields in declaration
+    order, survives a JSON round trip unchanged, and writes each Fraction
+    as a string that parses back to it."""
+    try:
+        drawn = list(_records(verify_specialization(covers[name], t0)))
+    except HypothesisViolation:  # t0 on a branch locus
+        drawn = []
+    assert {type(r) for r in record_battery} == set(JsonRecord.__subclasses__())
+    for rec in record_battery + drawn:
+        doc = rec.to_json()
+        names = [f.name for f in dataclasses.fields(rec)]
+        assert list(doc) == names
+        assert json.loads(json.dumps(doc)) == doc
+        for field in names:
+            value = getattr(rec, field)
+            if isinstance(value, Fraction):
+                assert rat_from_str(doc[field]) == value
 
 
 def test_compose_and_eval():

@@ -231,6 +231,16 @@ def test_relative_min_poly_primitive_element():
     assert rel[-1] == UniPoly.const(Fraction(1))
 
 
+def test_relative_min_poly_needs_a_generator():
+    K = NumberField(upoly(-2, 0, 1))
+    rho = [K.from_rat(Fraction(-3)), K.zero, K.from_rat(Fraction(1))]
+    adj = adjoin_root(K, rho)
+    tau = adj.embed(K.gen())
+    # sqrt2 lies in Q(sqrt2): degree 1 over it, not [L : Q(sqrt2)] = 2
+    with pytest.raises(DomainError):
+        relative_min_poly(adj.field, tau, tau, K.degree)
+
+
 def test_degree_one_field_fast_path():
     K = NumberField(upoly(0, 1))  # Q presented as Q[x]/(x)
     assert K.degree == 1

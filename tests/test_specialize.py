@@ -174,11 +174,40 @@ def test_verify_explicit_prime_list(covers):
 
 
 def test_report_json_shape(covers):
-    c2 = covers["c2_sqrt_t"]
-    rep = verify_specialization(c2, Fraction(10))
-    j = rep.to_json()
-    assert j["cover"] == "c2_sqrt_t" and j["t0"] == "10"
-    assert all({"prime", "prediction", "oracle", "verdict", "note"} <= set(e) for e in j["entries"])
+    """The whole report for V4 at t0 = 21 = 3 * 7, with 21 - 1 = 2^2 * 5.
+    2 and 3 are bad.  At 5, t0 meets T - 1 once at residue 1; the branch
+    there has residue field Q (sqrt T = 1), so (e, f) = (2, 1), and the
+    splitting field Q(sqrt 21, sqrt 5) has 5 ramified with 21 = 1 a square
+    mod 5: two places (2, 1).  At 7, t0 meets T once at residue 0; the
+    residue field is Q(sqrt(T - 1)) = Q(i) at T = 0, where 7 is inert, so
+    (2, 2), and 7 ramifies in Q(sqrt 21) with 5 a non-square mod 7: one
+    place (2, 2)."""
+    rep = verify_specialization(covers["v4_sqrt_t_sqrt_t_minus_1"], Fraction(21))
+    bad = {"prediction": None, "oracle": None, "verdict": SKIPPED_BAD_PRIME,
+           "note": "prime is in the cover's conservative bad set"}
+
+    def checked(p, locus, residue, f):
+        meeting = {"prime": p, "locus": locus, "multiplicity": 1, "residue": residue}
+        return {
+            "prime": p,
+            "prediction": {"prime": p, "mode": "exact", "e": 2, "f": f,
+                           "f_lower": None, "meeting": meeting},
+            "oracle": {"p": p, "factors": [{"e": 2, "f": f, "count": 4 // (2 * f)}],
+                       "certified": True},
+            "verdict": MATCH,
+            "note": "",
+        }
+
+    assert rep.to_json() == {
+        "cover": "v4_sqrt_t_sqrt_t_minus_1",
+        "t0": "21",
+        "entries": [
+            {"prime": 2, **bad},
+            {"prime": 3, **bad},
+            checked(5, ["-1", "1"], 1, 1),
+            checked(7, ["0", "1"], 0, 2),
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
