@@ -21,7 +21,7 @@ from .exact import JsonRecord, Rat, UniPoly, discriminant, factor_int, is_prime,
 from .modp import frobenius_data, reduce_relative, root_count, roots_mod_p
 from .nfield import is_irreducible_rational
 from .padic import LocalSplittingType, local_splitting_type
-from .specialize import meeting_primes, specialize_poly
+from .specialize import specialize_poly
 
 
 # ---------------------------------------------------------------------------

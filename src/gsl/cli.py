@@ -39,7 +39,6 @@ from .applications import (
     adequacy_certificate,
     adequate_specialization_search,
     find_frobenius_primes,
-    grunwald_obstruction,
     parametric_obstruction_report,
 )
 from .covers import (
@@ -62,7 +61,6 @@ from .errors import (
 from .exact import UniPoly, rat_from_str, rat_to_str
 from .padic import local_splitting_type
 from .specialize import (
-    MATCH,
     MISMATCH,
     ORACLE_FAILURE,
     predict_decomposition,

@@ -15,15 +15,25 @@ The coefficient ring R is any object with
                              is not monic, monic normalization, ext_gcd)
     R.p, R.pth_root(a)       the characteristic and the inverse of
                              Frobenius (`squarefree` over F_q only)
+    R.int_modulus            optional: m when the elements are the ints
+                             of [0, m) and the operations are those of Z/m
 
-The element types live with the layers that own them: `modp.PrimeField`
-and `modp.ExtField` (F_q), `padic.Zq` (Z_q / p^N), `nfield.NumberField`
-(integer vectors over one positive denominator), and `INTEGERS` and
-`RATIONALS` below.  `RATIONALS` is Q with `Fraction` elements:
-`exact.UniPoly` is its polynomial type.  `INTEGERS.divexact` (exact
-division, `DomainError` otherwise) serves the subresultant PRS, which
-computes rational resultants over Z.  Element arithmetic stays in those
-types; this module only combines elements.
+Rings with an `int_modulus` (`IntegersMod` below: F_p, `modp.PrimeField`,
+and Z/p^N, `padic.Zp`) have polynomials that are plain int lists, and
+`mul` and `quorem` run on them as such: products and updates accumulate
+unreduced, with one `% m` per output coefficient.  Every other function
+reaches those two loops (`rem`, `powmod`, `gcd`, `ext_gcd`, `squarefree`,
+and through them the finite-field factorization of `modp`), so the
+quadratic work over F_p and Z/p^N makes no method call per coefficient
+operation.
+The rings without it go through the generic loop, one method call per
+element operation: `modp.ExtField` (F_{p^d}), `padic.Zq` (Z_q / p^N,
+int tuples), `nfield.NumberField` (integer vectors over one positive
+denominator), and `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with
+`Fraction` elements: `exact.UniPoly` is its polynomial type.
+`INTEGERS.divexact` (exact division, `DomainError` otherwise) serves the
+subresultant PRS, which computes rational resultants over Z.  Element
+arithmetic stays in those types; this module only combines elements.
 
 Over a field, `gcd` is Euclid with every remainder made monic, the one gcd
 of the package (F_q, Q, number fields).  `interpolate` is Newton's divided
@@ -104,6 +114,38 @@ class _Rationals:
 RATIONALS = _Rationals()
 
 
+class IntegersMod:
+    """Z/m with int elements in [0, m): the rings whose polynomials `mul`
+    and `quorem` treat as plain int lists, reached through `int_modulus`.
+    `modp.PrimeField` (m = p) and `padic.Zp` (m = p^N) derive it and bring
+    their own `inv`."""
+
+    __slots__ = ("int_modulus",)
+
+    zero, one = 0, 1
+
+    def __init__(self, m: int):
+        self.int_modulus = m
+
+    def add(self, a, b):
+        return (a + b) % self.int_modulus
+
+    def sub(self, a, b):
+        return (a - b) % self.int_modulus
+
+    def mul(self, a, b):
+        return a * b % self.int_modulus
+
+    def neg(self, a):
+        return -a % self.int_modulus
+
+    def is_zero(self, a):
+        return a % self.int_modulus == 0
+
+    def from_int(self, n: int):
+        return n % self.int_modulus
+
+
 # ---------------------------------------------------------------------------
 # ring operations
 
@@ -132,6 +174,21 @@ def sub(R, a, b):
 def mul(R, a, b):
     if not a or not b:
         return []
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        # products accumulate unreduced; one % m per coefficient
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                k = i
+                for y in b:
+                    out[k] += x * y
+                    k += 1
+        for k, c in enumerate(out):
+            out[k] = c % m
+        while out and not out[-1]:
+            out.pop()
+        return out
     out = [R.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not R.is_zero(x):
@@ -150,13 +207,37 @@ def quorem(R, a, b):
 
     A monic b needs no inverse, so over rings that are not fields (Z,
     Z_q / p^N) the divisor must be monic or have a unit leading
-    coefficient; R.inv raises otherwise."""
+    coefficient; R.inv raises otherwise.  Over ints mod m the updates
+    accumulate unreduced: each coefficient is reduced once, when it becomes
+    a quotient term or a remainder coefficient."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     lc = b[-1]
-    il = None if R.is_zero(R.sub(lc, R.one)) else R.inv(lc)
     r = list(a)
     db = len(b) - 1
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        il = None if lc % m == 1 else R.inv(lc)
+        q = []
+        n = len(r) - db
+        if n > 0:
+            q = [0] * n
+            for k in range(n - 1, -1, -1):
+                c = r.pop() % m
+                if c:
+                    if il is not None:
+                        c = c * il % m
+                    q[k] = c
+                    for i in range(db):
+                        r[k + i] -= c * b[i]
+            while q and not q[-1]:
+                q.pop()
+        for i, c in enumerate(r):
+            r[i] = c % m
+        while r and not r[-1]:
+            r.pop()
+        return q, r
+    il = None if R.is_zero(R.sub(lc, R.one)) else R.inv(lc)
     q = [R.zero] * max(0, len(r) - db)
     while len(r) > db:
         c = r.pop()
@@ -278,13 +359,20 @@ def shift(R, a, c):
 
 def interpolate(R, xs, ys):
     """The polynomial of degree < len(xs) taking the value ys[i] at xs[i],
-    for distinct xs over a field: Newton divided differences, then the
-    Newton form expanded by Horner, O(len(xs)^2) ring operations."""
+    for distinct xs over a field with hashable elements: Newton divided
+    differences, then the Newton form expanded by Horner, O(len(xs)^2) ring
+    operations.  Each distinct node difference is inverted once; the nodes
+    0, 1, -1, 2, ... of every caller have O(len(xs)) of them."""
     c = list(ys)
     n = len(c)
+    invs = {}
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            c[i] = R.mul(R.sub(c[i], c[i - 1]), R.inv(R.sub(xs[i], xs[i - j])))
+            d = R.sub(xs[i], xs[i - j])
+            w = invs.get(d)
+            if w is None:
+                w = invs[d] = R.inv(d)
+            c[i] = R.mul(R.sub(c[i], c[i - 1]), w)
     out = c[-1:]
     for i in range(n - 2, -1, -1):
         # out <- out * (x - xs[i]) + c[i]

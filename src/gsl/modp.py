@@ -3,7 +3,9 @@
 Polynomials over a finite field F are `dense` lists of F-elements: ints
 in [0, p) for F_p, and int tuples over a fixed irreducible modulus for the
 extension fields F_{p^d} that the p-adic oracle uses for its unramified
-lifts.  The functions over F_p that take a `UniPoly` or a sequence of ints
+lifts.  `PrimeField` is a `dense.IntegersMod`, so `dense` multiplies and
+divides F_p polynomials as plain int lists, reduced once per coefficient.
+The functions over F_p that take a `UniPoly` or a sequence of ints
 return plain trimmed int lists.  `prime_field(p)` builds F_p, and tests p
 for primality, once per prime.
 
@@ -56,7 +58,7 @@ def seed_from_env() -> int:
 # fields
 
 
-class PrimeField:
+class PrimeField(dense.IntegersMod):
     """F_p with int elements; `prime_field(p)` builds it once per prime."""
 
     __slots__ = ("p", "q", "degree")
@@ -64,35 +66,15 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
+        super().__init__(p)
         self.p = p
         self.q = p
         self.degree = 1
-
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def element_by_index(self, i: int):
         return i % self.p

@@ -23,7 +23,8 @@ point, no randomness.  The pieces:
     factors mod p, counted from `modp.degree_blocks` (distinct-degree
     factorization only); only that prime is fully factored, its factors
     are lifted by the multifactor Hensel lift `padic.hensel_lift` over
-    Z/p^k past the Landau-Mignotte bound, and subsets are recombined over Z.
+    Z/p^k (`padic.Zp`, whose polynomials are int lists) past the
+    Landau-Mignotte bound, and subsets are recombined over Z.
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
@@ -62,7 +63,7 @@ from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import Rat, UniPoly, _sample_points, _valuation, factor_int, is_prime, resultant
 from .modp import degree_blocks, factor_over, prime_field
-from .padic import Zq, hensel_lift
+from .padic import Zp, hensel_lift
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +354,8 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     k = 1
     while p**k < target:
         k += 1
-    W = Zq(p, k, [0, 1])  # Z/p^k
-    pk = W.pN
+    W = Zp(p, k)
+    pk = W.int_modulus
     lifted = hensel_lift(W, [W.from_int(c) for c in g], facs)
     # subset recombination, smallest subsets first
     remaining = list(range(len(lifted)))
@@ -367,7 +368,7 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
             h = [W.one]
             for i in combo:
                 h = dense.mul(W, h, lifted[i])
-            cand = [_sym(c[0], pk) for c in h]
+            cand = [_sym(c, pk) for c in h]
             if gcur[0] != 0 and cand[0] != 0 and gcur[0] % cand[0] != 0:
                 continue
             q, r = dense.quorem(dense.INTEGERS, gcur, cand)

@@ -266,6 +266,10 @@ class Zq:
         pN = self.pN
         return tuple(c % pN for c in a)
 
+    def with_precision(self, k: int) -> Zq:
+        """The same W truncated at p^k."""
+        return Zq(self.p, k, self.Phi)
+
     def shift_down(self, a, k: int):
         """a / p^k, requiring exact divisibility of every coefficient."""
         pk = self.p**k
@@ -294,6 +298,41 @@ class Zq:
         return f"Zq(p={self.p}, d={self.d}, N={self.N})"
 
 
+class Zp(dense.IntegersMod):
+    """Z/p^N with int elements in [0, p^N): the ring of Zassenhaus's Hensel
+    lift over Q (`nfield`), where `dense` multiplies and divides its
+    polynomials as plain int lists.  It has the members of a degree-one
+    `Zq` that `hensel_lift` reads, on ints instead of 1-tuples."""
+
+    __slots__ = ("p", "N", "res")
+
+    def __init__(self, p: int, N: int):
+        super().__init__(p**N)
+        self.p = p
+        self.N = N
+        self.res = prime_field(p)
+
+    def residue(self, a):
+        return a % self.p
+
+    def lift_res(self, r):
+        return r % self.int_modulus
+
+    truncate = lift_res
+
+    def with_precision(self, k: int) -> Zp:
+        return Zp(self.p, k)
+
+    def inv(self, a):
+        """Inverse of a unit (a prime to p)."""
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of a non-unit")
+        return pow(a, -1, self.int_modulus)
+
+    def __repr__(self):
+        return f"Zp(p={self.p}, N={self.N})"
+
+
 def wp_reduce_res(W, f):
     """f mod p as a polynomial over the residue field."""
     return dense.trim(W.res, [W.residue(c) for c in f])
@@ -303,10 +342,11 @@ def wp_reduce_res(W, f):
 # multifactor Hensel lifting over W
 
 
-def hensel_lift(W: Zq, f, factors):
-    """Monic lifts over W = Zq(p, N, chi) of a factorization of the monic f
-    mod p into monic, pairwise coprime factors over W.res, in input order;
-    Zassenhaus factorization over Q (`nfield`) lifts over W = Z/p^k.
+def hensel_lift(W: Zq | Zp, f, factors):
+    """Monic lifts over W = Zq(p, N, chi) or Zp(p, N) of a factorization of
+    the monic f mod p into monic, pairwise coprime factors over W.res, in
+    input order; Zassenhaus factorization over Q (`nfield`) lifts over
+    W = Zp(p, k), whose polynomials are int lists.
 
     A factor tree (von zur Gathen & Gerhard, Modern Computer Algebra,
     ch. 15): split the factors into two halves, lift that pair with
@@ -318,7 +358,7 @@ def hensel_lift(W: Zq, f, factors):
     k = 1
     while k < W.N:
         k = min(2 * k, W.N)
-        rings.append(W if k == W.N else Zq(W.p, k, W.Phi))
+        rings.append(W if k == W.N else W.with_precision(k))
     return _lift_tree(W, rings, f, factors)
 
 

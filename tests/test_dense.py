@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gsl import dense
 from gsl.errors import DomainError
-from gsl.exact import UniPoly
+from gsl.exact import UniPoly, _sample_points
 from gsl.modp import ExtField, PrimeField
 from gsl.nfield import NumberField
 
@@ -210,6 +210,35 @@ def test_interpolate_matches_sympy(xs, data):
     ys = data.draw(st.lists(st.fractions(-50, 50, max_denominator=7),
                             min_size=len(xs), max_size=len(xs)))
     ours = dense.interpolate(dense.RATIONALS, xs, ys)
+    theirs = sp.interpolate([(sp.Rational(str(x)), sp.Rational(str(y))) for x, y in zip(xs, ys)], _x)
+    assert ours == _from_sympy(sp.Poly(theirs, _x, domain=sp.QQ))
+
+
+class _CountingInverses:
+    """Q, counting the calls to inv."""
+
+    def __init__(self):
+        self.invs = 0
+
+    def __getattr__(self, name):
+        return getattr(dense.RATIONALS, name)
+
+    def inv(self, a):
+        self.invs += 1
+        return dense.RATIONALS.inv(a)
+
+
+@given(st.one_of(st.integers(1, 12).map(lambda n: list(itertools.islice(_sample_points(), n))),
+                 st.lists(st.fractions(-20, 20, max_denominator=5), min_size=1, max_size=8,
+                          unique=True)),
+       st.data())
+def test_interpolate_inverts_each_distinct_node_difference_once(xs, data):
+    ys = data.draw(st.lists(st.fractions(-50, 50, max_denominator=7),
+                            min_size=len(xs), max_size=len(xs)))
+    R = _CountingInverses()
+    ours = dense.interpolate(R, xs, ys)
+    n = len(xs)
+    assert R.invs <= len({xs[i] - xs[i - j] for j in range(1, n) for i in range(j, n)})
     theirs = sp.interpolate([(sp.Rational(str(x)), sp.Rational(str(y))) for x, y in zip(xs, ys)], _x)
     assert ours == _from_sympy(sp.Poly(theirs, _x, domain=sp.QQ))
 

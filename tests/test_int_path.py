@@ -1,0 +1,257 @@
+"""The plain-int path of the `dense` kernel: polynomials over F_p and Z/p^k
+as int lists.  Each function is checked against sympy's GF(p) arithmetic
+and against the generic method-call loop, which a wrapper ring that hides
+the int modulus reaches; the Hensel lift over Z/p^k is checked against its
+defining properties and against the lift over Zq(p, k, [0, 1])."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_div,
+    gf_factor,
+    gf_gcd,
+    gf_gcdex,
+    gf_monic,
+    gf_mul,
+    gf_pow_mod,
+    gf_sqf_list,
+)
+
+from gsl import dense
+from gsl.errors import DomainError
+from gsl.modp import PrimeField, degree_blocks, factor_over, prime_field
+from gsl.padic import Zp, Zq, hensel_lift
+
+PRIMES = [2, 3, 5, 101, 2**31 - 1]
+
+
+class _Generic:
+    """A ring with every member of the wrapped one except `int_modulus`,
+    so `dense` runs its generic loop on it."""
+
+    def __init__(self, R):
+        self._R = R
+
+    def __getattr__(self, name):
+        if name == "int_modulus":
+            raise AttributeError(name)
+        return getattr(self._R, name)
+
+
+def _sp(a):
+    """A dense int list as a galoistools list (highest degree first)."""
+    return list(reversed(a))
+
+
+def _ours(a):
+    return dense.trim(dense.INTEGERS, [int(c) for c in reversed(a)])
+
+
+@st.composite
+def _field_and_polys(draw, count, max_degree=7, nonzero=False):
+    p = draw(st.sampled_from(PRIMES))
+    coeff = st.integers(0, p - 1)
+    polys = []
+    for _ in range(count):
+        a = dense.trim(dense.INTEGERS, draw(st.lists(coeff, max_size=max_degree + 1)))
+        if nonzero and not a:
+            a = [draw(st.integers(1, p - 1))]
+        polys.append(a)
+    return prime_field(p), polys
+
+
+@st.composite
+def _with_repeated_factors(draw):
+    """A monic polynomial over F_p built from a few small factors raised to
+    small powers, so repeated and p-th power parts occur."""
+    p = draw(st.sampled_from(PRIMES))
+    F = prime_field(p)
+    f = [1]
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)) + [1]
+        f = dense.mul(F, f, [1] if draw(st.booleans()) else g)
+        for _ in range(draw(st.integers(0, 3))):
+            f = dense.mul(F, f, g)
+    return F, f
+
+
+def _both(F, fn, *args):
+    """fn over F and over the same field with its int modulus hidden."""
+    return fn(F, *args), fn(_Generic(F), *args)
+
+
+@settings(max_examples=150)
+@given(_field_and_polys(2))
+def test_mul_matches_sympy_and_the_generic_loop(case):
+    F, (a, b) = case
+    ours, generic = _both(F, dense.mul, a, b)
+    assert ours == generic == _ours(gf_mul(_sp(a), _sp(b), F.p, ZZ))
+
+
+@settings(max_examples=150)
+@given(_field_and_polys(2, nonzero=True))
+def test_quorem_matches_sympy_and_the_generic_loop(case):
+    F, (a, b) = case
+    ours, generic = _both(F, dense.quorem, a, b)
+    q, r = gf_div(_sp(a), _sp(b), F.p, ZZ)
+    assert ours == generic == (_ours(q), _ours(r))
+
+
+@settings(max_examples=150)
+@given(_field_and_polys(2, max_degree=6, nonzero=True), st.integers(0, 10**6))
+def test_powmod_matches_sympy_and_the_generic_loop(case, e):
+    F, (a, m) = case
+    assume(len(m) > 1)
+    for a, e in ((a, e), ([0, 1], F.p)):  # and x^p, as the Frobenius searches ask
+        ours, generic = _both(F, dense.powmod, a, e, m)
+        assert ours == generic == _ours(gf_pow_mod(_sp(a), e, _sp(m), F.p, ZZ))
+
+
+@settings(max_examples=150)
+@given(_field_and_polys(2))
+def test_gcd_matches_sympy_and_the_generic_loop(case):
+    F, (a, b) = case
+    ours, generic = _both(F, dense.gcd, a, b)
+    assert ours == generic == _ours(gf_gcd(_sp(a), _sp(b), F.p, ZZ))
+
+
+@settings(max_examples=150)
+@given(_field_and_polys(2, nonzero=True))
+def test_ext_gcd_matches_sympy_and_the_generic_loop(case):
+    F, (a, b) = case
+    s, t, g = gf_gcdex(_sp(a), _sp(b), F.p, ZZ)
+    if g != [1]:
+        for R in (F, _Generic(F)):
+            with pytest.raises(DomainError):
+                dense.ext_gcd(R, a, b)
+        return
+    ours, generic = _both(F, dense.ext_gcd, a, b)
+    assert ours == generic == (_ours(s), _ours(t))
+
+
+@settings(max_examples=150)
+@given(_with_repeated_factors())
+def test_squarefree_matches_sympy_and_the_generic_loop(case):
+    F, f = case
+    ours, generic = _both(F, dense.squarefree, f)
+    _, parts = gf_sqf_list(_sp(f), F.p, ZZ)
+    assert ours == generic == sorted(((_ours(g), i) for g, i in parts), key=lambda t: t[1])
+
+
+@settings(max_examples=150)
+@given(_with_repeated_factors(), st.integers(1, 10**6))
+def test_degree_blocks_match_sympy_and_the_generic_loop(case, lc):
+    F, f = case
+    assume(len(f) > 1)
+    f = [c * (lc % F.p or 1) % F.p for c in f]
+    ours, generic = _both(F, degree_blocks, f)
+    blocks: dict = {}
+    _, irreducibles = gf_factor(_sp(f), F.p, ZZ)
+    for g, mult in irreducibles:
+        key = (mult, len(g) - 1)
+        blocks[key] = gf_mul(blocks.get(key, [1]), g, F.p, ZZ)
+    want = [(_ours(gf_monic(g, F.p, ZZ)[1]), r, mult) for (mult, r), g in sorted(blocks.items())]
+    assert ours == generic == want
+
+
+def test_prime_field_never_reaches_the_generic_loop():
+    calls = []
+
+    class Counting(PrimeField):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            if name in ("add", "sub", "mul", "neg", "is_zero"):
+                calls.append(name)
+            return super().__getattribute__(name)
+
+    F = Counting(101)
+    a, b = [3, 100, 7, 1], [5, 0, 2]
+    q, r = dense.quorem(F, dense.mul(F, a, b), b)
+    assert (q, r) == (a, [])
+    dense.quorem(F, a, b)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the int path raises what the generic path raises
+
+
+def test_division_by_zero_raises_zero_division_error_on_both_paths():
+    # the zero divisor, untrimmed or not, and divisors whose leading
+    # coefficient is 0 mod p, passed unreduced; over Z/125 also a non-unit
+    cases = [(prime_field(7), ([], [0], [3, 7], [3, -14])),
+             (Zp(5, 3), ([], [0], [3, 125], [3, -250], [3, 1, 5]))]
+    for R, divisors in cases:
+        for ring in (R, _Generic(R)):
+            for b in divisors:
+                with pytest.raises(ZeroDivisionError):
+                    dense.quorem(ring, [1, 2, 3], b)
+
+
+@pytest.mark.parametrize("lc", [5, 10, -25, 125, 0])
+def test_a_non_unit_leading_coefficient_over_z_mod_p_power_raises_like_zq(lc):
+    Wq = Zq(5, 3, [0, 1])
+    with pytest.raises(ZeroDivisionError) as want:
+        dense.quorem(Wq, [Wq.from_int(c) for c in (1, 2, 3)], [Wq.one, Wq.from_int(lc)])
+    with pytest.raises(ZeroDivisionError) as got:
+        dense.quorem(Zp(5, 3), [1, 2, 3], [1, lc])
+    assert str(got.value) == str(want.value)
+
+
+def test_a_unit_leading_coefficient_over_z_mod_p_power_divides():
+    W = Zp(5, 3)
+    b = [1, 2]  # 2x + 1, 2 a unit mod 125
+    a = dense.mul(W, [4, 0, 7], b)
+    assert dense.quorem(W, a, b) == ([4, 0, 7], [])
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([prime_field(7), prime_field(101), Zp(3, 4)]),
+       st.lists(st.integers(-10**4, 10**4), max_size=7),
+       st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5),
+       st.integers(-3, 3))
+def test_unreduced_inputs_give_reduced_trimmed_results(R, a, b, k):
+    m = R.int_modulus
+    b = b + [1 + k * m]  # a leading coefficient = 1 mod m, unreduced
+    a_red = dense.trim(R, [c % m for c in a])
+    b_red = dense.trim(R, [c % m for c in b])
+    generic = _Generic(R)
+    assert dense.mul(R, a, b) == dense.mul(generic, a_red, b_red)
+    assert dense.quorem(R, a, b) == dense.quorem(generic, a_red, b_red)
+    q, r = dense.quorem(R, a, b)
+    for poly in (dense.mul(R, a, b), q, r):
+        assert all(0 <= c < m for c in poly) and (not poly or poly[-1])
+
+
+# ---------------------------------------------------------------------------
+# the Hensel lift over Z/p^k
+
+
+@st.composite
+def _lift_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    f = draw(st.lists(st.integers(-60, 60), min_size=2, max_size=7)) + [1]
+    F = prime_field(p)
+    factors = factor_over(F, [c % p for c in f])
+    assume(all(mult == 1 for _, mult in factors))
+    return p, f, [g for g, _ in factors], draw(st.integers(1, 12))
+
+
+@settings(max_examples=150)
+@given(_lift_case())
+def test_hensel_lift_over_z_mod_p_power(case):
+    p, f, factors, k = case
+    W = Zp(p, k)
+    lifted = hensel_lift(W, [W.from_int(c) for c in f], factors)
+    prod = [1]
+    for g in lifted:
+        assert g[-1] == 1
+        prod = dense.mul(W, prod, g)
+    assert prod == dense.trim(W, [c % p**k for c in f])
+    assert [[c % p for c in g] for g in lifted] == factors
+    Wq = Zq(p, k, [0, 1])
+    lifted_q = hensel_lift(Wq, [Wq.from_int(c) for c in f], factors)
+    assert [[(c,) for c in g] for g in lifted] == lifted_q
