@@ -186,7 +186,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cover = _load(args.cover)
-    branches = branch_points(cover, prec=args.prec)
+    branches = branch_points(cover)
     bad = conservative_bad_primes(cover)
     out = {
         "cover": cover.name,
@@ -330,8 +330,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="branch data, bad primes, sanity checks")
     cover_arg(p)
-    p.add_argument("--prec", type=int, default=None,
-                   help="series steps for branch expansion (default: automatic)")
     p.add_argument("--skip-sampling", action="store_true",
                    help="skip the randomized degree-uniformity check")
     summary_arg(p)

@@ -23,8 +23,8 @@ field of the branch places, by rational (Duval-style) Puiseux expansion:
     further field growth, so the residue data is exact, not truncated.
 
 The expansion is exact polynomial arithmetic throughout; the `prec`
-argument only caps the recursion depth (UnstableResidueField when a path
-exceeds it, which no tame cover does).
+argument of `puiseux_at` only caps the recursion depth
+(UnstableResidueField when a path exceeds it, which no tame cover does).
 """
 
 from __future__ import annotations
@@ -491,16 +491,14 @@ def puiseux_at(
     return tuple(out)
 
 
-def branch_points(cover: Cover, prec: int | None = None) -> tuple[BranchPoint, ...]:
+def branch_points(cover: Cover) -> tuple[BranchPoint, ...]:
     """The branch points of the cover: the irreducible factors of the
     squarefree part of disc_Y(P) whose places are actually ramified, plus
     the point at infinity when it is.  Uniformity across the places of one
     locus (equal e, equal residue degree) is checked and is a consequence
-    of the Galois hypothesis; NonUniformRamification otherwise.
-
-    This reads `cover.analysis`; an explicit `prec` expands afresh with
-    that recursion cap and caches nothing."""
-    return (cover.analysis if prec is None else _analyze(cover, prec)).branches
+    of the Galois hypothesis; NonUniformRamification otherwise.  This
+    reads `cover.analysis`."""
+    return cover.analysis.branches
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +529,7 @@ def conservative_bad_primes(cover: Cover) -> frozenset[int]:
     return cover.analysis.bad_primes
 
 
-def _analyze(cover: Cover, prec: int | None = None) -> CoverAnalysis:
+def _analyze(cover: Cover) -> CoverAnalysis:
     n = cover.degree
     disc = disc_y(cover.poly)
     sf = squarefree_part(disc)
@@ -540,8 +538,7 @@ def _analyze(cover: Cover, prec: int | None = None) -> CoverAnalysis:
     branches = []
     rh_sum = 0
     for locus in loci:
-        steps = prec if prec is not None else _default_steps(n, disc, locus)
-        places = puiseux_at(cover, locus, steps)
+        places = puiseux_at(cover, locus, _default_steps(n, disc, locus))
         where = "infinity" if locus is None else repr(locus)
         es = {p.ram_index for p in places}
         ds = {p.residue_degree for p in places}

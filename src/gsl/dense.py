@@ -13,24 +13,23 @@ The coefficient ring R is any object with
     R.from_int(n)            the image of an integer (derivatives only)
     R.inv(a)                 inverse of a unit (division by a divisor that
                              is not monic, monic normalization, ext_gcd)
-    R.p, R.pth_root(a)       the characteristic and the inverse of
-                             Frobenius (`squarefree` over F_q only)
+    R.p, R.q                 the characteristic and the size of a finite
+                             field (`squarefree` over F_q only)
     R.int_modulus            optional: m when the elements are the ints
                              of [0, m) and the operations are those of Z/m
 
-Rings with an `int_modulus` (`IntegersMod` below: F_p, `modp.PrimeField`,
-and Z/p^N, `padic.Zp`) have polynomials that are plain int lists, and
-`mul` and `quorem` run on them as such: products and updates accumulate
-unreduced, with one `% m` per output coefficient.  Every other function
-reaches those two loops (`rem`, `powmod`, `gcd`, `ext_gcd`, `squarefree`,
-and through them the finite-field factorization of `modp`), so the
-quadratic work over F_p and Z/p^N makes no method call per coefficient
-operation.
+Rings with an `int_modulus` (`modp.Zp`: F_p and Z/p^N) have polynomials
+that are plain int lists, and `mul` and `quorem` run on them as such:
+products and updates accumulate unreduced, with one `% m` per output
+coefficient.  Every other function reaches those two loops (`rem`,
+`powmod`, `gcd`, `ext_gcd`, `squarefree`, and through them the
+finite-field factorization of `modp`), so the quadratic work over F_p and
+Z/p^N makes no method call per coefficient operation.
 The rings without it go through the generic loop, one method call per
-element operation: `modp.ExtField` (F_{p^d}), `padic.Zq` (Z_q / p^N,
-int tuples), `nfield.NumberField` (integer vectors over one positive
-denominator), and `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with
-`Fraction` elements: `exact.UniPoly` is its polynomial type.
+element operation: `modp.Zq` (F_{p^d} and Z_q / p^N, int tuples),
+`nfield.NumberField` (integer vectors over one positive denominator), and
+`INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
+elements: `exact.UniPoly` is its polynomial type.
 `INTEGERS.divexact` (exact division, `DomainError` otherwise) serves the
 subresultant PRS, which computes rational resultants over Z.  Element
 arithmetic stays in those types; this module only combines elements.
@@ -112,38 +111,6 @@ class _Rationals:
 
 
 RATIONALS = _Rationals()
-
-
-class IntegersMod:
-    """Z/m with int elements in [0, m): the rings whose polynomials `mul`
-    and `quorem` treat as plain int lists, reached through `int_modulus`.
-    `modp.PrimeField` (m = p) and `padic.Zp` (m = p^N) derive it and bring
-    their own `inv`."""
-
-    __slots__ = ("int_modulus",)
-
-    zero, one = 0, 1
-
-    def __init__(self, m: int):
-        self.int_modulus = m
-
-    def add(self, a, b):
-        return (a + b) % self.int_modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.int_modulus
-
-    def mul(self, a, b):
-        return a * b % self.int_modulus
-
-    def neg(self, a):
-        return -a % self.int_modulus
-
-    def is_zero(self, a):
-        return a % self.int_modulus == 0
-
-    def from_int(self, n: int):
-        return n % self.int_modulus
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +266,10 @@ def squarefree(R, f):
     except those whose multiplicity the characteristic divides, which it
     holds whole; w = f / c holds each of the others once.  Step i splits
     off those of multiplicity i.  In characteristic p what is left of c is
-    a p-th power, whose p-th root (R.p, R.pth_root) is decomposed the same
-    way with multiplicities times p.  A unit c answers at once: f is
-    squarefree (or constant, with no parts)."""
+    a p-th power, whose p-th root is decomposed the same way with
+    multiplicities times p; over F_q the p-th root of an element a is
+    a^(q/p).  A unit c answers at once: f is squarefree (or constant, with
+    no parts)."""
     c = gcd(R, f, deriv(R, f))
     if len(c) == 1:
         return [(f, 1)] if len(f) > 1 else []
@@ -317,7 +285,7 @@ def squarefree(R, f):
         c = quorem(R, c, y)[0]
         i += 1
     if len(c) > 1:
-        root = [R.pth_root(a) for a in c[:: R.p]]
+        root = [power(R, a, R.q // R.p) for a in c[:: R.p]]
         out.extend((a, j * R.p) for a, j in squarefree(R, root))
         out.sort(key=lambda t: t[1])
     return out

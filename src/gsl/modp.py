@@ -1,13 +1,19 @@
-"""Finite fields and factorization over them.
+"""Residue rings of Z_p, and factorization over finite fields.
 
-Polynomials over a finite field F are `dense` lists of F-elements: ints
-in [0, p) for F_p, and int tuples over a fixed irreducible modulus for the
-extension fields F_{p^d} that the p-adic oracle uses for its unramified
-lifts.  `PrimeField` is a `dense.IntegersMod`, so `dense` multiplies and
-divides F_p polynomials as plain int lists, reduced once per coefficient.
-The functions over F_p that take a `UniPoly` or a sequence of ints
-return plain trimmed int lists.  `prime_field(p)` builds F_p, and tests p
-for primality, once per prime.
+Two residue rings serve every layer; polynomials over them are `dense`
+lists:
+
+  * `Zp(p, N)`, Z/p^N with int elements.  F_p is Zp(p, 1), which
+    `prime_field(p)` builds, after testing p for primality, once per
+    prime.  Its `int_modulus` puts F_p and Z/p^N polynomials on the int
+    path of `dense`: plain int lists, reduced once per coefficient.
+  * `Zq(p, N, chi)`, Z_p[x]/(chi) mod p^N with int tuple elements, for a
+    monic chi that is irreducible of degree d >= 2 mod p.  F_{p^d} is
+    Zq(p, 1, chi).
+
+Both carry the p-adic members the oracle reads (`res`, `residue`, `val`,
+`shift_down`), and `nfield` lifts over Zp.  The functions over F_p that
+take a `UniPoly` or a sequence of ints return plain trimmed int lists.
 
 Factorization runs in three steps (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 14): squarefree decomposition (`dense.squarefree`,
@@ -32,11 +38,12 @@ import functools
 import math
 import os
 import random
-from typing import Sequence
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from . import dense
 from .errors import DomainError, NotSeparable
-from .exact import UniPoly, is_prime
+from .exact import Rat, UniPoly, is_prime
 
 _DEFAULT_SEED = 0x5EED
 
@@ -55,113 +62,171 @@ def seed_from_env() -> int:
 
 
 # ---------------------------------------------------------------------------
-# fields
+# residue rings
 
 
-class PrimeField(dense.IntegersMod):
-    """F_p with int elements; `prime_field(p)` builds it once per prime."""
+class Zp:
+    """Z/p^N with int elements in [0, p^N): F_p when N = 1 (`prime_field`
+    builds it once per prime), the ring of the Hensel lift over Q
+    (`nfield`) and the oracle's base ring (`padic`) when N > 1.  Its
+    `int_modulus` p^N makes `dense` multiply and divide its polynomials as
+    plain int lists, reduced once per coefficient.  `res` is the residue
+    field F_p, the ring itself when N = 1; `q = p` is its size and `d = 1`
+    the degree of the ring over Z_p."""
 
-    __slots__ = ("p", "q", "degree")
+    __slots__ = ("p", "N", "q", "int_modulus", "res")
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        super().__init__(p)
-        self.p = p
-        self.q = p
-        self.degree = 1
+    zero, one, d = 0, 1, 1
+
+    def __init__(self, p: int, N: int = 1):
+        self.p = self.q = p
+        self.N = N
+        self.int_modulus = p**N
+        self.res = self if N == 1 else prime_field(p)
+
+    def add(self, a, b):
+        return (a + b) % self.int_modulus
+
+    def sub(self, a, b):
+        return (a - b) % self.int_modulus
+
+    def mul(self, a, b):
+        return a * b % self.int_modulus
+
+    def neg(self, a):
+        return -a % self.int_modulus
+
+    def is_zero(self, a):
+        return a % self.int_modulus == 0
+
+    def from_int(self, n: int):
+        return n % self.int_modulus
+
+    def from_rat(self, c: Rat):
+        c = Fraction(c)
+        if c.denominator % self.p == 0:
+            raise DomainError("element is not p-integral")
+        return c.numerator * pow(c.denominator, -1, self.int_modulus) % self.int_modulus
 
     def inv(self, a):
+        """Inverse of a unit (a prime to p)."""
         if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
+            raise ZeroDivisionError("inverse of a non-unit")
+        return pow(a, -1, self.int_modulus)
 
     def element_by_index(self, i: int):
         return i % self.p
 
-    def pth_root(self, a):
-        # Frobenius is the identity on F_p
-        return a
+    def residue(self, a):
+        return a % self.p
+
+    def val(self, a) -> Optional[int]:
+        """v_p(a); None when a = 0 mod p^N (v >= N)."""
+        return _int_val(a, self.p) if a else None
+
+    def shift_down(self, a, k: int):
+        """a / p^k, requiring exact divisibility."""
+        q, r = divmod(a, self.p**k)
+        if r:
+            raise DomainError(f"inexact division by {self.p}^{k}")
+        return q
 
     def __repr__(self):
-        return f"F_{self.p}"
+        return f"F_{self.p}" if self.N == 1 else f"Zp(p={self.p}, N={self.N})"
+
+
+def _int_val(c: int, p: int) -> int:
+    """v_p of a nonzero int."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
 
 
 @functools.lru_cache(maxsize=256)
-def prime_field(p: int) -> PrimeField:
-    """F_p, for the last few hundred primes asked for: the primality test
-    in `PrimeField` runs once per prime, not once per use.  A composite p
+def prime_field(p: int) -> Zp:
+    """F_p = Zp(p, 1), for the last few hundred primes asked for: p is
+    tested for primality once per prime, not once per use.  A composite p
     raises DomainError on every call (errors are not cached)."""
-    return PrimeField(p)
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return Zp(p)
 
 
-def mul_reduce(a, b, modulus, m: int) -> tuple:
-    """The product of two int tuples of length d = deg(modulus), read as
-    polynomials, reduced by the monic int polynomial `modulus` and mod m.
-    The element product of both F_{p^d} (m = p) and Z_q / p^N (m = p^N)."""
-    d = len(modulus) - 1
-    out = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    for k in range(2 * d - 2, d - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(d):
-                out[k - d + j] = (out[k - d + j] - c * modulus[j]) % m
-    return tuple(out[:d])
+class Zq:
+    """Z_q / p^N = Z_p[x]/(chi) truncated at p^N, for a monic chi of degree
+    d >= 2 that is irreducible mod p (`Phi` is chi mod p^N): F_{p^d} when
+    N = 1, the oracle's unramified extensions of Z_p when N > 1.  Elements
+    are int tuples of length d, the coefficients of 1, x, ..., x^(d-1) mod
+    p^N.  `res` is the residue field F_{p^d} = Zq(p, 1, chi), the ring
+    itself when N = 1, and `q = p^d` its size."""
 
+    __slots__ = ("p", "N", "d", "q", "pN", "Phi", "res", "zero", "one")
 
-class ExtField:
-    """F_{p^d} = F_p[x]/(chi), chi monic irreducible of degree d.
-
-    Elements are int tuples of length d (coefficients of 1, x, ..,
-    x^{d-1}).
-    """
-
-    __slots__ = ("p", "d", "q", "degree", "chi", "base", "zero", "one", "gen")
-
-    def __init__(self, p: int, chi: Sequence[int]):
+    def __init__(self, p: int, N: int, chi: Sequence[int]):
         self.p = p
-        self.base = prime_field(p)
-        self.chi = [c % p for c in chi]
-        if self.chi[-1] != 1:
-            raise DomainError("extension field modulus must be monic")
-        self.d = len(self.chi) - 1
-        self.degree = self.d
+        self.N = N
+        self.pN = p**N
+        self.Phi = [c % self.pN for c in chi]
+        self.d = len(chi) - 1
+        if self.Phi[-1] != 1 or self.d < 2:
+            raise DomainError("an unramified extension needs a monic modulus of degree >= 2")
         self.q = p**self.d
+        self.res = self if N == 1 else Zq(p, 1, chi)
         self.zero = (0,) * self.d
-        self.one = tuple([1] + [0] * (self.d - 1))
-        self.gen = tuple([0, 1] + [0] * (self.d - 2)) if self.d >= 2 else self.one
+        self.one = (1,) + self.zero[1:]
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        pN = self.pN
+        return tuple((x + y) % pN for x, y in zip(a, b))
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        pN = self.pN
+        return tuple((x - y) % pN for x, y in zip(a, b))
 
     def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
+        pN = self.pN
+        return tuple(-x % pN for x in a)
 
     def mul(self, a, b):
-        return mul_reduce(a, b, self.chi, self.p)
+        """a b as polynomials in x, reduced by Phi and mod p^N once per
+        coefficient."""
+        d, Phi, pN = self.d, self.Phi, self.pN
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            c = out[k] % pN
+            if c:
+                for j in range(d):
+                    out[k - d + j] -= c * Phi[j]
+        return tuple(c % pN for c in out[:d])
 
     def is_zero(self, a):
         return not any(a)
 
-    def inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of 0")
-        _, t = dense.ext_gcd(self.base, self.chi, dense.trim(self.base, list(a)))
-        return tuple(t + [0] * (self.d - len(t)))
-
     def from_int(self, n: int):
-        return tuple([n % self.p] + [0] * (self.d - 1))
+        return (n % self.pN,) + self.zero[1:]
+
+    def inv(self, a):
+        """Inverse of a unit: the residue inverted by ext_gcd over F_p, then
+        Newton steps x <- x (2 - a x), each doubling the correct digits
+        (none when N = 1)."""
+        F = prime_field(self.p)
+        r = dense.trim(F, [c % self.p for c in a])
+        if not r:
+            raise ZeroDivisionError("inverse of a non-unit")
+        _, t = dense.ext_gcd(F, self.res.Phi, r)
+        x = tuple(t) + self.zero[len(t):]
+        two = self.from_int(2)
+        k = 1
+        while k < self.N:
+            x = self.mul(x, self.sub(two, self.mul(a, x)))
+            k *= 2
+        return x
 
     def element_by_index(self, i: int):
         digits = []
@@ -170,15 +235,26 @@ class ExtField:
             i //= self.p
         return tuple(digits)
 
-    def pth_root(self, a):
-        # a^(p^(d-1)): inverse of Frobenius
-        out = a
-        for _ in range(self.d - 1):
-            out = dense.power(self, out, self.p)
-        return out
+    def residue(self, a):
+        return tuple(c % self.p for c in a)
+
+    def val(self, a) -> Optional[int]:
+        """The least valuation of a coordinate; None when a = 0 mod p^N
+        (v >= N).  This is the valuation of a, because 1, x, ..., x^(d-1)
+        is a basis of Z_q with unit discriminant."""
+        return min((_int_val(c, self.p) for c in a if c), default=None)
+
+    def shift_down(self, a, k: int):
+        """a / p^k, requiring exact divisibility of every coordinate."""
+        pk = self.p**k
+        if any(c % pk for c in a):
+            raise DomainError(f"inexact division by {self.p}^{k}")
+        return tuple(c // pk for c in a)
 
     def __repr__(self):
-        return f"F_{self.p}^{self.d}"
+        if self.N == 1:
+            return f"F_{self.p}^{self.d}"
+        return f"Zq(p={self.p}, d={self.d}, N={self.N})"
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +385,7 @@ def roots_over(F, f) -> list:
     return sorted(roots)
 
 
-def find_irreducible(F_p: PrimeField, degree: int) -> list[int]:
+def find_irreducible(F_p: Zp, degree: int) -> list[int]:
     """Deterministically find a monic irreducible of the given degree over
     F_p (ascending enumeration): the first candidate that is one degree
     block of that degree."""

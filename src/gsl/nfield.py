@@ -22,8 +22,8 @@ point, no randomness.  The pieces:
     prime is the first of four squarefree candidates with the fewest
     factors mod p, counted from `modp.degree_blocks` (distinct-degree
     factorization only); only that prime is fully factored, its factors
-    are lifted by the multifactor Hensel lift `padic.hensel_lift` over
-    Z/p^k (`padic.Zp`, whose polynomials are int lists) past the
+    are lifted by the multifactor Hensel lift `hensel_lift` over
+    Z/p^k (`modp.Zp`, whose polynomials are int lists) past the
     Landau-Mignotte bound, and subsets are recombined over Z.
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
@@ -62,8 +62,7 @@ from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import Rat, UniPoly, _sample_points, _valuation, factor_int, is_prime, resultant
-from .modp import degree_blocks, factor_over, prime_field
-from .padic import Zp, hensel_lift
+from .modp import Zp, degree_blocks, factor_over, prime_field
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +311,61 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
+def hensel_lift(W: Zp, f: list[int], factors: list[list[int]]) -> list[list[int]]:
+    """Monic lifts over W = Zp(p, N) of a factorization of the monic f mod p
+    into monic, pairwise coprime factors over F_p, in input order.
+
+    A factor tree (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 15): split the factors into two halves, lift that pair with
+    quadratic Hensel steps at precision p^2, p^4, ..., p^N, and recurse
+    into each half.  Raises DomainError when the factors do not multiply
+    to f mod p or two of them share a root, and PrecisionExhausted when a
+    lifted pair does not multiply back to its product over W."""
+    rings = []
+    k = 1
+    while k < W.N:
+        k = min(2 * k, W.N)
+        rings.append(Zp(W.p, k))
+    return _lift_tree(W, rings, f, factors)
+
+
+def _lift_tree(W: Zp, rings, f, factors):
+    if len(factors) == 1:
+        return [f]
+    F = W.res
+    half = len(factors) // 2
+    a, b = [1], [1]
+    for g in factors[:half]:
+        a = dense.mul(F, a, g)
+    for g in factors[half:]:
+        b = dense.mul(F, b, g)
+    if dense.mul(F, a, b) != dense.trim(F, [c % W.p for c in f]):
+        raise DomainError("Hensel factors do not multiply to f mod p")
+    s, t = dense.ext_gcd(F, a, b)
+    g, h = _lift_pair(rings, f, a, b, s, t)
+    if dense.sub(W, f, dense.mul(W, g, h)):
+        raise PrecisionExhausted("Hensel product check failed")
+    return _lift_tree(W, rings, g, factors[:half]) + _lift_tree(W, rings, h, factors[half:])
+
+
+def _lift_pair(rings, f, g, h, s, t):
+    """Quadratic Hensel steps (MCA Algorithm 15.10) from f = g*h and
+    s*g + t*h = 1 mod p to f = g*h over the last ring, h monic; each ring
+    in turn has at most twice the precision of the one before."""
+    for i, R in enumerate(rings):
+        e = dense.sub(R, [c % R.int_modulus for c in f], dense.mul(R, g, h))
+        q, r = dense.quorem(R, dense.mul(R, s, e), h)
+        g = dense.add(R, g, dense.add(R, dense.mul(R, t, e), dense.mul(R, q, g)))
+        h = dense.add(R, h, r)
+        if i + 1 < len(rings):
+            # Bezout update for the next step
+            b = dense.sub(R, dense.add(R, dense.mul(R, s, g), dense.mul(R, t, h)), [1])
+            c, d = dense.quorem(R, dense.mul(R, s, b), h)
+            s = dense.sub(R, s, d)
+            t = dense.sub(R, dense.sub(R, t, dense.mul(R, t, b)), dense.mul(R, c, g))
+    return g, h
+
+
 def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     """Irreducible monic integer factors of a monic squarefree integer
     polynomial; NotSeparable when g is not squarefree."""
@@ -356,7 +410,7 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
         k += 1
     W = Zp(p, k)
     pk = W.int_modulus
-    lifted = hensel_lift(W, [W.from_int(c) for c in g], facs)
+    lifted = hensel_lift(W, [c % pk for c in g], facs)
     # subset recombination, smallest subsets first
     remaining = list(range(len(lifted)))
     gcur = list(g)

@@ -5,10 +5,11 @@ multiset of (ramification index, residue degree) of the factors of f over
 Q_p, together with multiplicities — independently of any global prediction
 machinery, so that predictions can be *verified* against this module.
 
-Method: work in truncated unramified extensions W = Z_p[x]/(Phi) mod p^N
-(elements: int tuples, polynomials over W: `dense` lists of them).  N
-starts at the floor 2*v_p(disc)+1 of the monic integral model and doubles,
-for at most LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
+Method: work in W = Z/p^N (`modp.Zp`, int elements) and its unramified
+extensions W = Z_p[x]/(Phi) mod p^N (`modp.Zq`, int tuples); polynomials
+over W are `dense` lists of elements.  N starts at the floor
+2*v_p(disc)+1 of the monic integral model and doubles, for at most
+LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
 
 1. split f mod p into degree blocks (`modp.degree_blocks`: squarefree
    decomposition, then distinct-degree factorization).  The simple
@@ -66,7 +67,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import dense
 from .errors import (
@@ -78,11 +78,11 @@ from .errors import (
 )
 from .exact import JsonRecord, Rat, UniPoly, _valuation, discriminant, is_prime
 from .modp import (
-    ExtField,
+    Zp,
+    Zq,
     degree_blocks,
     factor_over,
     find_irreducible,
-    mul_reduce,
     prime_field,
     roots_over,
 )
@@ -178,230 +178,12 @@ def _integral_model(f: UniPoly, p: int) -> tuple[UniPoly, int]:
 
 
 # ---------------------------------------------------------------------------
-# truncated unramified extensions W = Z_p[x]/(Phi) mod p^N
-
-
-class Zq:
-    """W = Z_p[x]/(Phi) truncated at p^N, Phi a monic lift of an irreducible
-    chi over F_p.  Elements are int tuples of length d with entries mod p^N.
-    d = 1 gives plain Z_p mod p^N."""
-
-    __slots__ = ("p", "N", "pN", "d", "Phi", "res", "zero", "one")
-
-    def __init__(self, p: int, N: int, chi: Sequence[int]):
-        self.p = p
-        self.N = N
-        self.pN = p**N
-        self.Phi = [c % self.pN for c in chi]
-        if self.Phi[-1] != 1:
-            raise DomainError("the modulus of an unramified extension must be monic")
-        self.d = len(chi) - 1
-        self.res = prime_field(p) if self.d == 1 else ExtField(p, list(chi))
-        self.zero = (0,) * self.d
-        self.one = tuple([1] + [0] * (self.d - 1))
-
-    # -- elements ----------------------------------------------------------
-    def from_int(self, n) -> tuple:
-        return tuple([n % self.pN] + [0] * (self.d - 1))
-
-    def from_rat(self, c: Rat) -> tuple:
-        c = Fraction(c)
-        if c.denominator % self.p == 0:
-            raise DomainError("element is not p-integral")
-        return self.from_int(c.numerator * pow(c.denominator, -1, self.pN))
-
-    def add(self, a, b):
-        pN = self.pN
-        if self.d == 1:
-            return ((a[0] + b[0]) % pN,)
-        return tuple((x + y) % pN for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        pN = self.pN
-        if self.d == 1:
-            return ((a[0] - b[0]) % pN,)
-        return tuple((x - y) % pN for x, y in zip(a, b))
-
-    def neg(self, a):
-        pN = self.pN
-        return tuple(-x % pN for x in a)
-
-    def mul(self, a, b):
-        if self.d == 1:
-            return (a[0] * b[0] % self.pN,)
-        return mul_reduce(a, b, self.Phi, self.pN)
-
-    def is_zero(self, a):
-        return not any(a)
-
-    def val(self, a) -> Optional[int]:
-        """min coefficient valuation; None when a = 0 mod p^N (>= N).
-        This equals the valuation of the element because (1, x, ..,
-        x^{d-1}) is a W-basis with unit discriminant."""
-        best = None
-        for c in a:
-            if c:
-                v = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    v += 1
-                if best is None or v < best:
-                    best = v
-                if best == 0:
-                    return 0
-        return best
-
-    def residue(self, a):
-        if self.d == 1:
-            return a[0] % self.p
-        return tuple(c % self.p for c in a)
-
-    def lift_res(self, r):
-        if self.d == 1:
-            return (r % self.pN,)
-        return tuple(c % self.pN for c in r)
-
-    def truncate(self, a):
-        """An element of a W of higher precision (same Phi), mod p^N."""
-        pN = self.pN
-        return tuple(c % pN for c in a)
-
-    def with_precision(self, k: int) -> Zq:
-        """The same W truncated at p^k."""
-        return Zq(self.p, k, self.Phi)
-
-    def shift_down(self, a, k: int):
-        """a / p^k, requiring exact divisibility of every coefficient."""
-        pk = self.p**k
-        if any(c % pk for c in a):
-            raise DomainError(f"inexact division by {self.p}^{k}")
-        return tuple(c // pk for c in a)
-
-    def inv(self, a):
-        """Inverse of a unit (valuation 0), by residue inversion + Newton."""
-        r = self.residue(a)
-        F = self.res
-        if F.is_zero(r):
-            raise ZeroDivisionError("inverse of a non-unit")
-        x = self.lift_res(F.inv(r)) if self.d > 1 else (pow(a[0], -1, self.pN),)
-        if self.d == 1:
-            return x
-        # Newton: x <- x(2 - a x), doubling correct digits
-        two = self.from_int(2)
-        k = 1
-        while k < self.N:
-            x = self.mul(x, self.sub(two, self.mul(a, x)))
-            k *= 2
-        return x
-
-    def __repr__(self):
-        return f"Zq(p={self.p}, d={self.d}, N={self.N})"
-
-
-class Zp(dense.IntegersMod):
-    """Z/p^N with int elements in [0, p^N): the ring of Zassenhaus's Hensel
-    lift over Q (`nfield`), where `dense` multiplies and divides its
-    polynomials as plain int lists.  It has the members of a degree-one
-    `Zq` that `hensel_lift` reads, on ints instead of 1-tuples."""
-
-    __slots__ = ("p", "N", "res")
-
-    def __init__(self, p: int, N: int):
-        super().__init__(p**N)
-        self.p = p
-        self.N = N
-        self.res = prime_field(p)
-
-    def residue(self, a):
-        return a % self.p
-
-    def lift_res(self, r):
-        return r % self.int_modulus
-
-    truncate = lift_res
-
-    def with_precision(self, k: int) -> Zp:
-        return Zp(self.p, k)
-
-    def inv(self, a):
-        """Inverse of a unit (a prime to p)."""
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of a non-unit")
-        return pow(a, -1, self.int_modulus)
-
-    def __repr__(self):
-        return f"Zp(p={self.p}, N={self.N})"
+# the cluster recursion
 
 
 def wp_reduce_res(W, f):
     """f mod p as a polynomial over the residue field."""
     return dense.trim(W.res, [W.residue(c) for c in f])
-
-
-# ---------------------------------------------------------------------------
-# multifactor Hensel lifting over W
-
-
-def hensel_lift(W: Zq | Zp, f, factors):
-    """Monic lifts over W = Zq(p, N, chi) or Zp(p, N) of a factorization of
-    the monic f mod p into monic, pairwise coprime factors over W.res, in
-    input order; Zassenhaus factorization over Q (`nfield`) lifts over
-    W = Zp(p, k), whose polynomials are int lists.
-
-    A factor tree (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 15): split the factors into two halves, lift that pair with
-    quadratic Hensel steps at precision p, p^2, p^4, ..., p^N, and recurse
-    into each half.  Raises DomainError when the factors do not multiply
-    to f mod p or two of them share a root, and PrecisionExhausted when a
-    lifted pair does not multiply back to its product over W."""
-    rings = []
-    k = 1
-    while k < W.N:
-        k = min(2 * k, W.N)
-        rings.append(W if k == W.N else W.with_precision(k))
-    return _lift_tree(W, rings, f, factors)
-
-
-def _lift_tree(W, rings, f, factors):
-    if len(factors) == 1:
-        return [f]
-    F = W.res
-    half = len(factors) // 2
-    a, b = [F.one], [F.one]
-    for g in factors[:half]:
-        a = dense.mul(F, a, g)
-    for g in factors[half:]:
-        b = dense.mul(F, b, g)
-    if dense.mul(F, a, b) != wp_reduce_res(W, f):
-        raise DomainError("Hensel factors do not multiply to f mod p")
-    s, t = dense.ext_gcd(F, a, b)
-    g, h, s, t = ([W.lift_res(c) for c in x] for x in (a, b, s, t))
-    g, h = _lift_pair(rings, f, g, h, s, t)
-    if dense.sub(W, f, dense.mul(W, g, h)):
-        raise PrecisionExhausted("Hensel product check failed")
-    return _lift_tree(W, rings, g, factors[:half]) + _lift_tree(W, rings, h, factors[half:])
-
-
-def _lift_pair(rings, f, g, h, s, t):
-    """Quadratic Hensel steps (MCA Algorithm 15.10) from f = g*h and
-    s*g + t*h = 1 mod p to f = g*h over the last ring, h monic; each ring
-    in turn has at most twice the precision of the one before."""
-    for i, R in enumerate(rings):
-        e = dense.sub(R, [R.truncate(c) for c in f], dense.mul(R, g, h))
-        q, r = dense.quorem(R, dense.mul(R, s, e), h)
-        g = dense.add(R, g, dense.add(R, dense.mul(R, t, e), dense.mul(R, q, g)))
-        h = dense.add(R, h, r)
-        if i + 1 < len(rings):
-            # Bezout update for the next step
-            b = dense.sub(R, dense.add(R, dense.mul(R, s, g), dense.mul(R, t, h)), [R.one])
-            c, d = dense.quorem(R, dense.mul(R, s, b), h)
-            s = dense.sub(R, s, d)
-            t = dense.sub(R, dense.sub(R, t, dense.mul(R, t, b)), dense.mul(R, c, g))
-    return g, h
-
-
-# ---------------------------------------------------------------------------
-# the cluster recursion
 
 
 class _Analyzer:
@@ -414,15 +196,15 @@ class _Analyzer:
         self.p = p
         self.N = N
         self.Fp = prime_field(p)
-        self._wcache: dict[int, Zq] = {}
+        self._wcache: dict[int, Zp | Zq] = {}
 
-    def base_ring(self) -> Zq:
+    def base_ring(self) -> Zp:
         return self.ring(1)
 
-    def ring(self, d: int) -> Zq:
+    def ring(self, d: int) -> Zp | Zq:
         if d not in self._wcache:
-            chi = find_irreducible(self.Fp, d) if d > 1 else [0, 1]
-            self._wcache[d] = Zq(self.p, self.N, chi)
+            self._wcache[d] = (Zp(self.p, self.N) if d == 1
+                               else Zq(self.p, self.N, find_irreducible(self.Fp, d)))
         return self._wcache[d]
 
     # -- unramified base change --------------------------------------------
@@ -435,7 +217,7 @@ class _Analyzer:
         rts = roots_over(F, chi_up)
         if not rts:
             raise DomainError(f"the residue modulus of {W} has no root over {Wbig}")
-        om = Wbig.lift_res(rts[0])
+        om = rts[0]
         # Newton-lift to a root of Phi over Wbig
         Phi_up = [Wbig.from_int(c) for c in W.Phi]
         dPhi = dense.deriv(Wbig, Phi_up)
@@ -458,7 +240,7 @@ class _Analyzer:
         return emb
 
     # -- the recursion -------------------------------------------------------
-    def splitting(self, W: Zq, f) -> list[tuple[int, int, int]]:
+    def splitting(self, W: Zp | Zq, f) -> list[tuple[int, int, int]]:
         """(e, f_rel, count) multiset for monic f over W, f separable over
         Frac(W).  A simple factor of f mod p of degree r is read off its
         degree block as (1, r); only the repeated blocks are split into
@@ -486,7 +268,7 @@ class _Analyzer:
         return out
 
     def cluster(
-        self, W: Zq, f, center, floor: Fraction, depth: int
+        self, W: Zp | Zq, f, center, floor: Fraction, depth: int
     ) -> list[tuple[int, int, int]]:
         """Invariants of the factors of f (monic over W) whose roots y have
         v(y - center) > floor.  floor = 0 analyzes a full residual cluster."""
@@ -585,20 +367,20 @@ class _Analyzer:
         unramified extension of degree W.d * deg rho."""
         drho = len(rho) - 1
         if drho == 1:
-            root = W.lift_res(W.res.neg(rho[0]))
+            root = W.res.neg(rho[0])
         elif W.d == 1:
             up = Zq(self.p, self.N, rho)
-            center = up.from_int(center[0])
-            f = [up.from_int(c[0]) for c in f]
-            W, root = up, up.lift_res(up.res.gen)
+            center = up.from_int(center)
+            f = [up.from_int(c) for c in f]
+            W, root = up, (0, 1) + up.zero[2:]
         else:
             Wbig = self.ring(W.d * drho)
             emb = self.embed(W, Wbig)
-            rho_up = [Wbig.residue(emb(W.lift_res(c))) for c in rho]
+            rho_up = [Wbig.residue(emb(c)) for c in rho]
             rts = roots_over(Wbig.res, rho_up)
             if not rts:
                 raise DomainError(f"a residual factor has no root over {Wbig}")
-            W, root = Wbig, Wbig.lift_res(rts[0])
+            W, root = Wbig, rts[0]
             center = emb(center)
             f = [emb(c) for c in f]
         new_center = W.add(center, W.mul(W.from_int(self.p**h), root))

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from gsl.applications import adequacy_certificate, grunwald_obstruction
-from gsl.covers import branch_points
+from gsl.covers import branch_points, puiseux_at
 from gsl.errors import HypothesisViolation
 from gsl.exact import UniPoly, discriminant, is_prime, rational_valuation
 from gsl.modp import frobenius_data
@@ -172,8 +172,8 @@ def test_criterion_7_branch_tables_and_precision_stability(covers):
         got = [(None if b.locus is None else b.locus.to_json(),
                 b.ram_index, b.d_order) for b in base]
         assert got == expected[name], (name, got)
-        doubled = branch_points(cover, prec=64)
-        assert [b.to_json() for b in base] == [b.to_json() for b in doubled]
+        for locus in [b.locus for b in base] + [None]:
+            assert puiseux_at(cover, locus) == puiseux_at(cover, locus, prec=64), (name, locus)
 
 
 def test_criterion_8_realize_both_square_classes(covers):

@@ -225,6 +225,7 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "verify", V4, "--t0", "x")[0] == 64
     assert run(capsys, "analyze", "/does/not/exist.json")[0] == 64
     assert run(capsys, "oracle", "--coeffs", "1,junk", "--prime", "5")[0] == 64
+    assert run(capsys, "analyze", V4, "--prec", "64")[0] == 64  # no such option
 
 
 def test_malformed_cover_exit_64(tmp_path, capsys):

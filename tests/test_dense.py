@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from gsl import dense
 from gsl.errors import DomainError
 from gsl.exact import UniPoly, _sample_points
-from gsl.modp import ExtField, PrimeField
+from gsl.modp import Zq, prime_field
 from gsl.nfield import NumberField
 
-F7 = PrimeField(7)
+F7 = prime_field(7)
 QX = NumberField(UniPoly([Fraction(0), Fraction(1)]))  # Q as Q[x]/(x)
 FIELDS = st.sampled_from([
     (F7, st.integers(0, 6)),
@@ -83,13 +83,13 @@ def test_shift_and_evaluate_over_q(R, coeffs, c, x):
 
 
 _small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-F9 = ExtField(3, [1, 0, 1])  # F_3[i], i^2 = -1
+F9 = Zq(3, 1, [1, 0, 1])  # F_3[i], i^2 = -1
 # Q, Q(i), Q(sqrt 2), F_3, F_5 (checked against sympy) and F_9 (checked by
 # its defining properties)
 _SQF_FIELDS = [None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2)), 3, 5, F9]
 
 
-@pytest.mark.parametrize("R", [dense.RATIONALS, PrimeField(5), F9, NumberField(UniPoly([1, 0, 1]))],
+@pytest.mark.parametrize("R", [dense.RATIONALS, prime_field(5), F9, NumberField(UniPoly([1, 0, 1]))],
                          ids=["Q", "F5", "F9", "Q(i)"])
 def test_squarefree_of_a_constant_has_no_parts(R):
     assert dense.squarefree(R, [R.one]) == []
@@ -113,7 +113,7 @@ def test_squarefree_matches_sympy(field, factors):
     if field is None:
         R, gen, top = dense.RATIONALS, sp.Integer(0), 3
     elif isinstance(field, int):
-        R, gen, top = PrimeField(field), sp.Integer(0), 2 * field
+        R, gen, top = prime_field(field), sp.Integer(0), 2 * field
     elif field is F9:
         R, gen, top = F9, None, 6
     else:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gsl.modp
@@ -13,8 +13,8 @@ from gsl import dense
 from gsl.errors import DomainError, NotSeparable
 from gsl.exact import UniPoly
 from gsl.modp import (
-    ExtField,
-    PrimeField,
+    Zp,
+    Zq,
     degree_blocks,
     factor_mod_p,
     factor_over,
@@ -115,19 +115,52 @@ def test_factor_rejects_zero():
     with pytest.raises(DomainError):
         factor_mod_p([0], 5)
     with pytest.raises(DomainError):
-        degree_blocks(PrimeField(5), [0, 0])
+        degree_blocks(prime_field(5), [0, 0])
 
 
 def test_ext_field_rejects_non_monic_modulus():
     with pytest.raises(DomainError):
-        ExtField(5, [2, 0, 3])
+        Zq(5, 1, [2, 0, 3])
 
 
-def test_ext_field_inverse():
-    F = ExtField(3, [1, 0, 1])  # F_9 = F_3[x]/(x^2 + 1)
-    for i in range(1, 9):
-        a = F.element_by_index(i)
-        assert F.mul(a, F.inv(a)) == F.one
+# ---------------------------------------------------------------------------
+# the residue rings: a unit times its inverse is one
+
+
+@st.composite
+def _ring_and_element(draw):
+    """Zp(p, N), or Zq(p, N, Phi) for a random monic lift Phi of an
+    irreducible of degree d, and a random element of it."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.sampled_from([1, 2, 5]))
+    d = draw(st.sampled_from([1, 2, 3]))
+    coords = st.integers(0, p**N - 1)
+    if d == 1:
+        return Zp(p, N), draw(coords)
+    chi = find_irreducible(prime_field(p), d)
+    Phi = [c + p * draw(st.integers(0, p**N)) for c in chi[:-1]] + [1]
+    return Zq(p, N, Phi), tuple(draw(st.lists(coords, min_size=d, max_size=d)))
+
+
+F9 = Zq(3, 1, [1, 0, 1])  # F_3[x]/(x^2 + 1)
+
+
+def _every_element_of_f9(test):
+    for i in range(9):
+        test = example((F9, F9.element_by_index(i)))(test)
+    return test
+
+
+@settings(max_examples=300)
+@_every_element_of_f9
+@given(_ring_and_element())
+def test_a_unit_times_its_inverse_is_one(case):
+    R, a = case
+    if not any(c % R.p for c in (a if isinstance(a, tuple) else (a,))):
+        with pytest.raises(ZeroDivisionError):
+            R.inv(a)
+    else:
+        assert R.mul(a, R.inv(a)) == R.mul(R.inv(a), a) == R.one
 
 
 def test_gsl_seed_accepts_any_int_literal(monkeypatch):
@@ -149,7 +182,7 @@ def test_gsl_seed_accepts_any_int_literal(monkeypatch):
 
 
 def _ext(p, d):
-    return ExtField(p, find_irreducible(PrimeField(p), d))
+    return Zq(p, 1, find_irreducible(prime_field(p), d))
 
 
 SMALL_EXT = {q: _ext(p, d) for q, p, d in
@@ -172,7 +205,7 @@ def _rabin_irreducible(F, g):
        st.lists(st.integers(0, 120), min_size=1, max_size=6))
 def test_factor_and_roots_over_small_extensions(q, idx):
     F = SMALL_EXT[q]
-    assert _rabin_irreducible(F.base, F.chi)  # the modulus from find_irreducible
+    assert _rabin_irreducible(prime_field(F.p), F.Phi)  # the modulus from find_irreducible
     f = [F.element_by_index(i % q) for i in idx] + [F.one]  # monic
     prod = [F.one]
     for g, m in factor_over(F, f):
@@ -220,7 +253,7 @@ def test_split_over_quadratic_extension_takes_few_tries(monkeypatch, seed):
     assert len(calls) <= 8
 
 
-@pytest.mark.parametrize("F", [PrimeField(65537), _ext(83, 2), _ext(2, 3)],
+@pytest.mark.parametrize("F", [prime_field(65537), _ext(83, 2), _ext(2, 3)],
                          ids=repr)
 def test_splitting_results_do_not_depend_on_the_seed(monkeypatch, F):
     f = [F.from_int(c) for c in [-6, 11, -6, 1]]  # (x - 1)(x - 2)(x - 3)
@@ -270,7 +303,7 @@ def test_prime_field_rejects_a_composite_modulus(n):
 def _count_roots_by_brute_force(p, k, f):
     """Distinct roots of f (ints mod p) in F_{p^k}, by evaluation at every
     element."""
-    F = ExtField(p, find_irreducible(PrimeField(p), k)) if k > 1 else PrimeField(p)
+    F = _ext(p, k) if k > 1 else prime_field(p)
     fk = [F.from_int(c) for c in f]
     return sum(F.is_zero(dense.evaluate(F, fk, F.element_by_index(i)))
                for i in range(p**k))
@@ -281,7 +314,7 @@ def _count_roots_by_brute_force(p, k, f):
                           st.integers(1, 3)), min_size=1, max_size=3),
        st.integers(1, 6))
 def test_degree_blocks_against_brute_force_root_counts(p, parts, lc):
-    F = PrimeField(p)
+    F = prime_field(p)
     # a product of powers of small monic polynomials, with a unit in front
     f = [lc % p or 1]
     for cs, m in parts:
@@ -309,9 +342,9 @@ def test_degree_blocks_against_brute_force_root_counts(p, parts, lc):
 
 
 @pytest.mark.parametrize("F, f", [
-    (PrimeField(7), [3, 2]),
-    (PrimeField(7), [0, 5, 0]),  # 5x, with a vanished leading coefficient
-    (ExtField(3, [1, 0, 1]), [(0, 1), (1, 1)]),  # (1 + i) x + i over F_9
+    (prime_field(7), [3, 2]),
+    (prime_field(7), [0, 5, 0]),  # 5x, with a vanished leading coefficient
+    (F9, [(0, 1), (1, 1)]),  # (1 + i) x + i over F_9
 ])
 def test_degree_blocks_of_a_linear_input_skip_the_squarefree_pass(F, f, monkeypatch):
     monic = dense.monic(F, dense.trim(F, list(f)))
@@ -341,4 +374,4 @@ def test_root_count_is_the_number_of_roots(p, cs):
         return
     assert root_count(f, p) == len(roots_mod_p(f, p))
     assert root_count(cs, p) == sum(
-        dense.evaluate(PrimeField(p), [c % p for c in cs], a) == 0 for a in range(p))
+        dense.evaluate(prime_field(p), [c % p for c in cs], a) == 0 for a in range(p))
