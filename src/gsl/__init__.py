@@ -72,6 +72,7 @@ from .specialize import (
     ReportEntry,
     SpecializationReport,
     approximate_specialization_point,
+    meeting_prime,
     meeting_primes,
     predict_decomposition,
     realize_local_class,
@@ -126,6 +127,7 @@ __all__ = [
     "grunwald_obstruction",
     "load_cover",
     "local_splitting_type",
+    "meeting_prime",
     "meeting_primes",
     "parametric_obstruction_report",
     "predict_decomposition",

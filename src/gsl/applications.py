@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
 from .errors import DomainError, HypothesisViolation, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
-from .exact import JsonRecord, Rat, UniPoly, discriminant, factor_int, is_prime, rational_valuation
+from .exact import JsonRecord, Rat, UniPoly, discriminant, factor_int, is_prime, rational_valuation, _valuation
 from .modp import frobenius_data, reduce_relative, root_count, roots_mod_p
 from .nfield import is_irreducible_rational
 from .padic import LocalSplittingType, local_splitting_type
@@ -255,6 +255,11 @@ def _is_obstruction_prime(
     return True
 
 
+def _is_unit(x: Fraction, p: int) -> bool:
+    """x is a p-adic unit, for a prime p its caller has tested."""
+    return x != 0 and _valuation(x, p) == 0
+
+
 def _sample_t0(bp: BranchPoint, p: int) -> list[Rat]:
     """Specialization points meeting bp at p with multiplicity one."""
     out = []
@@ -265,7 +270,7 @@ def _sample_t0(bp: BranchPoint, p: int) -> list[Rat]:
         for k in range(0, 4):
             t0 = Fraction(a + k * p)
             mval = bp.locus(t0)
-            if mval != 0 and rational_valuation(mval, p) == 1:
+            if mval != 0 and _valuation(mval, p) == 1:
                 out.append(t0)
                 break
     return out
@@ -300,13 +305,7 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
         # avoids the loci, and p has no such control sample.
         t0 = next((
             Fraction(t) for t in range(1, 10 * p)
-            if all(
-                bp.locus is None or (
-                    bp.locus(Fraction(t)) != 0
-                    and rational_valuation(bp.locus(Fraction(t)), p) == 0
-                )
-                for bp in branches
-            )
+            if all(bp.locus is None or _is_unit(bp.locus(Fraction(t)), p) for bp in branches)
         ), None)
         if t0 is None:
             continue

@@ -342,20 +342,8 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly._of(dense.deriv(RATIONALS, self.coeffs))
 
-    def compose(self, other: "UniPoly") -> "UniPoly":
-        """self(other(x)) by Horner over Q[x]."""
-        return dense.evaluate(_UniPolyDomain, [UniPoly.const(c) for c in self.coeffs], other)
-
     def __call__(self, x) -> Rat:
         return dense.evaluate(RATIONALS, self.coeffs, Fraction(x))
-
-
-class _UniPolyDomain:
-    """Q[x] as a coefficient ring, as far as `UniPoly.compose` needs it."""
-
-    zero = UniPoly()
-    add = staticmethod(UniPoly.__add__)
-    mul = staticmethod(UniPoly.__mul__)
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:

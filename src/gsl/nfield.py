@@ -514,6 +514,15 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     return N
 
 
+def _squarefree_norm(K: NumberField, h: list, first: int) -> tuple[int, UniPoly]:
+    """The least shift s >= first for which the norm N of h(z - s theta) is
+    squarefree, and that N."""
+    for s in itertools.count(first):
+        N = _norm_poly(K, h, s)
+        if N.gcd(N.derivative()).degree == 0:
+            return s, N
+
+
 # ---------------------------------------------------------------------------
 # factorization over a number field (Trager)
 
@@ -528,10 +537,7 @@ def _trager_squarefree(K: NumberField, h: list) -> list[list]:
     d = len(h) - 1
     if d == 1:
         return [h]
-    for s in itertools.count(0):
-        N = _norm_poly(K, h, s)
-        if N.gcd(N.derivative()).degree == 0:
-            break
+    s, N = _squarefree_norm(K, h, 0)
     factors_q = _factor_squarefree(N)
     if len(factors_q) == 1:
         return [h]
@@ -618,10 +624,7 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
         return Adjunction(
             field=L, theta=L.from_rat(a), root=L.gen(), shift=0,
         )
-    for c in itertools.count(1):
-        N = _norm_poly(K, rho, c)
-        if N.gcd(N.derivative()).degree == 0:
-            break
+    c, N = _squarefree_norm(K, rho, 1)
     L = NumberField(N)
     gamma = L.gen()
     # theta inside L: the unique common root of M(x) and

@@ -247,19 +247,10 @@ class _Analyzer:
         their irreducible factors g, and each g^m is read as the cluster of
         the whole f around a root of g above floor 0 (step 2 of the module
         docstring says why nothing needs lifting first)."""
-        F = W.res
         fbar = wp_reduce_res(W, f)
         if len(fbar) - 1 != len(f) - 1:
             raise PrecisionExhausted("leading coefficient vanished mod p")
-        out: list[tuple[int, int, int]] = []
-        repeated = []
-        for block, r, mult in degree_blocks(F, fbar):
-            if mult == 1:
-                out.append((1, r, (len(block) - 1) // r))
-            else:
-                repeated.extend(g for g, _ in factor_over(F, block))
-        for g in sorted(repeated, key=lambda g: (len(g), g)):
-            out.extend(self._recenter(W, f, W.zero, g, 0, Fraction(0), 0))
+        out = self._resolve(W, f, degree_blocks(W.res, fbar), 1, W.zero, 0, Fraction(0), 0)
         emitted = sum(e * fr * c for e, fr, c in out)
         if emitted != len(f) - 1:
             raise PrecisionExhausted(
@@ -339,16 +330,27 @@ class _Analyzer:
                 "fractional slope with inseparable residual: outside the "
                 "certified scope of this oracle"
             )
+        return self._resolve(W, f, blocks, e, center, h, lam, depth + 1)
+
+    def _resolve(
+        self, W, f, blocks, e: int, center, h: int, floor: Fraction, depth: int
+    ) -> list[tuple[int, int, int]]:
+        """The factors through one side of ramification index e, from the
+        degree blocks of its residual polynomial: each simple block of
+        degree deg is read as (e, deg) factors; each repeated block (e = 1
+        here, `_side` refuses the others) is split into irreducibles rho,
+        and the cluster of f around center + p^h r, for a root r of each
+        rho, is read above floor.  `splitting` is the side of slope 0: f
+        mod p is its residual, e = 1, center 0, h = 0, floor 0."""
         out: list[tuple[int, int, int]] = []
         repeated = []
         for block, deg, mu in blocks:
             if mu == 1:
                 out.append((e, deg, (len(block) - 1) // deg))
             else:
-                repeated.extend(rho for rho, _ in factor_over(F, block))
-        # integer slope, repeated residual: recenter
+                repeated.extend(rho for rho, _ in factor_over(W.res, block))
         for rho in sorted(repeated, key=lambda g: (len(g), g)):
-            out.extend(self._recenter(W, f, center, rho, h, lam, depth + 1))
+            out.extend(self._recenter(W, f, center, rho, h, floor, depth))
         return out
 
     def _recenter(
@@ -421,13 +423,6 @@ class LocalSplittingType:
     @property
     def is_unramified(self) -> bool:
         return all(e == 1 for e, _, _ in self.factors)
-
-    def residue_degrees(self) -> list[int]:
-        """f repeated count times for each factor class (e merged away)."""
-        out = []
-        for e, f, c in self.factors:
-            out.extend([f] * c)
-        return sorted(out)
 
 
 @dataclass(frozen=True)

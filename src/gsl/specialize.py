@@ -4,9 +4,11 @@ their verification against the p-adic oracle.
 The prediction machinery, given a specialization point t0 and a prime p
 outside the cover's conservative bad set:
 
-  * find where t0 meets the branch divisor modulo p: for a finite branch
-    locus m the multiplicity is v_p(m(t0)) (p-integral t0), for the point
-    at infinity it is -v_p(t0);
+  * find where t0 meets the branch divisor: `meetings` computes this once
+    per t0, for every prime at once, evaluating each finite branch locus m
+    at t0 once.  At p the multiplicity is v_p(m(t0)) for a finite locus
+    (p-integral t0) and -v_p(t0) for the point at infinity.  A point on a
+    branch locus (m(t0) = 0) is refused at every p;
   * no meeting predicts an unramified specialization;
   * a meeting of multiplicity a against a branch of inertia order e
     predicts ramification index e / gcd(a, e); when gcd(a, e) = 1 the
@@ -44,7 +46,6 @@ from .exact import (
     disc_y,  # unused here; bench/spans.py requires this binding
     factor_int,
     is_prime,
-    _valuation,
 )
 from .modp import frobenius_data, reduce_relative
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
@@ -66,21 +67,59 @@ class MeetingDatum(JsonRecord):
     residue: int
 
 
-def _multiplicity(branch: BranchPoint, t0: Fraction, p: int) -> int:
-    """The intersection multiplicity of the section t = t0 with the branch
-    locus of `branch` above the prime p (0 when they do not meet), for a
-    prime p its caller has tested."""
-    if branch.locus is None:
-        v = _valuation(t0, p) if t0 != 0 else 0
-        return max(0, -v)
-    if t0 != 0 and _valuation(t0, p) < 0:
-        return 0
-    mval = branch.locus(t0)
-    if mval == 0:
-        raise HypothesisViolation(
-            f"specialization point {t0} lies on a branch locus"
+def meetings(
+    branches: Sequence[BranchPoint], t0: Rat
+) -> dict[int, tuple[tuple[BranchPoint, int], ...]]:
+    """Where t = t0 meets the branch divisor: each prime of t0's
+    denominator and of the numerator and denominator of every m(t0), mapped
+    to the (branch, multiplicity) pairs met there, in the order of
+    `branches` (empty when none is met).  A finite locus m is met at p with
+    multiplicity v_p(m(t0)) > 0 when t0 is p-integral, the point at
+    infinity with -v_p(t0) > 0.  Each finite locus is evaluated once."""
+    t0 = Fraction(t0)
+    poles = factor_int(t0.denominator)
+    primes = set(poles)
+    met = []  # (branch, {prime: multiplicity > 0})
+    for bp in branches:
+        if bp.locus is None:
+            met.append((bp, poles))
+            continue
+        mval = bp.locus(t0)
+        if mval == 0:
+            raise HypothesisViolation(
+                f"specialization point {t0} lies on a branch locus"
+            )
+        num = factor_int(mval.numerator)
+        primes.update(num, factor_int(mval.denominator))
+        met.append((bp, {p: a for p, a in num.items() if p not in poles}))
+    return {
+        p: tuple((bp, a[p]) for bp, a in met if p in a) for p in primes
+    }
+
+
+def _meeting(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> MeetingDatum | None:
+    """The datum of the unique meeting among `meetings(...)[p]`, or None.
+    Raises MeetingUniquenessError when several loci meet t0 at p (only
+    possible at a bad prime)."""
+    if not pairs:
+        return None
+    if len(pairs) > 1:
+        names = [
+            "infinity" if bp.locus is None else str(bp.locus.to_json())
+            for bp, _ in pairs
+        ]
+        raise MeetingUniquenessError(
+            f"t0 = {t0} meets several branch loci at p = {p}: {names}; "
+            "treat p as a bad prime"
         )
-    return max(0, _valuation(mval, p))
+    [(bp, a)] = pairs
+    residue = 0 if bp.locus is None else t0.numerator * pow(t0.denominator, -1, p) % p
+    return MeetingDatum(prime=p, locus=bp.locus, multiplicity=a, residue=residue)
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
 
 
 def meeting_prime(
@@ -89,50 +128,14 @@ def meeting_prime(
     """The unique branch that t = t0 meets above p, or None.  Raises
     MeetingUniquenessError when several loci meet t0 at the same prime
     (only possible at a bad prime)."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    _require_prime(p)
     t0 = Fraction(t0)
-    hits = []
-    for bp in branches:
-        a = _multiplicity(bp, t0, p)
-        if a > 0:
-            hits.append((bp, a))
-    if not hits:
-        return None
-    if len(hits) > 1:
-        names = [
-            "infinity" if bp.locus is None else str(bp.locus.to_json())
-            for bp, _ in hits
-        ]
-        raise MeetingUniquenessError(
-            f"t0 = {t0} meets several branch loci at p = {p}: {names}; "
-            "treat p as a bad prime"
-        )
-    bp, a = hits[0]
-    if bp.locus is None:
-        residue = 0
-    else:
-        residue = int(
-            t0.numerator * pow(t0.denominator, -1, p) % p
-        )
-    return MeetingDatum(prime=p, locus=bp.locus, multiplicity=a, residue=residue)
+    return _meeting(meetings(branches, t0).get(p, ()), t0, p)
 
 
 def meeting_primes(branches: Sequence[BranchPoint], t0: Rat) -> list[int]:
     """All primes where t = t0 meets some branch locus."""
-    t0 = Fraction(t0)
-    out: set[int] = set(factor_int(t0.denominator)) if t0 != 0 else set()
-    for bp in branches:
-        if bp.locus is None:
-            continue
-        mval = bp.locus(t0)
-        if mval == 0:
-            raise HypothesisViolation(
-                f"specialization point {t0} lies on a branch locus"
-            )
-        out.update(factor_int(mval.numerator))
-        out.update(factor_int(mval.denominator))
-    return sorted(out)
+    return sorted(meetings(branches, t0))
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +179,19 @@ def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
 
 def predict_decomposition(cover: Cover, t0: Rat, p: int) -> DecompositionPrediction:
     """The tame prediction at p for the specialization at t0."""
-    return _predict(branch_points(cover), Fraction(t0), p)
+    branches = branch_points(cover)
+    _require_prime(p)
+    t0 = Fraction(t0)
+    return _predict(meetings(branches, t0).get(p, ()), t0, p)
 
 
-def _predict(branches: Sequence[BranchPoint], t0: Fraction, p: int) -> DecompositionPrediction:
-    meet = meeting_prime(branches, t0, p)
+def _predict(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> DecompositionPrediction:
+    meet = _meeting(pairs, t0, p)
     if meet is None:
         return DecompositionPrediction(
             prime=p, mode="unramified", e=1, f=None, f_lower=None, meeting=None,
         )
-    branch = next(
-        bp for bp in branches if bp.locus == meet.locus
-    )
+    branch = pairs[0][0]
     e = branch.ram_index
     g = math.gcd(meet.multiplicity, e)
     fb = frobenius_order_at_branch(branch, p, meet.residue)
@@ -304,9 +308,16 @@ def verify_specialization(
         branches = branch_points(cover)
     if bad is None:
         bad = conservative_bad_primes(cover)
+    # A point on a branch locus fails both checks, each with its own
+    # message; the meeting check speaks first when it also picks the primes.
     if primes is None:
-        primes = meeting_primes(branches, t0)
-    f_t0 = specialize_poly(cover, t0)
+        primes = met = meetings(branches, t0)
+        f_t0 = specialize_poly(cover, t0)
+    else:
+        f_t0 = specialize_poly(cover, t0)
+        met = meetings(branches, t0)
+        for p in sorted(primes):
+            _require_prime(p)
     entries = []
     for p in sorted(primes):
         if p in bad or p == 2:
@@ -317,7 +328,7 @@ def verify_specialization(
             ))
             continue
         try:
-            pred = _predict(branches, t0, p)
+            pred = _predict(met.get(p, ()), t0, p)
         except (MeetingUniquenessError, NonUniform) as exc:
             entries.append(ReportEntry(
                 prime=p, prediction=None, oracle=None,

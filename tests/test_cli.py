@@ -125,6 +125,20 @@ def test_predict(capsys):
     assert (doc["mode"], doc["e"], doc["f"]) == ("exact", 2, 2)
 
 
+@pytest.mark.parametrize("prime", ["3", "5"])
+def test_predict_refuses_a_point_on_a_branch_locus_at_every_prime(tmp_path, capsys, prime):
+    # the branch locus is T - 1/5; at p = 5 the point is a pole, which
+    # meets infinity, and it is still refused
+    path = tmp_path / "c2_5t.json"
+    path.write_text(json.dumps({"name": "c2_5t", "group_order": 2,
+                                "P": [["1", "-5"], [], ["1"]],
+                                "assert_regular_galois": True}))
+    code, doc, _ = run(capsys, "predict", str(path), "--t0", "1/5", "--prime", prime)
+    assert code == 64
+    assert doc == {"error": "HypothesisViolation",
+                   "message": "specialization point 1/5 lies on a branch locus"}
+
+
 def test_oracle(capsys):
     code, doc, _ = run(capsys, "oracle", "--coeffs=-10,0,1", "--prime", "5")
     assert code == 0

@@ -1,5 +1,6 @@
 """Tame predictions at specialization points and their verification."""
 
+import collections
 from fractions import Fraction
 
 import pytest
@@ -46,11 +47,13 @@ def test_intersection_multiplicity_finite():
     assert meeting_prime([b], Fraction(1, 5), 5) is None  # pole: misses finite chart
 
 
+def _infinity(e=2):
+    rel = RelativeField(base=upoly(0, 1), rel=(UniPoly(), UniPoly.const(Fraction(1))))
+    return BranchPoint(locus=None, ram_index=e, residue=rel, d_order=1)
+
+
 def test_intersection_multiplicity_infinity():
-    b = BranchPoint(locus=None, ram_index=2,
-                    residue=RelativeField(base=upoly(0, 1),
-                                          rel=(UniPoly(), UniPoly.const(Fraction(1)))),
-                    d_order=1)
+    b = _infinity()
     assert meeting_prime([b], Fraction(1, 5), 5).multiplicity == 1
     assert meeting_prime([b], Fraction(7, 25), 5).multiplicity == 2
     assert meeting_prime([b], Fraction(5), 5) is None
@@ -60,6 +63,28 @@ def test_specializing_at_branch_point_rejected():
     b = _branch(upoly(0, 1))
     with pytest.raises(HypothesisViolation):
         meeting_prime([b], Fraction(0), 5)
+
+
+def test_a_point_on_a_branch_locus_is_refused_at_every_prime():
+    # 1/5 is a pole at 5 and lies on the locus T - 1/5 all the same
+    b = _branch(upoly(Fraction(-1, 5), 1))
+    for p in (3, 5, 7):
+        with pytest.raises(HypothesisViolation, match="lies on a branch locus"):
+            meeting_prime([b], Fraction(1, 5), p)
+
+
+def test_meetings_by_prime_in_branch_order():
+    b1 = _branch(upoly(0, 1))       # T
+    b2 = _branch(upoly(-10, 1))     # T - 10
+    inf = _infinity()
+    meetings = gsl.specialize.meetings
+    met = meetings([b1, inf, b2], Fraction(25, 3))
+    # 25/3 - 10 = -5/3; the pole at 3 meets infinity only
+    assert met == {3: ((inf, 1),), 5: ((b1, 2), (b2, 1))}
+    assert meeting_primes([b1, inf, b2], Fraction(25, 3)) == [3, 5]
+    assert meetings([b1, b2], Fraction(22)) == {2: ((b1, 1), (b2, 2)), 3: ((b2, 1),), 11: ((b1, 1),)}
+    # -69/7 at 1/7: the pole at 7 meets nothing without a branch at infinity
+    assert meetings([b2], Fraction(1, 7)) == {3: ((b2, 1),), 7: (), 23: ((b2, 1),)}
 
 
 def test_meeting_entries_reject_a_composite_modulus():
@@ -123,6 +148,27 @@ def test_specialize_poly(covers):
 
 def _verdicts(report):
     return {e.prime: e.verdict for e in report.entries}
+
+
+@pytest.mark.parametrize("t0", [Fraction(21), Fraction(210), Fraction(1001, 5)])
+def test_one_verification_evaluates_each_locus_once(covers, monkeypatch, t0):
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    loci = {id(bp.locus) for bp in branch_points(v4) if bp.locus is not None}
+    calls = collections.Counter()
+    evaluate = UniPoly.__call__
+
+    def counting(self, x):
+        if id(self) in loci:
+            calls[id(self)] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(UniPoly, "__call__", counting)
+    rep = verify_specialization(v4, t0)
+    assert sum(e.prediction is not None for e in rep.entries) >= 2
+    assert set(calls) == loci and set(calls.values()) == {1}
+    calls.clear()
+    verify_specialization(v4, t0, primes=[5, 7, 11, 13])
+    assert set(calls.values()) == {1}
 
 
 def test_verify_c3_at_13(covers):
