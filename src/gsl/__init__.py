@@ -60,9 +60,7 @@ from .errors import (
 )
 from .exact import BiPoly, Rat, UniPoly, disc_y, discriminant, resultant
 from .padic import (
-    GaloisLocalInvariants,
     LocalSplittingType,
-    galois_local_invariants,
     local_splitting_type,
     quadratic_local_class,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "Cover",
     "DecompositionPrediction",
     "DomainError",
-    "GaloisLocalInvariants",
     "GslError",
     "HypothesisViolation",
     "LocalSplittingType",
@@ -123,7 +120,6 @@ __all__ = [
     "disc_y",
     "discriminant",
     "find_frobenius_primes",
-    "galois_local_invariants",
     "grunwald_obstruction",
     "load_cover",
     "local_splitting_type",

@@ -22,9 +22,11 @@ field of the branch places, by rational (Duval-style) Puiseux expansion:
     there the implicit function theorem pins a unique power series with no
     further field growth, so the residue data is exact, not truncated.
 
-The expansion is exact polynomial arithmetic throughout; the `prec`
-argument of `puiseux_at` only caps the recursion depth
-(UnstableResidueField when a path exceeds it, which no tame cover does).
+The expansion is exact polynomial arithmetic throughout, so nothing is
+truncated and no precision grows.  Its one guard is a depth cap, the
+`prec` argument of `puiseux_at`: a path through more Newton polygons than
+that raises UnstableResidueField.  Each level holds at most deg_Y P
+clusters, so the cap bounds the work.
 """
 
 from __future__ import annotations
@@ -178,10 +180,6 @@ class RelativeField(JsonRecord):
     base: UniPoly
     rel: tuple[UniPoly, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.rel) - 1
-
 
 @dataclass(frozen=True)
 class PuiseuxPlace:
@@ -305,123 +303,100 @@ class _Path:
     tau: tuple
 
 
-class _Expander:
-    MAX_DEPTH = 48
+def _places(K0: NumberField, H: list[list], cap: int) -> list[_Path]:
+    """All places over x = 0 of monic-in-y H over K0[x], through at most
+    `cap` polygon levels: the roots of H(0, y) are resolved as the residual
+    of the slope-0 side."""
+    hy = _h_eval_x0(K0, H)
+    if len(hy) != len(H):
+        raise DomainError("H must be monic in y")
+    out = _resolve(K0, H, hy, K0.gen(), q=1, mslope=0, u=1, v=0, ell=0,
+                   e_acc=1, cap=cap)
+    total = sum(p.e * (p.field.degree // K0.degree) for p in out)
+    if total != len(H) - 1:
+        raise NonUniformRamification(
+            f"places over the locus have total degree {total}, "
+            f"not the Y-degree {len(H) - 1}"
+        )
+    return out
 
-    def __init__(self, max_steps: int):
-        self.max_steps = max_steps
-        self.steps = 0
 
-    def _tick(self):
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise UnstableResidueField(
-                "Puiseux recursion exceeded its precision budget "
-                f"({self.max_steps} polygon levels); the residue tower has "
-                "not stabilized"
-            )
-
-    def places(self, K0: NumberField, H: list[list]) -> list[_Path]:
-        """All places over x = 0 of monic-in-y H over K0[x]: the roots of
-        H(0, y) are resolved as the residual of the slope-0 side."""
-        hy = _h_eval_x0(K0, H)
-        if len(hy) != len(H):
-            raise DomainError("H must be monic in y")
-        out = self._resolve(K0, H, hy, K0.gen(), q=1, mslope=0, u=1, v=0, ell=0,
-                            e_acc=1, depth=0)
-        total = sum(p.e * (p.field.degree // K0.degree) for p in out)
-        if total != len(H) - 1:
+def _resolve(
+    K, H, R, tau, q: int, mslope: int, u: int, v: int, ell: int,
+    e_acc: int, cap: int,
+) -> list[_Path]:
+    """Places through the side of slope mslope/q with residual R: a
+    simple root of R is one place, a repeated root is adjoined and
+    followed into the polygon of the Duval transform of H, with `cap`
+    polygon levels left."""
+    out: list[_Path] = []
+    for rho, nu in factor_nf(K, R):
+        adj = adjoin_root(K, rho)
+        L = adj.field
+        tau_L = adj.embed(tau) if L is not K else tau
+        if nu == 1:
+            out.append(_Path(e_acc * q, L, tau_L))
+            continue
+        HL = _h_embed(adj, H) if L is not K else H
+        H2 = _duval_transform(L, HL, q, mslope, u, v, adj.root, ell)
+        sub = _polygon(L, H2, nu, tau_L, e_acc * q, cap)
+        got = sum(p.e // (e_acc * q) * (p.field.degree // L.degree) for p in sub)
+        if got != nu:
             raise NonUniformRamification(
-                f"places over the locus have total degree {total}, "
-                f"not the Y-degree {len(H) - 1}"
+                f"cluster of multiplicity {nu} resolved into places of "
+                f"total degree {got}"
             )
-        return out
+        out.extend(sub)
+    return out
 
-    def _resolve(
-        self, K, H, R, tau, q: int, mslope: int, u: int, v: int, ell: int,
-        e_acc: int, depth: int,
-    ) -> list[_Path]:
-        """Places through the side of slope mslope/q with residual R: a
-        simple root of R is one place, a repeated root is adjoined and
-        followed into the polygon of the Duval transform of H."""
-        out: list[_Path] = []
-        for rho, nu in factor_nf(K, R):
-            adj = adjoin_root(K, rho)
-            L = adj.field
-            tau_L = adj.embed(tau) if L is not K else tau
-            if nu == 1:
-                out.append(_Path(e_acc * q, L, tau_L))
-                continue
-            HL = _h_embed(adj, H) if L is not K else H
-            H2 = _duval_transform(L, HL, q, mslope, u, v, adj.root, ell)
-            sub = self._polygon(L, H2, nu, tau_L, e_acc * q, depth)
-            got = sum(p.e // (e_acc * q) * (p.field.degree // L.degree) for p in sub)
-            if got != nu:
-                raise NonUniformRamification(
-                    f"cluster of multiplicity {nu} resolved into places of "
-                    f"total degree {got}"
-                )
-            out.extend(sub)
-        return out
 
-    def _polygon(self, K, H, mu: int, tau, e_acc: int, depth: int) -> list[_Path]:
-        """Places through the origin of H (y-multiplicity mu at x=0)."""
-        self._tick()
-        if depth > self.MAX_DEPTH:
-            raise UnstableResidueField("Puiseux recursion too deep")
-        vals = [(_kx_val(K, row)) for row in H]
-        if vals[0] is None:
-            raise HypothesisViolation(
-                "the cover polynomial has a rational branch component; "
-                "it cannot be irreducible over Q(T)"
-            )
-        pts = [(i, v) for i, v in enumerate(vals) if v is not None]
-        out: list[_Path] = []
-        extent = 0
-        for xa, ya, xb, yb, lam in dense.newton_sides(pts):
-            if lam <= 0:
-                continue
-            extent += xb - xa
-            q = lam.denominator
-            mslope = lam.numerator
-            # residual: coefficients along the side, one per q-step
-            R = []
-            for kappa in range((xb - xa) // q + 1):
-                j = xa + kappa * q
-                vline = ya - kappa * mslope
-                row = H[j]
-                c = row[vline] if vline < len(row) else K.zero
-                R.append(c)
-            if K.is_zero(R[0]) or K.is_zero(R[-1]):
-                raise NonUniformRamification(
-                    "a polygon side's residual vanishes at an endpoint"
-                )
-            if mslope == 1:
-                u, v = 1, q - 1
-            else:
-                u = pow(q, -1, mslope)
-                v = (u * q - 1) // mslope
-            ell = q * ya + mslope * xa
-            out.extend(self._resolve(K, H, R, tau, q, mslope, u, v, ell, e_acc, depth + 1))
-        if extent != mu:
+def _polygon(K, H, mu: int, tau, e_acc: int, cap: int) -> list[_Path]:
+    """Places through the origin of H (y-multiplicity mu at x=0), within
+    `cap` polygon levels, this one included."""
+    if cap < 1:
+        raise UnstableResidueField(
+            "the Puiseux expansion reached its polygon depth cap with a "
+            "repeated residual root left; the residue field has not stabilized"
+        )
+    vals = [(_kx_val(K, row)) for row in H]
+    if vals[0] is None:
+        raise HypothesisViolation(
+            "the cover polynomial has a rational branch component; "
+            "it cannot be irreducible over Q(T)"
+        )
+    pts = [(i, v) for i, v in enumerate(vals) if v is not None]
+    out: list[_Path] = []
+    extent = 0
+    for xa, ya, xb, yb, lam in dense.newton_sides(pts):
+        if lam <= 0:
+            continue
+        extent += xb - xa
+        q = lam.denominator
+        mslope = lam.numerator
+        # residual: coefficients along the side, one per q-step
+        R = []
+        for kappa in range((xb - xa) // q + 1):
+            j = xa + kappa * q
+            vline = ya - kappa * mslope
+            row = H[j]
+            c = row[vline] if vline < len(row) else K.zero
+            R.append(c)
+        if K.is_zero(R[0]) or K.is_zero(R[-1]):
             raise NonUniformRamification(
-                f"polygon sides of total extent {extent} at multiplicity {mu}"
+                "a polygon side's residual vanishes at an endpoint"
             )
-        return out
-
-
-def _places_over(cover: Cover, locus: UniPoly | None, max_steps: int) -> tuple[NumberField, list[_Path]]:
-    """Entry field and resolved paths of the places over a branch locus."""
-    if locus is None:
-        P = _infinity_chart(cover.poly)
-        K0 = NumberField(UniPoly((Fraction(0), Fraction(1))))  # Q, tau = 0
-    else:
-        P = cover.poly
-        K0 = NumberField(locus)
-    tau = K0.gen()
-    H = _h_at_branch(K0, P, tau)
-    exp = _Expander(max_steps)
-    return K0, exp.places(K0, H)
+        if mslope == 1:
+            u, v = 1, q - 1
+        else:
+            u = pow(q, -1, mslope)
+            v = (u * q - 1) // mslope
+        ell = q * ya + mslope * xa
+        out.extend(_resolve(K, H, R, tau, q, mslope, u, v, ell, e_acc, cap - 1))
+    if extent != mu:
+        raise NonUniformRamification(
+            f"polygon sides of total extent {extent} at multiplicity {mu}"
+        )
+    return out
 
 
 def _infinity_chart(P: BiPoly) -> BiPoly:
@@ -448,33 +423,26 @@ def _infinity_chart(P: BiPoly) -> BiPoly:
     return BiPoly(rows)
 
 
-def _default_steps(n: int, disc: UniPoly, locus: UniPoly | None) -> int:
-    mult = 0
-    if locus is not None:
-        while disc.degree >= locus.degree:
-            q, r = divmod(disc, locus)
-            if not r.is_zero:
-                break
-            disc = q
-            mult += 1
-    return 2 * n + mult + 8
-
-
 def puiseux_at(
-    cover: Cover, locus: UniPoly | None, prec: int | None = None
+    cover: Cover, locus: UniPoly | None, prec: int = 49
 ) -> tuple[PuiseuxPlace, ...]:
     """All places of the cover above one branch locus (None = infinity),
     each with its ramification index, residue degree, and a relative
     minimal polynomial for the residue field over Q[tau]/(locus).
 
-    `prec` caps the polygon recursion depth; the arithmetic itself is
-    exact, so any sufficient cap yields identical (stable) output."""
-    if locus is not None:
+    `prec` caps the depth of the expansion: a path through more than
+    `prec` Newton polygons raises UnstableResidueField.  The arithmetic
+    itself is exact, so every cap at least the depth a locus needs gives
+    the same places."""
+    if locus is None:
+        P = _infinity_chart(cover.poly)
+        K0 = NumberField(UniPoly((Fraction(0), Fraction(1))))  # Q, tau = 0
+    else:
         if locus.degree < 1 or locus.lc != 1:
             raise DomainError("branch locus must be monic of degree >= 1")
-    if prec is None:
-        prec = _default_steps(cover.degree, disc_y(cover.poly), locus)
-    K0, paths = _places_over(cover, locus, prec)
+        P = cover.poly
+        K0 = NumberField(locus)
+    paths = _places(K0, _h_at_branch(K0, P, K0.gen()), prec)
     out = []
     for p in paths:
         d = p.field.degree // K0.degree
@@ -538,7 +506,7 @@ def _analyze(cover: Cover) -> CoverAnalysis:
     branches = []
     rh_sum = 0
     for locus in loci:
-        places = puiseux_at(cover, locus, _default_steps(n, disc, locus))
+        places = puiseux_at(cover, locus)
         where = "infinity" if locus is None else repr(locus)
         es = {p.ram_index for p in places}
         ds = {p.residue_degree for p in places}
@@ -549,12 +517,6 @@ def _analyze(cover: Cover) -> CoverAnalysis:
                 "the cover cannot be regular Galois"
             )
         e, d = es.pop(), ds.pop()
-        total = sum(p.ram_index * p.residue_degree for p in places)
-        if total != n:
-            raise NonUniformRamification(
-                f"places over {where} have total degree {total}, "
-                f"not the Y-degree {n}"
-            )
         if e == 1:
             continue
         base = locus if locus is not None else UniPoly((Fraction(0), Fraction(1)))

@@ -51,8 +51,10 @@ class NonUniformRamification(NonUniform):
 
 
 class UnstableResidueField(GslError):
-    """The coefficient field of a series expansion was still growing too
-    close to the requested precision; recompute with higher precision."""
+    """A Puiseux expansion reached its depth cap (`puiseux_at`'s `prec`,
+    a number of Newton polygon levels) with a repeated residual root
+    still unresolved; the expansion is exact, so only a larger cap can
+    help."""
 
 
 class HypothesisViolation(GslError):

@@ -300,9 +300,6 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         return UniPoly._of(dense.add(RATIONALS, self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._of(dense.sub(RATIONALS, (), self.coeffs))
-
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return UniPoly._of(dense.sub(RATIONALS, self.coeffs, other.coeffs))
 
@@ -317,9 +314,6 @@ class UniPoly:
             raise DomainError("division by the zero polynomial")
         q, r = dense.quorem(RATIONALS, self.coeffs, other.coeffs)
         return UniPoly._of(q), UniPoly._of(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]

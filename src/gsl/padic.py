@@ -72,11 +72,10 @@ from . import dense
 from .errors import (
     DomainError,
     NotSeparable,
-    NonUniform,
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import JsonRecord, Rat, UniPoly, _valuation, discriminant, is_prime
+from .exact import Rat, UniPoly, _valuation, discriminant, is_prime
 from .modp import (
     Zp,
     Zq,
@@ -89,10 +88,8 @@ from .modp import (
 
 __all__ = [
     "LocalSplittingType",
-    "GaloisLocalInvariants",
     "PadicPrecisionCtx",
     "local_splitting_type",
-    "galois_local_invariants",
     "quadratic_local_class",
 ]
 
@@ -286,8 +283,6 @@ class _Analyzer:
         for (xa, ya, xb, yb, lam) in dense.newton_sides(pts):
             if lam <= floor:
                 continue
-            if lam <= 0:
-                continue
             expected += xb - xa
             out.extend(self._side(W, G, xa, ya, xb, yb, lam, f, center, floor, depth))
         # every root strictly inside the floor-ball is accounted for
@@ -417,23 +412,8 @@ class LocalSplittingType:
         }
 
     @property
-    def degree(self) -> int:
-        return sum(e * f * c for e, f, c in self.factors)
-
-    @property
     def is_unramified(self) -> bool:
         return all(e == 1 for e, _, _ in self.factors)
-
-
-@dataclass(frozen=True)
-class GaloisLocalInvariants(JsonRecord):
-    """Uniform (e, f, g) of a Galois input at p."""
-
-    p: int
-    e: int
-    f: int
-    g: int
-    certified: bool
 
 
 def _merge(emissions) -> tuple[tuple[int, int, int], ...]:
@@ -479,19 +459,6 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
         f"could not certify the splitting at p={p} at precisions "
         f"{', '.join(map(str, rungs))}: {last_exc}"
     )
-
-
-def galois_local_invariants(f: UniPoly, p: int) -> GaloisLocalInvariants:
-    """(e, f, g) at p for an input whose splitting field data is uniform
-    across factors (as for a specialization of a Galois cover); raises
-    NonUniform when the oracle output is not of that shape."""
-    st = local_splitting_type(f, p)
-    if len(st.factors) != 1:
-        raise NonUniform(
-            f"local invariants at p={p} are not uniform: {st.factors}"
-        )
-    e, fr, g = st.factors[0]
-    return GaloisLocalInvariants(p=p, e=e, f=fr, g=g, certified=st.certified)
 
 
 def quadratic_local_class(c: Rat | int, p: int) -> str:

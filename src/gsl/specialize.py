@@ -296,7 +296,8 @@ def verify_specialization(
     """Predict and verify the local behaviour of the specialization at t0.
 
     With primes=None, every prime where t0 meets the branch divisor is
-    examined (the only primes where anything nontrivial is predicted).
+    examined (the only primes where anything nontrivial is predicted);
+    given primes are examined once each, in ascending order.
     Each prime gets a verdict: MATCH / PARTIAL_MATCH (divisibility-mode
     agreement) / MISMATCH / SKIPPED_BAD_PRIME / ORACLE_FAILURE.
 
@@ -308,18 +309,18 @@ def verify_specialization(
         branches = branch_points(cover)
     if bad is None:
         bad = conservative_bad_primes(cover)
-    # A point on a branch locus fails both checks, each with its own
-    # message; the meeting check speaks first when it also picks the primes.
+    # a point on a branch locus fails both checks; the meeting check
+    # speaks first, with or without primes=
+    met = meetings(branches, t0)
+    f_t0 = specialize_poly(cover, t0)
     if primes is None:
-        primes = met = meetings(branches, t0)
-        f_t0 = specialize_poly(cover, t0)
+        primes = sorted(met)
     else:
-        f_t0 = specialize_poly(cover, t0)
-        met = meetings(branches, t0)
-        for p in sorted(primes):
+        primes = sorted(set(primes))
+        for p in primes:
             _require_prime(p)
     entries = []
-    for p in sorted(primes):
+    for p in primes:
         if p in bad or p == 2:
             entries.append(ReportEntry(
                 prime=p, prediction=None, oracle=None,

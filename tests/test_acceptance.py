@@ -160,7 +160,7 @@ def test_criterion_6_oracle_agrees_with_frobenius_on_good_reduction():
 
 def test_criterion_7_branch_tables_and_precision_stability(covers):
     """The bundled covers' branch tables match the independently derived
-    values, and doubling the series precision changes nothing."""
+    values, and a larger cap on the expansion depth changes nothing."""
     expected = {
         "c2_sqrt_t": [(["0", "1"], 2, 1), (None, 2, 1)],
         "v4_sqrt_t_sqrt_t_minus_1": [

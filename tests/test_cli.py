@@ -7,7 +7,9 @@ import pytest
 
 import gsl.cli
 import gsl.covers
+import gsl.specialize
 from gsl.cli import main
+from gsl.errors import NonUniform, WildOrIrregular
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gsl" / "data"
 V4 = str(DATA / "v4_sqrt_t_sqrt_t_minus_1.json")
@@ -110,6 +112,41 @@ def test_verify_bad_t0_fails_only_its_own_slot(capsys, jobs):
     assert run(capsys, "verify", V4, "--t0", "21")[1] == first
     assert run(capsys, "verify", V4, "--t0", "7")[1] == last
     assert run(capsys, "verify", V4, "--t0", "1")[:2] == (64, bad)
+
+
+def test_verify_refuses_a_point_on_a_branch_locus_alike_with_primes(capsys):
+    want = run(capsys, "verify", "bundled:v4_sqrt_t_sqrt_t_minus_1", "--t0", "1")
+    assert want[1]["message"] == "specialization point 1 lies on a branch locus"
+    assert run(capsys, "verify", "bundled:v4_sqrt_t_sqrt_t_minus_1", "--t0", "1",
+               "--primes", "3,5,7") == want
+
+
+def test_verify_checks_a_repeated_prime_once(capsys, monkeypatch):
+    calls = []
+    real = gsl.specialize.local_splitting_type
+
+    def spy(f, p):
+        calls.append(p)
+        return real(f, p)
+
+    monkeypatch.setattr(gsl.specialize, "local_splitting_type", spy)
+    code, doc, _ = run(capsys, "verify", V4, "--t0", "21", "--primes", "5,5,7")
+    assert code == 0
+    assert [e["prime"] for e in doc["entries"]] == [5, 7]
+    assert calls == [5, 7]
+
+
+@pytest.mark.parametrize("patch", ["prediction", "oracle"])
+def test_verify_oracle_failure_exit_3(capsys, monkeypatch, patch):
+    def fail(*args):
+        raise NonUniform("degenerate") if patch == "prediction" else WildOrIrregular("wild")
+
+    target = "frobenius_order_at_branch" if patch == "prediction" else "local_splitting_type"
+    monkeypatch.setattr(gsl.specialize, target, fail)
+    code, doc, _ = run(capsys, "verify", V4, "--t0", "21")
+    assert code == 3
+    assert doc["worst"] == "ORACLE_FAILURE"
+    assert {e["prime"] for e in doc["entries"] if e["verdict"] == "ORACLE_FAILURE"} == {5, 7}
 
 
 def test_verify_explicit_primes(capsys):
@@ -243,12 +280,18 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_malformed_cover_exit_64(tmp_path, capsys):
+    def cover(**over):
+        return json.dumps({"name": "x", "group_order": 2, "P": [["0", "-1"], ["0"], ["1"]],
+                           "assert_regular_galois": True, **over})
+
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"name": "x", "group_order": 3,
-                             "P": [["0", "-1"], ["0"], ["1"]],
-                             "assert_regular_galois": True}))
-    code, doc, _ = run(capsys, "analyze", str(p))
-    assert code == 64 and doc["error"] == "SchemaError"
+    for text in [cover(group_order=3), '{"name": ', "[1, 2]", cover(name=""),
+                 cover(group_order=1), cover(P=[]), cover(P=[["0", "1/0"], ["0"], ["1"]])]:
+        p.write_text(text)
+        code, doc, _ = run(capsys, "analyze", str(p))
+        assert code == 64 and doc["error"] == "SchemaError", text
+    code, doc, _ = run(capsys, "analyze", '{"name": ')  # inline JSON text
+    assert code == 64 and doc["message"].startswith("cover JSON is malformed")
 
 
 def test_json_output_is_sorted_and_stable(capsys):

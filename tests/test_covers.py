@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,8 @@ import gsl.covers
 from gsl import dense
 from gsl.covers import (
     Cover,
-    PuiseuxPlace,
     _duval_transform,
-    _Expander,
+    _places,
     branch_points,
     bundled_covers,
     conservative_bad_primes,
@@ -24,7 +24,7 @@ from gsl.covers import (
     puiseux_at,
     roots_of_unity_check,
 )
-from gsl.errors import DomainError, NonUniformRamification, SchemaError
+from gsl.errors import DomainError, NonUniformRamification, SchemaError, UnstableResidueField
 from gsl.exact import BiPoly, UniPoly
 from gsl.nfield import NumberField
 
@@ -58,16 +58,35 @@ def test_load_cover_from_dict_string_and_path(tmp_path):
 
 def test_schema_errors():
     bad = [
-        _cover_dict(group_order=3),                      # order != degree
-        _cover_dict(assert_regular_galois=False),        # flag must be true
-        _cover_dict(P=[["0", "-1"], ["0"], ["2"]]),      # not monic in Y
-        _cover_dict(P=[["5"], ["0"], ["1"]]),            # does not involve T
-        {k: v for k, v in _cover_dict().items() if k != "name"},
-        _cover_dict(P=[[0, -1], [0], [1]]),              # numbers, not strings
+        (_cover_dict(group_order=3), "must equal the Y-degree"),
+        (_cover_dict(assert_regular_galois=False), "assert_regular_galois must be true"),
+        (_cover_dict(P=[["0", "-1"], ["0"], ["2"]]), "must be monic in Y"),
+        (_cover_dict(P=[["5"], ["0"], ["1"]]), "must actually involve T"),
+        ({k: v for k, v in _cover_dict().items() if k != "name"}, "missing the 'name' key"),
+        (_cover_dict(P=[[0, -1], [0], [1]]), "must be a list of rational strings"),
+        (_cover_dict(name=""), "'name' must be a non-empty string"),
+        (_cover_dict(name=3), "'name' must be a non-empty string"),
+        (_cover_dict(group_order=1), "'group_order' must be an integer >= 2"),
+        (_cover_dict(group_order="2"), "'group_order' must be an integer >= 2"),
+        (_cover_dict(P=[]), "'P' must be a non-empty list"),
+        (_cover_dict(P=[["0", "1/0"], ["0"], ["1"]]), "bad rational string"),
+        (_cover_dict(P=[["0", "x"], ["0"], ["1"]]), "bad rational string"),
+        ('{"name": ', "cover JSON is malformed"),
+        (["not", "an", "object"], "must be a JSON object"),
     ]
-    for d in bad:
-        with pytest.raises(SchemaError):
-            load_cover(d)
+    for source, message in bad:
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_cover(source)
+
+
+def test_schema_errors_of_cover_files(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read cover file"):
+        load_cover(tmp_path / "missing.json")
+    path = tmp_path / "cover.json"
+    for text, message in [('{"name": ', "is not valid JSON"), ("[1, 2]", "must be a JSON object")]:
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            load_cover(path)
 
 
 def test_bundled_covers_present():
@@ -139,17 +158,18 @@ def test_non_uniform_ramification_detected():
 
 
 def test_chart_at_infinity_rejects_a_cover_not_monic_in_y():
-    # T Y^2 - 1 bypasses load_cover's schema check; with an explicit prec,
-    # puiseux_at reaches the chart at infinity without computing disc_y
+    # T Y^2 - 1 bypasses load_cover's schema check
     cover = Cover("not_monic", 2, BiPoly.from_json([["-1"], [], ["0", "1"]]))
     with pytest.raises(DomainError, match="chart at infinity"):
-        puiseux_at(cover, None, prec=4)
+        puiseux_at(cover, None)
 
 
 def test_precision_override_is_stable(covers):
+    # every locus of V4 resolves at the first polygon: a cap of 1 is tight
     c = covers["v4_sqrt_t_sqrt_t_minus_1"]
     for locus in [bp.locus for bp in branch_points(c)] + [None]:
-        assert puiseux_at(c, locus) == puiseux_at(c, locus, prec=48)
+        assert puiseux_at(c, locus) == puiseux_at(c, locus, prec=1)
+        assert puiseux_at(c, locus) == puiseux_at(c, locus, prec=64)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +266,6 @@ def test_covers_hash_by_value(covers):
     assert {cover: "v4"}[reloaded] == "v4"
 
 
-def test_branch_places_must_fill_the_degree(monkeypatch):
-    # a single place of degree 2 over each locus of the degree-4 cover V4
-    short = (PuiseuxPlace(ram_index=2, residue_degree=1,
-                          rel_min_poly=(UniPoly(), UniPoly.const(1))),)
-    monkeypatch.setattr(gsl.covers, "puiseux_at", lambda cover, locus, prec=None: short)
-    cover = bundled_covers()["v4_sqrt_t_sqrt_t_minus_1"]
-    with pytest.raises(NonUniformRamification, match="total degree 2, not the Y-degree 4"):
-        branch_points(cover)
-
-
 def test_expansion_places_must_fill_the_degree(monkeypatch):
     # the residual at T = 0 loses its factors: no place is found at all
     monkeypatch.setattr(gsl.covers, "factor_nf", lambda K, f: [])
@@ -267,7 +277,7 @@ def test_expansion_places_must_fill_the_degree(monkeypatch):
 
 def test_resolved_clusters_must_fill_their_multiplicity(monkeypatch):
     # the polygon of the repeated root y = 0 of H(0, y) = y^2 finds no place
-    monkeypatch.setattr(gsl.covers._Expander, "_polygon", lambda *args: [])
+    monkeypatch.setattr(gsl.covers, "_polygon", lambda *args: [])
     cover = bundled_covers()["c2_sqrt_t"]
     with pytest.raises(NonUniformRamification,
                        match="cluster of multiplicity 2 resolved into places of total degree 0"):
@@ -289,7 +299,7 @@ def _rows(*rows):
 def test_places_require_monic_in_y():
     # x y^2 + y - x: the y-degree drops at x = 0
     with pytest.raises(DomainError, match="monic in y"):
-        _Expander(10).places(_Q, _rows([0, -1], [1], [0, 1]))
+        _places(_Q, _rows([0, -1], [1], [0, 1]), 10)
 
 
 def test_duval_transform_requires_divisibility():
@@ -355,3 +365,56 @@ def test_duval_transform_matches_pointwise_evaluation(data):
         rhs = dense.scale(K, dense.shift(K, dense.trim(K, in_y), dense.power(K, w0, u)),
                           K.scale(K.one, x0 ** -ell))
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the one guard of the expansion: a cap on its polygon depth
+
+# the degree-6 cover C6 of the benchmark: rows of T-degree 4, 3, 3, 2, 2, 1, 0
+_C6 = [[-19, 6, 27, 10, 1], [-24, -84, -36, -4], [84, 38, -6, -2], [-2, 26, 6],
+       [-21, -5, 1], [0, -2], [1]]
+
+
+def test_depth_cap_is_tight_at_infinity_of_c6():
+    # the places of C6 over infinity need two polygon levels
+    c6 = Cover("c6", 6, BiPoly.from_json([[str(c) for c in row] for row in _C6]))
+    assert puiseux_at(c6, None, prec=2) == puiseux_at(c6, None)
+    assert [(p.ram_index, p.residue_degree) for p in puiseux_at(c6, None)] == [(2, 1)] * 3
+    with pytest.raises(UnstableResidueField):
+        puiseux_at(c6, None, prec=1)
+
+
+def _deep_cover(k):
+    """(Y - S)^2 - T^(2k+1) with S = 1 + T + ... + T^k: over T = 0 the two
+    branches S +- T^(k+1/2) share k + 1 terms, one polygon level each, and
+    part at level k + 1."""
+    S = UniPoly([Fraction(1)] * (k + 1))
+    c0 = S * S - UniPoly([Fraction(0)] * (2 * k + 1) + [Fraction(1)])
+    return Cover(f"deep{k}", 2, BiPoly([c0, S.scale(-2), UniPoly.const(1)]))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_depth_cap_counts_polygon_levels(k):
+    cover = _deep_cover(k)
+    assert [(p.ram_index, p.residue_degree) for p in puiseux_at(cover, _T, prec=k + 1)] == [(2, 1)]
+    with pytest.raises(UnstableResidueField):
+        puiseux_at(cover, _T, prec=k)
+
+
+def test_default_depth_cap_is_49_polygon_levels():
+    assert puiseux_at(_deep_cover(48), _T) == puiseux_at(_deep_cover(48), _T, prec=49)
+    with pytest.raises(UnstableResidueField, match="depth cap"):
+        branch_points(_deep_cover(49))
+
+
+def test_expansion_makes_no_disc_y_call(covers, monkeypatch):
+    # disc_Y(P) is computed once, by the analysis; the expansion never needs it
+    c = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    loci = [bp.locus for bp in branch_points(c)] + [None]
+    before = [puiseux_at(c, locus) for locus in loci]
+
+    def refuse(P):
+        raise AssertionError("puiseux_at computed disc_y")
+
+    monkeypatch.setattr(gsl.covers, "disc_y", refuse)
+    assert [puiseux_at(c, locus) for locus in loci] == before

@@ -3,7 +3,9 @@ of result records."""
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -30,7 +32,6 @@ from gsl.exact import (
     resultant,
     squarefree_part,
 )
-from gsl.padic import galois_local_invariants
 from gsl.specialize import verify_specialization
 
 rats = st.fractions(
@@ -239,7 +240,6 @@ def record_battery(covers):
         adequacy_certificate(v4, Fraction(21)),
         parametric_obstruction_report(v4, 2, 20),
         parametric_obstruction_report(covers["c2_sqrt_t"], 2, 20),  # no certificate
-        galois_local_invariants(upoly(1, 0, 1), 5),
         *branch_points(covers["c3_shanks"]),
     ]
     return [r for top in tops for r in _records(top)]
@@ -359,6 +359,17 @@ def test_factor_int():
     assert factor_int(n * n) == {1009: 2, 1013: 2}
     with pytest.raises(DomainError):
         factor_int(0)
+
+
+@given(st.lists(st.integers(10_001, 10**7).map(sp.nextprime), min_size=2, max_size=3),
+       st.integers(1, 1000))
+def test_factor_int_splits_large_prime_factors_like_sympy(big, small):
+    # every prime of the cofactor lies above the trial-division limit 10^4,
+    # so Pollard-Brent splits it
+    n = small * math.prod(big)
+    with mock.patch.object(exact, "_pollard_brent", wraps=exact._pollard_brent) as rho:
+        assert factor_int(n) == sp.factorint(n)
+    assert rho.called
 
 
 def test_crt_combine():

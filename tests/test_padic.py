@@ -12,14 +12,13 @@ import gsl.nfield
 import gsl.padic
 from gsl import dense
 from gsl.covers import bundled_covers, conservative_bad_primes
-from gsl.errors import DomainError, NonUniform, NotSeparable, PrecisionExhausted, WildOrIrregular
+from gsl.errors import DomainError, NotSeparable, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
 from gsl.modp import Zp, Zq, degree_blocks, factor_over, frobenius_data, prime_field
 from gsl.nfield import hensel_lift
 from gsl.padic import (
     PadicPrecisionCtx,
     _Analyzer,
-    galois_local_invariants,
     local_splitting_type,
     quadratic_local_class,
 )
@@ -91,13 +90,6 @@ def test_domain_guards():
         local_splitting_type(upoly(-2, 0, 1), 15)
     with pytest.raises(NotSeparable):
         local_splitting_type(upoly(-1, 1) * upoly(-1, 1), 7)
-
-
-def test_galois_invariants_uniform_and_not():
-    g = galois_local_invariants(upoly(1, 0, -82, 0, 1), 7)
-    assert (g.e, g.f, g.g) == (2, 2, 1)
-    with pytest.raises(NonUniform):
-        galois_local_invariants(upoly(-5, 0, 1) * upoly(-1, 1), 5)
 
 
 def test_degree_sum_invariant_random():
@@ -498,10 +490,12 @@ def test_specializations_of_bundled_covers_are_isotypic(covers, name, a, k, b, p
     f = specialize_poly(cover, t0)
     assume(f.degree == cover.degree and discriminant(f) != 0)
     try:
-        inv = galois_local_invariants(f, p)
+        split = local_splitting_type(f, p)
     except WildOrIrregular:
         assume(False)
-    assert inv.e * inv.f * inv.g == cover.degree
+    assert len(split.factors) == 1, split.factors  # one (e, f) class
+    [(e, fr, count)] = split.factors
+    assert e * fr * count == cover.degree
 
 
 # ---------------------------------------------------------------------------

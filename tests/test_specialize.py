@@ -10,11 +10,20 @@ from hypothesis import strategies as st
 import gsl.specialize
 from gsl.covers import RelativeField
 from gsl.covers import BranchPoint, branch_points
-from gsl.errors import ChartMixing, DomainError, HypothesisViolation, MeetingUniquenessError, NotFound
+from gsl.errors import (
+    ChartMixing,
+    DomainError,
+    HypothesisViolation,
+    MeetingUniquenessError,
+    NonUniform,
+    NotFound,
+    WildOrIrregular,
+)
 from gsl.exact import UniPoly
 from gsl.padic import quadratic_local_class
 from gsl.specialize import (
     MATCH,
+    ORACLE_FAILURE,
     PARTIAL_MATCH,
     SKIPPED_BAD_PRIME,
     approximate_specialization_point,
@@ -217,6 +226,31 @@ def test_verify_explicit_prime_list(covers):
     rep = verify_specialization(v4, Fraction(21), primes=[5, 11])
     assert [e.prime for e in rep.entries] == [5, 11]
     assert _verdicts(rep)[11] == MATCH  # unramified prediction confirmed
+
+
+def test_a_failed_prediction_is_an_oracle_failure_entry(covers, monkeypatch):
+    def degenerate(branch, p, residue):
+        raise NonUniform(f"branch residue data degenerates at p = {p}")
+
+    monkeypatch.setattr(gsl.specialize, "frobenius_order_at_branch", degenerate)
+    rep = verify_specialization(covers["v4_sqrt_t_sqrt_t_minus_1"], Fraction(21))
+    [entry] = [e for e in rep.entries if e.prime == 7]
+    assert (entry.prediction, entry.oracle, entry.verdict) == (None, None, ORACLE_FAILURE)
+    assert entry.note == "prediction failed: branch residue data degenerates at p = 7"
+    assert rep.worst == ORACLE_FAILURE
+
+
+def test_a_failed_oracle_is_an_oracle_failure_entry(covers, monkeypatch):
+    def wild(f, p):
+        raise WildOrIrregular(f"wild at {p}")
+
+    monkeypatch.setattr(gsl.specialize, "local_splitting_type", wild)
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    rep = verify_specialization(v4, Fraction(21))
+    [entry] = [e for e in rep.entries if e.prime == 7]
+    assert entry.prediction == predict_decomposition(v4, Fraction(21), 7)
+    assert (entry.oracle, entry.verdict, entry.note) == (None, ORACLE_FAILURE, "wild at 7")
+    assert rep.worst == ORACLE_FAILURE
 
 
 def test_report_json_shape(covers):
