@@ -95,13 +95,14 @@ class Cover:
 
 
 def load_cover(source) -> Cover:
-    """Build a Cover from a dict, a JSON string, or a path to a JSON file.
+    """Build a Cover from a dict, a JSON string (one whose text starts with
+    `{` or `[`), or a path to a JSON file.
 
     Schema: {"name": str, "group_order": int, "P": [[rat-string, ...], ...]
     (rows by Y-degree, T-coefficients ascending), "assert_regular_galois":
     true}.  Raises SchemaError on anything malformed."""
-    if isinstance(source, (str, Path)) and not (
-        isinstance(source, str) and source.lstrip().startswith("{")
+    if isinstance(source, Path) or (
+        isinstance(source, str) and not source.lstrip().startswith(("{", "["))
     ):
         try:
             text = Path(source).read_text()

@@ -36,13 +36,15 @@ arithmetic stays in those types; this module only combines elements.
 
 Over a field, `gcd` is Euclid with every remainder made monic, the one gcd
 of the package (F_q, Q, number fields).  `interpolate` is Newton's divided
-differences, the one interpolation: `exact.disc_y` and the Trager norms of
-`nfield` evaluate at integer points and interpolate over Q.  `squarefree`
-is Musser's squarefree decomposition, the one for every field: Q, number
-fields and F_q, where the part whose multiplicities p divides is a p-th
-power decomposed through its p-th root (von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 14).  Newton-polygon sides, used by the p-adic
-oracle and by the Puiseux expansions, live here too.
+differences over Z, the one interpolation: the resultants of `exact` (in
+`disc_y` and the Trager norms of `nfield`) lie in Z[T] and are evaluated
+at integer points, and the divided differences of an integer polynomial
+at integer nodes are integers, so every division is exact and checked.
+`squarefree` is Musser's squarefree decomposition, the one for every
+field: Q, number fields and F_q, where the part whose multiplicities p
+divides is a p-th power decomposed through its p-th root (von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 14).  Newton-polygon sides, used by
+the p-adic oracle and by the Puiseux expansions, live here too.
 """
 
 from __future__ import annotations
@@ -325,30 +327,26 @@ def shift(R, a, c):
     return trim(R, out)
 
 
-def interpolate(R, xs, ys):
-    """The polynomial of degree < len(xs) taking the value ys[i] at xs[i],
-    for distinct xs over a field with hashable elements: Newton divided
-    differences, then the Newton form expanded by Horner, O(len(xs)^2) ring
-    operations.  Each distinct node difference is inverted once; the nodes
-    0, 1, -1, 2, ... of every caller have O(len(xs)) of them."""
+def interpolate(xs, ys):
+    """The integer polynomial of degree < len(xs) taking the value ys[i] at
+    the distinct integer xs[i], by Newton divided differences and Horner,
+    on ints.  The divided differences of an integer polynomial at integer
+    nodes are integers, as (x^m - y^m) / (x - y) lies in Z[x, y]: each
+    division is exact, and one that is not raises DomainError."""
     c = list(ys)
     n = len(c)
-    invs = {}
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            d = R.sub(xs[i], xs[i - j])
-            w = invs.get(d)
-            if w is None:
-                w = invs[d] = R.inv(d)
-            c[i] = R.mul(R.sub(c[i], c[i - 1]), w)
+            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise DomainError("the values are not those of an integer polynomial")
+            c[i] = q
     out = c[-1:]
     for i in range(n - 2, -1, -1):
         # out <- out * (x - xs[i]) + c[i]
-        out = [R.zero] + out
-        for k in range(len(out) - 1):
-            out[k] = R.sub(out[k], R.mul(xs[i], out[k + 1]))
-        out[0] = R.add(out[0], c[i])
-    return trim(R, out)
+        x = xs[i]
+        out = [c[i] - x * out[0]] + [u - x * v for u, v in zip(out, out[1:])] + out[-1:]
+    return trim(INTEGERS, out)
 
 
 def power(R, a, e: int):

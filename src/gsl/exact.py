@@ -18,10 +18,12 @@ Conventions used throughout the package:
 kernel's over `dense.RATIONALS`, kept in an immutable tuple.  The resultant
 of two `UniPoly` clears their denominators and runs the subresultant PRS
 over Z, where every division is exact.  The resultant of two `BiPoly`
-(Res_Y, as in `disc_y`) is never computed over Q[T]: it evaluates both at
-integer points T = t, takes those resultants (over Z, as above), and
-recovers the polynomial in T by Newton interpolation (`dense.interpolate`)
-through as many points as the Sylvester degree bound needs.  No
+(Res_Y, as in `disc_y` and the Trager norms of `nfield`) is never computed
+over Q[T]: each is cleared by one integer, so the resultant lies in Z[T];
+its values at integer points T = t are subresultants over Z, and it is
+recovered from as many of them as the degree bound needs by Newton
+interpolation over Z (`dense.interpolate`), whose divisions are exact and
+checked.  One `Fraction` per output coefficient undoes the clearing.  No
 factorization over Q is exposed here.
 """
 
@@ -465,20 +467,20 @@ class BiPoly:
         return BiPoly([row.scale(i) for i, row in enumerate(self.rows)][1:])
 
 
-def _cleared(f: UniPoly) -> tuple[list[int], int]:
-    """(a f as a list of integers, a) for the least positive integer a."""
-    a = math.lcm(*(c.denominator for c in f.coeffs))
-    return [c.numerator * (a // c.denominator) for c in f.coeffs], a
+def _cleared(*polys: UniPoly) -> tuple[list[list[int]], int]:
+    """([a p as an integer list for each p], a) for the least positive a."""
+    a = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (a // c.denominator) for c in p.coeffs] for p in polys], a
 
 
 def _sample_points():
     """0, 1, -1, 2, -2, ...: the evaluation points of every interpolation
     in this package."""
-    yield Fraction(0)
+    yield 0
     k = 1
     while True:
-        yield Fraction(k)
-        yield Fraction(-k)
+        yield k
+        yield -k
         k += 1
 
 
@@ -488,10 +490,12 @@ def _total_degree(f: BiPoly) -> int:
 
 def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
     """Res_Y(f, g) in Q[T] by evaluation at integer points and Newton
-    interpolation.  At a point t where neither leading row vanishes,
-    Res_Y(f, g)(t) = Res(f(t, Y), g(t, Y)).  Its T-degree is at most the
-    Sylvester bound deg_Y g * deg_T f + deg_Y f * deg_T g, and at most
-    totdeg f * totdeg g (Cox, Little & O'Shea, Ideals, Varieties, and
+    interpolation over Z.  With a and b the least integers that make a f
+    and b g integral, Res_Y(a f, b g) = a^deg_Y g b^deg_Y f Res_Y(f, g) lies
+    in Z[T], and at a point t where neither leading row vanishes it is
+    Res(a f(t, Y), b g(t, Y)), a subresultant over Z.  Its T-degree is at
+    most the Sylvester bound deg_Y g * deg_T f + deg_Y f * deg_T g, and at
+    most totdeg f * totdeg g (Cox, Little & O'Shea, Ideals, Varieties, and
     Algorithms, ch. 8 sec. 7); the smaller bound plus one points determine
     it.  Points where a leading row vanishes are skipped."""
     m, n = f.degree_y, g.degree_y
@@ -499,17 +503,19 @@ def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
         n * max(r.degree for r in f.rows) + m * max(r.degree for r in g.rows),
         _total_degree(f) * _total_degree(g),
     )
-    lead_f, lead_g = f.rows[-1], g.rows[-1]
-    xs: list[Rat] = []
-    ys: list[Rat] = []
+    F, a = _cleared(*f.rows)
+    G, b = _cleared(*g.rows)
+    xs, ys = [], []
     for t in _sample_points():
         if len(xs) > bound:
             break
-        if lead_f(t) == 0 or lead_g(t) == 0:
-            continue
-        xs.append(t)
-        ys.append(resultant(UniPoly([r(t) for r in f.rows]), UniPoly([r(t) for r in g.rows])))
-    return UniPoly._of(dense.interpolate(RATIONALS, xs, ys))
+        ft = [dense.evaluate(INTEGERS, r, t) for r in F]
+        gt = [dense.evaluate(INTEGERS, r, t) for r in G]
+        if ft[-1] and gt[-1]:
+            xs.append(t)
+            ys.append(_subresultant(ft, gt))
+    d = a**n * b**m
+    return UniPoly._of([Fraction(c, d) for c in dense.interpolate(xs, ys)])
 
 
 def resultant(f, g):
@@ -522,8 +528,8 @@ def resultant(f, g):
         if f.is_zero or g.is_zero:
             raise DomainError("resultant with a zero polynomial")
         # Res(f, g) = Res(a f, b g) / (a^deg g b^deg f), with a f and b g in Z[x]
-        A, a = _cleared(f)
-        B, b = _cleared(g)
+        (A,), a = _cleared(f)
+        (B,), b = _cleared(g)
         return Fraction(_subresultant(A, B), a**g.degree * b**f.degree)
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
         if not f.rows or not g.rows:

@@ -30,10 +30,8 @@ point, no randomness.  The pieces:
     divides over Z cannot split further.
   * factor_nf -- factorization in K[y]: squarefree split, then
     Trager's norm method on each squarefree part.  The norm polynomial
-    is computed at integer points, each value a resultant computed over Z,
-    and recovered by Newton interpolation (`dense.interpolate`);
-    this is safe because M is monic (Res_x(M, B) = prod B(alpha_k)
-    commutes with specializing the second variable).  One factor per
+    is the bivariate resultant Res_x(M(x), h(z - s x)) of `exact`, which
+    is prod_k h(z - s alpha_k) because M is monic.  One factor per
     norm factor comes from a gcd with what is left of h; the last is that
     rest, by exact division.  The norm is proved squarefree once, and its
     factors come from the same per-part Zassenhaus step as factor_rational's
@@ -61,7 +59,7 @@ from typing import Sequence
 from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
-from .exact import Rat, UniPoly, _sample_points, _valuation, factor_int, is_prime, resultant
+from .exact import BiPoly, Rat, UniPoly, _valuation, factor_int, is_prime, resultant
 from .modp import Zp, degree_blocks, factor_over, prime_field
 
 
@@ -488,27 +486,29 @@ def is_irreducible_rational(f: UniPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# norms by evaluation/interpolation
+# norms as resultants
 
 
 def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
-    """N(z) = prod_k H(z, alpha_k) over the roots alpha_k of the modulus,
-    where H(z, x) = sum_i h_i(x) (z - s*x)^i -- the norm from K to Q of
-    h(z - s*theta).  Computed at deg(M)*deg(h)+1 integer points, each value
-    a resultant over Z, and recovered by Newton interpolation;
-    valid because the modulus is monic, so Res_x(M, B) = prod_k B(alpha_k)
-    commutes with specializing z."""
+    """N(z) = Res_x(M(x), H(z, x)), where M is the modulus and
+    H(z, x) = sum_i h_i(x) (z - s*x)^i: the norm from K to Q of
+    h(z - s*theta).  M is monic, so the resultant is prod_k H(z, alpha_k)
+    over the roots alpha_k of M, whatever the x-degree of H.  H is a
+    `BiPoly` in x over Q[z], and `resultant` computes N from
+    deg(M)*deg(h) + 1 integer points, the Sylvester bound plus one."""
     d = len(h) - 1
     if d < 1 or not K.eq(h[-1], K.one):
         raise DomainError("the norm needs a monic h of degree >= 1")
     D = K.degree * d
-    stheta = K.scale(K.gen(), s)
-    xs = list(itertools.islice(_sample_points(), D + 1))
-    ys = []
-    for z in xs:
-        val = dense.evaluate(K, h, K.sub(K.from_rat(z), stheta))
-        ys.append(Fraction(0) if K.is_zero(val) else resultant(K.modulus, UniPoly(K.coords(val))))
-    N = UniPoly(dense.interpolate(RATIONALS, xs, ys))
+    L = math.lcm(*(a[-1] for a in h))
+    rows = [[0] * (d + 1) for _ in range(K.degree + d)]
+    for i, a in enumerate(h):
+        for k in range(i + 1):
+            w = L // a[-1] * math.comb(i, k) * (-s) ** k
+            for j, c in enumerate(a[:-1]):
+                rows[j + k][i - k] += w * c
+    H = BiPoly([Fraction(c, L) for c in row] for row in rows)
+    N = resultant(BiPoly([c] for c in K.modulus.coeffs), H)
     if N.degree != D or N.lc != 1:
         raise DomainError(f"the norm has degree {N.degree}, not {D}, or is not monic")
     return N

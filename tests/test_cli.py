@@ -292,6 +292,8 @@ def test_malformed_cover_exit_64(tmp_path, capsys):
         assert code == 64 and doc["error"] == "SchemaError", text
     code, doc, _ = run(capsys, "analyze", '{"name": ')  # inline JSON text
     assert code == 64 and doc["message"].startswith("cover JSON is malformed")
+    code, doc, _ = run(capsys, "analyze", "[1, 2]")  # inline JSON text, not an object
+    assert code == 64 and doc["message"] == "cover data must be a JSON object"
 
 
 def test_json_output_is_sorted_and_stable(capsys):

@@ -73,6 +73,10 @@ def test_schema_errors():
         (_cover_dict(P=[["0", "x"], ["0"], ["1"]]), "bad rational string"),
         ('{"name": ', "cover JSON is malformed"),
         (["not", "an", "object"], "must be a JSON object"),
+        # JSON text that is not an object is read as JSON, not as a file name
+        ("[1, 2]", "cover data must be a JSON object"),
+        (' \n["P"]', "cover data must be a JSON object"),
+        ("[1, ", "cover JSON is malformed"),
     ]
     for source, message in bad:
         with pytest.raises(SchemaError, match=re.escape(message)):

@@ -204,51 +204,40 @@ def test_ext_gcd_rejects_common_factor():
 # interpolation and the monic-remainder gcd
 
 
-@given(st.lists(st.fractions(-20, 20, max_denominator=5), min_size=1, max_size=8, unique=True),
-       st.data())
-def test_interpolate_matches_sympy(xs, data):
-    ys = data.draw(st.lists(st.fractions(-50, 50, max_denominator=7),
-                            min_size=len(xs), max_size=len(xs)))
-    ours = dense.interpolate(dense.RATIONALS, xs, ys)
-    theirs = sp.interpolate([(sp.Rational(str(x)), sp.Rational(str(y))) for x, y in zip(xs, ys)], _x)
-    assert ours == _from_sympy(sp.Poly(theirs, _x, domain=sp.QQ))
+def _sympy_interpolant(xs, ys) -> list:
+    return _from_sympy(sp.Poly(sp.interpolate(list(zip(xs, ys)), _x), _x, domain=sp.QQ))
 
 
-class _CountingInverses:
-    """Q, counting the calls to inv."""
-
-    def __init__(self):
-        self.invs = 0
-
-    def __getattr__(self, name):
-        return getattr(dense.RATIONALS, name)
-
-    def inv(self, a):
-        self.invs += 1
-        return dense.RATIONALS.inv(a)
+@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(0, 3))
+def test_interpolate_matches_sympy(a, extra):
+    # an integer polynomial, from its values at the nodes 0, 1, -1, 2, ...
+    a = dense.trim(dense.INTEGERS, a)
+    xs = list(itertools.islice(_sample_points(), len(a) + extra))
+    ys = [dense.evaluate(dense.INTEGERS, a, x) for x in xs]
+    ours = dense.interpolate(xs, ys)
+    assert ours == a
+    if xs:
+        assert ours == _sympy_interpolant(xs, ys)
 
 
-@given(st.one_of(st.integers(1, 12).map(lambda n: list(itertools.islice(_sample_points(), n))),
-                 st.lists(st.fractions(-20, 20, max_denominator=5), min_size=1, max_size=8,
-                          unique=True)),
-       st.data())
-def test_interpolate_inverts_each_distinct_node_difference_once(xs, data):
-    ys = data.draw(st.lists(st.fractions(-50, 50, max_denominator=7),
-                            min_size=len(xs), max_size=len(xs)))
-    R = _CountingInverses()
-    ours = dense.interpolate(R, xs, ys)
-    n = len(xs)
-    assert R.invs <= len({xs[i] - xs[i - j] for j in range(1, n) for i in range(j, n)})
-    theirs = sp.interpolate([(sp.Rational(str(x)), sp.Rational(str(y))) for x, y in zip(xs, ys)], _x)
-    assert ours == _from_sympy(sp.Poly(theirs, _x, domain=sp.QQ))
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=7, unique=True), st.data())
+def test_interpolate_recovers_integer_polynomials_and_rejects_the_rest(xs, data):
+    # any integer values at distinct integer nodes: either sympy's
+    # interpolant lies in Z[x] and is ours, or one division is inexact
+    ys = data.draw(st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs)))
+    theirs = _sympy_interpolant(xs, ys)
+    if all(c.denominator == 1 for c in theirs):
+        assert dense.interpolate(xs, ys) == theirs
+    else:
+        with pytest.raises(DomainError):
+            dense.interpolate(xs, ys)
 
 
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True), st.data())
-def test_interpolate_over_fp_hits_every_point(xs, data):
-    ys = data.draw(st.lists(st.integers(0, 6), min_size=len(xs), max_size=len(xs)))
-    a = dense.interpolate(F7, xs, ys)
-    assert len(a) <= len(xs)
-    assert [dense.evaluate(F7, a, x) for x in xs] == ys
+def test_interpolate_rejects_values_of_no_integer_polynomial():
+    # (x^2 + x) / 2 takes the integer values 0, 1, 0 at 0, 1, -1
+    with pytest.raises(DomainError):
+        dense.interpolate([0, 1, -1], [0, 1, 0])
+    assert dense.interpolate([0, 1, -1], [0, 2, 0]) == [0, 1, 1]
 
 
 @given(st.data())

@@ -166,6 +166,29 @@ def test_bivariate_resultant_skips_points_where_a_leading_row_vanishes(fr, lf, g
     assert resultant(f, g) == _t_poly(want)
 
 
+_rat_rows = st.lists(st.fractions(-6, 6, max_denominator=4), max_size=3)
+
+
+@st.composite
+def _rational_bipoly(draw):
+    """A bivariate with rational rows, not monic in Y; half the time its
+    leading row holds (T - 1)(T + 2), so that the sample points 1 and -2
+    are skipped."""
+    rows = draw(st.lists(_rat_rows, min_size=0, max_size=3))
+    lead = UniPoly(draw(_rat_rows.filter(any)))
+    if draw(st.booleans()):
+        lead = lead * UniPoly([-2, 1, 1])
+    return _bipoly(rows + [lead.coeffs])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_rational_bipoly(), _rational_bipoly())
+def test_bivariate_resultant_matches_sympy_over_rational_rows(f, g):
+    # the Sylvester determinant, not sp.resultant (see the sign remark above)
+    want = sylvester(_bi_to_sympy(f), _bi_to_sympy(g), _y).det()
+    assert resultant(f, g) == _t_poly(want)
+
+
 @st.composite
 def _shaped_cover(draw, triangular: bool):
     """P monic in Y of Y-degree m: with triangular rows (deg_T of the Y^i row
@@ -198,14 +221,13 @@ _C6 = [[-19, 6, 27, 10, 1], [-24, -84, -36, -4], [84, 38, -6, -2], [-2, 26, 6],
 def test_disc_y_of_c6_takes_31_resultants(monkeypatch):
     # totdeg P * totdeg P_Y = 6 * 5 = 30 < the Sylvester bound 38
     calls = []
-    real = exact.resultant
+    real = exact._subresultant
 
-    def spy(f, g):
-        if isinstance(f, UniPoly):
-            calls.append(1)
-        return real(f, g)
+    def spy(A, B):
+        calls.append(1)
+        return real(A, B)
 
-    monkeypatch.setattr(exact, "resultant", spy)
+    monkeypatch.setattr(exact, "_subresultant", spy)
     assert disc_y(_bipoly(_C6)).degree == 21
     assert len(calls) == 31
 

@@ -413,11 +413,33 @@ def test_zassenhaus_rejects_a_polynomial_that_is_not_squarefree():
         nfield._zassenhaus_monic_int([1, -2, 1])
 
 
+_z = sp.Symbol("z")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([_FIELDS[0], _FIELDS[3]]), st.sampled_from([0, 1, 2]), st.data())
+def test_norm_poly_matches_sympy(M, s, data):
+    # N(z) = Res_x(M, h(z - s x)) on Q(i) and on the quintic field of C6,
+    # against sympy on the remainder of H mod M: M is monic, so Res_x(M, H) =
+    # prod H(z, alpha_k) = Res_x(M, H mod M), and deg M > deg (H mod M) keeps
+    # clear of the cases where sympy's resultant gets the sign wrong
+    K = NumberField(M)
+    d = data.draw(st.integers(1, 3 if K.degree == 2 else 2))
+    coords = [data.draw(st.lists(st.fractions(-5, 5, max_denominator=3),
+                                 min_size=K.degree, max_size=K.degree)) for _ in range(d)]
+    h = [K.from_coords(cs) for cs in coords] + [K.one]
+    H = (_z - s * _x) ** d + sum(sum(sp.Rational(str(c)) * _x**j for j, c in enumerate(cs))
+                                 * (_z - s * _x) ** i for i, cs in enumerate(coords))
+    M_expr = sum(sp.Rational(str(c)) * _x**i for i, c in enumerate(M.coeffs))
+    want = sp.Poly(sp.resultant(M_expr, sp.rem(sp.expand(H), M_expr, _x), _x), _z)
+    assert nfield._norm_poly(K, h, s) == UniPoly(Fraction(str(c)) for c in reversed(want.all_coeffs()))
+
+
 def test_norm_poly_checks_its_input_and_its_degree(monkeypatch):
     K = NumberField(upoly(1, 0, 1))
     with pytest.raises(DomainError):
         nfield._norm_poly(K, [K.one, K.from_rat(2)], 0)  # not monic
-    monkeypatch.setattr(dense, "interpolate", lambda R, xs, ys: [R.one])
+    monkeypatch.setattr(nfield, "resultant", lambda f, g: UniPoly.const(1))
     with pytest.raises(DomainError):
         nfield._norm_poly(K, [K.one, K.zero, K.one], 1)
 
