@@ -29,8 +29,10 @@ class NotSeparable(GslError):
 class WildOrIrregular(GslError):
     """The p-adic oracle met wild ramification (p divides a candidate
     ramification index) or a configuration outside its certified scope
-    (fractional-slope side with a repeated residual factor).  Callers must
-    treat the local invariants as unknown, never guess."""
+    (a fractional-slope side with a repeated residual factor, or a cluster
+    tree deeper than its depth cap).  No precision changes either, so the
+    oracle raises it on the first rung that meets it.  Callers must treat
+    the local invariants as unknown, never guess."""
 
 
 class PrecisionExhausted(GslError):

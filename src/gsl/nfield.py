@@ -59,7 +59,16 @@ from typing import Sequence
 from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
-from .exact import BiPoly, Rat, UniPoly, _valuation, factor_int, is_prime, resultant
+from .exact import (
+    BiPoly,
+    Rat,
+    UniPoly,
+    _valuation,
+    discriminant,
+    factor_int,
+    is_prime,
+    resultant,
+)
 from .modp import Zp, degree_blocks, factor_over, prime_field
 
 
@@ -516,10 +525,11 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
 
 def _squarefree_norm(K: NumberField, h: list, first: int) -> tuple[int, UniPoly]:
     """The least shift s >= first for which the norm N of h(z - s theta) is
-    squarefree, and that N."""
+    squarefree, and that N.  In characteristic 0, N is squarefree exactly
+    when disc N != 0, a subresultant over Z with no gcd over Q."""
     for s in itertools.count(first):
         N = _norm_poly(K, h, s)
-        if N.gcd(N.derivative()).degree == 0:
+        if discriminant(N) != 0:
             return s, N
 
 

@@ -5,60 +5,59 @@ multiset of (ramification index, residue degree) of the factors of f over
 Q_p, together with multiplicities — independently of any global prediction
 machinery, so that predictions can be *verified* against this module.
 
-Method: work in W = Z/p^N (`modp.Zp`, int elements) and its unramified
-extensions W = Z_p[x]/(Phi) mod p^N (`modp.Zq`, int tuples); polynomials
-over W are `dense` lists of elements.  N starts at the floor
-2*v_p(disc)+1 of the monic integral model and doubles, for at most
-LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted:
+Method: one Newton-polygon recursion over clusters of roots, as in Montes'
+algorithm.  It works in W = Z/p^N (`modp.Zp`, int elements) and its
+unramified extensions W = Z_p[x]/(Phi) mod p^N (`modp.Zq`, int tuples);
+polynomials over W are `dense` lists of elements, and p and N are read off
+W.  N starts at the floor 2*v_p(disc)+1 of the monic integral model g and
+doubles, for at most LADDER_RUNGS rungs, whenever a check raises
+PrecisionExhausted.
 
-1. split f mod p into degree blocks (`modp.degree_blocks`: squarefree
-   decomposition, then distinct-degree factorization).  The simple
-   factors of degree r are read off their block as (1, r), by Hensel's
-   lemma, and never split apart; a squarefree reduction certifies an
-   unramified answer immediately;
-2. otherwise split only the repeated blocks into irreducibles psi
-   (`modp.factor_over`); nothing is lifted.  The factors of f whose roots
-   do not reduce to a root c of psi are units at c, so the Newton polygon
-   of the whole f(x + c) is that of the psi^m part followed by a slope-0
-   side, and on every side of positive slope the two residual
-   polynomials differ by a unit factor;
-3. analyze each psi^m as the root cluster of the whole f around a root
-   of psi above floor 0: Newton polygon of the shifted polynomial,
-   residual polynomials over the residue field, with
-   (a) separable residual factors emitted as (e, deg) pairs, read off the
-       residual's degree blocks like the simple factors in step 1,
-   (b) repeated residual factors on integer slopes handled by recentering
-       (with an exclusion floor so already-emitted sides are not double
-       counted),
-   (c) one recentering step for both: a block psi^m is the cluster around
-       a root of psi above floor 0, a repeated residual the cluster around
-       the next digit above the side's slope.  A root of degree d >= 2
-       lives in an unramified W' of degree d over W; only its conjugate
-       family is analyzed there, and its residue degrees are multiplied
-       by d (the base change splits each factor into d conjugates with
-       identical invariants, exactly one of which reduces to that root).
-       From W = Z_p the root costs nothing: W' = Z_p[x]/(psi) mod p^N,
-       and its generator x is a root of psi.  From a larger W, W' is the
-       unramified extension of degree W.d * d over Z_p, W embeds into it,
-       and the root is searched for in its residue field (`roots_over`).
+1. `_cluster(W, g, center, floor, depth)` reads the factors of g whose
+   roots y have v(y - center) > floor off the sides of the Newton polygon
+   of g(x + center) steeper than floor.  Every root of g is integral, so
+   the first cluster, around 0 above floor -1, holds all of them: its
+   slope-0 side carries the unit roots, with residual g mod p without its
+   factor x^k, and its sides of positive slope the roots = 0 mod p;
+2. `_side` reads one side of slope h/e: its residual polynomial over the
+   residue field is split into degree blocks (`modp.degree_blocks`:
+   squarefree decomposition, then distinct-degree factorization).  A
+   simple block of degree r is read off as (e, r) factors and never split
+   apart; a repeated block is split into irreducibles rho
+   (`modp.factor_over`) on an integer slope and refused on a fractional
+   one;
+3. `_recenter` reads, above the side's slope, the cluster of the whole g
+   around center + p^h r for a root r of rho.  Nothing is lifted: the
+   factors of g whose roots do not reduce there are units at the new
+   center, so they add a slope-0 side, which the floor skips, and a unit
+   factor to each residual.  A root of degree d >= 2 lives in an
+   unramified W' of degree d over W; only its conjugate family is
+   analyzed there, and its residue degrees are multiplied by d (the base
+   change splits each factor into d conjugates with identical invariants,
+   exactly one of which reduces to that root).  From W = Z_p the root
+   costs nothing: W' = Z_p[x]/(rho) mod p^N, and its generator x is a root
+   of rho.  From a larger W, W' is the unramified extension of degree
+   W.d * d over Z_p, W embeds into it, and the root is searched for in its
+   residue field (`roots_over`).
 
 Each emission rests on an explicit check, so a low N can make the oracle
 move up a rung but never answer wrongly:
 
-* Simple factors, (1, r) for each simple factor of degree r of f mod p:
-  f mod p is exact at any N, each cluster psi^m is read on f itself,
-  exact mod p^N, and the degrees `splitting` emits add up to deg f.
 * Hensel-zone root, (1, 1) when G(c) = 0 mod p^N at a cluster center c:
   2 v(G'(c)) < N, so by Hensel's lemma one root lies in W, above every
   other root of the cluster.
 * Side of slope h/e, (e, deg rho) for a simple residual factor rho: the
   polygon is read from coefficients of valuation < N (those that vanish
   mod p^N lie above it), none lies below its side, the residual spans the
-  side, and the degrees `cluster` emits equal the sides' lengths.
+  side, and the degrees each cluster emits add up to the lengths of its
+  sides.  On the first cluster those lengths add up to deg g, so every
+  root is accounted for; on its slope-0 side, whose residual is g mod p,
+  these checks hold at any N.
 
 Anything wild (p divides a candidate ramification index) or outside the
-certified scope (a *fractional* slope whose residual is inseparable) raises
-WildOrIrregular: the oracle refuses rather than guesses.
+certified scope (a *fractional* slope whose residual is inseparable, or a
+cluster tree deeper than MAX_DEPTH levels) raises WildOrIrregular: the
+oracle refuses rather than guesses.
 """
 
 from __future__ import annotations
@@ -177,214 +176,149 @@ def _integral_model(f: UniPoly, p: int) -> tuple[UniPoly, int]:
 # ---------------------------------------------------------------------------
 # the cluster recursion
 
+# Levels of the cluster tree below the first cluster.  The depth of the
+# tree does not depend on N, so a cluster below this cap is refused on the
+# first rung rather than retried at every precision of the ladder.  Each
+# level takes three Python frames (`_cluster`, `_side`, `_recenter`).
+MAX_DEPTH = 64
 
-def wp_reduce_res(W, f):
-    """f mod p as a polynomial over the residue field."""
-    return dense.trim(W.res, [W.residue(c) for c in f])
 
-
-class _Analyzer:
-    """One oracle run at fixed precision; raises PrecisionExhausted when a
-    needed valuation cannot be read, WildOrIrregular outside scope."""
-
-    MAX_DEPTH = 64
-
-    def __init__(self, p: int, N: int):
-        self.p = p
-        self.N = N
-        self.Fp = prime_field(p)
-        self._wcache: dict[int, Zp | Zq] = {}
-
-    def base_ring(self) -> Zp:
-        return self.ring(1)
-
-    def ring(self, d: int) -> Zp | Zq:
-        if d not in self._wcache:
-            self._wcache[d] = (Zp(self.p, self.N) if d == 1
-                               else Zq(self.p, self.N, find_irreducible(self.Fp, d)))
-        return self._wcache[d]
-
-    # -- unramified base change --------------------------------------------
-    def embed(self, W: Zq, Wbig: Zq):
-        """Return a map W -> Wbig (send the generator to a Hensel-lifted
-        root of W.Phi in Wbig)."""
-        # root of W's residue modulus chi inside Wbig's residue field
-        F = Wbig.res
-        chi_up = [F.from_int(c) for c in W.Phi]
-        rts = roots_over(F, chi_up)
-        if not rts:
-            raise DomainError(f"the residue modulus of {W} has no root over {Wbig}")
-        om = rts[0]
-        # Newton-lift to a root of Phi over Wbig
-        Phi_up = [Wbig.from_int(c) for c in W.Phi]
-        dPhi = dense.deriv(Wbig, Phi_up)
-        k = 1
-        while k < Wbig.N:
-            fv = dense.evaluate(Wbig, Phi_up, om)
-            dv = dense.evaluate(Wbig, dPhi, om)
-            om = Wbig.sub(om, Wbig.mul(fv, Wbig.inv(dv)))
-            k *= 2
-        pows = [Wbig.one]
-        for _ in range(W.d - 1):
-            pows.append(Wbig.mul(pows[-1], om))
-
-        def emb(a):
-            out = Wbig.zero
-            for c, pw in zip(a, pows):
-                out = Wbig.add(out, Wbig.mul(Wbig.from_int(c), pw))
-            return out
-
-        return emb
-
-    # -- the recursion -------------------------------------------------------
-    def splitting(self, W: Zp | Zq, f) -> list[tuple[int, int, int]]:
-        """(e, f_rel, count) multiset for monic f over W, f separable over
-        Frac(W).  A simple factor of f mod p of degree r is read off its
-        degree block as (1, r); only the repeated blocks are split into
-        their irreducible factors g, and each g^m is read as the cluster of
-        the whole f around a root of g above floor 0 (step 2 of the module
-        docstring says why nothing needs lifting first)."""
-        fbar = wp_reduce_res(W, f)
-        if len(fbar) - 1 != len(f) - 1:
-            raise PrecisionExhausted("leading coefficient vanished mod p")
-        out = self._resolve(W, f, degree_blocks(W.res, fbar), 1, W.zero, 0, Fraction(0), 0)
-        emitted = sum(e * fr * c for e, fr, c in out)
-        if emitted != len(f) - 1:
+def _cluster(W, f, center, floor, depth: int) -> list[tuple[int, int, int]]:
+    """(e, f_rel, count) of the factors of f (monic over W, separable over
+    Frac(W)) whose roots y have v(y - center) > floor.  Around center 0
+    above floor -1 that is every root of an integral f."""
+    if depth > MAX_DEPTH:
+        raise WildOrIrregular(
+            f"cluster tree deeper than MAX_DEPTH = {MAX_DEPTH} levels: "
+            "outside the certified scope of this oracle"
+        )
+    G = f if W.is_zero(center) else dense.shift(W, f, center)
+    vals = [W.val(c) for c in G]
+    out: list[tuple[int, int, int]] = []
+    expected = 0
+    start = 0
+    if vals[0] is None:
+        # v(G(0)) >= N > 2 v(G'(0)): by Hensel's lemma one root of G lies
+        # in W, an (e, f) = (1, 1) factor, of valuation above every other
+        # root's (the side (0, v(G(0))) - (1, v(G'(0))) is the steepest)
+        if vals[1] is None or 2 * vals[1] >= W.N:
             raise PrecisionExhausted(
-                f"degree bookkeeping mismatch ({emitted} != {len(f) - 1})"
+                f"Hensel zone: G(c) = 0 mod p^{W.N} needs 2 v(G'(c)) < {W.N}"
             )
-        return out
+        out.append((1, 1, 1))
+        expected += 1
+        start = 1
+    pts = [(i, v) for i, v in enumerate(vals) if v is not None and i >= start]
+    for xa, ya, xb, _, lam in dense.newton_sides(pts):
+        if lam <= floor:
+            continue
+        expected += xb - xa
+        out.extend(_side(W, G, xa, ya, xb, lam, f, center, depth))
+    # every root strictly inside the floor-ball is accounted for
+    emitted = sum(e * fr * c for e, fr, c in out)
+    if emitted != expected:
+        raise PrecisionExhausted(
+            f"side bookkeeping mismatch ({emitted} != {expected})"
+        )
+    return out
 
-    def cluster(
-        self, W: Zp | Zq, f, center, floor: Fraction, depth: int
-    ) -> list[tuple[int, int, int]]:
-        """Invariants of the factors of f (monic over W) whose roots y have
-        v(y - center) > floor.  floor = 0 analyzes a full residual cluster."""
-        if depth > self.MAX_DEPTH:
-            raise PrecisionExhausted("cluster refinement did not terminate")
-        G = dense.shift(W, f, center)
-        vals = [W.val(c) for c in G]
-        n = len(G) - 1
-        out: list[tuple[int, int, int]] = []
-        expected = 0
-        start = 0
-        if vals[0] is None:
-            # v(G(0)) >= N > 2 v(G'(0)): by Hensel's lemma one root of G lies
-            # in W, an (e, f) = (1, 1) factor, of valuation above every other
-            # root's (the side (0, v(G(0))) - (1, v(G'(0))) is the steepest)
-            if vals[1] is None or 2 * vals[1] >= self.N:
-                raise PrecisionExhausted(
-                    f"Hensel zone: G(c) = 0 mod p^{self.N} needs 2 v(G'(c)) < {self.N}"
-                )
-            out.append((1, 1, 1))
-            expected += 1
-            start = 1
-        pts = [(i, v) for i, v in enumerate(vals) if v is not None and i >= start]
-        for (xa, ya, xb, yb, lam) in dense.newton_sides(pts):
-            if lam <= floor:
-                continue
-            expected += xb - xa
-            out.extend(self._side(W, G, xa, ya, xb, yb, lam, f, center, floor, depth))
-        # every root strictly inside the floor-ball is accounted for
-        emitted = sum(e * fr * c for e, fr, c in out)
-        if emitted != expected:
-            raise PrecisionExhausted(
-                f"side bookkeeping mismatch ({emitted} != {expected})"
-            )
-        return out
 
-    def _side(
-        self, W, G, xa, ya, xb, yb, lam: Fraction, f, center, floor, depth
-    ) -> list[tuple[int, int, int]]:
-        e = lam.denominator
-        h = lam.numerator
-        if e % self.p == 0:
-            raise WildOrIrregular(
-                f"wild ramification candidate: p={self.p} divides e={e}"
-            )
-        F = W.res
-        r = (xb - xa) // e
-        res = []
-        for j in range(r + 1):
-            idx = xa + j * e
-            vline = ya - j * h
-            c = G[idx]
-            v = W.val(c)
-            if v is None or v > vline:
-                res.append(F.zero)
-            else:
-                if v < vline:
-                    raise PrecisionExhausted("coefficient below its side")
-                res.append(W.residue(W.shift_down(c, vline)))
-        res = dense.trim(F, res)
-        if len(res) - 1 != r or F.is_zero(res[0]):
-            raise PrecisionExhausted("residual polynomial does not span its side")
-        blocks = degree_blocks(F, res)
-        if e > 1 and any(mu > 1 for _, _, mu in blocks):
+def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[int, int, int]]:
+    """The factors through the side of G = f(x + center) from xa to xb, of
+    slope lam = h/e.  Each simple block of degree deg of its residual
+    polynomial is read as (e, deg) factors; each repeated block (e = 1:
+    others are refused) is split into irreducibles rho, and for a root r
+    of each, the cluster of f around center + p^h r is read above lam."""
+    e, h = lam.denominator, lam.numerator
+    if e % W.p == 0:
+        raise WildOrIrregular(
+            f"wild ramification candidate: p={W.p} divides e={e}"
+        )
+    F = W.res
+    r = (xb - xa) // e
+    res = []
+    for j in range(r + 1):
+        vline = ya - j * h
+        c = G[xa + j * e]
+        v = W.val(c)
+        if v is None or v > vline:
+            res.append(F.zero)
+        else:
+            if v < vline:
+                raise PrecisionExhausted("coefficient below its side")
+            res.append(W.residue(W.shift_down(c, vline)))
+    res = dense.trim(F, res)
+    if len(res) - 1 != r or F.is_zero(res[0]):
+        raise PrecisionExhausted("residual polynomial does not span its side")
+    out: list[tuple[int, int, int]] = []
+    repeated = []
+    for block, deg, mu in degree_blocks(F, res):
+        if mu == 1:
+            out.append((e, deg, (len(block) - 1) // deg))
+        elif e > 1:
             raise WildOrIrregular(
                 "fractional slope with inseparable residual: outside the "
                 "certified scope of this oracle"
             )
-        return self._resolve(W, f, blocks, e, center, h, lam, depth + 1)
-
-    def _resolve(
-        self, W, f, blocks, e: int, center, h: int, floor: Fraction, depth: int
-    ) -> list[tuple[int, int, int]]:
-        """The factors through one side of ramification index e, from the
-        degree blocks of its residual polynomial: each simple block of
-        degree deg is read as (e, deg) factors; each repeated block (e = 1
-        here, `_side` refuses the others) is split into irreducibles rho,
-        and the cluster of f around center + p^h r, for a root r of each
-        rho, is read above floor.  `splitting` is the side of slope 0: f
-        mod p is its residual, e = 1, center 0, h = 0, floor 0."""
-        out: list[tuple[int, int, int]] = []
-        repeated = []
-        for block, deg, mu in blocks:
-            if mu == 1:
-                out.append((e, deg, (len(block) - 1) // deg))
-            else:
-                repeated.extend(rho for rho, _ in factor_over(W.res, block))
-        for rho in sorted(repeated, key=lambda g: (len(g), g)):
-            out.extend(self._recenter(W, f, center, rho, h, floor, depth))
-        return out
-
-    def _recenter(
-        self, W, f, center, rho, h: int, floor: Fraction, depth: int
-    ) -> list[tuple[int, int, int]]:
-        """The cluster of f around center + p^h r, for one root r of the
-        irreducible rho over W.res, above floor.  For deg rho >= 2 the root
-        lives in the unramified extension of degree deg rho: the cluster is
-        analyzed there, and residue degrees are multiplied by deg rho (the
-        base change splits each factor into deg rho conjugates with
-        identical invariants, exactly one of which reduces to r).
-
-        Over W = Z_p that extension is built as Z_p[x]/(rho) itself, whose
-        generator x is a root of rho: nothing is searched for.  Over a
-        larger W, r is a root of rho found in the residue field of the
-        unramified extension of degree W.d * deg rho."""
-        drho = len(rho) - 1
-        if drho == 1:
-            root = W.res.neg(rho[0])
-        elif W.d == 1:
-            up = Zq(self.p, self.N, rho)
-            center = up.from_int(center)
-            f = [up.from_int(c) for c in f]
-            W, root = up, (0, 1) + up.zero[2:]
         else:
-            Wbig = self.ring(W.d * drho)
-            emb = self.embed(W, Wbig)
-            rho_up = [Wbig.residue(emb(c)) for c in rho]
-            rts = roots_over(Wbig.res, rho_up)
-            if not rts:
-                raise DomainError(f"a residual factor has no root over {Wbig}")
-            W, root = Wbig, rts[0]
-            center = emb(center)
-            f = [emb(c) for c in f]
-        new_center = W.add(center, W.mul(W.from_int(self.p**h), root))
-        return [
-            (e, fr * drho, cnt)
-            for e, fr, cnt in self.cluster(W, f, new_center, floor, depth)
-        ]
+            repeated.extend(rho for rho, _ in factor_over(F, block))
+    for rho in sorted(repeated, key=lambda g: (len(g), g)):
+        out.extend(_recenter(W, f, center, rho, h, lam, depth + 1))
+    return out
+
+
+def _recenter(W, f, center, rho, h: int, floor: Fraction, depth: int) -> list[tuple[int, int, int]]:
+    """The cluster of f around center + p^h r, for one root r of the
+    irreducible rho over W.res, above floor.  For deg rho >= 2 the root
+    lives in the unramified extension of degree deg rho: the cluster is
+    analyzed there, and residue degrees are multiplied by deg rho (the
+    base change splits each factor into deg rho conjugates with identical
+    invariants, exactly one of which reduces to r).
+
+    Over W = Z_p that extension is built as Z_p[x]/(rho) itself, whose
+    generator x is a root of rho: nothing is searched for.  Over a
+    larger W, r is a root of rho found in the residue field of the
+    unramified extension of degree W.d * deg rho."""
+    drho = len(rho) - 1
+    if drho == 1:
+        root = W.res.neg(rho[0])
+    elif W.d == 1:
+        W = Zq(W.p, W.N, rho)
+        center = W.from_int(center)
+        f = [W.from_int(c) for c in f]
+        root = (0, 1) + W.zero[2:]
+    else:
+        Wbig = Zq(W.p, W.N, find_irreducible(prime_field(W.p), W.d * drho))
+        emb = _embed(W, Wbig)
+        rts = roots_over(Wbig.res, [Wbig.residue(emb(c)) for c in rho])
+        if not rts:
+            raise DomainError(f"a residual factor has no root over {Wbig}")
+        W, root = Wbig, rts[0]
+        center = emb(center)
+        f = [emb(c) for c in f]
+    center = W.add(center, W.mul(W.from_int(W.p**h), root))
+    return [
+        (e, fr * drho, cnt)
+        for e, fr, cnt in _cluster(W, f, center, floor, depth)
+    ]
+
+
+def _embed(W: Zq, Wbig: Zq):
+    """A map W -> Wbig: the generator of W goes to a root of W.Phi in
+    Wbig, found in its residue field and Newton-lifted."""
+    F = Wbig.res
+    rts = roots_over(F, [F.from_int(c) for c in W.Phi])
+    if not rts:
+        raise DomainError(f"the residue modulus of {W} has no root over {Wbig}")
+    om = rts[0]
+    Phi_up = [Wbig.from_int(c) for c in W.Phi]
+    dPhi = dense.deriv(Wbig, Phi_up)
+    k = 1
+    while k < Wbig.N:
+        fv = dense.evaluate(Wbig, Phi_up, om)
+        om = Wbig.sub(om, Wbig.mul(fv, Wbig.inv(dense.evaluate(Wbig, dPhi, om))))
+        k *= 2
+    return lambda a: dense.evaluate(Wbig, [Wbig.from_int(c) for c in a], om)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +363,11 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     f must be separable of degree >= 1 (any nonzero leading coefficient and
     any rational coefficients: the input is normalized internally).  Works
     at N = (2v+1) 2^k for k = 0, 1, ..., LADDER_RUNGS - 1, v = v_p(disc) of
-    the integral model, moving up a rung only when a check raises
-    PrecisionExhausted.  Raises WildOrIrregular when the configuration is
-    wild or outside the certified scope, PrecisionExhausted (naming the
+    the integral model g, moving up a rung only when a check raises
+    PrecisionExhausted; each rung reads the first cluster of g, around 0
+    above floor -1.  Raises WildOrIrregular when the configuration is
+    wild or outside the certified scope (at once: no rung would change
+    that), PrecisionExhausted (naming the
     rungs and the last failed check) when no rung certifies, NotSeparable
     for inseparable input, DomainError for p = 2 or composite p.
     """
@@ -445,14 +381,10 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     rungs = [ctx.precision << k for k in range(LADDER_RUNGS)]
     last_exc: Exception | None = None
     for N in rungs:
-        analyzer = _Analyzer(p, N)
-        W = analyzer.base_ring()
-        fw = [W.from_rat(c) for c in g.coeffs]
+        W = Zp(p, N)
         try:
-            emissions = analyzer.splitting(W, fw)
-            return LocalSplittingType(
-                p=p, factors=_merge(emissions), certified=True
-            )
+            emissions = _cluster(W, [W.from_rat(c) for c in g.coeffs], W.zero, -1, 0)
+            return LocalSplittingType(p=p, factors=_merge(emissions), certified=True)
         except PrecisionExhausted as exc:
             last_exc = exc
     raise PrecisionExhausted(

@@ -5,10 +5,12 @@ The prediction machinery, given a specialization point t0 and a prime p
 outside the cover's conservative bad set:
 
   * find where t0 meets the branch divisor: `meetings` computes this once
-    per t0, for every prime at once, evaluating each finite branch locus m
-    at t0 once.  At p the multiplicity is v_p(m(t0)) for a finite locus
-    (p-integral t0) and -v_p(t0) for the point at infinity.  A point on a
-    branch locus (m(t0) = 0) is refused at every p;
+    per t0, evaluating each finite branch locus m at t0 once, for every
+    prime at once (by factoring each m(t0)) or, when the primes are given,
+    at those primes only (by valuations).  At p the multiplicity is
+    v_p(m(t0)) for a finite locus (p-integral t0) and -v_p(t0) for the
+    point at infinity.  A point on a branch locus (m(t0) = 0) is refused
+    at every p;
   * no meeting predicts an unramified specialization;
   * a meeting of multiplicity a against a branch of inertia order e
     predicts ramification index e / gcd(a, e); when gcd(a, e) = 1 the
@@ -42,6 +44,7 @@ from .exact import (
     JsonRecord,
     Rat,
     UniPoly,
+    _valuation,
     crt_combine,
     disc_y,  # unused here; bench/spans.py requires this binding
     factor_int,
@@ -68,32 +71,63 @@ class MeetingDatum(JsonRecord):
 
 
 def meetings(
-    branches: Sequence[BranchPoint], t0: Rat
+    branches: Sequence[BranchPoint], t0: Rat, primes: Sequence[int] | None = None
 ) -> dict[int, tuple[tuple[BranchPoint, int], ...]]:
     """Where t = t0 meets the branch divisor: each prime of t0's
     denominator and of the numerator and denominator of every m(t0), mapped
     to the (branch, multiplicity) pairs met there, in the order of
     `branches` (empty when none is met).  A finite locus m is met at p with
     multiplicity v_p(m(t0)) > 0 when t0 is p-integral, the point at
-    infinity with -v_p(t0) > 0.  Each finite locus is evaluated once."""
+    infinity with -v_p(t0) > 0.  Each finite locus is evaluated once, and
+    a point on a branch locus is refused.
+
+    Given `primes` (each already known to be prime), only those are
+    mapped, and their multiplicities are read off valuations at them:
+    nothing is factored."""
     t0 = Fraction(t0)
-    poles = factor_int(t0.denominator)
-    primes = set(poles)
-    met = []  # (branch, {prime: multiplicity > 0})
+    return _met(_evaluated(branches, t0), t0, primes)
+
+
+def _evaluated(
+    branches: Sequence[BranchPoint], t0: Fraction
+) -> list[tuple[BranchPoint, Fraction | None]]:
+    """(branch, m(t0)) for each branch, None for the point at infinity;
+    refuses a point on a branch locus."""
+    out = []
     for bp in branches:
-        if bp.locus is None:
-            met.append((bp, poles))
-            continue
-        mval = bp.locus(t0)
+        mval = None if bp.locus is None else bp.locus(t0)
         if mval == 0:
             raise HypothesisViolation(
                 f"specialization point {t0} lies on a branch locus"
             )
-        num = factor_int(mval.numerator)
-        primes.update(num, factor_int(mval.denominator))
+        out.append((bp, mval))
+    return out
+
+
+def _met(
+    evaluated: Sequence[tuple[BranchPoint, Fraction | None]],
+    t0: Fraction,
+    primes: Sequence[int] | None,
+) -> dict[int, tuple[tuple[BranchPoint, int], ...]]:
+    """`meetings` from the values of the loci at t0."""
+    if primes is None:
+        exponents = factor_int
+    else:
+        def exponents(n: int) -> dict[int, int]:
+            return {p: v for p in primes if (v := _valuation(n, p)) > 0}
+    poles = exponents(t0.denominator)
+    keys = set(poles) if primes is None else set(primes)
+    met = []  # (branch, {prime: multiplicity > 0})
+    for bp, mval in evaluated:
+        if mval is None:
+            met.append((bp, poles))
+            continue
+        num = exponents(mval.numerator)
+        if primes is None:
+            keys.update(num, factor_int(mval.denominator))
         met.append((bp, {p: a for p, a in num.items() if p not in poles}))
     return {
-        p: tuple((bp, a[p]) for bp, a in met if p in a) for p in primes
+        p: tuple((bp, a[p]) for bp, a in met if p in a) for p in keys
     }
 
 
@@ -130,7 +164,7 @@ def meeting_prime(
     (only possible at a bad prime)."""
     _require_prime(p)
     t0 = Fraction(t0)
-    return _meeting(meetings(branches, t0).get(p, ()), t0, p)
+    return _meeting(meetings(branches, t0, (p,))[p], t0, p)
 
 
 def meeting_primes(branches: Sequence[BranchPoint], t0: Rat) -> list[int]:
@@ -182,7 +216,7 @@ def predict_decomposition(cover: Cover, t0: Rat, p: int) -> DecompositionPredict
     branches = branch_points(cover)
     _require_prime(p)
     t0 = Fraction(t0)
-    return _predict(meetings(branches, t0).get(p, ()), t0, p)
+    return _predict(meetings(branches, t0, (p,))[p], t0, p)
 
 
 def _predict(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> DecompositionPrediction:
@@ -309,16 +343,18 @@ def verify_specialization(
         branches = branch_points(cover)
     if bad is None:
         bad = conservative_bad_primes(cover)
-    # a point on a branch locus fails both checks; the meeting check
-    # speaks first, with or without primes=
-    met = meetings(branches, t0)
+    # a point on a branch locus fails both checks: the meeting check
+    # speaks first, with or without primes=, and both come before the
+    # primes are checked
+    evaluated = _evaluated(branches, t0)
     f_t0 = specialize_poly(cover, t0)
-    if primes is None:
-        primes = sorted(met)
-    else:
+    if primes is not None:
         primes = sorted(set(primes))
         for p in primes:
             _require_prime(p)
+    met = _met(evaluated, t0, primes)
+    if primes is None:
+        primes = sorted(met)
     entries = []
     for p in primes:
         if p in bad or p == 2:

@@ -10,6 +10,7 @@ import gsl.covers
 import gsl.specialize
 from gsl.cli import main
 from gsl.errors import NonUniform, WildOrIrregular
+from gsl.padic import LocalSplittingType
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gsl" / "data"
 V4 = str(DATA / "v4_sqrt_t_sqrt_t_minus_1.json")
@@ -147,6 +148,25 @@ def test_verify_oracle_failure_exit_3(capsys, monkeypatch, patch):
     assert code == 3
     assert doc["worst"] == "ORACLE_FAILURE"
     assert {e["prime"] for e in doc["entries"] if e["verdict"] == "ORACLE_FAILURE"} == {5, 7}
+
+
+def test_verify_batch_with_a_mismatch_exits_2(capsys, monkeypatch):
+    # t0 = 21: the oracle contradicts the predictions at 5 and 7; t0 = 33
+    # (33 - 1 = 2^5): the oracle fails at 11
+    at_21 = gsl.specialize.specialize_poly(gsl.covers.load_cover(V4), 21)
+
+    def oracle(f, p):
+        if f != at_21:
+            raise WildOrIrregular("wild")
+        return LocalSplittingType(p=p, factors=((1, 1, 4),), certified=True)
+
+    monkeypatch.setattr(gsl.specialize, "local_splitting_type", oracle)
+    code, doc, _ = run(capsys, "verify", V4, "--t0", "21", "--t0", "33")
+    assert code == 2
+    assert [r["worst"] for r in doc["reports"]] == ["MISMATCH", "ORACLE_FAILURE"]
+    verdicts = [{e["prime"]: e["verdict"] for e in r["entries"]} for r in doc["reports"]]
+    assert verdicts[0][5] == verdicts[0][7] == "MISMATCH"
+    assert verdicts[1][11] == "ORACLE_FAILURE"
 
 
 def test_verify_explicit_primes(capsys):

@@ -449,6 +449,25 @@ def _gaussian_y2_plus_1():
     return K, [K.one, K.zero, K.one]  # y^2 + 1 = (y - i)(y + i)
 
 
+@pytest.mark.parametrize("field, h", [
+    # h with rational coefficients: at s = 0 the norm is h^[K:Q]
+    ((1, 0, 1), lambda K: [K.one, K.zero, K.one]),
+    ((-2, 0, 1), lambda K: [K.from_rat(-2), K.zero, K.one]),
+    ((-2, 0, 0, 1), lambda K: [K.from_rat(-2), K.zero, K.zero, K.one]),
+    # y^2 - i over Q(i): the norm z^4 + 1 is squarefree at s = 0
+    ((1, 0, 1), lambda K: [K.neg(K.gen()), K.zero, K.one]),
+])
+def test_squarefree_norm_agrees_with_the_gcd_test(field, h):
+    # differential: disc N != 0 against gcd(N, N') = 1 over Q, shift by shift
+    K = NumberField(upoly(*field))
+    h = h(K)
+    s, N = nfield._squarefree_norm(K, h, 0)
+    for t in range(s + 1):
+        M = nfield._norm_poly(K, h, t)
+        assert (M.gcd(M.derivative()).degree == 0) == (t == s)
+    assert N == nfield._norm_poly(K, h, s)
+
+
 def test_trager_checks_the_norm_factors(monkeypatch):
     K, h = _gaussian_y2_plus_1()
     assert len(nfield._trager_squarefree(K, h)) == 2

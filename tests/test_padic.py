@@ -14,11 +14,21 @@ from gsl import dense
 from gsl.covers import bundled_covers, conservative_bad_primes
 from gsl.errors import DomainError, NotSeparable, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
-from gsl.modp import Zp, Zq, degree_blocks, factor_over, frobenius_data, prime_field
+from gsl.modp import (
+    Zp,
+    Zq,
+    degree_blocks,
+    factor_over,
+    find_irreducible,
+    frobenius_data,
+    prime_field,
+)
 from gsl.nfield import hensel_lift
 from gsl.padic import (
     PadicPrecisionCtx,
-    _Analyzer,
+    _cluster,
+    _embed,
+    _recenter,
     local_splitting_type,
     quadratic_local_class,
 )
@@ -215,9 +225,9 @@ _TWO_STOREYS = UniPoly([Fraction(c) for c in
 
 def test_embed_requires_a_root_of_the_residue_modulus(monkeypatch):
     monkeypatch.setattr(gsl.padic, "roots_over", lambda F, f: [])
-    analyzer = _Analyzer(3, 10)
+    F = prime_field(3)
     with pytest.raises(DomainError, match="residue modulus"):
-        analyzer.embed(analyzer.ring(2), analyzer.ring(4))
+        _embed(Zq(3, 10, find_irreducible(F, 2)), Zq(3, 10, find_irreducible(F, 4)))
 
 
 def test_side_requires_a_root_upstairs(monkeypatch):
@@ -238,7 +248,7 @@ def test_side_requires_a_root_upstairs(monkeypatch):
 def test_splitting_checks_degree_conservation(monkeypatch):
     real = gsl.padic.degree_blocks
     monkeypatch.setattr(gsl.padic, "degree_blocks", lambda F, f: real(F, f)[:-1])
-    with pytest.raises(PrecisionExhausted, match="degree bookkeeping mismatch"):
+    with pytest.raises(PrecisionExhausted, match="side bookkeeping mismatch"):
         local_splitting_type(upoly(-1, 0, 1), 5)
 
 
@@ -297,13 +307,14 @@ def test_two_clusters_upstairs_around_one_root():
 @pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS)
 def test_splitting_does_not_reenter_itself(f, p, want, monkeypatch):
     calls = []
-    real = _Analyzer.splitting
+    real = gsl.padic._cluster
 
-    def counted(self, W, g):
-        calls.append(W.d)
-        return real(self, W, g)
+    def counted(W, g, center, floor, depth):
+        if floor == -1:
+            calls.append(W.d)
+        return real(W, g, center, floor, depth)
 
-    monkeypatch.setattr(_Analyzer, "splitting", counted)
+    monkeypatch.setattr(gsl.padic, "_cluster", counted)
     assert local_splitting_type(f, p).factors == want
     assert calls == [1]
 
@@ -331,7 +342,7 @@ def test_only_repeated_factors_are_split_and_no_root_is_searched(f, p, want, mon
     monkeypatch.setattr(gsl.modp, "_edf", lambda F, g, d: split.append(g) or real_edf(F, g, d))
     for name in ("roots_over", "find_irreducible"):
         monkeypatch.setattr(gsl.padic, name, lambda *a, name=name: searched.append(name))
-    monkeypatch.setattr(_Analyzer, "embed", lambda *a: searched.append("embed"))
+    monkeypatch.setattr(gsl.padic, "_embed", lambda *a: searched.append("embed"))
     assert local_splitting_type(f, p).factors == want
     assert split and all(g in repeated for g in split)
     assert searched == []
@@ -468,10 +479,10 @@ def test_base_change_to_the_unramified_quadratic_extension(data):
     assume(discriminant(f) != 0)
     want = _outcome(f, p)
     assume(want != "refused")
-    analyzer = _Analyzer(p, 8 * rational_valuation(discriminant(f), p) + 64)
-    W = analyzer.ring(2)
-    fw = [W.from_int(analyzer.base_ring().from_rat(a)) for a in f.coeffs]
-    got = gsl.padic._merge(analyzer.splitting(W, fw))
+    N = 8 * rational_valuation(discriminant(f), p) + 64
+    W = Zq(p, N, find_irreducible(prime_field(p), 2))
+    fw = [W.from_int(Zp(p, N).from_rat(a)) for a in f.coeffs]
+    got = gsl.padic._merge(_cluster(W, fw, W.zero, -1, 0))
     assert got == gsl.padic._merge(
         (e, fr // math.gcd(fr, 2), cnt * math.gcd(fr, 2)) for e, fr, cnt in want)
 
@@ -506,26 +517,26 @@ def test_hensel_zone_root_needs_twice_the_derivative_valuation():
     # x^2 + 9x + 27 at 3, mod 3^3: the center 0 is a root mod p^N, but
     # v(G'(0)) = 2 and 2*2 >= 3, so Hensel's lemma does not apply.  The
     # roots have valuation 3/2: one ramified quadratic, not two roots in Z_3.
-    analyzer = _Analyzer(3, 3)
-    W = analyzer.base_ring()
+    W = Zp(3, 3)
     with pytest.raises(PrecisionExhausted, match="Hensel zone"):
-        analyzer.splitting(W, [W.from_int(c) for c in (27, 9, 1)])
+        _cluster(W, [W.from_int(c) for c in (27, 9, 1)], W.zero, -1, 0)
     assert local_splitting_type(upoly(27, 9, 1), 3).factors == ((2, 1, 1),)
 
 
 def _record_rungs(monkeypatch, fail_first):
-    """Record the precision of every oracle run; the first `fail_first`
-    runs raise PrecisionExhausted."""
-    real = _Analyzer.splitting
+    """Record the precision of every oracle run (a first cluster, floor -1);
+    the first `fail_first` runs raise PrecisionExhausted."""
+    real = gsl.padic._cluster
     rungs = []
 
-    def splitting(self, W, f):
-        rungs.append(self.N)
-        if len(rungs) <= fail_first:
-            raise PrecisionExhausted("forced")
-        return real(self, W, f)
+    def cluster(W, f, center, floor, depth):
+        if floor == -1:
+            rungs.append(W.N)
+            if len(rungs) <= fail_first:
+                raise PrecisionExhausted("forced")
+        return real(W, f, center, floor, depth)
 
-    monkeypatch.setattr(_Analyzer, "splitting", splitting)
+    monkeypatch.setattr(gsl.padic, "_cluster", cluster)
     return rungs
 
 
@@ -565,6 +576,23 @@ def test_exhausted_ladder_reports_precision_not_wildness(monkeypatch):
     assert rungs[-1] >= 2 * max(50, 2 * 3 + 10)
 
 
+def _deep_pair(k):
+    """(x - a)(x - a - 3^k), a = (3^76 - 1)/2 = 11...1 in base 3: the roots
+    share their first k digits, so at 3 their cluster tree is k levels
+    deep, one digit a level."""
+    a = (3**76 - 1) // 2
+    return upoly(-a, 1) * upoly(-a - 3**k, 1)
+
+
+def test_cluster_tree_deeper_than_the_cap_is_refused_on_the_first_rung(monkeypatch):
+    # the depth of the tree does not depend on N: no rung above would help
+    assert local_splitting_type(_deep_pair(60), 3).factors == ((1, 1, 2),)
+    rungs = _record_rungs(monkeypatch, 0)
+    with pytest.raises(WildOrIrregular, match="MAX_DEPTH = 64"):
+        local_splitting_type(_deep_pair(66), 3)
+    assert rungs == [PadicPrecisionCtx.for_input(_deep_pair(66), 3).precision]
+
+
 @settings(max_examples=60, deadline=None)
 @given(clustered)
 def test_oracle_matches_a_run_far_above_the_floor(data):
@@ -572,10 +600,9 @@ def test_oracle_matches_a_run_far_above_the_floor(data):
     disc = discriminant(f)
     assume(disc != 0)
     v = rational_valuation(disc, p)
-    analyzer = _Analyzer(p, 8 * v + 64)
-    W = analyzer.base_ring()
+    W = Zp(p, 8 * v + 64)
     try:
-        want = gsl.padic._merge(analyzer.splitting(W, [W.from_rat(a) for a in f.coeffs]))
+        want = gsl.padic._merge(_cluster(W, [W.from_rat(a) for a in f.coeffs], W.zero, -1, 0))
     except WildOrIrregular:
         with pytest.raises(WildOrIrregular):
             local_splitting_type(f, p)
@@ -607,14 +634,14 @@ def test_precision_context_rejects_a_composite_modulus():
 # each cluster is read on the whole f: no Hensel lift
 
 
-def _splitting_through_lifted_blocks(analyzer, W, f):
-    """`_Analyzer.splitting` with the clusters read on lifted blocks: the
-    block factorization of f mod p (one block per g^m, one for all simple
+def _splitting_through_lifted_blocks(W, f):
+    """The oracle with the clusters read on lifted blocks: the block
+    factorization of f mod p (one block per g^m, one for all simple
     factors) is Hensel-lifted over W and each g^m cluster is read on its
     own lift."""
     F = W.res
     out, simple, repeated = [], [], []
-    for block, r, mult in degree_blocks(F, gsl.padic.wp_reduce_res(W, f)):
+    for block, r, mult in degree_blocks(F, dense.trim(F, [W.residue(c) for c in f])):
         if mult == 1:
             out.append((1, r, (len(block) - 1) // r))
             simple.append(block)
@@ -632,7 +659,7 @@ def _splitting_through_lifted_blocks(analyzer, W, f):
             rest = dense.mul(F, rest, g)
         blocks.append(rest)
     for (g, _), lifted in zip(repeated, hensel_lift(W, f, blocks)):
-        out.extend(analyzer._recenter(W, lifted, W.zero, g, 0, Fraction(0), 0))
+        out.extend(_recenter(W, lifted, W.zero, g, 0, Fraction(0), 0))
     if sum(e * fr * c for e, fr, c in out) != len(f) - 1:
         raise PrecisionExhausted("degree bookkeeping mismatch")
     return out
@@ -640,14 +667,14 @@ def _splitting_through_lifted_blocks(analyzer, W, f):
 
 def _ladder(split, f, p):
     """What `split` gives at each rung of the oracle's ladder for f at p,
-    up to the first answer or refusal (a failed rung as its error's name)."""
+    merged as the oracle's answer, up to the first answer or refusal (a
+    failed rung as its error's name)."""
     g, ctx = gsl.padic._prepare(f.monic(), p)
     out = []
     for k in range(gsl.padic.LADDER_RUNGS):
-        analyzer = _Analyzer(p, ctx.precision << k)
-        W = analyzer.base_ring()
+        W = Zp(p, ctx.precision << k)
         try:
-            out.append(split(analyzer, W, [W.from_rat(c) for c in g.coeffs]))
+            out.append(gsl.padic._merge(split(W, [W.from_rat(c) for c in g.coeffs])))
             break
         except PrecisionExhausted:
             out.append("PrecisionExhausted")
@@ -672,7 +699,8 @@ def test_clusters_read_on_the_whole_f_match_clusters_read_on_lifted_blocks(data)
     degrees = {len(g) - 1 for block, _, mult in degree_blocks(prime_field(p), fbar)
                if mult > 1 for g, _ in factor_over(prime_field(p), block)}
     assume(degrees and degrees <= {1, 2})
-    assert _ladder(_Analyzer.splitting, f, p) == _ladder(_splitting_through_lifted_blocks, f, p)
+    assert (_ladder(lambda W, g: _cluster(W, g, W.zero, -1, 0), f, p)
+            == _ladder(_splitting_through_lifted_blocks, f, p))
 
 
 @pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS + [

@@ -1,6 +1,7 @@
 """Tame predictions at specialization points and their verification."""
 
 import collections
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,15 @@ from gsl.errors import (
     WildOrIrregular,
 )
 from gsl.exact import UniPoly
-from gsl.padic import quadratic_local_class
+from gsl.padic import LocalSplittingType, quadratic_local_class
 from gsl.specialize import (
     MATCH,
+    MISMATCH,
     ORACLE_FAILURE,
     PARTIAL_MATCH,
     SKIPPED_BAD_PRIME,
+    ReportEntry,
+    SpecializationReport,
     approximate_specialization_point,
     meeting_prime,
     meeting_primes,
@@ -114,6 +118,91 @@ def test_meeting_primes_v4(branch_table):
     branches = branch_table["v4_sqrt_t_sqrt_t_minus_1"]
     assert meeting_primes(branches, Fraction(21)) == [2, 3, 5, 7]
     assert meeting_primes(branches, Fraction(1, 5)) == [2, 5]  # pole meets infinity
+
+
+def _seeded_points(rng, count):
+    """Rational t0 that meet the loci T and T - 1 (and infinity) at small
+    primes with various multiplicities, next to large prime factors."""
+    out = []
+    for _ in range(count):
+        p = rng.choice([3, 5, 7, 11])
+        k = rng.randint(1, 4)
+        shape = rng.randrange(3)
+        if shape == 0:
+            t0 = Fraction(p**k * rng.randint(1, 2000))
+        elif shape == 1:
+            t0 = 1 + Fraction(p**k * rng.randint(-2000, 2000))
+        else:
+            t0 = Fraction(rng.randint(-2000, 2000), p**k)
+        out.append(t0)
+    return out
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the refusal it raised (a branch residue field may
+    degenerate at a bad prime)."""
+    try:
+        return fn(*args)
+    except NonUniform as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_single_prime_questions_agree_with_the_full_meetings_without_factoring(
+        covers, monkeypatch, seed):
+    # differential: the full map (every m(t0) factored) is recorded first;
+    # with factoring made to fail, the entry points asked about given primes
+    # must read the same meetings off valuations
+    rng = random.Random(seed)
+    recorded = []
+    for name in sorted(covers):
+        cover = covers[name]
+        branches = branch_points(cover)
+        for t0 in _seeded_points(rng, 6):
+            try:
+                full = gsl.specialize.meetings(branches, t0)
+            except HypothesisViolation:
+                continue
+            report = verify_specialization(cover, t0)
+            recorded.append((cover, branches, t0, full, report))
+
+    def no_factoring(n):
+        raise AssertionError("a question about given primes factored an integer")
+
+    monkeypatch.setattr(gsl.specialize, "factor_int", no_factoring)
+    for cover, branches, t0, full, report in recorded:
+        primes = sorted(set(full) | {3, 5, 7, 11, 13})
+        assert gsl.specialize.meetings(branches, t0, primes) == {
+            p: full.get(p, ()) for p in primes}
+        for p in primes:
+            pairs = full.get(p, ())
+            if len(pairs) > 1:
+                with pytest.raises(MeetingUniquenessError):
+                    meeting_prime(branches, t0, p)
+                continue
+            meet = meeting_prime(branches, t0, p)
+            if not pairs:
+                assert meet is None
+            else:
+                [(bp, a)] = pairs
+                assert (meet.locus, meet.multiplicity) == (bp.locus, a)
+            assert (_outcome(predict_decomposition, cover, t0, p)
+                    == _outcome(gsl.specialize._predict, pairs, t0, p))
+        assert verify_specialization(cover, t0, primes=sorted(full)) == report
+
+
+def test_a_single_prime_question_at_a_huge_point_factors_nothing(covers, monkeypatch):
+    # 5^170 - 1 is out of reach of the factoring; the prime asked about is not
+    def no_factoring(n):
+        raise AssertionError("a question about given primes factored an integer")
+
+    monkeypatch.setattr(gsl.specialize, "factor_int", no_factoring)
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    t0 = Fraction(5**170)
+    assert predict_decomposition(v4, t0, 7).mode == "unramified"
+    pred = predict_decomposition(v4, t0, 5)
+    assert (pred.mode, pred.e, pred.meeting.multiplicity) == ("divisible", 1, 170)
+    assert meeting_prime(branch_points(v4), t0, 5) == pred.meeting
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +340,48 @@ def test_a_failed_oracle_is_an_oracle_failure_entry(covers, monkeypatch):
     assert entry.prediction == predict_decomposition(v4, Fraction(21), 7)
     assert (entry.oracle, entry.verdict, entry.note) == (None, ORACLE_FAILURE, "wild at 7")
     assert rep.worst == ORACLE_FAILURE
+
+
+def _answering(monkeypatch, *factors):
+    """Make the oracle answer `factors` at every prime."""
+    monkeypatch.setattr(gsl.specialize, "local_splitting_type",
+                        lambda f, p: LocalSplittingType(p=p, factors=factors, certified=True))
+
+
+@pytest.mark.parametrize("t0, p, factors, note", [
+    # exact mode, (e, f) = (2, 2) predicted: f changed
+    (21, 7, ((2, 1, 2),), "predicted (e, f) = (2, 2), oracle found (2, 1)"),
+    # 11 meets no branch locus at t0 = 21: unramified predicted
+    (21, 11, ((2, 1, 2),), "predicted unramified, oracle found ramification"),
+    (21, 7, ((1, 1, 2), (2, 1, 1)),
+     "oracle splitting is not isotypic; a Galois specialization cannot do this at a good prime"),
+    # divisible mode at t0 = 49, e = 1 with 2 | f predicted: f = 1
+    (49, 7, ((1, 1, 4),), "predicted e = 1 with 2 | f, oracle found (e, f) = (1, 1)"),
+])
+def test_a_contradicting_oracle_is_a_mismatch(covers, monkeypatch, t0, p, factors, note):
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    pred = predict_decomposition(v4, Fraction(t0), p)
+    _answering(monkeypatch, *factors)
+    rep = verify_specialization(v4, Fraction(t0), primes=[p])
+    [entry] = rep.entries
+    assert (entry.prediction, entry.oracle.factors) == (pred, factors)
+    assert (entry.verdict, entry.note) == (MISMATCH, note)
+    assert rep.worst == MISMATCH
+
+
+def test_worst_verdict_order():
+    order = [MISMATCH, ORACLE_FAILURE, PARTIAL_MATCH, SKIPPED_BAD_PRIME, MATCH]
+
+    def report(*verdicts):
+        return SpecializationReport(cover="c", t0=Fraction(0), entries=tuple(
+            ReportEntry(prime=p, prediction=None, oracle=None, verdict=v)
+            for p, v in enumerate(verdicts)))
+
+    assert report().worst == MATCH
+    for i, worse in enumerate(order):
+        for better in order[i:]:
+            assert report(better, worse).worst == worse
+            assert report(worse, better).worst == worse
 
 
 def test_report_json_shape(covers):
