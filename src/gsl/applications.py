@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
-from .errors import DomainError, HypothesisViolation, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
+from .errors import DomainError, HypothesisViolation, NonUniform, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
 from .exact import JsonRecord, Rat, UniPoly, discriminant, factor_int, is_prime, rational_valuation, _valuation
-from .modp import frobenius_data, reduce_relative, root_count, roots_mod_p
+from .modp import frobenius_data, roots_mod_p
 from .nfield import is_irreducible_rational
 from .padic import LocalSplittingType, local_splitting_type
-from .specialize import specialize_poly
+from .specialize import frobenius_order_at_branch, specialize_poly
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +43,6 @@ def find_frobenius_primes(cover: Cover, order: int, bound: int) -> list[int]:
         f = 1
         ok = True
         for M in cover.analysis.residue_moduli:
-            if M.degree < 1:
-                continue
             try:
                 f = math.lcm(f, *frobenius_data(M, p))
             except NotSeparable:
@@ -92,12 +90,7 @@ class AdequacyCertificate(JsonRecord):
 def _qualifies(st: LocalSplittingType, ell: int, a: int) -> tuple[int, int] | None:
     """The (e, f) of a local factor with v_ell(e*f) >= a, if any."""
     for e, f, _ in st.factors:
-        d = e * f
-        v = 0
-        while d % ell == 0:
-            d //= ell
-            v += 1
-        if v >= a:
+        if e * f % ell**a == 0:
             return (e, f)
     return None
 
@@ -232,41 +225,45 @@ class ObstructionCertificate(JsonRecord):
     all_ok: bool
 
 
-def _is_obstruction_prime(
+def _obstruction_residues(
     p: int, q: int, branches: Sequence[BranchPoint], bad: frozenset[int]
-) -> bool:
-    if p == 2 or p in bad or not is_prime(p):
-        return False
-    if p % q != 1:
-        return False
+) -> list[list[int]] | None:
+    """The meeting residues of each branch at p, in the order of
+    `branches`, when p is an obstruction prime; None otherwise.
+
+    p is one when it is an odd good prime with p = 1 mod q, every finite
+    locus splits into distinct linear factors mod p (its residues are
+    its roots mod p; the point at infinity meets at residue 0), and at
+    every residue the branch residue field splits completely: Frobenius
+    has order 1 there, read by `frobenius_order_at_branch` exactly as a
+    prediction reads it (a residue field that degenerates at p, which
+    raises NonUniform, makes p no obstruction prime)."""
+    if p == 2 or p in bad or p % q != 1 or not is_prime(p):
+        return None
+    out = []
     for bp in branches:
         if bp.locus is None:
             roots = [0]
         else:
-            m = bp.locus
-            roots = roots_mod_p(m, p)
-            if len(roots) != m.degree:
-                return False
-        rel = bp.residue
-        for a in roots:
-            reduced = reduce_relative(list(rel.rel), rel.base, (p, a))
-            if len(reduced) >= 2 and root_count(reduced, p) != len(reduced) - 1:
-                return False
-    return True
+            roots = roots_mod_p(bp.locus, p)
+            if len(roots) != bp.locus.degree:
+                return None
+        try:
+            if any(frobenius_order_at_branch(bp, p, a) != 1 for a in roots):
+                return None
+        except NonUniform:
+            return None
+        out.append(roots)
+    return out
 
 
-def _is_unit(x: Fraction, p: int) -> bool:
-    """x is a p-adic unit, for a prime p its caller has tested."""
-    return x != 0 and _valuation(x, p) == 0
-
-
-def _sample_t0(bp: BranchPoint, p: int) -> list[Rat]:
-    """Specialization points meeting bp at p with multiplicity one."""
-    out = []
+def _sample_t0(bp: BranchPoint, roots: Sequence[int], p: int) -> list[Rat]:
+    """Specialization points meeting bp at p with multiplicity one, one
+    per meeting residue in `roots`."""
     if bp.locus is None:
-        out.append(Fraction(1, p))
-        return out
-    for a in roots_mod_p(bp.locus, p):
+        return [Fraction(1, p)]
+    out = []
+    for a in roots:
         for k in range(0, 4):
             t0 = Fraction(a + k * p)
             mval = bp.locus(t0)
@@ -283,15 +280,15 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
         raise DomainError("q must be >= 2")
     branches = branch_points(cover)
     bad = conservative_bad_primes(cover)
-    primes = [
-        p for p in range(3, bound + 1)
-        if _is_obstruction_prime(p, q, branches, bad)
-    ]
+    residues = {
+        p: r for p in range(3, bound + 1)
+        if (r := _obstruction_residues(p, q, branches, bad)) is not None
+    }
     transcripts: list[ObstructionTranscript] = []
-    for p in primes:
-        for bp in branches:
+    for p, roots in residues.items():
+        for bp, rts in zip(branches, roots):
             e_i = bp.ram_index
-            for t0 in _sample_t0(bp, p):
+            for t0 in _sample_t0(bp, rts, p):
                 f_t0 = specialize_poly(cover, t0)
                 st = local_splitting_type(f_t0, p)
                 ok = all(
@@ -300,13 +297,13 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
                 transcripts.append(ObstructionTranscript(
                     prime=p, t0=t0, locus=bp.locus, splitting=st, ok=ok,
                 ))
-        # one non-meeting sample: expect unramified.  None when every
-        # residue mod p is a root of a finite locus: then no p-integral t0
-        # avoids the loci, and p has no such control sample.
-        t0 = next((
-            Fraction(t) for t in range(1, 10 * p)
-            if all(bp.locus is None or _is_unit(bp.locus(Fraction(t)), p) for bp in branches)
-        ), None)
+        # one non-meeting sample: expect unramified.  At a good p each
+        # finite locus is monic and p-integral, so m(t) is a p-unit exactly
+        # when t mod p is none of its roots: the least such t in [1, p].
+        # None when every residue mod p is a root of a finite locus: then
+        # no p-integral t0 avoids the loci, and p has no such sample.
+        met = {a for bp, rts in zip(branches, roots) if bp.locus is not None for a in rts}
+        t0 = next((Fraction(t) for t in range(1, p + 1) if t % p not in met), None)
         if t0 is None:
             continue
         f_t0 = specialize_poly(cover, t0)
@@ -319,7 +316,7 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
         cover=cover.name,
         q=q,
         bound=bound,
-        primes=tuple(primes),
+        primes=tuple(residues),
         transcripts=tuple(transcripts),
         all_ok=all(t.ok for t in transcripts),
     )

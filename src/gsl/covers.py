@@ -207,12 +207,11 @@ class BranchPoint(JsonRecord):
 
 @dataclass(frozen=True)
 class CoverAnalysis:
-    """What every specialization of a cover reuses: disc_Y(P) and its
-    squarefree part, the branch points, the conservative bad primes, and
-    an absolute minimal polynomial of the residue field of each branch
-    (in the order of `branches`).  Read it as `cover.analysis`."""
+    """What every specialization of a cover reuses: the squarefree part of
+    disc_Y(P), the branch points, the conservative bad primes, and an
+    absolute minimal polynomial of the residue field of each branch (in
+    the order of `branches`).  Read it as `cover.analysis`."""
 
-    disc: UniPoly
     disc_sf: UniPoly
     branches: tuple[BranchPoint, ...]
     bad_primes: frozenset[int]
@@ -550,7 +549,7 @@ def _analyze(cover: Cover) -> CoverAnalysis:
     for f in polys:
         for c in f.coeffs:
             bad.update(factor_int(c.denominator))
-    return CoverAnalysis(disc, sf, tuple(branches), frozenset(bad), moduli)
+    return CoverAnalysis(sf, tuple(branches), frozenset(bad), moduli)
 
 
 def _cyclotomic(e: int) -> UniPoly:

@@ -95,18 +95,17 @@ def rational_valuation(x: Rat | int, p: int) -> int:
 def _valuation(x: Rat | int, p: int) -> int:
     """`rational_valuation` without the primality test, for callers that
     have validated p once at their own entry."""
-    x = Fraction(x)
     if x == 0:
         raise DomainError("valuation of 0 requested")
+    return _int_val(x.numerator, p) - _int_val(x.denominator, p)
+
+
+def _int_val(c: int, p: int) -> int:
+    """v_p of a nonzero int: the one valuation loop of the package."""
     v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
+    while c % p == 0:
+        c //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

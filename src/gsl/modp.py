@@ -15,6 +15,15 @@ Both carry the p-adic members the oracle reads (`res`, `residue`, `val`,
 `shift_down`), and `nfield` lifts over Zp.  The functions over F_p that
 take a `UniPoly` or a sequence of ints return plain trimmed int lists.
 
+Every layer reads a cover at a prime through the same three pieces:
+`prime_field(p)` is the one primality gate (it raises DomainError "{p}
+is not prime"), `Zp.from_rat` the one reduction of a rational mod p^N
+(`reduce_unipoly` and the residues of `specialize` and `padic` go
+through it), and `exact._int_val` the one integer valuation loop
+(`Zp.val`, `Zq.val` and `exact._valuation`).  A branch residue field
+is read at p by one question, the Frobenius order of `frobenius_data`,
+for the predictions and the obstruction search alike.
+
 Factorization runs in three steps (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 14): squarefree decomposition (`dense.squarefree`,
 the one for every field), distinct-degree factorization (DDF) and
@@ -38,12 +47,11 @@ import functools
 import math
 import os
 import random
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dense
 from .errors import DomainError, NotSeparable
-from .exact import Rat, UniPoly, is_prime
+from .exact import Rat, UniPoly, _int_val, is_prime
 
 _DEFAULT_SEED = 0x5EED
 
@@ -103,7 +111,8 @@ class Zp:
         return n % self.int_modulus
 
     def from_rat(self, c: Rat):
-        c = Fraction(c)
+        """c mod p^N for a p-integral rational (or int): the one reduction
+        of Q into a residue ring."""
         if c.denominator % self.p == 0:
             raise DomainError("element is not p-integral")
         return c.numerator * pow(c.denominator, -1, self.int_modulus) % self.int_modulus
@@ -135,20 +144,12 @@ class Zp:
         return f"F_{self.p}" if self.N == 1 else f"Zp(p={self.p}, N={self.N})"
 
 
-def _int_val(c: int, p: int) -> int:
-    """v_p of a nonzero int."""
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
 @functools.lru_cache(maxsize=256)
 def prime_field(p: int) -> Zp:
     """F_p = Zp(p, 1), for the last few hundred primes asked for: p is
-    tested for primality once per prime, not once per use.  A composite p
-    raises DomainError on every call (errors are not cached)."""
+    tested for primality once per prime, not once per use.  This is the
+    package's one primality gate: a composite p raises DomainError("{p}
+    is not prime") on every call (errors are not cached)."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return Zp(p)
@@ -362,15 +363,6 @@ def factor_over(F, f) -> list[tuple[list, int]]:
     return out
 
 
-def _linear_part(F, f) -> list:
-    """gcd(x^q - x, f) for a nonzero f: the product of the distinct linear
-    factors of f, squarefree because x^q - x is."""
-    if len(f) == 1:
-        return [F.one]
-    xq = dense.powmod(F, [F.zero, F.one], F.q, f)
-    return dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
-
-
 def roots_over(F, f) -> list:
     """Distinct roots of f in F.
 
@@ -380,9 +372,11 @@ def roots_over(F, f) -> list:
     f = dense.trim(F, list(f))
     if not f:
         raise DomainError("roots of the zero polynomial")
-    lin = _linear_part(F, f)
-    roots = [F.neg(g[0]) for g in _edf(F, lin, 1)] if len(lin) > 1 else []
-    return sorted(roots)
+    if len(f) == 1:
+        return []
+    xq = dense.powmod(F, [F.zero, F.one], F.q, f)
+    lin = dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
+    return sorted(F.neg(g[0]) for g in _edf(F, lin, 1)) if len(lin) > 1 else []
 
 
 def find_irreducible(F_p: Zp, degree: int) -> list[int]:
@@ -409,14 +403,7 @@ def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
     """Coefficients of f mod p; errors when a denominator is divisible by p
     (the reduction would not be defined)."""
     F = prime_field(p)
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise DomainError(
-                f"coefficient {c} is not p-integral at p={p}; cannot reduce"
-            )
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return dense.trim(F, out)
+    return dense.trim(F, [F.from_rat(c) for c in f.coeffs])
 
 
 def _reduce(f: UniPoly | Sequence[int], p: int) -> list[int]:
@@ -465,15 +452,6 @@ def roots_mod_p(f: UniPoly | Sequence[int], p: int) -> list[int]:
     if not coeffs:
         raise DomainError("roots of the zero polynomial mod p")
     return roots_over(prime_field(p), coeffs)
-
-
-def root_count(f: UniPoly | Sequence[int], p: int) -> int:
-    """The number of distinct roots of f mod p, deg gcd(x^p - x, f),
-    without computing them."""
-    coeffs = _reduce(f, p)
-    if not coeffs:
-        raise DomainError("roots of the zero polynomial mod p")
-    return len(_linear_part(prime_field(p), coeffs)) - 1
 
 
 def reduce_relative(

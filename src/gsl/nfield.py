@@ -598,14 +598,13 @@ def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
 
 @dataclass(frozen=True)
 class Adjunction:
-    """K(beta) for rho(beta) = 0, flattened to the absolute field `field` =
-    Q(gamma) with gamma = beta + shift*theta_K.  `theta` is the image of
-    K's generator, `root` the image of beta; embed() maps K-elements in."""
+    """K(beta) for rho(beta) = 0, flattened to the absolute field `field`.
+    `theta` is the image of K's generator, `root` the image of beta;
+    embed() maps K-elements in."""
 
     field: NumberField
     theta: tuple
     root: tuple
-    shift: int
 
     def embed(self, a: tuple) -> tuple:
         L = self.field
@@ -624,16 +623,12 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
     if not K.eq(rho[-1], K.one):
         raise DomainError("adjoin_root needs a monic rho")
     if d == 1:
-        return Adjunction(
-            field=K, theta=K.gen(), root=K.neg(rho[0]), shift=0,
-        )
+        return Adjunction(field=K, theta=K.gen(), root=K.neg(rho[0]))
     if K.degree == 1:
         a = K.coords(K.gen())[0]
         M = UniPoly([K.coords(c)[0] for c in rho])
         L = NumberField(M)
-        return Adjunction(
-            field=L, theta=L.from_rat(a), root=L.gen(), shift=0,
-        )
+        return Adjunction(field=L, theta=L.from_rat(a), root=L.gen())
     c, N = _squarefree_norm(K, rho, 1)
     L = NumberField(N)
     gamma = L.gen()
@@ -650,7 +645,7 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
         raise DomainError("the modulus and its transform must share exactly one root")
     theta = L.neg(g[0])
     root = L.sub(gamma, L.scale(theta, c))
-    return Adjunction(field=L, theta=theta, root=root, shift=c)
+    return Adjunction(field=L, theta=theta, root=root)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, _valuation, discriminant, is_prime
+from .exact import Rat, UniPoly, _valuation, discriminant
 from .modp import (
     Zp,
     Zq,
@@ -128,8 +128,7 @@ class PadicPrecisionCtx:
 
     @classmethod
     def for_input(cls, f: UniPoly, p: int) -> "PadicPrecisionCtx":
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+        prime_field(p)
         return _prepare(f.monic(), p)[1]
 
 
@@ -373,8 +372,7 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     """
     if p == 2:
         raise DomainError("p = 2 is outside the tame oracle's domain")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    prime_field(p)
     if f.is_zero or f.degree < 1:
         raise DomainError("need a polynomial of degree >= 1")
     g, ctx = _prepare(f.monic(), p)
@@ -398,15 +396,12 @@ def quadratic_local_class(c: Rat | int, p: int) -> str:
     one of "1", "u", "p", "up" (u = a non-residue unit)."""
     if p == 2:
         raise DomainError("p = 2 not supported")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    F = prime_field(p)
     c = Fraction(c)
     if c == 0:
         raise DomainError("0 has no square class")
     v = _valuation(c, p)
-    unit = c / Fraction(p) ** v
-    u = unit.numerator * pow(unit.denominator, -1, p) % p
-    qr = pow(u, (p - 1) // 2, p) == 1
+    qr = pow(F.from_rat(c / Fraction(p) ** v), (p - 1) // 2, p) == 1
     if v % 2 == 0:
         return "1" if qr else "u"
     return "p" if qr else "up"

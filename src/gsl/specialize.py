@@ -50,7 +50,7 @@ from .exact import (
     factor_int,
     is_prime,
 )
-from .modp import frobenius_data, reduce_relative
+from .modp import frobenius_data, prime_field, reduce_relative
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
 
 
@@ -147,13 +147,8 @@ def _meeting(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> 
             "treat p as a bad prime"
         )
     [(bp, a)] = pairs
-    residue = 0 if bp.locus is None else t0.numerator * pow(t0.denominator, -1, p) % p
+    residue = 0 if bp.locus is None else prime_field(p).from_rat(t0)
     return MeetingDatum(prime=p, locus=bp.locus, multiplicity=a, residue=residue)
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
 
 
 def meeting_prime(
@@ -162,7 +157,7 @@ def meeting_prime(
     """The unique branch that t = t0 meets above p, or None.  Raises
     MeetingUniquenessError when several loci meet t0 at the same prime
     (only possible at a bad prime)."""
-    _require_prime(p)
+    prime_field(p)
     t0 = Fraction(t0)
     return _meeting(meetings(branches, t0, (p,))[p], t0, p)
 
@@ -212,11 +207,19 @@ def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
 
 
 def predict_decomposition(cover: Cover, t0: Rat, p: int) -> DecompositionPrediction:
-    """The tame prediction at p for the specialization at t0."""
+    """The tame prediction at p for the specialization at t0.  Nothing is
+    claimed at a prime of the cover's conservative bad set: after a point
+    on a branch locus, such a p is refused with HypothesisViolation."""
     branches = branch_points(cover)
-    _require_prime(p)
+    prime_field(p)
     t0 = Fraction(t0)
-    return _predict(meetings(branches, t0, (p,))[p], t0, p)
+    pairs = meetings(branches, t0, (p,))[p]
+    if p in conservative_bad_primes(cover):
+        raise HypothesisViolation(
+            f"p = {p} is in the cover's conservative bad set; "
+            "no prediction is claimed there"
+        )
+    return _predict(pairs, t0, p)
 
 
 def _predict(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> DecompositionPrediction:
@@ -351,7 +354,7 @@ def verify_specialization(
     if primes is not None:
         primes = sorted(set(primes))
         for p in primes:
-            _require_prime(p)
+            prime_field(p)
     met = _met(evaluated, t0, primes)
     if primes is None:
         primes = sorted(met)

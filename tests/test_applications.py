@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import gsl.applications
 from gsl.applications import (
     HYPOTHESIS_NOT_MET,
     NO_OBSTRUCTION_FOUND,
@@ -16,9 +17,11 @@ from gsl.applications import (
     grunwald_obstruction,
     parametric_obstruction_report,
 )
-from gsl.covers import load_cover
+from gsl.covers import branch_points, conservative_bad_primes, load_cover
 from gsl.errors import DomainError, NotFound
-from gsl.exact import UniPoly
+from gsl.exact import UniPoly, _valuation
+from gsl.padic import LocalSplittingType
+from test_covers import _C6, _translate
 
 
 def upoly(*coeffs):
@@ -186,3 +189,68 @@ def test_adequate_search_skips_loci_and_reducible_points(covers):
         adequate_specialization_search(v4, start=0, count=3)
     t0, cert = adequate_specialization_search(v4, start=0, count=30)
     assert t0 == 21 and cert.adequate
+
+
+# ---------------------------------------------------------------------------
+# two readings of complete splitting at a prime
+
+
+def _translated(name, rows, group_order, b):
+    return load_cover({
+        "name": f"{name}_b{b}", "group_order": group_order,
+        "P": [[str(c) for c in row] for row in _translate(rows, b)],
+        "assert_regular_galois": True,
+    })
+
+
+@pytest.fixture(scope="module")
+def translates(covers):
+    """The bundled covers, the V4 translates by b = -30, -27, ..., 30 and
+    the C6 translates by b = -12, -8, ..., 12."""
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    v4_rows = [row.coeffs for row in v4.poly.rows]
+    return [
+        *covers.values(),
+        *(_translated("v4", v4_rows, 4, b) for b in range(-30, 31, 3)),
+        *(_translated("c6", _C6, 6, b) for b in range(-12, 13, 4)),
+    ]
+
+
+def _obstruction_primes(cover, q, bound):
+    branches = branch_points(cover)
+    bad = conservative_bad_primes(cover)
+    return [p for p in range(3, bound + 1)
+            if gsl.applications._obstruction_residues(p, q, branches, bad) is not None]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_obstruction_primes_are_the_completely_split_primes(translates, q):
+    # the obstruction test reads each branch's relative residue polynomial
+    # at each root of its locus mod p, as a prediction does;
+    # find_frobenius_primes reads the absolute residue moduli.  Both ask
+    # whether every branch residue field splits completely at p, and must
+    # agree wherever Z_(p)[gamma] is p-maximal, which the bad set (p does
+    # not divide disc M_i) is meant to ensure
+    for cover in translates:
+        want = [p for p in find_frobenius_primes(cover, 1, 400) if p % q == 1]
+        assert _obstruction_primes(cover, q, 400) == want, cover.name
+
+
+def test_the_control_sample_is_the_least_point_off_every_locus(translates, monkeypatch):
+    # the control transcript (the last at p, at an integer t0 and with no
+    # locus) against a brute-force scan: the least t in [1, 10p) at which
+    # every finite locus value is a p-adic unit, or no control at all.  Only
+    # the choice of t0 is under test, so the oracle is stubbed out: it
+    # refuses some samples of C6 (fractional slopes, inseparable residuals)
+    monkeypatch.setattr(gsl.applications, "local_splitting_type",
+                        lambda f, p: LocalSplittingType(p, ((1, 1, f.degree),), True))
+    for cover in translates:
+        loci = [bp.locus for bp in branch_points(cover) if bp.locus is not None]
+        cert = grunwald_obstruction(cover, 2, 400)
+        for p in cert.primes:
+            want = next((Fraction(t) for t in range(1, 10 * p)
+                         if all((v := m(Fraction(t))) != 0 and _valuation(v, p) == 0
+                                for m in loci)), None)
+            last = [t for t in cert.transcripts if t.prime == p][-1]
+            control = last.t0 if last.locus is None and last.t0.denominator == 1 else None
+            assert control == want, (cover.name, p)

@@ -196,6 +196,17 @@ def test_predict_refuses_a_point_on_a_branch_locus_at_every_prime(tmp_path, caps
                    "message": "specialization point 1/5 lies on a branch locus"}
 
 
+def test_predict_refuses_a_bad_prime(capsys):
+    # 2 is bad for Y^2 - T; Q(sqrt 3) is ramified there, so no claim is made
+    code, doc, _ = run(capsys, "predict", C2, "--t0", "3", "--prime", "2")
+    assert code == 64
+    assert doc == {"error": "HypothesisViolation",
+                   "message": "p = 2 is in the cover's conservative bad set; "
+                              "no prediction is claimed there"}
+    code, doc, _ = run(capsys, "verify", C2, "--t0", "3", "--primes", "2")
+    assert code == 0 and doc["entries"][0]["verdict"] == "SKIPPED_BAD_PRIME"
+
+
 def test_oracle(capsys):
     code, doc, _ = run(capsys, "oracle", "--coeffs=-10,0,1", "--prime", "5")
     assert code == 0

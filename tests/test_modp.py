@@ -23,7 +23,6 @@ from gsl.modp import (
     prime_field,
     reduce_relative,
     reduce_unipoly,
-    root_count,
     roots_mod_p,
     roots_over,
 )
@@ -292,8 +291,6 @@ def test_prime_field_rejects_a_composite_modulus(n):
             prime_field(n)
     with pytest.raises(DomainError, match="not prime"):
         factor_mod_p([1, 0, 1], n)
-    with pytest.raises(DomainError, match="not prime"):
-        root_count(upoly(1, 0, 1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +360,3 @@ def test_frobenius_data_reads_reduced_coefficients():
         frobenius_data([2], 3)  # a constant has no cycle type
     with pytest.raises(DomainError):
         frobenius_data([3, 6], 3)  # zero mod 3
-
-
-@given(st.sampled_from([3, 5, 7, 101]), st.lists(st.integers(-50, 50), min_size=1, max_size=7))
-def test_root_count_is_the_number_of_roots(p, cs):
-    f = upoly(*cs)
-    if not any(c % p for c in cs):
-        with pytest.raises(DomainError):
-            root_count(f, p)
-        return
-    assert root_count(f, p) == len(roots_mod_p(f, p))
-    assert root_count(cs, p) == sum(
-        dense.evaluate(prime_field(p), [c % p for c in cs], a) == 0 for a in range(p))

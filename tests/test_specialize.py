@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gsl.specialize
 from gsl.covers import RelativeField
-from gsl.covers import BranchPoint, branch_points
+from gsl.covers import BranchPoint, branch_points, conservative_bad_primes
 from gsl.errors import (
     ChartMixing,
     DomainError,
@@ -186,8 +186,13 @@ def test_single_prime_questions_agree_with_the_full_meetings_without_factoring(
             else:
                 [(bp, a)] = pairs
                 assert (meet.locus, meet.multiplicity) == (bp.locus, a)
-            assert (_outcome(predict_decomposition, cover, t0, p)
-                    == _outcome(gsl.specialize._predict, pairs, t0, p))
+            if p in conservative_bad_primes(cover):
+                # nothing is claimed at a bad prime
+                with pytest.raises(HypothesisViolation, match="conservative bad set"):
+                    predict_decomposition(cover, t0, p)
+            else:
+                assert (_outcome(predict_decomposition, cover, t0, p)
+                        == _outcome(gsl.specialize._predict, pairs, t0, p))
         assert verify_specialization(cover, t0, primes=sorted(full)) == report
 
 
@@ -231,6 +236,17 @@ def test_predict_unramified_mode(covers):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
     pred = predict_decomposition(v4, Fraction(21), 11)
     assert (pred.mode, pred.e, pred.f, pred.meeting) == ("unramified", 1, None, None)
+
+
+def test_predict_claims_nothing_at_a_bad_prime(covers):
+    # Q(sqrt 3) is ramified at 2 (its discriminant is 12), and t0 = 3 meets
+    # no branch of Y^2 - T there: an "unramified" claim would be false.  2
+    # is bad for every cover, and verify skips it the same way.
+    c2 = covers["c2_sqrt_t"]
+    with pytest.raises(HypothesisViolation, match="p = 2 is in the cover's conservative bad set"):
+        predict_decomposition(c2, Fraction(3), 2)
+    assert _verdicts(verify_specialization(c2, Fraction(3), primes=[2])) == {2: SKIPPED_BAD_PRIME}
+    assert predict_decomposition(c2, Fraction(3), 3).mode == "exact"
 
 
 def test_specialize_poly(covers):
