@@ -24,6 +24,7 @@ from .applications import (
     ObstructionCertificate,
     ObstructionTranscript,
     ParametricObstructionReport,
+    RefusedTranscript,
     adequacy_certificate,
     adequacy_certificate_for_field,
     adequate_specialization_search,
@@ -103,6 +104,7 @@ __all__ = [
     "ParametricObstructionReport",
     "PrecisionExhausted",
     "Rat",
+    "RefusedTranscript",
     "RelativeField",
     "ReportEntry",
     "SchemaError",

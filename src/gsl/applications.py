@@ -198,13 +198,37 @@ def adequate_specialization_search(
 class ObstructionTranscript(JsonRecord):
     """One sampled specialization at one obstruction prime: the oracle
     output and whether it satisfies the local smallness law
-    (e = 1, or e*f divides the branch inertia order)."""
+    (e = 1, or e*f divides the branch inertia order).  The splitting is
+    None only in a `RefusedTranscript`."""
 
     prime: int
     t0: Rat
     locus: UniPoly | None
-    splitting: LocalSplittingType
+    splitting: LocalSplittingType | None
     ok: bool
+
+
+@dataclass(frozen=True)
+class RefusedTranscript(ObstructionTranscript):
+    """A sample the oracle refused (WildOrIrregular, PrecisionExhausted):
+    no splitting, not ok, and a note naming the refusal."""
+
+    note: str
+
+
+def _transcript(
+    cover: Cover, p: int, t0: Rat, locus: UniPoly | None, small
+) -> ObstructionTranscript:
+    """The transcript of the sample t0 at p, ok when the oracle's splitting
+    satisfies `small`; a refused sample when the oracle refuses."""
+    try:
+        st = local_splitting_type(specialize_poly(cover, t0), p)
+    except (WildOrIrregular, PrecisionExhausted) as exc:
+        return RefusedTranscript(
+            prime=p, t0=t0, locus=locus, splitting=None, ok=False,
+            note=f"oracle refused: {type(exc).__name__}: {exc}",
+        )
+    return ObstructionTranscript(prime=p, t0=t0, locus=locus, splitting=st, ok=small(st))
 
 
 @dataclass(frozen=True)
@@ -289,13 +313,9 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
         for bp, rts in zip(branches, roots):
             e_i = bp.ram_index
             for t0 in _sample_t0(bp, rts, p):
-                f_t0 = specialize_poly(cover, t0)
-                st = local_splitting_type(f_t0, p)
-                ok = all(
-                    e == 1 or e_i % (e * f) == 0 for e, f, _ in st.factors
-                )
-                transcripts.append(ObstructionTranscript(
-                    prime=p, t0=t0, locus=bp.locus, splitting=st, ok=ok,
+                transcripts.append(_transcript(
+                    cover, p, t0, bp.locus,
+                    lambda st: all(e == 1 or e_i % (e * f) == 0 for e, f, _ in st.factors),
                 ))
         # one non-meeting sample: expect unramified.  At a good p each
         # finite locus is monic and p-integral, so m(t) is a p-unit exactly
@@ -306,11 +326,8 @@ def grunwald_obstruction(cover: Cover, q: int, bound: int) -> ObstructionCertifi
         t0 = next((Fraction(t) for t in range(1, p + 1) if t % p not in met), None)
         if t0 is None:
             continue
-        f_t0 = specialize_poly(cover, t0)
-        st = local_splitting_type(f_t0, p)
-        transcripts.append(ObstructionTranscript(
-            prime=p, t0=t0, locus=None, splitting=st,
-            ok=all(e == 1 for e, f, _ in st.factors),
+        transcripts.append(_transcript(
+            cover, p, t0, None, lambda st: st.is_unramified,
         ))
     return ObstructionCertificate(
         cover=cover.name,

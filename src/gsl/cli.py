@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -147,6 +146,10 @@ def _cmd_verify(args) -> int:
     tasks = [(cover, s, primes) for s in t0s]
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        # imported here: every other command runs without its memory and
+        # import time
+        import multiprocessing
+
         with multiprocessing.Pool(processes=jobs) as pool:
             reports = pool.map(_verify_worker, tasks)
     else:

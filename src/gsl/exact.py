@@ -15,16 +15,20 @@ Conventions used throughout the package:
   `_json_value`.
 
 `UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
-kernel's over `dense.RATIONALS`, kept in an immutable tuple.  The resultant
-of two `UniPoly` clears their denominators and runs the subresultant PRS
-over Z, where every division is exact.  The resultant of two `BiPoly`
-(Res_Y, as in `disc_y` and the Trager norms of `nfield`) is never computed
-over Q[T]: each is cleared by one integer, so the resultant lies in Z[T];
-its values at integer points T = t are subresultants over Z, and it is
-recovered from as many of them as the degree bound needs by Newton
+kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Its value at
+a rational n/d is computed on ints, by homogeneous Horner over the lcm of
+its denominators, with one `Fraction` at the end.  The resultant of two
+`UniPoly` clears their denominators and runs the subresultant PRS over Z,
+where every division is exact; the discriminant runs it once on the
+cleared polynomial and its integer derivative.  The resultant of two
+`BiPoly` (Res_Y, as in `disc_y` and the Trager norms of `nfield`) is never
+computed over Q[T]: each is cleared by one integer, so the resultant lies
+in Z[T]; its values at integer points T = t are subresultants over Z, and
+it is recovered from as many of them as the degree bound needs by Newton
 interpolation over Z (`dense.interpolate`), whose divisions are exact and
-checked.  One `Fraction` per output coefficient undoes the clearing.  No
-factorization over Q is exposed here.
+checked.  `_resultant_rows` is that loop on integer rows, which the
+Trager norms build directly; one `Fraction` per output coefficient undoes
+the clearing.  No factorization over Q is exposed here.
 """
 
 from __future__ import annotations
@@ -338,7 +342,16 @@ class UniPoly:
         return UniPoly._of(dense.deriv(RATIONALS, self.coeffs))
 
     def __call__(self, x) -> Rat:
-        return dense.evaluate(RATIONALS, self.coeffs, Fraction(x))
+        """The value at a rational x = n/d, by homogeneous Horner on ints:
+        with L the lcm of the denominators and A_i = L a_i, it is
+        sum A_i n^i d^(deg - i) / (L d^deg), one `Fraction` in all."""
+        n, d = Fraction(x).as_integer_ratio()
+        (A,), L = _cleared(self)
+        acc, dk = 0, 1
+        for c in reversed(A):
+            acc = acc * n + c * dk
+            dk *= d
+        return Fraction(acc * d, L * dk)  # dk = d^(deg + 1)
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -483,27 +496,22 @@ def _sample_points():
         k += 1
 
 
-def _total_degree(f: BiPoly) -> int:
-    return max(i + r.degree for i, r in enumerate(f.rows) if not r.is_zero)
-
-
-def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Res_Y(f, g) in Q[T] by evaluation at integer points and Newton
-    interpolation over Z.  With a and b the least integers that make a f
-    and b g integral, Res_Y(a f, b g) = a^deg_Y g b^deg_Y f Res_Y(f, g) lies
-    in Z[T], and at a point t where neither leading row vanishes it is
-    Res(a f(t, Y), b g(t, Y)), a subresultant over Z.  Its T-degree is at
-    most the Sylvester bound deg_Y g * deg_T f + deg_Y f * deg_T g, and at
-    most totdeg f * totdeg g (Cox, Little & O'Shea, Ideals, Varieties, and
+def _resultant_rows(F: list[list[int]], G: list[list[int]]) -> list[int]:
+    """Res_Y(F, G) in Z[T] for F and G in Z[T][Y], each given as its rows
+    (F[i] the trimmed int list in T multiplying Y^i, the last row
+    nonzero), by evaluation at integer points and Newton interpolation
+    over Z.  At a point t where neither leading row vanishes the resultant
+    is Res(F(t, Y), G(t, Y)), a subresultant over Z.  Its T-degree is at
+    most the Sylvester bound deg_Y G * deg_T F + deg_Y F * deg_T G, and at
+    most totdeg F * totdeg G (Cox, Little & O'Shea, Ideals, Varieties, and
     Algorithms, ch. 8 sec. 7); the smaller bound plus one points determine
     it.  Points where a leading row vanishes are skipped."""
-    m, n = f.degree_y, g.degree_y
+    m, n = len(F) - 1, len(G) - 1
     bound = min(
-        n * max(r.degree for r in f.rows) + m * max(r.degree for r in g.rows),
-        _total_degree(f) * _total_degree(g),
+        n * (max(map(len, F)) - 1) + m * (max(map(len, G)) - 1),
+        max(i + len(r) - 1 for i, r in enumerate(F) if r)
+        * max(i + len(r) - 1 for i, r in enumerate(G) if r),
     )
-    F, a = _cleared(*f.rows)
-    G, b = _cleared(*g.rows)
     xs, ys = [], []
     for t in _sample_points():
         if len(xs) > bound:
@@ -513,8 +521,18 @@ def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
         if ft[-1] and gt[-1]:
             xs.append(t)
             ys.append(_subresultant(ft, gt))
-    d = a**n * b**m
-    return UniPoly._of([Fraction(c, d) for c in dense.interpolate(xs, ys)])
+    return dense.interpolate(xs, ys)
+
+
+def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
+    """Res_Y(f, g) in Q[T].  With a and b the least integers that make a f
+    and b g integral, Res_Y(a f, b g) = a^deg_Y g b^deg_Y f Res_Y(f, g) is
+    the `_resultant_rows` of their integer rows; one `Fraction` per
+    coefficient undoes the clearing."""
+    F, a = _cleared(*f.rows)
+    G, b = _cleared(*g.rows)
+    d = a**g.degree_y * b**f.degree_y
+    return UniPoly._of([Fraction(c, d) for c in _resultant_rows(F, G)])
 
 
 def resultant(f, g):
@@ -538,15 +556,20 @@ def resultant(f, g):
 
 
 def discriminant(f: UniPoly) -> Rat:
-    """Discriminant of a univariate f of degree >= 1 over Q."""
+    """Discriminant of a univariate f of degree n >= 1 over Q, computed on
+    Z (Collins, J. ACM 18, 1971): with A = a f integral for the least
+    a > 0 and A' its derivative, Res(A, A') = a^(2n-1) Res(f, f'), so
+    disc f = (-1)^(n(n-1)/2) Res(A, A') / (lc(A) a^(2n-2)): one
+    subresultant PRS and one `Fraction`."""
     n = f.degree
     if n < 1:
         raise DomainError("discriminant needs degree >= 1")
     if n == 1:
         return Fraction(1)
-    r = resultant(f, f.derivative())
+    (A,), a = _cleared(f)
+    r = _subresultant(A, [i * c for i, c in enumerate(A)][1:])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * r / f.lc
+    return Fraction(sign * r, A[-1] * a ** (2 * n - 2))
 
 
 def disc_y(P: BiPoly) -> UniPoly:

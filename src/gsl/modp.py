@@ -33,7 +33,10 @@ of degree r and multiplicity m.  That answers every question about the
 degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple),
 the (e, f) of a simple factor in the p-adic oracle, irreducibility
 (`find_irreducible`) and the Zassenhaus prime's factor count.  Only
-`factor_over`, `roots_over` and their wrappers run EDF.
+`factor_over`, `roots_over` and their wrappers run EDF.  A caller that
+already has the blocks (the oracle's repeated residual blocks, the
+Zassenhaus prime's blocks) hands them to `factor_over`, which then runs
+EDF alone, so no block is factored twice.
 
 Equal-degree splitting draws its candidates at random over every field,
 from a PRNG seeded by the GSL_SEED environment variable (fixed default
@@ -349,16 +352,15 @@ def degree_blocks(F, f) -> list[tuple[list, int, int]]:
     ]
 
 
-def factor_over(F, f) -> list[tuple[list, int]]:
+def factor_over(F, f, blocks=None) -> list[tuple[list, int]]:
     """Full factorization of a nonzero polynomial over the finite field F:
     [(monic irreducible, multiplicity)], plus the unit is discarded.
     Sorted by degree then coefficient index tuple.  EDF on each of
-    `degree_blocks`."""
-    out = [
-        (irr, mult)
-        for block, r, mult in degree_blocks(F, f)
-        for irr in _edf(F, block, r)
-    ]
+    `degree_blocks(F, f)`, or of `blocks` when the caller has computed
+    them already."""
+    if blocks is None:
+        blocks = degree_blocks(F, f)
+    out = [(irr, mult) for block, r, mult in blocks for irr in _edf(F, block, r)]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 

@@ -21,10 +21,11 @@ point, no randomness.  The pieces:
     Landau-Mignotte bound and the Hensel precision small.  The Zassenhaus
     prime is the first of four squarefree candidates with the fewest
     factors mod p, counted from `modp.degree_blocks` (distinct-degree
-    factorization only); only that prime is fully factored, its factors
-    are lifted by the multifactor Hensel lift `hensel_lift` over
-    Z/p^k (`modp.Zp`, whose polynomials are int lists) past the
-    Landau-Mignotte bound, and subsets are recombined over Z.
+    factorization only); only that prime's blocks are split into
+    factors, by equal-degree splitting alone (`modp.factor_over` given
+    those blocks).  They are lifted by the multifactor Hensel lift
+    `hensel_lift` over Z/p^k (`modp.Zp`, whose polynomials are int lists)
+    past the Landau-Mignotte bound, and subsets are recombined over Z.
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
@@ -60,14 +61,14 @@ from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import (
-    BiPoly,
     Rat,
     UniPoly,
+    _cleared,
+    _resultant_rows,
     _valuation,
     discriminant,
     factor_int,
     is_prime,
-    resultant,
 )
 from .modp import Zp, degree_blocks, factor_over, prime_field
 
@@ -382,13 +383,14 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     # The prime: among the first four that keep g squarefree, the first
     # with the fewest factors mod p (stop early at one).  The factor count
     # is read off the degree blocks, which need distinct-degree
-    # factorization only; the full factorization runs at the chosen prime
-    # alone.  The primes where g mod p is not squarefree divide disc g, so
-    # once their product passes the Hadamard bound ||g||^(n-1) (n ||g||)^n
-    # of that determinant, disc g = 0.
+    # factorization only; the chosen prime's blocks are kept and split by
+    # equal-degree splitting alone (`factor_over` given them), so no block is
+    # factored twice.  The primes where g mod p is not squarefree divide
+    # disc g, so once their product passes the Hadamard bound
+    # ||g||^(n-1) (n ||g||)^n of that determinant, disc g = 0.
     norm2 = math.isqrt(sum(c * c for c in g)) + 1
     disc_bound = norm2 ** (n - 1) * (n * norm2) ** n
-    best: tuple[int, int] | None = None
+    best: tuple[int, int, list] | None = None
     tried, skipped, p = 0, 1, 2
     while tried < 4:
         p += 1
@@ -403,13 +405,13 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
         count = sum((len(block) - 1) // r for block, r, _ in blocks)
         tried += 1
         if best is None or count < best[1]:
-            best = (p, count)
+            best = (p, count, blocks)
         if count == 1:
             break
-    p, count = best
+    p, count, blocks = best
     if count == 1:
         return [list(g)]
-    facs = [f for f, _ in factor_over(prime_field(p), [c % p for c in g])]
+    facs = [f for f, _ in factor_over(prime_field(p), [c % p for c in g], blocks)]
     # Landau-Mignotte: any monic factor has |coeff| <= 2^n * ||g||_2
     target = 2 * ((1 << n) * norm2) + 1
     k = 1
@@ -502,9 +504,11 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     """N(z) = Res_x(M(x), H(z, x)), where M is the modulus and
     H(z, x) = sum_i h_i(x) (z - s*x)^i: the norm from K to Q of
     h(z - s*theta).  M is monic, so the resultant is prod_k H(z, alpha_k)
-    over the roots alpha_k of M, whatever the x-degree of H.  H is a
-    `BiPoly` in x over Q[z], and `resultant` computes N from
-    deg(M)*deg(h) + 1 integer points, the Sylvester bound plus one."""
+    over the roots alpha_k of M, whatever the x-degree of H.  H is built
+    as integer rows over one denominator L, and M is cleared by its least
+    denominator a, so `_resultant_rows` computes Res_x(a M, L H) =
+    a^deg_x(H) L^deg(M) N directly on them, from deg(M)*deg(h) + 1 integer
+    points, the Sylvester bound plus one."""
     d = len(h) - 1
     if d < 1 or not K.eq(h[-1], K.one):
         raise DomainError("the norm needs a monic h of degree >= 1")
@@ -516,8 +520,14 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
             w = L // a[-1] * math.comb(i, k) * (-s) ** k
             for j, c in enumerate(a[:-1]):
                 rows[j + k][i - k] += w * c
-    H = BiPoly([Fraction(c, L) for c in row] for row in rows)
-    N = resultant(BiPoly([c] for c in K.modulus.coeffs), H)
+    for row in rows:
+        dense.trim(dense.INTEGERS, row)
+    while not rows[-1]:
+        rows.pop()
+    (M,), a = _cleared(K.modulus)
+    res = _resultant_rows([[c] if c else [] for c in M], rows)
+    den = a ** (len(rows) - 1) * L**K.degree
+    N = UniPoly._of([Fraction(c, den) for c in res])
     if N.degree != D or N.lc != 1:
         raise DomainError(f"the norm has degree {N.degree}, not {D}, or is not monic")
     return N

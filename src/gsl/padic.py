@@ -23,9 +23,10 @@ PrecisionExhausted.
    residue field is split into degree blocks (`modp.degree_blocks`:
    squarefree decomposition, then distinct-degree factorization).  A
    simple block of degree r is read off as (e, r) factors and never split
-   apart; a repeated block is split into irreducibles rho
-   (`modp.factor_over`) on an integer slope and refused on a fractional
-   one;
+   apart; a repeated block, already squarefree with every factor of one
+   degree, is split into irreducibles rho by equal-degree splitting alone
+   (`modp.factor_over` given that block) on an integer slope and refused
+   on a fractional one;
 3. `_recenter` reads, above the side's slope, the cluster of the whole g
    around center + p^h r for a root r of rho.  Nothing is lifted: the
    factors of g whose roots do not reduce there are units at the new
@@ -226,8 +227,9 @@ def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[
     """The factors through the side of G = f(x + center) from xa to xb, of
     slope lam = h/e.  Each simple block of degree deg of its residual
     polynomial is read as (e, deg) factors; each repeated block (e = 1:
-    others are refused) is split into irreducibles rho, and for a root r
-    of each, the cluster of f around center + p^h r is read above lam."""
+    others are refused) is split into irreducibles rho by equal-degree
+    splitting alone, and for a root r of each, the cluster of f around
+    center + p^h r is read above lam."""
     e, h = lam.denominator, lam.numerator
     if e % W.p == 0:
         raise WildOrIrregular(
@@ -260,7 +262,9 @@ def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[
                 "certified scope of this oracle"
             )
         else:
-            repeated.extend(rho for rho, _ in factor_over(F, block))
+            # block is squarefree with every factor of degree deg: it is
+            # its own one degree block
+            repeated.extend(rho for rho, _ in factor_over(F, block, [(block, deg, 1)]))
     for rho in sorted(repeated, key=lambda g: (len(g), g)):
         out.extend(_recenter(W, f, center, rho, h, lam, depth + 1))
     return out

@@ -1,5 +1,6 @@
 """Adequacy certificates, Frobenius prime search, obstruction reports."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,10 @@ from gsl.applications import (
     parametric_obstruction_report,
 )
 from gsl.covers import branch_points, conservative_bad_primes, load_cover
-from gsl.errors import DomainError, NotFound
+from gsl.errors import DomainError, NotFound, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, _valuation
-from gsl.padic import LocalSplittingType
+from gsl.padic import LocalSplittingType, local_splitting_type
+from gsl.specialize import specialize_poly
 from test_covers import _C6, _translate
 
 
@@ -254,3 +256,44 @@ def test_the_control_sample_is_the_least_point_off_every_locus(translates, monke
             last = [t for t in cert.transcripts if t.prime == p][-1]
             control = last.t0 if last.locus is None and last.t0.denominator == 1 else None
             assert control == want, (cover.name, p)
+
+
+def test_a_refused_sample_is_recorded_and_claims_nothing():
+    # C6 at p = 31: the oracle refuses the infinity sample t0 = 1/31 (a
+    # fractional slope with an inseparable residual).  The search records
+    # the refusal instead of raising, and all_ok no longer holds
+    c6 = _translated("c6", _C6, 6, 0)
+    cert = grunwald_obstruction(c6, 2, 31)
+    assert cert.primes == (31,) and not cert.all_ok
+    with pytest.raises(WildOrIrregular) as refusal:
+        local_splitting_type(specialize_poly(c6, Fraction(1, 31)), 31)
+    refused = [t for t in cert.transcripts if t.splitting is None]
+    assert [(t.prime, t.t0, t.locus, t.ok) for t in refused] == [(31, Fraction(1, 31), None, False)]
+    assert refused[0].note == f"oracle refused: WildOrIrregular: {refusal.value}"
+    doc = refused[0].to_json()
+    assert list(doc) == [f.name for f in dataclasses.fields(refused[0])]
+    assert doc["note"] == refused[0].note and doc["splitting"] is None
+    for t in cert.transcripts:
+        if t.splitting is not None:
+            # every other sample is the oracle's answer, with no note
+            assert t.splitting == local_splitting_type(specialize_poly(c6, t.t0), 31)
+            assert t.ok and "note" not in t.to_json()
+
+
+def test_a_precision_refusal_turns_the_report_into_no_obstruction(covers, monkeypatch):
+    # V4 has an obstruction at q = 2; when the oracle cannot certify the
+    # control sample t0 = 2 at 13, that sample is refused and the report
+    # claims nothing
+    v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
+    real = gsl.applications.local_splitting_type
+
+    def oracle(f, p):
+        if p == 13 and f == specialize_poly(v4, Fraction(2)):
+            raise PrecisionExhausted("no rung certifies")
+        return real(f, p)
+
+    monkeypatch.setattr(gsl.applications, "local_splitting_type", oracle)
+    report = parametric_obstruction_report(v4, 2, 20)
+    assert report.status == NO_OBSTRUCTION_FOUND and not report.certificate.all_ok
+    refused = [(t.prime, t.t0, t.note) for t in report.certificate.transcripts if not t.ok]
+    assert refused == [(13, Fraction(2), "oracle refused: PrecisionExhausted: no rung certifies")]

@@ -1,6 +1,7 @@
 """The gsl command-line tool: output documents and exit codes."""
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -76,7 +77,7 @@ def test_verify_jobs_pool_is_capped(capsys, monkeypatch, cpus, want):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(gsl.cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(gsl.cli.os, "cpu_count", lambda: cpus)
     t0s = ["--t0", "21", "--t0", "7", "--t0=-3/7"]
     code1, doc1, _ = run(capsys, "verify", V4, *t0s)

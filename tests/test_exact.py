@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from gsl import exact
+from gsl import dense, exact
 from gsl.applications import adequacy_certificate, parametric_obstruction_report
 from gsl.covers import branch_points
 from gsl.errors import DomainError, HypothesisViolation
@@ -127,6 +127,39 @@ def test_resultant_with_large_denominators_matches_sylvester(f, g):
     assert discriminant(f) == Fraction(str(F.discriminant()))
 
 
+# evaluation at a rational runs on ints (homogeneous Horner over the lcm of
+# the denominators) and the discriminant on the cleared polynomial: both
+# against the rational route they replace
+points = st.one_of(
+    rats,
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6),
+    st.integers(-10**6, 10**6),
+)
+
+
+@given(polys, points)
+def test_value_at_a_rational_matches_horner_over_q(f, x):
+    want = dense.evaluate(dense.RATIONALS, f.coeffs, Fraction(x))
+    got = f(x)
+    assert got == want and type(got) is Fraction
+
+
+@given(st.lists(rats, min_size=1, max_size=5).map(UniPoly), rats)
+def test_value_at_a_root_is_zero(g, r):
+    # (x - r) g vanishes at r, a point with d > 1 when r is not an integer
+    f = UniPoly([-r, 1]) * g
+    assert f(r) == 0 and f(r) == dense.evaluate(dense.RATIONALS, f.coeffs, r)
+
+
+@settings(deadline=None)
+@given(st.one_of(polys, non_monic))
+def test_discriminant_is_the_signed_resultant_with_the_derivative(f):
+    assume(f.degree >= 2)
+    n = f.degree
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    assert discriminant(f) == sign * resultant(f, f.derivative()) / f.lc
+
+
 # Res_Y over Q[T] by evaluation at integer points and interpolation, against
 # the determinant of sympy's Sylvester matrix in Y (see the sign remark above)
 _t, _y = sp.symbols("t y")
@@ -201,6 +234,10 @@ def _shaped_cover(draw, triangular: bool):
     return _bipoly(rows + [[1]])
 
 
+def _total_degree(P: BiPoly) -> int:
+    return max(i + r.degree for i, r in enumerate(P.rows) if not r.is_zero)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data(), st.booleans())
 def test_disc_y_through_the_tighter_degree_bound_matches_sympy(data, triangular):
@@ -208,7 +245,7 @@ def test_disc_y_through_the_tighter_degree_bound_matches_sympy(data, triangular)
     PY = P.deriv_y()
     m = P.degree_y
     sylvester_bound = (m - 1) * max(r.degree for r in P.rows) + m * max(r.degree for r in PY.rows)
-    total_bound = exact._total_degree(P) * exact._total_degree(PY)
+    total_bound = _total_degree(P) * _total_degree(PY)
     assume(total_bound < sylvester_bound if triangular else sylvester_bound < total_bound)
     assert disc_y(P) == _t_poly(sp.discriminant(_bi_to_sympy(P), _y))
 

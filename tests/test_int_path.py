@@ -156,6 +156,19 @@ def test_degree_blocks_match_sympy_and_the_generic_loop(case, lc):
     assert ours == generic == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(_with_repeated_factors(), st.integers(1, 10**6))
+def test_splitting_the_degree_blocks_matches_sympy(case, lc):
+    # equal-degree splitting alone, on the blocks distinct-degree
+    # factorization left, gives sympy's full factorization
+    F, f = case
+    assume(len(f) > 1)
+    f = [c * (lc % F.p or 1) % F.p for c in f]
+    _, irreducibles = gf_factor(_sp(f), F.p, ZZ)
+    want = sorted(((_ours(g), mult) for g, mult in irreducibles), key=lambda t: (len(t[0]), t[0]))
+    assert factor_over(F, f, degree_blocks(F, f)) == factor_over(F, f) == want
+
+
 def test_prime_field_never_reaches_the_generic_loop():
     calls = []
 

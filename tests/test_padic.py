@@ -348,6 +348,30 @@ def test_only_repeated_factors_are_split_and_no_root_is_searched(f, p, want, mon
     assert searched == []
 
 
+@pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS)
+def test_repeated_blocks_split_as_factoring_each_block_would(f, p, want, monkeypatch):
+    # the oracle splits its repeated residual blocks, over F_p and over the
+    # residue fields F_{p^d} of its extensions, by equal-degree splitting
+    # alone; factoring each block anew (squarefree decomposition and
+    # distinct-degree factorization again) gives the same irreducibles
+    calls = []
+    real = gsl.padic.factor_over
+
+    def spy(F, block, blocks=None):
+        out = real(F, block, blocks)
+        calls.append((F, block, blocks, out))
+        return out
+
+    monkeypatch.setattr(gsl.padic, "factor_over", spy)
+    assert local_splitting_type(f, p).factors == want
+    assert calls
+    for F, block, blocks, out in calls:
+        assert blocks is not None
+        assert out == real(F, block)
+    if f is _TWO_STOREYS:
+        assert sorted(F.q for F, *_ in calls) == [3, 9, 81]
+
+
 def test_recentering_above_z_p_still_searches_for_roots(monkeypatch):
     # the control for the test above: _TWO_STOREYS recenters a second time
     # from Z_9, and there a root of the residual is searched for in F_81
