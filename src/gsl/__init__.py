@@ -5,8 +5,9 @@ The public surface, by layer:
 
   exact       exact rational/bivariate polynomial arithmetic (UniPoly, BiPoly,
               resultants, discriminants, valuations)
-  modp        the residue rings Z/p^N and Z_q / p^N (F_p and F_{p^d} at
-              N = 1), finite-field factorization and Frobenius data
+  modp        the residue rings Z/p^N and its unramified extensions, towers
+              included (F_p and F_{p^d} at N = 1), finite-field
+              factorization and Frobenius data
   padic       the certified p-adic oracle (local_splitting_type)
   nfield      number-field arithmetic: factorization over Q and over number
               fields, adjoining roots, relative minimal polynomials

@@ -588,12 +588,13 @@ def probabilistic_galois_check(
         seed = seed_from_env()
     rng = random.Random(seed)
     bad = conservative_bad_primes(cover)
+    primes = [q for q in range(3, 300) if is_prime(q) and q not in bad]
     done = 0
     attempts = 0
     while done < samples and attempts < samples * 40:
         attempts += 1
         t0 = Fraction(rng.randrange(-999, 1000))
-        p = rng.choice([q for q in range(3, 300) if is_prime(q) and q not in bad])
+        p = rng.choice(primes)
         f_t0 = UniPoly(
             [cover.poly.coeff(i)(t0) for i in range(cover.degree + 1)]
         )

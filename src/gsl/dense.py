@@ -26,7 +26,9 @@ coefficient.  Every other function reaches those two loops (`rem`,
 finite-field factorization of `modp`), so the quadratic work over F_p and
 Z/p^N makes no method call per coefficient operation.
 The rings without it go through the generic loop, one method call per
-element operation: `modp.Zq` (F_{p^d} and Z_q / p^N, int tuples),
+element operation: `modp.Zq` (F_{p^d} and the unramified extensions
+of Z/p^N, tuples of elements of the ring below, whose products come back
+here over that ring),
 `nfield.NumberField` (integer vectors over one positive denominator), and
 `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
 elements: `exact.UniPoly` is its polynomial type.

@@ -113,9 +113,16 @@ def _int_val(c: int, p: int) -> int:
     return v
 
 
+_PSI_12 = 318665857834031151167461  # see is_prime
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (covers every modulus this
-    package will ever see); probabilistic beyond that."""
+    """Primality of n.  Below psi_12 = 318665857834031151167461 the strong
+    (Miller-Rabin) tests to the 12 prime bases 2, ..., 37 prove it
+    (Sorenson & Webster, Math. Comp. 86 (2017)): no composite below psi_12
+    passes them all.  From psi_12 on, a strong Lucas test is added, which
+    makes the Baillie-PSW test: no composite is known to pass it, but that
+    is not proven, so a large n it accepts is a probable prime."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -136,7 +143,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for an odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of an odd n > 37 with no prime factor up to
+    37, with Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D / n) = -1, P = 1, Q = (1 - D) / 4.  With n + 1 = d 2^s, n passes
+    when U_d = 0 or V_(d 2^r) = 0 mod n for some r < s.  A square n has no
+    such D and is composite."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # 1 < gcd(D, n) < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k, Q^k mod n from k = 1 along the bits of d (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def crt_combine(pairs: Sequence[tuple[int, int]]) -> int:

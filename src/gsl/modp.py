@@ -7,9 +7,10 @@ lists:
     `prime_field(p)` builds, after testing p for primality, once per
     prime.  Its `int_modulus` puts F_p and Z/p^N polynomials on the int
     path of `dense`: plain int lists, reduced once per coefficient.
-  * `Zq(p, N, chi)`, Z_p[x]/(chi) mod p^N with int tuple elements, for a
-    monic chi that is irreducible of degree d >= 2 mod p.  F_{p^d} is
-    Zq(p, 1, chi).
+  * `Zq(W, chi)`, the unramified extension W[x]/(chi) of either ring W,
+    with tuples of W elements, for a monic chi of degree d >= 2 whose
+    residue is irreducible over W.res.  F_{p^d} is Zq(F_p, chi); over a
+    Zq it builds a tower, one storey per extension.
 
 Both carry the p-adic members the oracle reads (`res`, `residue`, `val`,
 `shift_down`), and `nfield` lifts over Zp.  The functions over F_p that
@@ -31,12 +32,12 @@ equal-degree splitting (EDF).  The first two give `degree_blocks`: for
 each multiplicity m and degree r, the product of the irreducible factors
 of degree r and multiplicity m.  That answers every question about the
 degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple),
-the (e, f) of a simple factor in the p-adic oracle, irreducibility
-(`find_irreducible`) and the Zassenhaus prime's factor count.  Only
-`factor_over`, `roots_over` and their wrappers run EDF.  A caller that
-already has the blocks (the oracle's repeated residual blocks, the
-Zassenhaus prime's blocks) hands them to `factor_over`, which then runs
-EDF alone, so no block is factored twice.
+the (e, f) of a simple factor in the p-adic oracle and the Zassenhaus
+prime's factor count.  Only `factor_over`, `roots_over` and their
+wrappers run EDF.  A caller that already has the blocks (the oracle's
+repeated residual blocks, the Zassenhaus prime's blocks) hands them to
+`factor_over`, which then runs EDF alone, so no block is factored
+twice.
 
 Equal-degree splitting draws its candidates at random over every field,
 from a PRNG seeded by the GSL_SEED environment variable (fixed default
@@ -82,12 +83,11 @@ class Zp:
     (`nfield`) and the oracle's base ring (`padic`) when N > 1.  Its
     `int_modulus` p^N makes `dense` multiply and divide its polynomials as
     plain int lists, reduced once per coefficient.  `res` is the residue
-    field F_p, the ring itself when N = 1; `q = p` is its size and `d = 1`
-    the degree of the ring over Z_p."""
+    field F_p, the ring itself when N = 1, and `q = p` its size."""
 
     __slots__ = ("p", "N", "q", "int_modulus", "res")
 
-    zero, one, d = 0, 1, 1
+    zero, one = 0, 1
 
     def __init__(self, p: int, N: int = 1):
         self.p = self.q = p
@@ -159,68 +159,63 @@ def prime_field(p: int) -> Zp:
 
 
 class Zq:
-    """Z_q / p^N = Z_p[x]/(chi) truncated at p^N, for a monic chi of degree
-    d >= 2 that is irreducible mod p (`Phi` is chi mod p^N): F_{p^d} when
-    N = 1, the oracle's unramified extensions of Z_p when N > 1.  Elements
-    are int tuples of length d, the coefficients of 1, x, ..., x^(d-1) mod
-    p^N.  `res` is the residue field F_{p^d} = Zq(p, 1, chi), the ring
-    itself when N = 1, and `q = p^d` its size."""
+    """The unramified extension W[x]/(chi) of a residue ring W, a `Zp` or
+    a `Zq`, for a monic chi of degree d >= 2 over W whose residue is
+    irreducible over W.res: F_{p^k} when W is a field (N = 1), the
+    oracle's unramified extensions when N > 1, each built over the ring it
+    starts from.  Elements are tuples of d elements of W, the coefficients
+    of 1, x, ..., x^(d-1); `embed` makes the constants.  p and N are
+    W's, `q = W.q^d` is the size of the residue field `res` = Zq(W.res,
+    chi mod p), the ring itself when N = 1.  Every operation goes through
+    W, coordinate by coordinate or, for products, through `dense` over W
+    (the int path when W is a `Zp`)."""
 
-    __slots__ = ("p", "N", "d", "q", "pN", "Phi", "res", "zero", "one")
+    __slots__ = ("base", "p", "N", "d", "q", "Phi", "res", "zero", "one")
 
-    def __init__(self, p: int, N: int, chi: Sequence[int]):
-        self.p = p
-        self.N = N
-        self.pN = p**N
-        self.Phi = [c % self.pN for c in chi]
+    def __init__(self, W, chi: Sequence):
+        self.base = W
+        self.p, self.N = W.p, W.N
+        self.Phi = [W.add(W.zero, c) for c in chi]  # reduced
         self.d = len(chi) - 1
-        if self.Phi[-1] != 1 or self.d < 2:
+        if self.d < 2 or self.Phi[-1] != W.one:
             raise DomainError("an unramified extension needs a monic modulus of degree >= 2")
-        self.q = p**self.d
-        self.res = self if N == 1 else Zq(p, 1, chi)
-        self.zero = (0,) * self.d
-        self.one = (1,) + self.zero[1:]
+        self.q = W.q**self.d
+        self.res = self if W.N == 1 else Zq(W.res, [W.residue(c) for c in chi])
+        self.zero = (W.zero,) * self.d
+        self.one = (W.one,) + self.zero[1:]
 
     def add(self, a, b):
-        pN = self.pN
-        return tuple((x + y) % pN for x, y in zip(a, b))
+        return tuple(map(self.base.add, a, b))
 
     def sub(self, a, b):
-        pN = self.pN
-        return tuple((x - y) % pN for x, y in zip(a, b))
+        return tuple(map(self.base.sub, a, b))
 
     def neg(self, a):
-        pN = self.pN
-        return tuple(-x % pN for x in a)
+        return tuple(map(self.base.neg, a))
 
     def mul(self, a, b):
-        """a b as polynomials in x, reduced by Phi and mod p^N once per
-        coefficient."""
-        d, Phi, pN = self.d, self.Phi, self.pN
-        out = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k] % pN
-            if c:
-                for j in range(d):
-                    out[k - d + j] -= c * Phi[j]
-        return tuple(c % pN for c in out[:d])
+        """a b as polynomials in x over W, reduced by Phi."""
+        W = self.base
+        c = dense.rem(W, dense.mul(W, a, b), self.Phi)
+        return tuple(c) + self.zero[len(c):]
 
     def is_zero(self, a):
-        return not any(a)
+        return all(map(self.base.is_zero, a))
+
+    def embed(self, c):
+        """The constant c of W."""
+        return (c,) + self.zero[1:]
 
     def from_int(self, n: int):
-        return (n % self.pN,) + self.zero[1:]
+        return self.embed(self.base.from_int(n))
 
     def inv(self, a):
-        """Inverse of a unit: the residue inverted by ext_gcd over F_p, then
-        Newton steps x <- x (2 - a x), each doubling the correct digits
-        (none when N = 1)."""
-        F = prime_field(self.p)
-        r = dense.trim(F, [c % self.p for c in a])
+        """Inverse of a unit: the residue inverted by ext_gcd over W.res,
+        then Newton steps x <- x (2 - a x), each doubling the correct
+        digits (none when N = 1).  The coefficients of the residue inverse
+        lie in W.res, so they are elements of W already."""
+        F = self.base.res
+        r = dense.trim(F, list(self.residue(a)))
         if not r:
             raise ZeroDivisionError("inverse of a non-unit")
         _, t = dense.ext_gcd(F, self.res.Phi, r)
@@ -233,32 +228,30 @@ class Zq:
         return x
 
     def element_by_index(self, i: int):
+        W = self.base
         digits = []
         for _ in range(self.d):
-            digits.append(i % self.p)
-            i //= self.p
+            digits.append(W.element_by_index(i % W.q))
+            i //= W.q
         return tuple(digits)
 
     def residue(self, a):
-        return tuple(c % self.p for c in a)
+        return tuple(map(self.base.residue, a))
 
     def val(self, a) -> Optional[int]:
         """The least valuation of a coordinate; None when a = 0 mod p^N
         (v >= N).  This is the valuation of a, because 1, x, ..., x^(d-1)
-        is a basis of Z_q with unit discriminant."""
-        return min((_int_val(c, self.p) for c in a if c), default=None)
+        is a basis over W with unit discriminant."""
+        return min((v for v in map(self.base.val, a) if v is not None), default=None)
 
     def shift_down(self, a, k: int):
         """a / p^k, requiring exact divisibility of every coordinate."""
-        pk = self.p**k
-        if any(c % pk for c in a):
-            raise DomainError(f"inexact division by {self.p}^{k}")
-        return tuple(c // pk for c in a)
+        return tuple(self.base.shift_down(c, k) for c in a)
 
     def __repr__(self):
         if self.N == 1:
-            return f"F_{self.p}^{self.d}"
-        return f"Zq(p={self.p}, d={self.d}, N={self.N})"
+            return f"F_{self.p}^{round(math.log(self.q, self.p))}"
+        return f"Zq({self.base!r}, d={self.d})"
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +372,6 @@ def roots_over(F, f) -> list:
     xq = dense.powmod(F, [F.zero, F.one], F.q, f)
     lin = dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
     return sorted(F.neg(g[0]) for g in _edf(F, lin, 1)) if len(lin) > 1 else []
-
-
-def find_irreducible(F_p: Zp, degree: int) -> list[int]:
-    """Deterministically find a monic irreducible of the given degree over
-    F_p (ascending enumeration): the first candidate that is one degree
-    block of that degree."""
-    p = F_p.p
-    if degree == 1:
-        return [0, 1]
-    count = p**degree
-    for idx in range(count):
-        coeffs = []
-        i = idx
-        for _ in range(degree):
-            coeffs.append(i % p)
-            i //= p
-        f = coeffs + [1]
-        if [(r, m) for _, r, m in degree_blocks(F_p, f)] == [(degree, 1)]:
-            return f
-    raise AssertionError("unreachable: irreducibles of every degree exist")
 
 
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:

@@ -7,11 +7,11 @@ machinery, so that predictions can be *verified* against this module.
 
 Method: one Newton-polygon recursion over clusters of roots, as in Montes'
 algorithm.  It works in W = Z/p^N (`modp.Zp`, int elements) and its
-unramified extensions W = Z_p[x]/(Phi) mod p^N (`modp.Zq`, int tuples);
-polynomials over W are `dense` lists of elements, and p and N are read off
-W.  N starts at the floor 2*v_p(disc)+1 of the monic integral model g and
-doubles, for at most LADDER_RUNGS rungs, whenever a check raises
-PrecisionExhausted.
+unramified extensions W[x]/(rho) (`modp.Zq`, tuples of W elements), each
+built over the ring the oracle is in; polynomials over W are `dense`
+lists of elements, and p and N are read off W.  N starts at the floor
+2*v_p(disc)+1 of the monic integral model g and doubles, for at most
+LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted.
 
 1. `_cluster(W, g, center, floor, depth)` reads the factors of g whose
    roots y have v(y - center) > floor off the sides of the Newton polygon
@@ -35,11 +35,11 @@ PrecisionExhausted.
    unramified W' of degree d over W; only its conjugate family is
    analyzed there, and its residue degrees are multiplied by d (the base
    change splits each factor into d conjugates with identical invariants,
-   exactly one of which reduces to that root).  From W = Z_p the root
-   costs nothing: W' = Z_p[x]/(rho) mod p^N, and its generator x is a root
-   of rho.  From a larger W, W' is the unramified extension of degree
-   W.d * d over Z_p, W embeds into it, and the root is searched for in its
-   residue field (`roots_over`).
+   exactly one of which reduces to that root).  The root costs nothing:
+   W' = W[x]/(rho), whose generator x is a root of rho, from Z_p and from
+   any extension of it alike (the coefficients of rho, residues over W,
+   are elements of W), so the extensions stack up as a tower and no root
+   is ever searched for.
 
 Each emission rests on an explicit check, so a low N can make the oracle
 move up a rung but never answer wrongly:
@@ -76,15 +76,7 @@ from .errors import (
     WildOrIrregular,
 )
 from .exact import Rat, UniPoly, _valuation, discriminant
-from .modp import (
-    Zp,
-    Zq,
-    degree_blocks,
-    factor_over,
-    find_irreducible,
-    prime_field,
-    roots_over,
-)
+from .modp import Zp, Zq, degree_blocks, factor_over, prime_field
 
 __all__ = [
     "LocalSplittingType",
@@ -272,56 +264,27 @@ def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[
 
 def _recenter(W, f, center, rho, h: int, floor: Fraction, depth: int) -> list[tuple[int, int, int]]:
     """The cluster of f around center + p^h r, for one root r of the
-    irreducible rho over W.res, above floor.  For deg rho >= 2 the root
-    lives in the unramified extension of degree deg rho: the cluster is
-    analyzed there, and residue degrees are multiplied by deg rho (the
-    base change splits each factor into deg rho conjugates with identical
-    invariants, exactly one of which reduces to r).
-
-    Over W = Z_p that extension is built as Z_p[x]/(rho) itself, whose
-    generator x is a root of rho: nothing is searched for.  Over a
-    larger W, r is a root of rho found in the residue field of the
-    unramified extension of degree W.d * deg rho."""
+    irreducible rho over W.res, above floor.  A linear rho has its root in
+    W.res.  Any other rho gives the unramified extension W' = W[x]/(rho)
+    of degree deg rho, whose generator x is a root: the coefficients of
+    rho lie in W.res, so they are elements of W already, and nothing is
+    searched for.  The cluster is analyzed over W', and residue degrees
+    are multiplied by deg rho (the base change splits each factor into
+    deg rho conjugates with identical invariants, exactly one of which
+    reduces to r)."""
     drho = len(rho) - 1
     if drho == 1:
         root = W.res.neg(rho[0])
-    elif W.d == 1:
-        W = Zq(W.p, W.N, rho)
-        center = W.from_int(center)
-        f = [W.from_int(c) for c in f]
-        root = (0, 1) + W.zero[2:]
     else:
-        Wbig = Zq(W.p, W.N, find_irreducible(prime_field(W.p), W.d * drho))
-        emb = _embed(W, Wbig)
-        rts = roots_over(Wbig.res, [Wbig.residue(emb(c)) for c in rho])
-        if not rts:
-            raise DomainError(f"a residual factor has no root over {Wbig}")
-        W, root = Wbig, rts[0]
-        center = emb(center)
-        f = [emb(c) for c in f]
+        W = Zq(W, rho)
+        center = W.embed(center)
+        f = [W.embed(c) for c in f]
+        root = W.zero[:1] + (W.base.one,) + W.zero[2:]
     center = W.add(center, W.mul(W.from_int(W.p**h), root))
     return [
         (e, fr * drho, cnt)
         for e, fr, cnt in _cluster(W, f, center, floor, depth)
     ]
-
-
-def _embed(W: Zq, Wbig: Zq):
-    """A map W -> Wbig: the generator of W goes to a root of W.Phi in
-    Wbig, found in its residue field and Newton-lifted."""
-    F = Wbig.res
-    rts = roots_over(F, [F.from_int(c) for c in W.Phi])
-    if not rts:
-        raise DomainError(f"the residue modulus of {W} has no root over {Wbig}")
-    om = rts[0]
-    Phi_up = [Wbig.from_int(c) for c in W.Phi]
-    dPhi = dense.deriv(Wbig, Phi_up)
-    k = 1
-    while k < Wbig.N:
-        fv = dense.evaluate(Wbig, Phi_up, om)
-        om = Wbig.sub(om, Wbig.mul(fv, Wbig.inv(dense.evaluate(Wbig, dPhi, om))))
-        k *= 2
-    return lambda a: dense.evaluate(Wbig, [Wbig.from_int(c) for c in a], om)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,19 @@ def test_oracle(capsys):
                    "certified": True}
 
 
+def test_a_strong_pseudoprime_to_the_bases_up_to_37_is_no_prime(capsys):
+    # 399165290221 * 798330580441 passes the strong tests to the prime
+    # bases up to 37; as a --prime it is refused, and as a t0 it is
+    # factored, and both its factors are checked
+    n = "318665857834031151167461"
+    code, doc, _ = run(capsys, "oracle", "--coeffs=-2,0,1", "--prime", n)
+    assert (code, doc) == (64, {"error": "DomainError", "message": f"{n} is not prime"})
+    code, doc, _ = run(capsys, "verify", V4, "--t0", n)
+    assert code == 0
+    verdicts = {entry["prime"]: entry["verdict"] for entry in doc["entries"]}
+    assert verdicts[399165290221] == verdicts[798330580441] == "MATCH"
+
+
 def test_oracle_wild_exit_3(capsys):
     code, doc, _ = run(capsys, "oracle", "--coeffs=-3,0,0,1", "--prime", "3")
     assert code == 3

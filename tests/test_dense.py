@@ -83,7 +83,7 @@ def test_shift_and_evaluate_over_q(R, coeffs, c, x):
 
 
 _small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-F9 = Zq(3, 1, [1, 0, 1])  # F_3[i], i^2 = -1
+F9 = Zq(prime_field(3), [1, 0, 1])  # F_3[i], i^2 = -1
 # Q, Q(i), Q(sqrt 2), F_3, F_5 (checked against sympy) and F_9 (checked by
 # its defining properties)
 _SQF_FIELDS = [None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2)), 3, 5, F9]

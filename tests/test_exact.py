@@ -11,6 +11,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from gsl import dense, exact
@@ -403,16 +404,44 @@ def test_valuation_multiplicative(x, y, p):
     assert rational_valuation(x * y, p) == rational_valuation(x, p) + rational_valuation(y, p)
 
 
+# The least strong pseudoprimes to all the prime bases up to 37 and up to
+# 41 (Sorenson & Webster, Math. Comp. 86 (2017)): composites that the
+# strong tests to those bases alone accept
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
 def test_is_prime():
-    primes = {2, 3, 5, 7, 8191, 10007}
-    composites = {0, 1, 341, 561, 8192, 10005}
+    primes = {2, 3, 5, 7, 8191, 10007, 399165290221, 798330580441, 1287836182261, 2575672364521}
+    composites = {0, 1, 341, 561, 8192, 10005, PSI_12, PSI_13}
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_strong_lucas_test_matches_sympy():
+    # every odd n below 20000 that the test can be handed: no prime factor
+    # up to 37, not a square
+    for n in range(41, 20000, 2):
+        if all(n % q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)) and math.isqrt(n) ** 2 != n:
+            assert exact._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+_two_primes = st.tuples(st.integers(10**10, 10**20), st.integers(10**12, 10**20)).map(
+    lambda t: sp.nextprime(t[0]) * sp.nextprime(t[1]))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.integers(PSI_12 // 2, 10**40).map(lambda n: 2 * n + 1),
+                 st.integers(PSI_12, 10**40).map(sp.nextprime),
+                 _two_primes))
+def test_is_prime_matches_sympy_on_large_odd_numbers(n):
+    assert is_prime(n) == sp.isprime(n)
 
 
 def test_factor_int():
     assert factor_int(2**4 * 3**2 * 5 * 10007) == {2: 4, 3: 2, 5: 1, 10007: 1}
     assert factor_int(-12) == {2: 2, 3: 1}
+    assert factor_int(7 * PSI_12) == {7: 1, 399165290221: 1, 798330580441: 1}
     assert factor_int(1) == {}
     n = 1009 * 1013  # beyond the trial-division floor exercised via Pollard path
     assert factor_int(n * n) == {1009: 2, 1013: 2}

@@ -206,7 +206,7 @@ def test_division_by_zero_raises_zero_division_error_on_both_paths():
 
 @pytest.mark.parametrize("lc", [5, 10, -25, 125, 0])
 def test_a_non_unit_leading_coefficient_over_z_mod_p_power_raises_like_zq(lc):
-    Wq = Zq(5, 3, [2, 0, 1])  # Z_q / 5^3 with q = 25, whose constants are Z/5^3
+    Wq = Zq(Zp(5, 3), [2, 0, 1])  # Z_q / 5^3 with q = 25, whose constants are Z/5^3
     with pytest.raises(ZeroDivisionError) as want:
         dense.quorem(Wq, [Wq.from_int(c) for c in (1, 2, 3)], [Wq.one, Wq.from_int(lc)])
     with pytest.raises(ZeroDivisionError) as got:

@@ -18,7 +18,6 @@ from gsl.modp import (
     degree_blocks,
     factor_mod_p,
     factor_over,
-    find_irreducible,
     frobenius_data,
     prime_field,
     reduce_relative,
@@ -119,29 +118,52 @@ def test_factor_rejects_zero():
 
 def test_ext_field_rejects_non_monic_modulus():
     with pytest.raises(DomainError):
-        Zq(5, 1, [2, 0, 3])
+        Zq(prime_field(5), [2, 0, 3])
 
 
 # ---------------------------------------------------------------------------
 # the residue rings: a unit times its inverse is one
 
 
+def _irreducible(F, d):
+    """The first monic polynomial of degree d = 2 or 3 over the finite field
+    F, with coefficients enumerated in the order of `F.element_by_index`
+    (least significant first), that has no root in F: irreducible, since
+    a factorization of it would have a linear factor."""
+    elements = [F.element_by_index(i) for i in range(F.q)]
+    for i in range(F.q**d):
+        f = [elements[i // F.q**k % F.q] for k in range(d)] + [F.one]
+        if not any(F.is_zero(dense.evaluate(F, f, a)) for a in elements):
+            return f
+    raise AssertionError(f"no irreducible of degree {d} over {F}")
+
+
+def _elements(R):
+    """The elements of a Zp, or of a tower of Zq over one."""
+    if isinstance(R, Zp):
+        return st.integers(0, R.int_modulus - 1)
+    return st.tuples(*[_elements(R.base)] * R.d)
+
+
 @st.composite
-def _ring_and_element(draw):
-    """Zp(p, N), or Zq(p, N, Phi) for a random monic lift Phi of an
-    irreducible of degree d, and a random element of it."""
+def _ring(draw):
+    """Zp(p, N) with up to two Zq storeys over it, each Zq(R, Phi) for a
+    random monic lift Phi of an irreducible of degree 2 or 3 over R.res."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     N = draw(st.sampled_from([1, 2, 5]))
-    d = draw(st.sampled_from([1, 2, 3]))
-    coords = st.integers(0, p**N - 1)
-    if d == 1:
-        return Zp(p, N), draw(coords)
-    chi = find_irreducible(prime_field(p), d)
-    Phi = [c + p * draw(st.integers(0, p**N)) for c in chi[:-1]] + [1]
-    return Zq(p, N, Phi), tuple(draw(st.lists(coords, min_size=d, max_size=d)))
+    R = Zp(p, N)
+    for d in draw(st.lists(st.sampled_from([2, 3]), max_size=2)):
+        chi, pz = _irreducible(R.res, d), R.from_int(p)
+        Phi = [R.add(c, R.mul(pz, draw(_elements(R)))) for c in chi[:-1]] + [R.one]
+        R = Zq(R, Phi)
+    return R
 
 
-F9 = Zq(3, 1, [1, 0, 1])  # F_3[x]/(x^2 + 1)
+def _ring_and_element():
+    return _ring().flatmap(lambda R: st.tuples(st.just(R), _elements(R)))
+
+
+F9 = Zq(prime_field(3), [1, 0, 1])  # F_3[x]/(x^2 + 1)
 
 
 def _every_element_of_f9(test):
@@ -155,11 +177,32 @@ def _every_element_of_f9(test):
 @given(_ring_and_element())
 def test_a_unit_times_its_inverse_is_one(case):
     R, a = case
-    if not any(c % R.p for c in (a if isinstance(a, tuple) else (a,))):
+    if R.res.is_zero(R.residue(a)):
         with pytest.raises(ZeroDivisionError):
             R.inv(a)
     else:
         assert R.mul(a, R.inv(a)) == R.mul(R.inv(a), a) == R.one
+
+
+@settings(max_examples=200)
+@given(_ring().flatmap(lambda R: st.tuples(st.just(R), _elements(R), _elements(R))),
+       st.integers(0, 5))
+def test_valuation_shift_and_residue_laws(case, k):
+    # on Zp and on towers of Zq over it: the residue map is a ring map, the
+    # valuation is that of an unramified ring (it adds up on products) and
+    # shift_down undoes multiplication by p^k
+    R, a, b = case
+    F = R.res
+    assert R.residue(R.mul(a, b)) == F.mul(R.residue(a), R.residue(b))
+    assert R.residue(R.add(a, b)) == F.add(R.residue(a), R.residue(b))
+    va, vb = R.val(a), R.val(b)
+    assert (va is None) == R.is_zero(a)
+    if va is not None and vb is not None and va + vb < R.N:
+        assert R.val(R.mul(a, b)) == va + vb
+    pk = R.from_int(R.p**k)
+    x = R.mul(pk, a)
+    assert R.val(x) == (va + k if va is not None and va + k < R.N else None)
+    assert R.mul(pk, R.shift_down(x, k)) == x
 
 
 def test_gsl_seed_accepts_any_int_literal(monkeypatch):
@@ -181,7 +224,8 @@ def test_gsl_seed_accepts_any_int_literal(monkeypatch):
 
 
 def _ext(p, d):
-    return Zq(p, 1, find_irreducible(prime_field(p), d))
+    F = prime_field(p)
+    return Zq(F, _irreducible(F, d))
 
 
 SMALL_EXT = {q: _ext(p, d) for q, p, d in
@@ -204,7 +248,7 @@ def _rabin_irreducible(F, g):
        st.lists(st.integers(0, 120), min_size=1, max_size=6))
 def test_factor_and_roots_over_small_extensions(q, idx):
     F = SMALL_EXT[q]
-    assert _rabin_irreducible(prime_field(F.p), F.Phi)  # the modulus from find_irreducible
+    assert _rabin_irreducible(prime_field(F.p), F.Phi)  # the modulus from _irreducible
     f = [F.element_by_index(i % q) for i in idx] + [F.one]  # monic
     prod = [F.one]
     for g, m in factor_over(F, f):
@@ -284,7 +328,10 @@ def test_prime_field_tests_each_prime_once(monkeypatch):
     prime_field.cache_clear()
 
 
-@pytest.mark.parametrize("n", [1, 9, 15, 561, 10007 * 10009])
+# the last two: the least strong pseudoprimes to all the prime bases up to
+# 37 and up to 41 (Sorenson & Webster, Math. Comp. 86 (2017))
+@pytest.mark.parametrize("n", [1, 9, 15, 561, 10007 * 10009, 318665857834031151167461,
+                               3317044064679887385961981])
 def test_prime_field_rejects_a_composite_modulus(n):
     for _ in range(2):  # a failure is not cached
         with pytest.raises(DomainError, match="not prime"):

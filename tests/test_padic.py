@@ -19,7 +19,6 @@ from gsl.modp import (
     Zq,
     degree_blocks,
     factor_over,
-    find_irreducible,
     frobenius_data,
     prime_field,
 )
@@ -27,7 +26,6 @@ from gsl.nfield import hensel_lift
 from gsl.padic import (
     PadicPrecisionCtx,
     _cluster,
-    _embed,
     _recenter,
     local_splitting_type,
     quadratic_local_class,
@@ -165,11 +163,11 @@ def test_quadratic_class_consistent_with_oracle(n, p):
 
 def test_zq_rejects_non_monic_modulus():
     with pytest.raises(DomainError):
-        Zq(5, 4, [1, 0, 2])
+        Zq(Zp(5, 4), [1, 0, 2])
 
 
 def test_zq_shift_down_requires_exact_division():
-    W = Zq(5, 4, [2, 0, 1])
+    W = Zq(Zp(5, 4), [2, 0, 1])
     assert W.shift_down((50, 25), 2) == (2, 1)
     with pytest.raises(DomainError):
         W.shift_down((50, 7), 1)
@@ -221,28 +219,6 @@ _UPSTAIRS = upoly(81 + 3**7, 0, 18, 0, 1)
 # so v(w) = 3/2: e = 2 over F_81, one factor (2, 4) over Q_3.
 _TWO_STOREYS = UniPoly([Fraction(c) for c in
                         (4898836, -144432, -109472, -1152, 4992, 72, -32, 0, 1)])
-
-
-def test_embed_requires_a_root_of_the_residue_modulus(monkeypatch):
-    monkeypatch.setattr(gsl.padic, "roots_over", lambda F, f: [])
-    F = prime_field(3)
-    with pytest.raises(DomainError, match="residue modulus"):
-        _embed(Zq(3, 10, find_irreducible(F, 2)), Zq(3, 10, find_irreducible(F, 4)))
-
-
-def test_side_requires_a_root_upstairs(monkeypatch):
-    # _TWO_STOREYS recenters from Z_3 into Z_9 and then, at a side over F_9,
-    # on a repeated quadratic residual: the path that searches for a root
-    assert local_splitting_type(_TWO_STOREYS, 3).factors == ((2, 4, 1),)
-    real = gsl.padic.roots_over
-
-    def no_residual_root(F, f):
-        # the residue modulus x^2 + 1 of Z_9 keeps its roots in F_81
-        return real(F, f) if f == [F.from_int(c) for c in (1, 0, 1)] else []
-
-    monkeypatch.setattr(gsl.padic, "roots_over", no_residual_root)
-    with pytest.raises(DomainError, match="residual factor has no root"):
-        local_splitting_type(_TWO_STOREYS, 3)
 
 
 def test_splitting_checks_degree_conservation(monkeypatch):
@@ -311,12 +287,12 @@ def test_splitting_does_not_reenter_itself(f, p, want, monkeypatch):
 
     def counted(W, g, center, floor, depth):
         if floor == -1:
-            calls.append(W.d)
+            calls.append(W.q == W.p)
         return real(W, g, center, floor, depth)
 
     monkeypatch.setattr(gsl.padic, "_cluster", counted)
     assert local_splitting_type(f, p).factors == want
-    assert calls == [1]
+    assert calls == [True]
 
 
 # ((x^4 + 1)^2 - 7)(x^2 + 1)(x^3 - 2) at 7: the repeated blocks of
@@ -326,10 +302,11 @@ _MIXED = (_X4P1 * _X4P1 + upoly(-7)) * upoly(1, 0, 1) * upoly(-2, 0, 0, 1)
 
 
 @pytest.mark.parametrize("f, p, want", _REPEATED_UPSTAIRS[:-1] + [
-    (_MIXED, 7, ((1, 2, 1), (1, 3, 1), (2, 2, 2)))])
+    (_MIXED, 7, ((1, 2, 1), (1, 3, 1), (2, 2, 2))), _REPEATED_UPSTAIRS[-1]])
 def test_only_repeated_factors_are_split_and_no_root_is_searched(f, p, want, monkeypatch):
     # equal-degree splitting runs only on blocks of repeated factors, and
-    # recentering from Z_p builds its extension from the residual factor
+    # recentering builds its extension from the residual factor, from Z_p
+    # and from an extension of it (_TWO_STOREYS) alike
     repeated, split, searched = [], [], []
     real_blocks, real_edf = gsl.padic.degree_blocks, gsl.modp._edf
 
@@ -340,9 +317,7 @@ def test_only_repeated_factors_are_split_and_no_root_is_searched(f, p, want, mon
 
     monkeypatch.setattr(gsl.padic, "degree_blocks", blocks)
     monkeypatch.setattr(gsl.modp, "_edf", lambda F, g, d: split.append(g) or real_edf(F, g, d))
-    for name in ("roots_over", "find_irreducible"):
-        monkeypatch.setattr(gsl.padic, name, lambda *a, name=name: searched.append(name))
-    monkeypatch.setattr(gsl.padic, "_embed", lambda *a: searched.append("embed"))
+    monkeypatch.setattr(gsl.modp, "roots_over", lambda *a: searched.append(a))
     assert local_splitting_type(f, p).factors == want
     assert split and all(g in repeated for g in split)
     assert searched == []
@@ -372,20 +347,9 @@ def test_repeated_blocks_split_as_factoring_each_block_would(f, p, want, monkeyp
         assert sorted(F.q for F, *_ in calls) == [3, 9, 81]
 
 
-def test_recentering_above_z_p_still_searches_for_roots(monkeypatch):
-    # the control for the test above: _TWO_STOREYS recenters a second time
-    # from Z_9, and there a root of the residual is searched for in F_81
-    searched = []
-    real = gsl.padic.roots_over
-    monkeypatch.setattr(gsl.padic, "roots_over",
-                        lambda F, f: searched.append(F.q) or real(F, f))
-    assert local_splitting_type(_TWO_STOREYS, 3).factors == ((2, 4, 1),)
-    assert searched == [81, 81]  # the residue modulus of Z_9, the residual
-
-
 def test_oracle_does_not_depend_on_the_seed(monkeypatch):
     # the x^4 + 1 inputs split a repeated block into two quadratics at random
-    # over F_7, and _TWO_STOREYS searches for roots at random over F_81
+    # over F_7
     inputs = [(f, p) for f, p, _ in _REPEATED_UPSTAIRS]
     seen = set()
     for seed in ["1", "12345", "0x7FFF", ""]:
@@ -497,15 +461,16 @@ def test_oracle_invariant_under_reversal_translation_and_unit_scaling(data, c, u
 def test_base_change_to_the_unramified_quadratic_extension(data):
     # over Q_{p^2} a factor (e, f) of f over Q_p splits into gcd(f, 2)
     # factors (e, f / gcd(f, 2)); the oracle run over W = Z_{p^2} recenters
-    # through the search for roots of residual factors, the run over Z_p
-    # through the extension each residual factor generates
+    # through extensions of Z_{p^2}, the run over Z_p through extensions of
+    # Z_p
     p, f = data
     assume(discriminant(f) != 0)
     want = _outcome(f, p)
     assume(want != "refused")
     N = 8 * rational_valuation(discriminant(f), p) + 64
-    W = Zq(p, N, find_irreducible(prime_field(p), 2))
-    fw = [W.from_int(Zp(p, N).from_rat(a)) for a in f.coeffs]
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    W = Zq(Zp(p, N), [-n, 0, 1])  # x^2 - n for the least non-square n mod p
+    fw = [W.embed(W.base.from_rat(a)) for a in f.coeffs]
     got = gsl.padic._merge(_cluster(W, fw, W.zero, -1, 0))
     assert got == gsl.padic._merge(
         (e, fr // math.gcd(fr, 2), cnt * math.gcd(fr, 2)) for e, fr, cnt in want)
