@@ -113,6 +113,18 @@ def _parse_rat(s: str) -> Fraction:
         raise _CliUsage(f"bad rational {s!r}: {exc}")
 
 
+def _positive_int(s: str) -> int:
+    """The argparse type of a count of at least 1: any other value is a
+    usage error (exit 64)."""
+    try:
+        n = int(s)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {s!r}")
+    return n
+
+
 def _parse_primes(s: str | None) -> tuple[int, ...] | None:
     if s is None:
         return None
@@ -345,7 +357,7 @@ def _build_parser() -> _Parser:
                    help="specialization point (rational, e.g. 21 or -3/7); repeatable")
     p.add_argument("--primes", default=None,
                    help="comma-separated primes to check (default: all meeting primes)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for multiple --t0, at most one per --t0 and "
                         "per CPU (output order is stable)")
     summary_arg(p)

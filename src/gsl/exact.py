@@ -28,7 +28,8 @@ it is recovered from as many of them as the degree bound needs by Newton
 interpolation over Z (`dense.interpolate`), whose divisions are exact and
 checked.  `_resultant_rows` is that loop on integer rows, which the
 Trager norms build directly; one `Fraction` per output coefficient undoes
-the clearing.  No factorization over Q is exposed here.
+the clearing, and `disc_y` runs it on P cleared once and on its
+Y-derivative.  No factorization over Q is exposed here.
 """
 
 from __future__ import annotations
@@ -536,9 +537,6 @@ class BiPoly:
     def __repr__(self):
         return f"BiPoly(deg_y={self.degree_y})"
 
-    def deriv_y(self) -> "BiPoly":
-        return BiPoly([row.scale(i) for i, row in enumerate(self.rows)][1:])
-
 
 def _cleared(*polys: UniPoly) -> tuple[list[list[int]], int]:
     """([a p as an integer list for each p], a) for the least positive a."""
@@ -585,17 +583,6 @@ def _resultant_rows(F: list[list[int]], G: list[list[int]]) -> list[int]:
     return dense.interpolate(xs, ys)
 
 
-def _bivariate_resultant(f: BiPoly, g: BiPoly) -> UniPoly:
-    """Res_Y(f, g) in Q[T].  With a and b the least integers that make a f
-    and b g integral, Res_Y(a f, b g) = a^deg_Y g b^deg_Y f Res_Y(f, g) is
-    the `_resultant_rows` of their integer rows; one `Fraction` per
-    coefficient undoes the clearing."""
-    F, a = _cleared(*f.rows)
-    G, b = _cleared(*g.rows)
-    d = a**g.degree_y * b**f.degree_y
-    return UniPoly._of([Fraction(c, d) for c in _resultant_rows(F, G)])
-
-
 def resultant(f, g):
     """Resultant over the shared coefficient domain.
 
@@ -612,7 +599,11 @@ def resultant(f, g):
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
         if not f.rows or not g.rows:
             raise DomainError("resultant with a zero polynomial")
-        return _bivariate_resultant(f, g)
+        # Res_Y(f, g) = Res_Y(a f, b g) / (a^deg_Y g b^deg_Y f), on integer rows
+        F, a = _cleared(*f.rows)
+        G, b = _cleared(*g.rows)
+        d = a**g.degree_y * b**f.degree_y
+        return UniPoly._of([Fraction(c, d) for c in _resultant_rows(F, G)])
     raise DomainError("resultant arguments must be two UniPoly or two BiPoly")
 
 
@@ -636,7 +627,9 @@ def discriminant(f: UniPoly) -> Rat:
 def disc_y(P: BiPoly) -> UniPoly:
     """Discriminant of P(T, Y) with respect to Y, a UniPoly in T.
 
-    Requires P monic in Y of Y-degree >= 1.
+    Requires P monic in Y of Y-degree n >= 1.  With A = a P cleared once
+    and A_Y its Y-derivative, Res_Y(A, A_Y) = a^(2n-1) Res_Y(P, P_Y), as
+    in `discriminant`.
     """
     n = P.degree_y
     if n < 1:
@@ -645,6 +638,7 @@ def disc_y(P: BiPoly) -> UniPoly:
         raise DomainError("disc_y requires a polynomial monic in Y")
     if n == 1:
         return UniPoly.const(1)
-    r = resultant(P, P.deriv_y())
+    A, a = _cleared(*P.rows)
+    r = _resultant_rows(A, [[i * c for c in row] for i, row in enumerate(A)][1:])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return r.scale(sign)
+    return UniPoly._of([Fraction(sign * c, a ** (2 * n - 1)) for c in r])

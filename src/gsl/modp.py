@@ -19,11 +19,13 @@ take a `UniPoly` or a sequence of ints return plain trimmed int lists.
 Every layer reads a cover at a prime through the same three pieces:
 `prime_field(p)` is the one primality gate (it raises DomainError "{p}
 is not prime"), `Zp.from_rat` the one reduction of a rational mod p^N
-(`reduce_unipoly` and the residues of `specialize` and `padic` go
-through it), and `exact._int_val` the one integer valuation loop
-(`Zp.val`, `Zq.val` and `exact._valuation`).  A branch residue field
-is read at p by one question, the Frobenius order of `frobenius_data`,
-for the predictions and the obstruction search alike.
+(`reduce_unipoly`, the residues of `specialize` and the square classes
+of `padic` go through it; the oracle itself reduces the integer model
+that `padic._prepare` returns), and `exact._int_val` the one integer
+valuation loop (`Zp.val`, `Zq.val`, `exact._valuation` and the oracle's
+integral model).  A branch residue field is read at p by one question,
+the Frobenius order of `frobenius_data`, for the predictions and the
+obstruction search alike.
 
 Factorization runs in three steps (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 14): squarefree decomposition (`dense.squarefree`,
@@ -48,7 +50,6 @@ only makes each run's work reproducible.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import random
 from typing import Optional, Sequence
@@ -250,7 +251,7 @@ class Zq:
 
     def __repr__(self):
         if self.N == 1:
-            return f"F_{self.p}^{round(math.log(self.q, self.p))}"
+            return f"F_{self.p}^{_int_val(self.q, self.p)}"
         return f"Zq({self.base!r}, d={self.d})"
 
 
@@ -307,7 +308,7 @@ def _edf(F, f, d):
                 continue
             if F.p == 2:
                 # trace splitting: v = u + u^2 + u^4 + ... (k*d terms, q=2^k)
-                k = d * int(math.log2(q))
+                k = d * (q.bit_length() - 1)
                 v = dense.rem(F, u, g)
                 acc = list(v)
                 for _ in range(k - 1):

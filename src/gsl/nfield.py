@@ -29,8 +29,9 @@ point, no randomness.  The pieces:
     Every returned factor is irreducible by construction: recombination
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
-  * factor_nf -- factorization in K[y]: squarefree split, then
-    Trager's norm method on each squarefree part.  The norm polynomial
+  * factor_nf -- factorization in K[y], for K of every degree (Q
+    itself included): squarefree split, then Trager's norm method on
+    each squarefree part.  The norm polynomial
     is the bivariate resultant Res_x(M(x), h(z - s x)) of `exact`, which
     is prod_k h(z - s alpha_k) because M is monic.  One factor per
     norm factor comes from a gcd with what is left of h; the last is that
@@ -98,12 +99,11 @@ class NumberField:
         if modulus.lc != 1:
             raise DomainError("number field modulus must be monic")
         n = modulus.degree
-        low = modulus.coeffs[:n]
-        D = math.lcm(*(c.denominator for c in low))
+        (DM,), D = _cleared(modulus)
         set_ = object.__setattr__
         set_(self, "modulus", modulus)
         set_(self, "degree", n)
-        set_(self, "_red", tuple(c.numerator * (D // c.denominator) for c in low))
+        set_(self, "_red", tuple(DM[:n]))
         set_(self, "_red_den", D)
         set_(self, "_pad", (0,) * (n - 1))
         set_(self, "zero", (0,) * n + (1,))
@@ -505,10 +505,10 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     H(z, x) = sum_i h_i(x) (z - s*x)^i: the norm from K to Q of
     h(z - s*theta).  M is monic, so the resultant is prod_k H(z, alpha_k)
     over the roots alpha_k of M, whatever the x-degree of H.  H is built
-    as integer rows over one denominator L, and M is cleared by its least
-    denominator a, so `_resultant_rows` computes Res_x(a M, L H) =
-    a^deg_x(H) L^deg(M) N directly on them, from deg(M)*deg(h) + 1 integer
-    points, the Sylvester bound plus one."""
+    as integer rows over one denominator L, and K keeps its modulus
+    cleared, as a M for the least a > 0, so `_resultant_rows` computes
+    Res_x(a M, L H) = a^deg_x(H) L^deg(M) N directly on them, from
+    deg(M)*deg(h) + 1 integer points, the Sylvester bound plus one."""
     d = len(h) - 1
     if d < 1 or not K.eq(h[-1], K.one):
         raise DomainError("the norm needs a monic h of degree >= 1")
@@ -524,8 +524,8 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
         dense.trim(dense.INTEGERS, row)
     while not rows[-1]:
         rows.pop()
-    (M,), a = _cleared(K.modulus)
-    res = _resultant_rows([[c] if c else [] for c in M], rows)
+    a = K._red_den
+    res = _resultant_rows([[c] if c else [] for c in K._red + (a,)], rows)
     den = a ** (len(rows) - 1) * L**K.degree
     N = UniPoly._of([Fraction(c, den) for c in res])
     if N.degree != D or N.lc != 1:
@@ -588,12 +588,6 @@ def factor_nf(K: NumberField, f: list) -> list[tuple[list, int]]:
         raise DomainError("factorization of the zero polynomial")
     if len(f) == 1:
         return []
-    if K.degree == 1:
-        # the field is Q in disguise; use the rational machinery directly
-        out = []
-        for g, m in factor_rational(UniPoly([K.coords(e)[0] for e in f])):
-            out.append((nf_from_unipoly(K, g), m))
-        return out
     fm = dense.monic(K, f)
     out = [(g, i) for a, i in dense.squarefree(K, fm) for g in _trager_squarefree(K, a)]
     out.sort(key=lambda t: nf_poly_key(K, t[0]))

@@ -9,9 +9,11 @@ Method: one Newton-polygon recursion over clusters of roots, as in Montes'
 algorithm.  It works in W = Z/p^N (`modp.Zp`, int elements) and its
 unramified extensions W[x]/(rho) (`modp.Zq`, tuples of W elements), each
 built over the ring the oracle is in; polynomials over W are `dense`
-lists of elements, and p and N are read off W.  N starts at the floor
-2*v_p(disc)+1 of the monic integral model g and doubles, for at most
-LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted.
+lists of elements, and p and N are read off W.  The input enters on
+integers G (`_prepare`), with g = G / G_n the monic integral model.  N
+starts at the floor 2*v_p(disc)+1 of g and doubles, for at most
+LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted; each
+rung reduces G mod p^N and divides by the unit G_n.
 
 1. `_cluster(W, g, center, floor, depth)` reads the factors of g whose
    roots y have v(y - center) > floor off the sides of the Newton polygon
@@ -64,7 +66,6 @@ oracle refuses rather than guesses.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, _valuation, discriminant
+from .exact import Rat, UniPoly, _cleared, _int_val, _valuation, discriminant
 from .modp import Zp, Zq, degree_blocks, factor_over, prime_field
 
 __all__ = [
@@ -89,10 +90,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # precision bookkeeping
 
-# Rungs of the precision ladder N = (2v+1) 2^k.  The last, (2v+1) 128, is at
-# least 2 max(50, 2v+10) for every v: the ladder reaches every precision of
-# the fixed two-rung ladder the oracle used to run, so no input that
-# certified there fails here.
+# Rungs of the precision ladder N = (2v+1) 2^k.
 LADDER_RUNGS = 8
 
 
@@ -125,44 +123,32 @@ class PadicPrecisionCtx:
         return _prepare(f.monic(), p)[1]
 
 
-def _prepare(f: UniPoly, p: int) -> tuple[UniPoly, PadicPrecisionCtx]:
-    """The monic integral model g of the monic f at the prime p (its
-    primality is the caller's to test), and its precision context.
-    g(Z) = p^(m n) f(Z / p^m) multiplies every root of f by p^m, so
-    v_p(disc g) = v_p(disc f) + m n (n - 1)."""
-    g, m = _integral_model(f, p)
-    d = _discriminant(f)
+def _prepare(f: UniPoly, p: int) -> tuple[list[int], PadicPrecisionCtx]:
+    """The integral model of the monic f at the prime p (its primality is
+    the caller's to test), and its precision context.  With A = a f the
+    integer form of f, m = max ceil((v_p(a) - v_p(A_i)) / (n - i)), at
+    least 0, is the least m that makes g(Z) = p^(m n) f(Z / p^m) integral,
+    and g = G / G_n for the integers G_i = p^(m (n - i)) A_i / p^v_p(a),
+    G_n a p-unit.  g multiplies every root of f by p^m, so v_p(disc g) =
+    v_p(disc f) + m n (n - 1)."""
+    A, d = _model(f)
     if d == 0:
         raise NotSeparable("input polynomial is not separable")
-    n = f.degree
+    n = len(A) - 1
+    va = _int_val(A[-1], p)
+    m = max([0] + [-((_int_val(c, p) - va) // (n - i)) for i, c in enumerate(A[:-1]) if c])
+    G = [c * p ** (m * (n - i)) // p**va for i, c in enumerate(A)]
     v = _valuation(d, p) + m * n * (n - 1)
-    return g, PadicPrecisionCtx(p=p, precision=2 * v + 1, disc_valuation=v)
+    return G, PadicPrecisionCtx(p=p, precision=2 * v + 1, disc_valuation=v)
 
 
 @functools.lru_cache(maxsize=32)
-def _discriminant(f: UniPoly) -> Rat:
-    """disc f, kept for the last few monic inputs: a specialization is
+def _model(f: UniPoly) -> tuple[tuple[int, ...], Rat]:
+    """(A, disc f) for the monic f, with A = a f its integer form
+    (`exact._cleared`), kept for the last few inputs: a specialization is
     checked at each of its meeting primes with the same polynomial."""
-    return discriminant(f)
-
-
-def _integral_model(f: UniPoly, p: int) -> tuple[UniPoly, int]:
-    """(g, m): the monic integral-at-p model g of the monic f, by the
-    substitution Y = Z/p^m with the least m >= 0; the local algebra (hence
-    every (e, f)) is unchanged."""
-    n = f.degree
-    m = 0
-    for i, c in enumerate(f.coeffs[:-1]):
-        if c == 0:
-            continue
-        v = _valuation(c, p)
-        if v < 0:
-            m = max(m, math.ceil(Fraction(-v, n - i)))
-    if m == 0:
-        return f, 0
-    return UniPoly(
-        [c * Fraction(p) ** (m * (n - i)) for i, c in enumerate(f.coeffs)]
-    ), m
+    (A,), _ = _cleared(f)
+    return tuple(A), discriminant(f)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +328,13 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     prime_field(p)
     if f.is_zero or f.degree < 1:
         raise DomainError("need a polynomial of degree >= 1")
-    g, ctx = _prepare(f.monic(), p)
+    G, ctx = _prepare(f.monic(), p)
     rungs = [ctx.precision << k for k in range(LADDER_RUNGS)]
     last_exc: Exception | None = None
     for N in rungs:
         W = Zp(p, N)
         try:
-            emissions = _cluster(W, [W.from_rat(c) for c in g.coeffs], W.zero, -1, 0)
+            emissions = _cluster(W, dense.monic(W, [W.from_int(c) for c in G]), W.zero, -1, 0)
             return LocalSplittingType(p=p, factors=_merge(emissions), certified=True)
         except PrecisionExhausted as exc:
             last_exc = exc

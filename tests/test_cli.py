@@ -324,6 +324,13 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "analyze", V4, "--prec", "64")[0] == 64  # no such option
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, doc, err = run(capsys, "verify", V4, "--t0", "21", "--jobs", jobs)
+    assert (code, doc) == (64, None)
+    assert f"argument --jobs: invalid positive int value: '{jobs}'" in err
+
+
 def test_malformed_cover_exit_64(tmp_path, capsys):
     def cover(**over):
         return json.dumps({"name": "x", "group_order": 2, "P": [["0", "-1"], ["0"], ["1"]],

@@ -243,7 +243,7 @@ def _total_degree(P: BiPoly) -> int:
 @given(st.data(), st.booleans())
 def test_disc_y_through_the_tighter_degree_bound_matches_sympy(data, triangular):
     P = data.draw(_shaped_cover(triangular))
-    PY = P.deriv_y()
+    PY = BiPoly([row.scale(i) for i, row in enumerate(P.rows)][1:])
     m = P.degree_y
     sylvester_bound = (m - 1) * max(r.degree for r in P.rows) + m * max(r.degree for r in PY.rows)
     total_bound = _total_degree(P) * _total_degree(PY)

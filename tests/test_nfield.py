@@ -241,11 +241,31 @@ def test_relative_min_poly_needs_a_generator():
         relative_min_poly(adj.field, tau, tau, K.degree)
 
 
-def test_degree_one_field_fast_path():
+def test_degree_one_field_factors():
     K = NumberField(upoly(0, 1))  # Q presented as Q[x]/(x)
     assert K.degree == 1
     fac = factor_nf(K, [K.from_rat(Fraction(-1)), K.zero, K.from_rat(Fraction(1))])
     assert len(fac) == 2
+
+
+_small_factor = st.lists(st.fractions(-6, 6, max_denominator=4), min_size=1, max_size=3).map(
+    lambda cs: UniPoly(cs + [Fraction(1)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(-20, 20, max_denominator=6),
+       st.lists(_small_factor, min_size=1, max_size=4),
+       st.fractions(-9, 9, max_denominator=5).filter(bool))
+def test_factor_nf_over_a_degree_one_field_is_factor_rational(a, factors, lc):
+    # Trager over Q[x]/(x - a): at the first shift, s = 0, the norm of h is
+    # h itself, so the factors are factor_rational's; f repeats its first
+    # factor, so that multiplicities show
+    K = NumberField(UniPoly([-a, Fraction(1)]))
+    f = UniPoly.const(lc)
+    for g in factors + factors[:1]:
+        f = f * g
+    want = [(nfield.nf_from_unipoly(K, g), m) for g, m in factor_rational(f)]
+    assert factor_nf(K, nfield.nf_from_unipoly(K, f)) == want
 
 
 def test_number_field_inverse():

@@ -156,6 +156,61 @@ def test_quadratic_class_consistent_with_oracle(n, p):
         assert st_.factors == ((2, 1, 1),)
 
 
+@st.composite
+def _square_roots(draw):
+    """(p, [a_1, ..., a_k]) for 1 to 3 distinct nonzero a_i with p-power
+    denominators, so that clearing f = prod (x^2 - a_i) takes a power of p
+    and the integral model rescales its roots.  Each a_i after the first
+    is either drawn afresh or agrees with an earlier one to p^2 through
+    p^12, so that their roots share a cluster and the oracle recenters,
+    in the unramified quadratic extension when the shared residue is a
+    non-square."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    unit = st.integers(1, p**3).filter(lambda c: c % p)
+
+    def fresh():
+        num = draw(unit) * draw(st.sampled_from([1, -1])) * p ** draw(st.integers(0, 3))
+        return Fraction(num, p ** draw(st.integers(0, 4)))
+
+    a = [fresh()]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            a.append(fresh())
+        else:
+            a.append(draw(st.sampled_from(a)) + p ** draw(st.integers(2, 12)) * draw(unit))
+    assume(0 not in a and len(set(a)) == len(a))
+    return p, a
+
+
+def _quadratic_closed_form(a, p):
+    """(e, f) of x^2 - a over Q_p, odd p: e = 2 iff v_p(a) is odd;
+    otherwise f = 2 iff the unit part of a is a non-residue mod p."""
+    v = rational_valuation(a, p)
+    if v % 2:
+        return 2, 1
+    u = a / Fraction(p) ** v
+    residue = u.numerator * pow(u.denominator, -1, p) % p
+    return (1, 2) if pow(residue, (p - 1) // 2, p) != 1 else (1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_roots())
+def test_products_of_quadratics_match_the_closed_form(data):
+    p, a = data
+    f = upoly(1)
+    want: dict[tuple[int, int], int] = {}
+    for ai in a:
+        f = f * upoly(-ai, 0, 1)
+        e, fr = _quadratic_closed_form(ai, p)
+        want[(e, fr)] = want.get((e, fr), 0) + 2 // (e * fr)
+    try:
+        got = local_splitting_type(f, p).factors
+    except WildOrIrregular as exc:
+        assert "fractional slope with inseparable residual" in str(exc)
+        return
+    assert got == tuple((e, fr, c) for (e, fr), c in sorted(want.items()))
+
+
 # ---------------------------------------------------------------------------
 # the rings of the oracle, and the Hensel lift (`nfield`) that the cluster
 # test below reads the oracle against
@@ -605,13 +660,13 @@ def test_discriminant_computed_once_per_polynomial(monkeypatch):
     calls = []
     real = gsl.padic.discriminant
     monkeypatch.setattr(gsl.padic, "discriminant", lambda f: calls.append(f) or real(f))
-    gsl.padic._discriminant.cache_clear()
+    gsl.padic._model.cache_clear()
     f = upoly(-1001, 0, 0, 1)
     for p in (5, 7, 11, 13):
         local_splitting_type(f, p)
         local_splitting_type(f.scale(5), p)  # the same monic input
     assert calls == [f]
-    gsl.padic._discriminant.cache_clear()
+    gsl.padic._model.cache_clear()
 
 
 def test_precision_context_rejects_a_composite_modulus():
@@ -658,12 +713,12 @@ def _ladder(split, f, p):
     """What `split` gives at each rung of the oracle's ladder for f at p,
     merged as the oracle's answer, up to the first answer or refusal (a
     failed rung as its error's name)."""
-    g, ctx = gsl.padic._prepare(f.monic(), p)
+    G, ctx = gsl.padic._prepare(f.monic(), p)
     out = []
     for k in range(gsl.padic.LADDER_RUNGS):
         W = Zp(p, ctx.precision << k)
         try:
-            out.append(gsl.padic._merge(split(W, [W.from_rat(c) for c in g.coeffs])))
+            out.append(gsl.padic._merge(split(W, dense.monic(W, [W.from_int(c) for c in G]))))
             break
         except PrecisionExhausted:
             out.append("PrecisionExhausted")
@@ -684,9 +739,10 @@ def test_clusters_read_on_the_whole_f_match_clusters_read_on_lifted_blocks(data)
     # and the rungs at which they are certified, are those of the lift
     p, f = data
     assume(discriminant(f) != 0)
-    fbar = [int(c) % p for c in gsl.padic._prepare(f.monic(), p)[0].coeffs]
-    degrees = {len(g) - 1 for block, _, mult in degree_blocks(prime_field(p), fbar)
-               if mult > 1 for g, _ in factor_over(prime_field(p), block)}
+    F = prime_field(p)
+    fbar = dense.monic(F, [F.from_int(c) for c in gsl.padic._prepare(f.monic(), p)[0]])
+    degrees = {len(g) - 1 for block, _, mult in degree_blocks(F, fbar)
+               if mult > 1 for g, _ in factor_over(F, block)}
     assume(degrees and degrees <= {1, 2})
     assert (_ladder(lambda W, g: _cluster(W, g, W.zero, -1, 0), f, p)
             == _ladder(_splitting_through_lifted_blocks, f, p))
