@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
-from .errors import DomainError, HypothesisViolation, NonUniform, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
+from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes, frobenius_orders
+from .errors import DomainError, HypothesisViolation, NotFound, NotSeparable, PrecisionExhausted, WildOrIrregular
 from .exact import JsonRecord, Rat, UniPoly, discriminant, factor_int, is_prime, rational_valuation, _valuation
-from .modp import frobenius_data, roots_mod_p
+from .modp import frobenius_data
 from .nfield import is_irreducible_rational
 from .padic import LocalSplittingType, local_splitting_type
-from .specialize import frobenius_order_at_branch, specialize_poly
+from .specialize import specialize_poly
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +259,17 @@ def _obstruction_residues(
     locus splits into distinct linear factors mod p (its residues are
     its roots mod p; the point at infinity meets at residue 0), and at
     every residue the branch residue field splits completely: Frobenius
-    has order 1 there, read by `frobenius_order_at_branch` exactly as a
-    prediction reads it (a residue field that degenerates at p, which
-    raises NonUniform, makes p no obstruction prime)."""
+    has order 1 there.  Both are read off `covers.frobenius_orders`, the
+    table a prediction reads (a residue field that degenerates at p, an
+    entry None, makes p no obstruction prime)."""
     if p == 2 or p in bad or p % q != 1 or not is_prime(p):
         return None
     out = []
     for bp in branches:
-        if bp.locus is None:
-            roots = [0]
-        else:
-            roots = roots_mod_p(bp.locus, p)
-            if len(roots) != bp.locus.degree:
-                return None
-        try:
-            if any(frobenius_order_at_branch(bp, p, a) != 1 for a in roots):
-                return None
-        except NonUniform:
+        table = frobenius_orders(bp, p)
+        if len(table) != bp.residue.base.degree or any(f != 1 for f in table.values()):
             return None
-        out.append(roots)
+        out.append(list(table))
     return out
 
 

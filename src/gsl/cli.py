@@ -255,13 +255,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_adequacy(args) -> int:
     cover = _load(args.cover)
     if args.search:
-        try:
-            t0, cert = adequate_specialization_search(
-                cover, start=args.start, count=args.count, bound=args.bound)
-        except NotFound as exc:
-            _emit({"error": "DomainError", "message": str(exc)})
-            _say(args.summary, str(exc))
-            return EX_NOT_FOUND
+        t0, cert = adequate_specialization_search(
+            cover, start=args.start, count=args.count, bound=args.bound)
     else:
         if args.t0 is None:
             raise _CliUsage("adequacy needs --t0 RAT or --search")
@@ -305,13 +300,7 @@ def _cmd_frobenius_primes(args) -> int:
 
 def _cmd_realize(args) -> int:
     cover = _load(args.cover)
-    try:
-        t0 = realize_local_class(cover, args.prime, args.target,
-                                 bound=args.bound)
-    except NotFound as exc:
-        _emit({"error": "DomainError", "message": str(exc)})
-        _say(args.summary, str(exc))
-        return EX_NOT_FOUND
+    t0 = realize_local_class(cover, args.prime, args.target, bound=args.bound)
     _emit({"cover": cover.name, "prime": args.prime, "target": args.target,
            "t0": t0})
     _say(args.summary,
@@ -435,6 +424,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliUsage as exc:
         sys.stderr.write(f"gsl: {exc}\n")
         return EX_USAGE
+    except NotFound as exc:
+        # a search that finds nothing: the DomainError document, exit 1
+        _emit({"error": "DomainError", "message": str(exc)})
+        _say(args.summary, str(exc))
+        return EX_NOT_FOUND
     except (GslError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         sys.stderr.write(f"gsl: {exc}\n")

@@ -27,6 +27,11 @@ truncated and no precision grows.  Its one guard is a depth cap, the
 `prec` argument of `puiseux_at`: a path through more Newton polygons than
 that raises UnstableResidueField.  Each level holds at most deg_Y P
 clusters, so the cap bounds the work.
+
+A branch's residue field is read at a good prime p in one place,
+`frobenius_orders`: the Frobenius order at each root of the locus mod p,
+computed once per (branch, p) and shared by the predictions of
+`specialize` and the obstruction search of `applications`.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 from . import dense
 from .errors import (
@@ -49,7 +55,7 @@ from .errors import (
     UnstableResidueField,
 )
 from .exact import BiPoly, JsonRecord, Rat, UniPoly, disc_y, discriminant, factor_int, is_prime, squarefree_part
-from .modp import frobenius_data, seed_from_env
+from .modp import frobenius_data, reduce_relative, roots_mod_p, seed_from_env
 from .nfield import (
     Adjunction,
     NumberField,
@@ -467,6 +473,27 @@ def branch_points(cover: Cover) -> tuple[BranchPoint, ...]:
     of the Galois hypothesis; NonUniformRamification otherwise.  This
     reads `cover.analysis`."""
     return cover.analysis.branches
+
+
+@functools.lru_cache(maxsize=512)
+def frobenius_orders(branch: BranchPoint, p: int) -> MappingProxyType[int, int | None]:
+    """A branch's residue field read at a good prime p: each root a of its
+    locus mod p, ascending (a = 0 alone for the point at infinity), mapped
+    to the order of Frobenius at the place (p, a), the common degree of
+    the irreducible factors of the relative minimal polynomial reduced
+    there; None where that reduction has a repeated factor or factors of
+    unequal degrees (the branch degenerates at p).  Computed once per
+    (branch, p) for the last 512 pairs asked for, and shared read-only by
+    the predictions and the obstruction search."""
+    rel = branch.residue
+    table = {}
+    for a in roots_mod_p(rel.base, p):
+        try:
+            degs = set(frobenius_data(reduce_relative(rel.rel, rel.base, (p, a)), p))
+        except NotSeparable:
+            degs = set()
+        table[a] = degs.pop() if len(degs) == 1 else None
+    return MappingProxyType(table)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ is not prime"), `Zp.from_rat` the one reduction of a rational mod p^N
 of `padic` go through it; the oracle itself reduces the integer model
 that `padic._prepare` returns), and `exact._int_val` the one integer
 valuation loop (`Zp.val`, `Zq.val`, `exact._valuation` and the oracle's
-integral model).  A branch residue field is read at p by one question,
-the Frobenius order of `frobenius_data`, for the predictions and the
-obstruction search alike.
+integral model).  A branch residue field is read at p by one table,
+`covers.frobenius_orders`, asked once per (branch, p): the Frobenius
+order of `frobenius_data` at each root of the locus mod p, for the
+predictions and the obstruction search alike.
 
 Factorization runs in three steps (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 14): squarefree decomposition (`dense.squarefree`,
@@ -360,19 +361,13 @@ def factor_over(F, f, blocks=None) -> list[tuple[list, int]]:
 
 
 def roots_over(F, f) -> list:
-    """Distinct roots of f in F.
-
-    gcd(x^q - x, f) is squarefree and splits into exactly the linear
-    factors of f, so one equal-degree split finishes the job.
-    """
+    """Distinct roots of f in F, sorted: the linear factors that
+    `factor_over` splits out of the degree-one blocks of `degree_blocks`."""
     f = dense.trim(F, list(f))
     if not f:
         raise DomainError("roots of the zero polynomial")
-    if len(f) == 1:
-        return []
-    xq = dense.powmod(F, [F.zero, F.one], F.q, f)
-    lin = dense.gcd(F, dense.sub(F, xq, [F.zero, F.one]), f)
-    return sorted(F.neg(g[0]) for g in _edf(F, lin, 1)) if len(lin) > 1 else []
+    blocks = [b for b in degree_blocks(F, f) if b[1] == 1]
+    return sorted(F.neg(g[0]) for g, _ in factor_over(F, f, blocks))
 
 
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:

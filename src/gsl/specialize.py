@@ -15,7 +15,8 @@ outside the cover's conservative bad set:
   * a meeting of multiplicity a against a branch of inertia order e
     predicts ramification index e / gcd(a, e); when gcd(a, e) = 1 the
     prediction is exact and pins the residue degree f as the Frobenius
-    order in the branch residue field at the meeting place; otherwise only
+    order in the branch residue field at the meeting place, looked up in
+    the branch's table at p (`covers.frobenius_orders`); otherwise only
     divisibility information survives (f is a multiple of that order);
   * every prediction is checked against the independent local splitting
     oracle and the comparison recorded as a verdict.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes
+from .covers import BranchPoint, Cover, branch_points, conservative_bad_primes, frobenius_orders
 from .errors import (
     ChartMixing,
     DomainError,
@@ -36,7 +37,6 @@ from .errors import (
     MeetingUniquenessError,
     NonUniform,
     NotFound,
-    NotSeparable,
     PrecisionExhausted,
     WildOrIrregular,
 )
@@ -50,7 +50,7 @@ from .exact import (
     factor_int,
     is_prime,
 )
-from .modp import frobenius_data, prime_field, reduce_relative
+from .modp import prime_field
 from .padic import LocalSplittingType, local_splitting_type, quadratic_local_class
 
 
@@ -187,25 +187,6 @@ class DecompositionPrediction(JsonRecord):
     meeting: MeetingDatum | None
 
 
-def frobenius_order_at_branch(branch: BranchPoint, p: int, residue: int) -> int:
-    """Order of Frobenius at p in the residue field of the branch places,
-    at the place of the branch point's field pinned by tau = residue mod p:
-    the common degree of the irreducible factors of the relative minimal
-    polynomial reduced there."""
-    rel = branch.residue
-    reduced = reduce_relative(list(rel.rel), rel.base, (p, residue))
-    try:
-        degs = set(frobenius_data(reduced, p))
-    except NotSeparable:
-        degs = set()
-    if len(degs) != 1:
-        raise NonUniform(
-            f"branch residue data degenerates at p = {p}; "
-            "the prime must be treated as bad"
-        )
-    return degs.pop()
-
-
 def predict_decomposition(cover: Cover, t0: Rat, p: int) -> DecompositionPrediction:
     """The tame prediction at p for the specialization at t0.  Nothing is
     claimed at a prime of the cover's conservative bad set: after a point
@@ -231,7 +212,12 @@ def _predict(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> 
     branch = pairs[0][0]
     e = branch.ram_index
     g = math.gcd(meet.multiplicity, e)
-    fb = frobenius_order_at_branch(branch, p, meet.residue)
+    fb = frobenius_orders(branch, p)[meet.residue]
+    if fb is None:
+        raise NonUniform(
+            f"branch residue data degenerates at p = {p}; "
+            "the prime must be treated as bad"
+        )
     if g == 1:
         return DecompositionPrediction(
             prime=p, mode="exact", e=e, f=fb, f_lower=None, meeting=meet,

@@ -1,6 +1,7 @@
 """Adequacy certificates, Frobenius prime search, obstruction reports."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,11 @@ from gsl.applications import (
     grunwald_obstruction,
     parametric_obstruction_report,
 )
-from gsl.covers import branch_points, conservative_bad_primes, load_cover
+from gsl.covers import branch_points, conservative_bad_primes, frobenius_orders, load_cover
 from gsl.errors import DomainError, NotFound, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, _valuation
 from gsl.padic import LocalSplittingType, local_splitting_type
-from gsl.specialize import specialize_poly
+from gsl.specialize import MATCH, ORACLE_FAILURE, specialize_poly, verify_specialization
 from test_covers import _C6, _translate
 
 
@@ -98,7 +99,7 @@ def test_adequacy_guards():
 
 def test_adequacy_witness_oracles_replayable(covers):
     from gsl.padic import local_splitting_type
-    from gsl.specialize import specialize_poly
+    from gsl.specialize import MATCH, ORACLE_FAILURE, specialize_poly, verify_specialization
 
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
     cert = adequacy_certificate(v4, Fraction(21))
@@ -150,7 +151,7 @@ def test_grunwald_obstruction_without_a_control_sample():
 def test_grunwald_non_vacuity(covers):
     # at the non-obstruction prime 7, a specialization attains e*f = 4
     from gsl.padic import local_splitting_type
-    from gsl.specialize import specialize_poly
+    from gsl.specialize import MATCH, ORACLE_FAILURE, specialize_poly, verify_specialization
 
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
     st = local_splitting_type(specialize_poly(v4, Fraction(7)), 7)
@@ -297,3 +298,40 @@ def test_a_precision_refusal_turns_the_report_into_no_obstruction(covers, monkey
     assert report.status == NO_OBSTRUCTION_FOUND and not report.certificate.all_ok
     refused = [(t.prime, t.t0, t.note) for t in report.certificate.transcripts if not t.ok]
     assert refused == [(13, Fraction(2), "oracle refused: PrecisionExhausted: no rung certifies")]
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius table of a branch at a prime, against the oracle
+
+
+def _meets_once(bp, a, p):
+    """The first t0 meeting bp at the place (p, a) with multiplicity one:
+    1/p at infinity, else the first a + kp with v_p(m(t0)) = 1."""
+    if bp.locus is None:
+        return Fraction(1, p)
+    return next(t0 for k in itertools.count()
+                if (m := bp.locus(t0 := Fraction(a + k * p))) != 0 and _valuation(m, p) == 1)
+
+
+def test_every_table_entry_is_the_residue_degree_the_oracle_finds(covers):
+    # each (a, order) in the table of each branch at each odd good p < 60 is
+    # an exact prediction f = order at a t0 meeting the place (p, a) once,
+    # which the oracle confirms or refuses with its documented scope limit:
+    # C6's branch at infinity has fractional slopes with inseparable
+    # residuals there
+    refusal = "fractional slope with inseparable residual: outside the certified scope of this oracle"
+    outcomes = []
+    for cover in [*covers.values(), _translated("c6", _C6, 6, 0)]:
+        bad = conservative_bad_primes(cover)
+        for p in range(3, 60):
+            if not sp.isprime(p) or p in bad:
+                continue
+            for bp in branch_points(cover):
+                for a, order in frobenius_orders(bp, p).items():
+                    t0 = _meets_once(bp, a, p)
+                    [entry] = verify_specialization(cover, t0, primes=[p]).entries
+                    pred = entry.prediction
+                    assert (pred.mode, pred.e, pred.f) == ("exact", bp.ram_index, order), (cover.name, p, a)
+                    assert (entry.verdict, entry.note) in [(MATCH, ""), (ORACLE_FAILURE, refusal)], (cover.name, p, a)
+                    outcomes.append(entry.verdict)
+    assert outcomes.count(MATCH) > 100

@@ -11,6 +11,7 @@ import gsl.covers
 import gsl.specialize
 from gsl.cli import main
 from gsl.errors import NonUniform, WildOrIrregular
+from gsl.exact import UniPoly
 from gsl.padic import LocalSplittingType
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gsl" / "data"
@@ -143,12 +144,35 @@ def test_verify_oracle_failure_exit_3(capsys, monkeypatch, patch):
     def fail(*args):
         raise NonUniform("degenerate") if patch == "prediction" else WildOrIrregular("wild")
 
-    target = "frobenius_order_at_branch" if patch == "prediction" else "local_splitting_type"
+    target = "frobenius_orders" if patch == "prediction" else "local_splitting_type"
     monkeypatch.setattr(gsl.specialize, target, fail)
     code, doc, _ = run(capsys, "verify", V4, "--t0", "21")
     assert code == 3
     assert doc["worst"] == "ORACLE_FAILURE"
     assert {e["prime"] for e in doc["entries"] if e["verdict"] == "ORACLE_FAILURE"} == {5, 7}
+
+
+def test_a_batch_reads_a_branch_at_a_prime_once(capsys, monkeypatch):
+    # t0 = 5, 10, 15, 20 each meet the branch T at p = 5 with multiplicity
+    # one: its Frobenius table at 5 is read for the first of them only, and
+    # a second run, which loads the cover anew, finds it by value
+    reads = []
+    real = gsl.covers.reduce_relative
+
+    def spy(rel, base, place):
+        reads.append((base, place))
+        return real(rel, base, place)
+
+    gsl.covers.frobenius_orders.cache_clear()
+    monkeypatch.setattr(gsl.covers, "reduce_relative", spy)
+    t0s = [arg for t0 in ("5", "10", "15", "20") for arg in ("--t0", t0)]
+    for _ in range(2):
+        code, doc, _ = run(capsys, "verify", V4, *t0s, "--primes", "5")
+        assert code == 0
+        meetings = [e["prediction"]["meeting"] for r in doc["reports"] for e in r["entries"]]
+        assert [(m["multiplicity"], m["residue"]) for m in meetings] == [(1, 0)] * 4
+    assert reads == [(UniPoly([0, 1]), (5, 0))]
+    gsl.covers.frobenius_orders.cache_clear()
 
 
 def test_verify_batch_with_a_mismatch_exits_2(capsys, monkeypatch):

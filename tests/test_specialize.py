@@ -334,14 +334,19 @@ def test_verify_explicit_prime_list(covers):
 
 
 def test_a_failed_prediction_is_an_oracle_failure_entry(covers, monkeypatch):
-    def degenerate(branch, p, residue):
-        raise NonUniform(f"branch residue data degenerates at p = {p}")
+    real = gsl.specialize.frobenius_orders
 
-    monkeypatch.setattr(gsl.specialize, "frobenius_order_at_branch", degenerate)
+    def degenerate(branch, p):
+        return {a: None for a in real(branch, p)}
+
+    monkeypatch.setattr(gsl.specialize, "frobenius_orders", degenerate)
     rep = verify_specialization(covers["v4_sqrt_t_sqrt_t_minus_1"], Fraction(21))
     [entry] = [e for e in rep.entries if e.prime == 7]
     assert (entry.prediction, entry.oracle, entry.verdict) == (None, None, ORACLE_FAILURE)
-    assert entry.note == "prediction failed: branch residue data degenerates at p = 7"
+    assert entry.note == (
+        "prediction failed: branch residue data degenerates at p = 7; "
+        "the prime must be treated as bad"
+    )
     assert rep.worst == ORACLE_FAILURE
 
 
