@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -362,9 +363,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle",
                        help="certified local splitting type of a polynomial at p")
     p.add_argument("--coeffs", required=True,
-                   help="comma-separated rational coefficients, ascending "
-                        "degree; use --coeffs=-10,0,1 when the first one "
-                        "is negative")
+                   help="comma-separated rational coefficients, ascending degree")
     p.add_argument("--prime", type=int, required=True)
     summary_arg(p)
     p.set_defaults(func=_cmd_oracle)
@@ -416,10 +415,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """`--t0 -3/7` as `--t0=-3/7`, and `--coeffs` alike: argparse reads `-3/7` as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--t0", "--coeffs") and re.match("-[0-9]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except _CliUsage as exc:
         sys.stderr.write(f"gsl: {exc}\n")

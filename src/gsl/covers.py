@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,39 +262,30 @@ def _h_eval_x0(K, H: list[list]) -> list:
 def _duval_transform(K, H, q: int, mslope: int, u: int, v: int, w0, ell: int):
     """H(w0^v x^q, x^mslope (w0^u + y)) / x^ell, rows by y-degree.
 
-    Every monomial c x^a y^i maps to
-      c w0^(v a) x^(q a) x^(mslope i) (w0^u + y)^i,
-    and the whole polynomial is exactly divisible by x^ell (the minimum of
-    q a + mslope i over the support, attained on the polygon side)."""
-    n = len(H) - 1
-    w0u = dense.power(K, w0, u)
-    w0u_pows = [K.one]
-    for _ in range(n):
-        w0u_pows.append(K.mul(w0u_pows[-1], w0u))
-    out: list[list] = [[] for _ in range(n + 1)]
+    Every monomial c x^a y^i maps to c w0^(v a) x^(q a + mslope i - ell)
+    (w0^u + y)^i: rows are scaled into place, then each x-column is shifted
+    by w0^u.  x^ell divides (ell is the minimum of q a + mslope i over the
+    support, attained on the polygon side); a shift is invertible, so that
+    is checked on the input exponents."""
+    wv = dense.power(K, w0, v)
+    wv_pows = [K.one]
+    for _ in range(max(map(len, H)) - 1):
+        wv_pows.append(K.mul(wv_pows[-1], wv))
+    cols: list[list] = []
     for i, row in enumerate(H):
         for a, c in enumerate(row):
             if K.is_zero(c):
                 continue
-            base = K.mul(c, dense.power(K, w0, v * a))
-            shift = q * a + mslope * i
-            # distribute over (w0^u + y)^i
-            for b in range(i + 1):
-                coeff = K.scale(K.mul(base, w0u_pows[i - b]), math.comb(i, b))
-                row_out = out[b]
-                while len(row_out) <= shift:
-                    row_out.append(K.zero)
-                row_out[shift] = K.add(row_out[shift], coeff)
-    shifted: list[list] = []
-    for row in out:
-        row = dense.trim(K, row)
-        if row:
-            if _kx_val(K, row) < ell:
+            e = q * a + mslope * i - ell
+            if e < 0:
                 raise DomainError(f"the transform is not divisible by x^{ell}")
-            shifted.append(row[ell:])
-        else:
-            shifted.append(row)
-    return shifted
+            while len(cols) <= e:
+                cols.append([K.zero] * len(H))
+            cols[e][i] = K.mul(c, wv_pows[a])
+    w0u = dense.power(K, w0, u)
+    cols = [dense.shift(K, dense.trim(K, col), w0u) for col in cols]
+    return [dense.trim(K, [col[b] if b < len(col) else K.zero for col in cols])
+            for b in range(len(H))]
 
 
 @dataclass

@@ -42,6 +42,9 @@ differences over Z, the one interpolation: the resultants of `exact` (in
 `disc_y` and the Trager norms of `nfield`) lie in Z[T] and are evaluated
 at integer points, and the divided differences of an integer polynomial
 at integer nodes are integers, so every division is exact and checked.
+`shift` is the one Taylor shift a(x + c): the branch coordinate and the
+Duval step of `covers`, the Trager norms of `nfield`, and the oracle's
+cluster centres.
 `squarefree` is Musser's squarefree decomposition, the one for every
 field: Q, number fields and F_q, where the part whose multiplicities p
 divides is a p-th power decomposed through its p-th root (von zur Gathen &

@@ -619,7 +619,7 @@ def discriminant(f: UniPoly) -> Rat:
     if n == 1:
         return Fraction(1)
     (A,), a = _cleared(f)
-    r = _subresultant(A, [i * c for i, c in enumerate(A)][1:])
+    r = _subresultant(A, dense.deriv(INTEGERS, A))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return Fraction(sign * r, A[-1] * a ** (2 * n - 2))
 

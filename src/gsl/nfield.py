@@ -31,9 +31,10 @@ point, no randomness.  The pieces:
     divides over Z cannot split further.
   * factor_nf -- factorization in K[y], for K of every degree (Q
     itself included): squarefree split, then Trager's norm method on
-    each squarefree part.  The norm polynomial
-    is the bivariate resultant Res_x(M(x), h(z - s x)) of `exact`, which
-    is prod_k h(z - s alpha_k) because M is monic.  One factor per
+    each squarefree part.  The norm polynomial of h(z - s theta), one
+    Taylor shift (`dense.shift`) read in the coordinates of K as H(z, x),
+    is the bivariate resultant Res_x(M(x), H(z, x)) of `exact`, which is
+    prod_k h(z - s alpha_k) because M is monic.  One factor per
     norm factor comes from a gcd with what is left of h; the last is that
     rest, by exact division.  The norm is proved squarefree once, and its
     factors come from the same per-part Zassenhaus step as factor_rational's
@@ -501,27 +502,22 @@ def is_irreducible_rational(f: UniPoly) -> bool:
 
 
 def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
-    """N(z) = Res_x(M(x), H(z, x)), where M is the modulus and
-    H(z, x) = sum_i h_i(x) (z - s*x)^i: the norm from K to Q of
-    h(z - s*theta).  M is monic, so the resultant is prod_k H(z, alpha_k)
-    over the roots alpha_k of M, whatever the x-degree of H.  H is built
-    as integer rows over one denominator L, and K keeps its modulus
-    cleared, as a M for the least a > 0, so `_resultant_rows` computes
-    Res_x(a M, L H) = a^deg_x(H) L^deg(M) N directly on them, from
-    deg(M)*deg(h) + 1 integer points, the Sylvester bound plus one."""
+    """N(z) = Res_x(M(x), H(z, x)) for the modulus M: the norm from K to Q
+    of g(z) = h(z - s*theta), one `dense.shift`, whose coefficients'
+    coordinates are the rows of H, of x-degree < deg(M).  M is monic, so
+    the resultant is prod_k H(z, alpha_k) over the roots alpha_k of M and
+    depends on H mod M alone.  H is read as integer rows over one
+    denominator L, and K keeps its modulus cleared, as a M for the least
+    a > 0, so `_resultant_rows` computes Res_x(a M, L H) =
+    a^deg_x(H) L^deg(M) N directly on them, from deg(M)*deg(h) + 1 integer
+    points, the Sylvester bound plus one."""
     d = len(h) - 1
     if d < 1 or not K.eq(h[-1], K.one):
         raise DomainError("the norm needs a monic h of degree >= 1")
     D = K.degree * d
-    L = math.lcm(*(a[-1] for a in h))
-    rows = [[0] * (d + 1) for _ in range(K.degree + d)]
-    for i, a in enumerate(h):
-        for k in range(i + 1):
-            w = L // a[-1] * math.comb(i, k) * (-s) ** k
-            for j, c in enumerate(a[:-1]):
-                rows[j + k][i - k] += w * c
-    for row in rows:
-        dense.trim(dense.INTEGERS, row)
+    g = dense.shift(K, h, K.scale(K.gen(), -s))
+    L = math.lcm(*(c[-1] for c in g))
+    rows = [dense.trim(dense.INTEGERS, [L // c[-1] * c[j] for c in g]) for j in range(K.degree)]
     while not rows[-1]:
         rows.pop()
     a = K._red_den

@@ -346,6 +346,22 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "analyze", "/does/not/exist.json")[0] == 64
     assert run(capsys, "oracle", "--coeffs", "1,junk", "--prime", "5")[0] == 64
     assert run(capsys, "analyze", V4, "--prec", "64")[0] == 64  # no such option
+    assert run(capsys, "verify", V4, "--t0", "--summary")[0] == 64  # --t0 without a value
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bundled:v4_sqrt_t_sqrt_t_minus_1", "--t0", "-3/7"],
+    ["predict", "bundled:c3_shanks", "--t0", "-1/2", "--prime", "7"],
+    ["oracle", "--coeffs", "-10,0,1", "--prime", "5"],
+    ["adequacy", "bundled:v4_sqrt_t_sqrt_t_minus_1", "--t0", "-3/7"],
+])
+def test_a_negative_value_parses_in_both_forms(capsys, argv):
+    # argparse alone reads `-3/7` and `-10,0,1` as options, not as values
+    i = argv.index("--t0" if "--t0" in argv else "--coeffs")
+    joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    got = [(main(a), capsys.readouterr()) for a in (argv, joined)]
+    assert got[0] == got[1]
+    assert json.loads(got[0][1].out)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -369,6 +369,11 @@ def test_duval_transform_matches_pointwise_evaluation(data):
         rhs = dense.scale(K, dense.shift(K, dense.trim(K, in_y), dense.power(K, w0, u)),
                           K.scale(K.one, x0 ** -ell))
         assert lhs == rhs
+        # and at points (x0, y0), by Horner alone: no shift on either side
+        for y0 in (Fraction(0), Fraction(2), Fraction(-1, 3)):
+            Y = K.mul(dense.power(K, x, m), K.add(dense.power(K, w0, u), K.scale(K.one, y0)))
+            at_y0 = dense.evaluate(K, [dense.evaluate(K, row, X) for row in H], Y)
+            assert dense.evaluate(K, lhs, K.scale(K.one, y0)) == K.scale(at_y0, x0 ** -ell)
 
 
 # ---------------------------------------------------------------------------
