@@ -53,8 +53,8 @@ from .errors import (
     SchemaError,
     UnstableResidueField,
 )
-from .exact import BiPoly, JsonRecord, Rat, UniPoly, disc_y, discriminant, factor_int, is_prime, squarefree_part
-from .modp import frobenius_data, reduce_relative, roots_mod_p, seed_from_env
+from .exact import BiPoly, JsonRecord, Rat, UniPoly, disc_y, discriminant, factor_int, is_prime
+from .modp import degree_blocks, frobenius_data, prime_field, reduce_relative, roots_mod_p, seed_from_env
 from .nfield import (
     Adjunction,
     NumberField,
@@ -469,20 +469,18 @@ def branch_points(cover: Cover) -> tuple[BranchPoint, ...]:
 def frobenius_orders(branch: BranchPoint, p: int) -> MappingProxyType[int, int | None]:
     """A branch's residue field read at a good prime p: each root a of its
     locus mod p, ascending (a = 0 alone for the point at infinity), mapped
-    to the order of Frobenius at the place (p, a), the common degree of
-    the irreducible factors of the relative minimal polynomial reduced
-    there; None where that reduction has a repeated factor or factors of
-    unequal degrees (the branch degenerates at p).  Computed once per
-    (branch, p) for the last 512 pairs asked for, and shared read-only by
-    the predictions and the obstruction search."""
+    to the order of Frobenius at the place (p, a): the degree r of the
+    relative minimal polynomial's reduction there when `degree_blocks`
+    reads it as one block (., r, 1), every factor simple and of degree r;
+    None where the reduction is a constant, has a repeated factor or has
+    factors of unequal degrees (the branch degenerates at p).  Computed
+    once per (branch, p) for the last 512 pairs asked for, and shared
+    read-only by the predictions and the obstruction search."""
     rel = branch.residue
     table = {}
     for a in roots_mod_p(rel.base, p):
-        try:
-            degs = set(frobenius_data(reduce_relative(rel.rel, rel.base, (p, a)), p))
-        except NotSeparable:
-            degs = set()
-        table[a] = degs.pop() if len(degs) == 1 else None
+        blocks = degree_blocks(prime_field(p), reduce_relative(rel.rel, rel.base, (p, a)))
+        table[a] = blocks[0][1] if len(blocks) == 1 and blocks[0][2] == 1 else None
     return MappingProxyType(table)
 
 
@@ -517,8 +515,8 @@ def conservative_bad_primes(cover: Cover) -> frozenset[int]:
 def _analyze(cover: Cover) -> CoverAnalysis:
     n = cover.degree
     disc = disc_y(cover.poly)
-    sf = squarefree_part(disc)
-    loci: list[UniPoly | None] = [f for f, _ in factor_rational(sf)]
+    loci: list[UniPoly | None] = [f for f, _ in factor_rational(disc)]
+    disc_sf = functools.reduce(UniPoly.__mul__, loci, UniPoly.const(1))
     loci.append(None)
     branches = []
     rh_sum = 0
@@ -554,8 +552,8 @@ def _analyze(cover: Cover) -> CoverAnalysis:
     moduli = tuple(_abs_residue_modulus(bp) for bp in branches)
     bad = {p for p in range(2, n + 1) if is_prime(p)}
     _primes_of_rat(disc.lc, bad)
-    if sf.degree >= 1:
-        _primes_of_rat(discriminant(sf), bad)
+    if disc_sf.degree >= 1:
+        _primes_of_rat(discriminant(disc_sf), bad)
     polys = [*cover.poly.rows, disc]  # primes in their denominators are bad
     for bp, M in zip(branches, moduli):
         polys.extend(bp.residue.rel)
@@ -566,7 +564,7 @@ def _analyze(cover: Cover) -> CoverAnalysis:
     for f in polys:
         for c in f.coeffs:
             bad.update(factor_int(c.denominator))
-    return CoverAnalysis(sf, tuple(branches), frozenset(bad), moduli)
+    return CoverAnalysis(disc_sf, tuple(branches), frozenset(bad), moduli)
 
 
 def _cyclotomic(e: int) -> UniPoly:

@@ -299,7 +299,9 @@ def squarefree(R, f):
 
 
 def powmod(R, a, e: int, m):
-    """a^e mod m."""
+    """a^e mod m for an integer e >= 0; DomainError for e < 0."""
+    if e < 0:
+        raise DomainError(f"negative exponent {e}")
     out = [R.one]
     b = rem(R, a, m)
     while e:
@@ -355,7 +357,10 @@ def interpolate(xs, ys):
 
 
 def power(R, a, e: int):
-    """a^e for a ring element a and an integer e >= 0."""
+    """a^e for a ring element a and an integer e >= 0; DomainError for
+    e < 0."""
+    if e < 0:
+        raise DomainError(f"negative exponent {e}")
     out = R.one
     b = a
     while e:

@@ -13,8 +13,9 @@ lists:
     Zq it builds a tower, one storey per extension.
 
 Both carry the p-adic members the oracle reads (`res`, `residue`, `val`,
-`shift_down`), and `nfield` lifts over Zp.  The functions over F_p that
-take a `UniPoly` or a sequence of ints return plain trimmed int lists.
+`shift_down`), and `nfield` lifts over Zp.  The functions over F_p
+(`factor_mod_p`, `roots_mod_p`, `frobenius_data`) take a `UniPoly`,
+reduce it with `reduce_unipoly` and return plain trimmed int lists.
 
 Every layer reads a cover at a prime through the same three pieces:
 `prime_field(p)` is the one primality gate (it raises DomainError "{p}
@@ -22,11 +23,13 @@ is not prime"), `Zp.from_rat` the one reduction of a rational mod p^N
 (`reduce_unipoly`, the residues of `specialize` and the square classes
 of `padic` go through it; the oracle itself reduces the integer model
 that `padic._prepare` returns), and `exact._int_val` the one integer
-valuation loop (`Zp.val`, `Zq.val`, `exact._valuation` and the oracle's
-integral model).  A branch residue field is read at p by one table,
-`covers.frobenius_orders`, asked once per (branch, p): the Frobenius
-order of `frobenius_data` at each root of the locus mod p, for the
-predictions and the obstruction search alike.
+valuation loop (`Zp.val`, `Zq.val`, `exact._valuation`, every
+multiplicity of `specialize.meetings` and the oracle's integral model).
+A branch residue field is read at p by one table,
+`covers.frobenius_orders`, asked once per (branch, p): at each root of
+the locus mod p, the Frobenius order read off one degree block, the
+degree r of the one block (., r, 1) of the reduced relative minimal
+polynomial, for the predictions and the obstruction search alike.
 
 Factorization runs in three steps (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 14): squarefree decomposition (`dense.squarefree`,
@@ -36,11 +39,11 @@ each multiplicity m and degree r, the product of the irreducible factors
 of degree r and multiplicity m.  That answers every question about the
 degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple),
 the (e, f) of a simple factor in the p-adic oracle and the Zassenhaus
-prime's factor count.  Only `factor_over`, `roots_over` and their
-wrappers run EDF.  A caller that already has the blocks (the oracle's
-repeated residual blocks, the Zassenhaus prime's blocks) hands them to
-`factor_over`, which then runs EDF alone, so no block is factored
-twice.
+prime's factor count.  EDF runs in one place: `factor_over` splits the
+blocks it is handed.  `factor_mod_p` hands it every block of
+`degree_blocks`, `roots_over` the degree-one blocks, the oracle its
+repeated residual blocks and the Zassenhaus search its chosen prime's
+blocks, so no block is factored twice.
 
 Equal-degree splitting draws its candidates at random over every field,
 from a PRNG seeded by the GSL_SEED environment variable (fixed default
@@ -347,14 +350,12 @@ def degree_blocks(F, f) -> list[tuple[list, int, int]]:
     ]
 
 
-def factor_over(F, f, blocks=None) -> list[tuple[list, int]]:
-    """Full factorization of a nonzero polynomial over the finite field F:
-    [(monic irreducible, multiplicity)], plus the unit is discarded.
-    Sorted by degree then coefficient index tuple.  EDF on each of
-    `degree_blocks(F, f)`, or of `blocks` when the caller has computed
-    them already."""
-    if blocks is None:
-        blocks = degree_blocks(F, f)
+def factor_over(F, blocks) -> list[tuple[list, int]]:
+    """The second stage of factoring over the finite field F: the first,
+    `degree_blocks(F, f)`, gives the distinct-degree blocks, and this
+    splits each block it is handed (all of them or a share) by EDF.
+    [(monic irreducible, multiplicity)], sorted by degree then
+    coefficient index tuple."""
     out = [(irr, mult) for block, r, mult in blocks for irr in _edf(F, block, r)]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
@@ -367,7 +368,7 @@ def roots_over(F, f) -> list:
     if not f:
         raise DomainError("roots of the zero polynomial")
     blocks = [b for b in degree_blocks(F, f) if b[1] == 1]
-    return sorted(F.neg(g[0]) for g, _ in factor_over(F, f, blocks))
+    return sorted(F.neg(g[0]) for g, _ in factor_over(F, blocks))
 
 
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
@@ -377,36 +378,30 @@ def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
     return dense.trim(F, [F.from_rat(c) for c in f.coeffs])
 
 
-def _reduce(f: UniPoly | Sequence[int], p: int) -> list[int]:
-    """f mod p, for a UniPoly or a sequence of ints."""
-    if isinstance(f, UniPoly):
-        return reduce_unipoly(f, p)
-    return dense.trim(prime_field(p), [c % p for c in f])
-
-
-def factor_mod_p(f: UniPoly | Sequence[int], p: int) -> list[tuple[list[int], int]]:
+def factor_mod_p(f: UniPoly, p: int) -> list[tuple[list[int], int]]:
     """Full factorization of f mod p (p = 2 allowed): list of
     (monic irreducible int list, multiplicity), sorted by degree then
     lexicographic coefficient order.  Errors on the zero polynomial and on
     composite p."""
-    coeffs = _reduce(f, p)
+    coeffs = reduce_unipoly(f, p)
     if not coeffs:
         raise DomainError("factorization of the zero polynomial mod p")
-    return factor_over(prime_field(p), coeffs)
+    F = prime_field(p)
+    return factor_over(F, degree_blocks(F, coeffs))
 
 
-def frobenius_data(f: UniPoly | Sequence[int], p: int) -> tuple[int, ...]:
+def frobenius_data(f: UniPoly, p: int) -> tuple[int, ...]:
     """The cycle type of Frobenius at p acting on the roots of f: the
     sorted degrees of the irreducible factors of f mod p, read off
     `degree_blocks` (no equal-degree splitting).  Its order is their lcm.
 
-    Requires p to preserve the degree of a UniPoly f and f mod p to be
-    squarefree of degree >= 1 (for monic integral f: p does not divide
-    disc(f)); raises DomainError (degree drop, zero polynomial) or
-    NotSeparable (a repeated factor, a constant) otherwise.
+    Requires p to preserve the degree of f and f mod p to be squarefree of
+    degree >= 1 (for monic integral f: p does not divide disc(f)); raises
+    DomainError (degree drop, zero polynomial) or NotSeparable (a repeated
+    factor, a constant) otherwise.
     """
-    coeffs = _reduce(f, p)
-    if isinstance(f, UniPoly) and len(coeffs) - 1 != f.degree:
+    coeffs = reduce_unipoly(f, p)
+    if len(coeffs) - 1 != f.degree:
         raise DomainError(f"degree of f drops mod {p} (p divides the leading coefficient)")
     blocks = degree_blocks(prime_field(p), coeffs)
     if len(coeffs) < 2 or any(mult > 1 for _, _, mult in blocks):
@@ -417,9 +412,9 @@ def frobenius_data(f: UniPoly | Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
-def roots_mod_p(f: UniPoly | Sequence[int], p: int) -> list[int]:
+def roots_mod_p(f: UniPoly, p: int) -> list[int]:
     """Sorted distinct roots of f mod p in [0, p)."""
-    coeffs = _reduce(f, p)
+    coeffs = reduce_unipoly(f, p)
     if not coeffs:
         raise DomainError("roots of the zero polynomial mod p")
     return roots_over(prime_field(p), coeffs)

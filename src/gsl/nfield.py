@@ -412,7 +412,7 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     p, count, blocks = best
     if count == 1:
         return [list(g)]
-    facs = [f for f, _ in factor_over(prime_field(p), [c % p for c in g], blocks)]
+    facs = [f for f, _ in factor_over(prime_field(p), blocks)]
     # Landau-Mignotte: any monic factor has |coeff| <= 2^n * ||g||_2
     target = 2 * ((1 << n) * norm2) + 1
     k = 1

@@ -242,7 +242,7 @@ def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[
         else:
             # block is squarefree with every factor of degree deg: it is
             # its own one degree block
-            repeated.extend(rho for rho, _ in factor_over(F, block, [(block, deg, 1)]))
+            repeated.extend(rho for rho, _ in factor_over(F, [(block, deg, 1)]))
     for rho in sorted(repeated, key=lambda g: (len(g), g)):
         out.extend(_recenter(W, f, center, rho, h, lam, depth + 1))
     return out

@@ -5,12 +5,12 @@ The prediction machinery, given a specialization point t0 and a prime p
 outside the cover's conservative bad set:
 
   * find where t0 meets the branch divisor: `meetings` computes this once
-    per t0, evaluating each finite branch locus m at t0 once, for every
-    prime at once (by factoring each m(t0)) or, when the primes are given,
-    at those primes only (by valuations).  At p the multiplicity is
-    v_p(m(t0)) for a finite locus (p-integral t0) and -v_p(t0) for the
-    point at infinity.  A point on a branch locus (m(t0) = 0) is refused
-    at every p;
+    per t0, evaluating each finite branch locus m at t0 once.  The primes
+    are the given ones or, when none are given, those found by factoring
+    t0's denominator and each m(t0).  At every prime, given or found, the
+    multiplicity is a valuation: v_p(m(t0)) for a finite locus
+    (p-integral t0) and -v_p(t0) for the point at infinity.  A point on a
+    branch locus (m(t0) = 0) is refused at every p;
   * no meeting predicts an unramified specialization;
   * a meeting of multiplicity a against a branch of inertia order e
     predicts ramification index e / gcd(a, e); when gcd(a, e) = 1 the
@@ -44,7 +44,7 @@ from .exact import (
     JsonRecord,
     Rat,
     UniPoly,
-    _valuation,
+    _int_val,
     crt_combine,
     disc_y,  # unused here; bench/spans.py requires this binding
     factor_int,
@@ -82,8 +82,8 @@ def meetings(
     a point on a branch locus is refused.
 
     Given `primes` (each already known to be prime), only those are
-    mapped, and their multiplicities are read off valuations at them:
-    nothing is factored."""
+    mapped and nothing is factored.  At every prime, given or found by
+    factoring, each multiplicity is a valuation (`exact._int_val`)."""
     t0 = Fraction(t0)
     return _met(_evaluated(branches, t0), t0, primes)
 
@@ -111,24 +111,23 @@ def _met(
 ) -> dict[int, tuple[tuple[BranchPoint, int], ...]]:
     """`meetings` from the values of the loci at t0."""
     if primes is None:
-        exponents = factor_int
+        keys = set(factor_int(t0.denominator))
+        for _, mval in evaluated:
+            if mval is not None:
+                keys.update(factor_int(mval.numerator), factor_int(mval.denominator))
     else:
-        def exponents(n: int) -> dict[int, int]:
-            return {p: v for p in primes if (v := _valuation(n, p)) > 0}
-    poles = exponents(t0.denominator)
-    keys = set(poles) if primes is None else set(primes)
-    met = []  # (branch, {prime: multiplicity > 0})
-    for bp, mval in evaluated:
-        if mval is None:
-            met.append((bp, poles))
-            continue
-        num = exponents(mval.numerator)
-        if primes is None:
-            keys.update(num, factor_int(mval.denominator))
-        met.append((bp, {p: a for p, a in num.items() if p not in poles}))
-    return {
-        p: tuple((bp, a[p]) for bp, a in met if p in a) for p in keys
-    }
+        keys = set(primes)
+    met = {}
+    for p in keys:
+        pole = _int_val(t0.denominator, p)
+        pairs = []
+        for bp, mval in evaluated:
+            # a finite locus can meet t0 at p only where t0 is p-integral
+            a = pole if mval is None else 0 if pole else _int_val(mval.numerator, p)
+            if a:
+                pairs.append((bp, a))
+        met[p] = tuple(pairs)
+    return met
 
 
 def _meeting(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> MeetingDatum | None:

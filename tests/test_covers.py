@@ -187,8 +187,13 @@ def test_conservative_bad_primes(covers):
 
 
 def test_roots_of_unity_check(covers):
-    for c in covers.values():
-        assert roots_of_unity_check(c)
+    # Y^3 - T, declared of order 3, analyses with e = 3 at T and at
+    # infinity over the residue field Q, which lacks the cube roots of
+    # unity; C6's e = 3 branch over T^2 + 3T + 9 has them
+    y3_t = load_cover(_cover_dict(name="y3_t", group_order=3, P=[["0", "-1"], [], [], ["1"]]))
+    c6 = Cover("c6", 6, BiPoly.from_json([[str(c) for c in row] for row in _C6]))
+    for c, want in [*((c, True) for c in covers.values()), (c6, True), (y3_t, False)]:
+        assert roots_of_unity_check(c) is want, c.name
 
 
 def test_galois_sampling_accepts_bundled(covers):

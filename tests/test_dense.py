@@ -172,6 +172,14 @@ def test_powmod_and_power():
     assert dense.power(dense.INTEGERS, -2, 5) == -32
 
 
+def test_powmod_and_power_reject_a_negative_exponent():
+    # e >>= 1 stays at -1, so the square-and-multiply loop would never end
+    with pytest.raises(DomainError, match="negative exponent"):
+        dense.power(dense.INTEGERS, 2, -1)
+    with pytest.raises(DomainError, match="negative exponent"):
+        dense.powmod(F7, [0, 1], -1, [1, 0, 1])
+
+
 def test_newton_sides():
     # x^3 + 9x + 3 at p = 3: valuations (1, 2, None, 0)
     assert dense.newton_sides([(0, 1), (1, 2), (3, 0)]) == [(0, 1, 3, 0, Fraction(1, 3))]
