@@ -515,6 +515,11 @@ def conservative_bad_primes(cover: Cover) -> frozenset[int]:
 def _analyze(cover: Cover) -> CoverAnalysis:
     n = cover.degree
     disc = disc_y(cover.poly)
+    if disc.is_zero:
+        raise HypothesisViolation(
+            "disc_Y(P) = 0: P has a repeated factor in Y, "
+            "so it is not the minimal polynomial of a cover"
+        )
     loci: list[UniPoly | None] = [f for f, _ in factor_rational(disc)]
     disc_sf = functools.reduce(UniPoly.__mul__, loci, UniPoly.const(1))
     loci.append(None)

@@ -19,16 +19,22 @@ The coefficient ring R is any object with
                              of [0, m) and the operations are those of Z/m
 
 Rings with an `int_modulus` (`modp.Zp`: F_p and Z/p^N) have polynomials
-that are plain int lists, and `mul` and `quorem` run on them as such:
-products and updates accumulate unreduced, with one `% m` per output
-coefficient.  Every other function reaches those two loops (`rem`,
-`powmod`, `gcd`, `ext_gcd`, `squarefree`, and through them the
-finite-field factorization of `modp`), so the quadratic work over F_p and
-Z/p^N makes no method call per coefficient operation.
+that are plain int lists, and these functions run on them as such:
+`trim`, `add`, `sub`, `scale`, `mul`, `quorem`, `monic`, `deriv`, `gcd`,
+`mulmod`, `powmod` and `power`.  Products and
+division updates accumulate unreduced, with one `% m` per output
+coefficient; `mulmod` multiplies and reduces by a monic modulus with
+nothing reduced in between, and `powmod` makes its modulus monic once and
+runs on `mulmod`.
+Every result is reduced into [0, m) and trimmed, whatever the inputs.
+The rest (`rem`, `ext_gcd`, `squarefree`, and through them the
+finite-field factorization of `modp`) reach only those, so that work over
+F_p and Z/p^N makes no ring method call per coefficient; `evaluate` and
+`shift` keep the generic loop on every ring.
 The rings without it go through the generic loop, one method call per
 element operation: `modp.Zq` (F_{p^d} and the unramified extensions
 of Z/p^N, tuples of elements of the ring below, whose products come back
-here over that ring),
+here over that ring, through `mulmod`),
 `nfield.NumberField` (integer vectors over one positive denominator), and
 `INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
 elements: `exact.UniPoly` is its polynomial type.
@@ -36,12 +42,15 @@ elements: `exact.UniPoly` is its polynomial type.
 subresultant PRS, which computes rational resultants over Z.  Element
 arithmetic stays in those types; this module only combines elements.
 
-Over a field, `gcd` is Euclid with every remainder made monic, the one gcd
-of the package (F_q, Q, number fields).  `interpolate` is Newton's divided
-differences over Z, the one interpolation: the resultants of `exact` (in
-`disc_y` and the Trager norms of `nfield`) lie in Z[T] and are evaluated
-at integer points, and the divided differences of an integer polynomial
-at integer nodes are integers, so every division is exact and checked.
+Over a field, `gcd` is Euclid, the one gcd of the package (F_q, Q,
+number fields).  Over F_p it divides by each remainder as it comes (the
+int `quorem` takes a divisor that is not monic with one inverse) and
+normalizes once, the result; elsewhere every remainder is made monic.
+`interpolate` is Newton's divided differences over Z, the one
+interpolation: the resultants of `exact` (in `disc_y` and the Trager norms
+of `nfield`) lie in Z[T] and are evaluated at integer points, and the
+divided differences of an integer polynomial at integer nodes are
+integers, so every division is exact and checked.
 `shift` is the one Taylor shift a(x + c): the branch coordinate and the
 Duval step of `covers`, the Trager norms of `nfield`, and the oracle's
 cluster centres.
@@ -125,13 +134,34 @@ RATIONALS = _Rationals()
 
 
 def trim(R, a: list) -> list:
-    """Drop trailing zeros of a in place; returns a."""
+    """Drop trailing zeros of a in place; returns a.  Over ints mod m every
+    coefficient is reduced in place too."""
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        for i, c in enumerate(a):
+            if not 0 <= c < m:
+                a[i] = c % m
+        while a and not a[-1]:
+            a.pop()
+        return a
     while a and R.is_zero(a[-1]):
         a.pop()
     return a
 
 
+def _trimmed(out: list) -> list:
+    """Drop the trailing zeros of a reduced int list in place; returns it."""
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def add(R, a, b):
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        if len(a) < len(b):
+            a, b = b, a
+        return _trimmed([(x + y) % m for x, y in zip(a, b)] + [c % m for c in a[len(b):]])
     out = list(a) + [R.zero] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = R.add(out[i], c)
@@ -139,10 +169,31 @@ def add(R, a, b):
 
 
 def sub(R, a, b):
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        out = [(x - y) % m for x, y in zip(a, b)]
+        if len(a) > len(b):
+            out += [c % m for c in a[len(b):]]
+        else:
+            out += [-c % m for c in b[len(a):]]
+        return _trimmed(out)
     out = list(a) + [R.zero] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = R.sub(out[i], c)
     return trim(R, out)
+
+
+def _product(a, b):
+    """The product of two nonzero int lists, unreduced: the one
+    multiplication loop of the int path."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            k = i
+            for y in b:
+                out[k] += x * y
+                k += 1
+    return out
 
 
 def mul(R, a, b):
@@ -150,14 +201,7 @@ def mul(R, a, b):
         return []
     m = getattr(R, "int_modulus", None)
     if m is not None:
-        # products accumulate unreduced; one % m per coefficient
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                k = i
-                for y in b:
-                    out[k] += x * y
-                    k += 1
+        out = _product(a, b)
         for k, c in enumerate(out):
             out[k] = c % m
         while out and not out[-1]:
@@ -173,7 +217,36 @@ def mul(R, a, b):
 
 def scale(R, a, c):
     """c * a for an element c."""
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        return _trimmed([x * c % m for x in a])
     return trim(R, [R.mul(x, c) for x in a])
+
+
+def mulmod(R, a, b, m):
+    """a * b mod m for a monic m.  Over ints mod M, with nothing reduced
+    in between: the product accumulates unreduced, its high coefficients
+    are reduced one at a time and cancelled against m (monic: no
+    inverse), and each remaining coefficient is reduced once.  Elsewhere
+    `rem` of `mul`."""
+    M = getattr(R, "int_modulus", None)
+    if M is None:
+        return rem(R, mul(R, a, b), m)
+    if not a or not b:
+        return []
+    out = _product(a, b)
+    low = m[:-1]
+    for k in range(len(out) - len(m), -1, -1):
+        c = out.pop() % M
+        if c:
+            j = k
+            for v in low:
+                out[j] -= c * v
+                j += 1
+    out = [c % M for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def quorem(R, a, b):
@@ -231,15 +304,33 @@ def rem(R, a, b):
 
 def monic(R, a):
     """a divided by its leading coefficient (the zero polynomial stays)."""
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        a = [c % m for c in a]
+        while a and not a[-1]:
+            a.pop()
+        if not a or a[-1] == 1:
+            return a
+        il = R.inv(a[-1])
+        return [x * il % m for x in a]
     if not a or R.is_zero(R.sub(a[-1], R.one)):
         return list(a)
     return scale(R, a, R.inv(a[-1]))
 
 
 def gcd(R, a, b):
-    """Monic gcd over a field.  Every remainder is made monic before it
-    becomes a divisor, so each division step needs no inverse and, over Q
-    and number fields, the remainders stay normalized."""
+    """Monic gcd over a field.  Over ints mod p, Euclid on the remainders
+    as they come (`quorem` divides by a divisor that is not monic with one
+    inverse), and only the result is made monic.  Elsewhere every
+    remainder is made monic before it becomes a divisor, so each division
+    step needs no inverse and, over Q and number fields, the remainders
+    stay normalized."""
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        b = _trimmed([c % m for c in b])
+        while b:
+            a, b = b, rem(R, a, b)
+        return monic(R, a)
     a, b = monic(R, a), monic(R, b)
     while b:
         a, b = b, monic(R, rem(R, a, b))
@@ -302,17 +393,22 @@ def powmod(R, a, e: int, m):
     """a^e mod m for an integer e >= 0; DomainError for e < 0."""
     if e < 0:
         raise DomainError(f"negative exponent {e}")
+    m = monic(R, m)  # the same remainders, and no inverse per step
     out = [R.one]
     b = rem(R, a, m)
     while e:
         if e & 1:
-            out = rem(R, mul(R, out, b), m)
-        b = rem(R, mul(R, b, b), m)
+            out = mulmod(R, out, b, m)
         e >>= 1
+        if e:
+            b = mulmod(R, b, b, m)
     return out
 
 
 def deriv(R, a):
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        return _trimmed([a[i] * i % m for i in range(1, len(a))])
     return trim(R, [R.mul(a[i], R.from_int(i)) for i in range(1, len(a))])
 
 
@@ -361,6 +457,9 @@ def power(R, a, e: int):
     e < 0."""
     if e < 0:
         raise DomainError(f"negative exponent {e}")
+    m = getattr(R, "int_modulus", None)
+    if m is not None:
+        return pow(a, e, m)
     out = R.one
     b = a
     while e:

@@ -37,13 +37,16 @@ the one for every field), distinct-degree factorization (DDF) and
 equal-degree splitting (EDF).  The first two give `degree_blocks`: for
 each multiplicity m and degree r, the product of the irreducible factors
 of degree r and multiplicity m.  That answers every question about the
-degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple),
-the (e, f) of a simple factor in the p-adic oracle and the Zassenhaus
-prime's factor count.  EDF runs in one place: `factor_over` splits the
-blocks it is handed.  `factor_mod_p` hands it every block of
-`degree_blocks`, `roots_over` the degree-one blocks, the oracle its
-repeated residual blocks and the Zassenhaus search its chosen prime's
-blocks, so no block is factored twice.
+degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple)
+and the (e, f) of a simple factor in the p-adic oracle.  DDF (`_ddf`)
+yields each block as it finds it, degree by degree, so the Zassenhaus
+prime search of `nfield` reads a candidate's factor count off the blocks
+found so far and stops once the prime cannot win; it tests each prime
+for squarefreeness by gcd(g, g') mod p first.  EDF runs in one place:
+`factor_over` splits the blocks it is handed.  `factor_mod_p` hands it
+every block of `degree_blocks`, `roots_over` the degree-one blocks, the
+oracle its repeated residual blocks and the Zassenhaus search its chosen
+prime's blocks, so no block is factored twice.
 
 Equal-degree splitting draws its candidates at random over every field,
 from a PRNG seeded by the GSL_SEED environment variable (fixed default
@@ -86,7 +89,7 @@ class Zp:
     """Z/p^N with int elements in [0, p^N): F_p when N = 1 (`prime_field`
     builds it once per prime), the ring of the Hensel lift over Q
     (`nfield`) and the oracle's base ring (`padic`) when N > 1.  Its
-    `int_modulus` p^N makes `dense` multiply and divide its polynomials as
+    `int_modulus` p^N puts its polynomials on the int path of `dense`:
     plain int lists, reduced once per coefficient.  `res` is the residue
     field F_p, the ring itself when N = 1, and `q = p` its size."""
 
@@ -172,8 +175,8 @@ class Zq:
     of 1, x, ..., x^(d-1); `embed` makes the constants.  p and N are
     W's, `q = W.q^d` is the size of the residue field `res` = Zq(W.res,
     chi mod p), the ring itself when N = 1.  Every operation goes through
-    W, coordinate by coordinate or, for products, through `dense` over W
-    (the int path when W is a `Zp`)."""
+    W, coordinate by coordinate or, for products, through `dense.mulmod`
+    over W (one int loop when W is a `Zp`)."""
 
     __slots__ = ("base", "p", "N", "d", "q", "Phi", "res", "zero", "one")
 
@@ -199,9 +202,9 @@ class Zq:
         return tuple(map(self.base.neg, a))
 
     def mul(self, a, b):
-        """a b as polynomials in x over W, reduced by Phi."""
-        W = self.base
-        c = dense.rem(W, dense.mul(W, a, b), self.Phi)
+        """a b as polynomials in x over W, reduced by Phi (`dense.mulmod`:
+        one int loop when W is a `Zp`)."""
+        c = dense.mulmod(self.base, a, b, self.Phi)
         return tuple(c) + self.zero[len(c):]
 
     def is_zero(self, a):
@@ -264,9 +267,10 @@ class Zq:
 
 
 def _ddf(F, f):
-    """Distinct-degree factorization of a squarefree monic f:
-    [(product-of-degree-r-factors, r)]."""
-    out = []
+    """Distinct-degree factorization of a squarefree monic f: yields each
+    (product-of-degree-r-factors, r) as it is found, r ascending, so a
+    caller that needs only a share of the blocks (the Zassenhaus prime
+    search) stops the work there."""
     h = [F.zero, F.one]  # x
     v = list(f)
     r = 0
@@ -275,12 +279,11 @@ def _ddf(F, f):
         h = dense.powmod(F, h, F.q, v)
         g = dense.gcd(F, dense.sub(F, h, [F.zero, F.one]), v)
         if len(g) > 1:
-            out.append((g, r))
+            yield g, r
             v = dense.quorem(F, v, g)[0]
             h = dense.rem(F, h, v)
     if len(v) > 1:
-        out.append((v, len(v) - 1))
-    return out
+        yield v, len(v) - 1
 
 
 def _edf(F, f, d):

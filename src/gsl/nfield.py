@@ -20,10 +20,13 @@ point, no randomness.  The pieces:
     denominators, not as their lcm), which keeps coefficients, the
     Landau-Mignotte bound and the Hensel precision small.  The Zassenhaus
     prime is the first of four squarefree candidates with the fewest
-    factors mod p, counted from `modp.degree_blocks` (distinct-degree
-    factorization only); only that prime's blocks are split into
-    factors, by equal-degree splitting alone (`modp.factor_over` given
-    those blocks).  They are lifted by the multifactor Hensel lift
+    factors mod p: a prime where g mod p is not squarefree is rejected by
+    gcd(g, g') mod p, the factors of the others are counted from the
+    blocks of distinct-degree factorization (`modp._ddf`) as it yields
+    them, and a candidate that cannot beat the best count so far is
+    dropped there.  Only the chosen prime's blocks are split into factors,
+    by equal-degree splitting alone (`modp.factor_over` given those
+    blocks).  They are lifted by the multifactor Hensel lift
     `hensel_lift` over Z/p^k (`modp.Zp`, whose polynomials are int lists)
     past the Landau-Mignotte bound, and subsets are recombined over Z.
     Every returned factor is irreducible by construction: recombination
@@ -72,7 +75,7 @@ from .exact import (
     factor_int,
     is_prime,
 )
-from .modp import Zp, degree_blocks, factor_over, prime_field
+from .modp import Zp, _ddf, factor_over, prime_field
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +385,14 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
     if n <= 1:
         return [list(g)]
     # The prime: among the first four that keep g squarefree, the first
-    # with the fewest factors mod p (stop early at one).  The factor count
-    # is read off the degree blocks, which need distinct-degree
-    # factorization only; the chosen prime's blocks are kept and split by
-    # equal-degree splitting alone (`factor_over` given them), so no block is
-    # factored twice.  The primes where g mod p is not squarefree divide
+    # with the fewest factors mod p (stop early at one).  A prime where g
+    # mod p is not squarefree is rejected by gcd(g, g') mod p, before any
+    # distinct-degree factorization (DDF).  The factor count is read off the
+    # degree blocks as DDF yields them, and a candidate's DDF stops once its
+    # running count reaches the best count so far: such a prime cannot be
+    # picked.  The chosen prime's blocks are whole; they are split by
+    # equal-degree splitting alone (`factor_over` given them), so no block
+    # is factored twice.  The primes where g mod p is not squarefree divide
     # disc g, so once their product passes the Hadamard bound
     # ||g||^(n-1) (n ||g||)^n of that determinant, disc g = 0.
     norm2 = math.isqrt(sum(c * c for c in g)) + 1
@@ -397,18 +403,24 @@ def _zassenhaus_monic_int(g: list[int]) -> list[list[int]]:
         p += 1
         while not is_prime(p):
             p += 1
-        blocks = degree_blocks(prime_field(p), [c % p for c in g])
-        if any(mult > 1 for _, _, mult in blocks):
+        F = prime_field(p)
+        gp = [c % p for c in g]
+        if len(dense.gcd(F, gp, dense.deriv(F, gp))) > 1:
             skipped *= p
             if skipped > disc_bound:
                 raise NotSeparable("Zassenhaus needs a squarefree polynomial")
             continue
-        count = sum((len(block) - 1) // r for block, r, _ in blocks)
         tried += 1
-        if best is None or count < best[1]:
+        blocks, count = [], 0
+        for block, r in _ddf(F, gp):
+            blocks.append((block, r, 1))
+            count += (len(block) - 1) // r
+            if best is not None and count >= best[1]:
+                break
+        else:
             best = (p, count, blocks)
-        if count == 1:
-            break
+            if count == 1:
+                break
     p, count, blocks = best
     if count == 1:
         return [list(g)]

@@ -81,10 +81,14 @@ def meetings(
     infinity with -v_p(t0) > 0.  Each finite locus is evaluated once, and
     a point on a branch locus is refused.
 
-    Given `primes` (each already known to be prime), only those are
-    mapped and nothing is factored.  At every prime, given or found by
-    factoring, each multiplicity is a valuation (`exact._int_val`)."""
+    Given `primes`, only those are mapped and nothing is factored; each
+    passes the one primality gate, `modp.prime_field`, first (DomainError
+    "{p} is not prime").  At every prime, given or found by factoring,
+    each multiplicity is a valuation (`exact._int_val`)."""
     t0 = Fraction(t0)
+    if primes is not None:
+        for p in primes:
+            prime_field(p)
     return _met(_evaluated(branches, t0), t0, primes)
 
 
@@ -156,7 +160,6 @@ def meeting_prime(
     """The unique branch that t = t0 meets above p, or None.  Raises
     MeetingUniquenessError when several loci meet t0 at the same prime
     (only possible at a bad prime)."""
-    prime_field(p)
     t0 = Fraction(t0)
     return _meeting(meetings(branches, t0, (p,))[p], t0, p)
 
@@ -191,7 +194,6 @@ def predict_decomposition(cover: Cover, t0: Rat, p: int) -> DecompositionPredict
     claimed at a prime of the cover's conservative bad set: after a point
     on a branch locus, such a p is refused with HypothesisViolation."""
     branches = branch_points(cover)
-    prime_field(p)
     t0 = Fraction(t0)
     pairs = meetings(branches, t0, (p,))[p]
     if p in conservative_bad_primes(cover):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import gsl.cli
 import gsl.covers
 from gsl import dense
 from gsl.covers import (
@@ -24,7 +25,13 @@ from gsl.covers import (
     puiseux_at,
     roots_of_unity_check,
 )
-from gsl.errors import DomainError, NonUniformRamification, SchemaError, UnstableResidueField
+from gsl.errors import (
+    DomainError,
+    HypothesisViolation,
+    NonUniformRamification,
+    SchemaError,
+    UnstableResidueField,
+)
 from gsl.exact import BiPoly, UniPoly
 from gsl.nfield import NumberField
 
@@ -159,6 +166,23 @@ def test_non_uniform_ramification_detected():
     })
     with pytest.raises(NonUniformRamification):
         branch_points(cover)
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "0", "1"], ["0", "-2"], ["1"]],               # (Y - T)^2
+    [["0", "0", "1"], [], ["0", "-2"], [], ["1"]],      # (Y^2 - T)^2
+])
+def test_a_repeated_factor_in_y_violates_a_hypothesis(rows, tmp_path, capsys):
+    # disc_Y(P) = 0: there is no branch divisor to read, and the refusal
+    # names that cause, in the library and in the CLI's error document
+    d = _cover_dict(name="square", group_order=len(rows) - 1, P=rows)
+    with pytest.raises(HypothesisViolation, match=re.escape("disc_Y(P) = 0")):
+        branch_points(load_cover(d))
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(d))
+    assert gsl.cli.main(["analyze", str(path), "--skip-sampling"]) == 64
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "HypothesisViolation" and "repeated factor in Y" in doc["message"]
 
 
 def test_chart_at_infinity_rejects_a_cover_not_monic_in_y():

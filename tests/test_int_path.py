@@ -2,9 +2,15 @@
 as int lists.  Each function is checked against sympy's GF(p) arithmetic
 and against the generic method-call loop, which a wrapper ring that hides
 the int modulus reaches; the Hensel lift over Z/p^k is checked against its
-defining properties: monic lifts of a coprime factorization are unique."""
+defining properties: monic lifts of a coprime factorization are unique.
+Factorization over Q, whose Zassenhaus prime search runs here, is checked
+against sympy's factor_list, and the prime it picks against a full ranking
+of the candidate primes."""
+
+from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
@@ -19,10 +25,11 @@ from sympy.polys.galoistools import (
     gf_sqf_list,
 )
 
-from gsl import dense
+from gsl import dense, nfield
 from gsl.errors import DomainError
+from gsl.exact import UniPoly
 from gsl.modp import Zp, Zq, degree_blocks, factor_over, prime_field
-from gsl.nfield import hensel_lift
+from gsl.nfield import factor_rational, hensel_lift
 
 PRIMES = [2, 3, 5, 101, 2**31 - 1]
 
@@ -185,6 +192,15 @@ def test_prime_field_never_reaches_the_generic_loop():
     q, r = dense.quorem(F, dense.mul(F, a, b), b)
     assert (q, r) == (a, [])
     dense.quorem(F, a, b)
+    for fn, args in [(dense.add, (a, b)), (dense.sub, (b, a)), (dense.scale, (a, 57)),
+                     (dense.monic, (b,)), (dense.deriv, (a,)), (dense.trim, ([3, 0, 202],)),
+                     (dense.gcd, (dense.mul(F, a, b), dense.mul(F, b, b))),
+                     (dense.powmod, (a, 10**6 + 3, b)), (dense.mulmod, (a, a, a))]:
+        fn(F, *args)
+    # (x + 3)^2 (x^2 + 2) (x + 5)^101, so the p-th power part is reached
+    f = dense.mul(F, dense.mul(F, [9, 6, 1], [2, 0, 1]), dense.powmod(F, [5, 1], 101, [0] * 102 + [1]))
+    assert dense.squarefree(F, f) == [([2, 0, 1], 1), ([3, 1], 2), ([5, 1], 101)]
+    assert factor_over(F, degree_blocks(F, f)) == [([3, 1], 2), ([5, 1], 101), ([2, 0, 1], 1)]
     assert calls == []
 
 
@@ -232,10 +248,31 @@ def test_unreduced_inputs_give_reduced_trimmed_results(R, a, b, k):
     a_red = dense.trim(R, [c % m for c in a])
     b_red = dense.trim(R, [c % m for c in b])
     generic = _Generic(R)
-    assert dense.mul(R, a, b) == dense.mul(generic, a_red, b_red)
+    cases = [
+        (dense.mul, (a, b), (a_red, b_red)),
+        (dense.add, (a, b), (a_red, b_red)),
+        (dense.sub, (a, b), (a_red, b_red)),
+        (dense.sub, (b, a), (b_red, a_red)),
+        (dense.scale, (a, k * m + 2), (a_red, 2)),
+        (dense.scale, (a, k * m + R.p), (a_red, R.p % m)),
+        (dense.monic, (b,), (b_red,)),
+        (dense.deriv, (a,), (a_red,)),
+        (dense.trim, (list(a),), (list(a_red),)),
+        (dense.powmod, (a, abs(k) * 40 + 3, b), (a_red, abs(k) * 40 + 3, b_red)),
+        (dense.mulmod, (a, a, b), (a_red, a_red, b_red)),
+    ]
+    if R.N == 1:  # a gcd needs a field
+        cases.append((dense.gcd, (a, b), (a_red, b_red)))
+    if a_red and a_red[-1] % R.p:  # a unit leading coefficient
+        cases.append((dense.monic, (a,), (a_red,)))
+    results = []
+    for fn, ours, theirs in cases:
+        got = fn(R, *ours)
+        assert got == fn(generic, *theirs), fn.__name__
+        results.append(got)
     assert dense.quorem(R, a, b) == dense.quorem(generic, a_red, b_red)
-    q, r = dense.quorem(R, a, b)
-    for poly in (dense.mul(R, a, b), q, r):
+    results.extend(dense.quorem(R, a, b))
+    for poly in results:
         assert all(0 <= c < m for c in poly) and (not poly or poly[-1])
 
 
@@ -265,3 +302,70 @@ def test_hensel_lift_over_z_mod_p_power(case):
         prod = dense.mul(W, prod, g)
     assert prod == dense.trim(W, [c % p**k for c in f])
     assert [[c % p for c in g] for g in lifted] == factors
+
+
+# ---------------------------------------------------------------------------
+# factorization over Q, whose Zassenhaus prime search runs on the int path
+
+
+@st.composite
+def _integer_products(draw):
+    """A product of 2-4 nonzero integer polynomials of degree <= 5, each
+    new or a repeat of one before: repeated factors occur, and so do primes
+    where a squarefree part is not squarefree mod p and candidate primes
+    whose distinct-degree factorization the prime search stops early."""
+    factors: list = []
+    for _ in range(draw(st.integers(2, 4))):
+        if factors and draw(st.booleans()):
+            factors.append(draw(st.sampled_from(factors)))
+        else:
+            coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(any))
+            factors.append(dense.trim(dense.INTEGERS, coeffs))
+    f = [1]
+    for g in factors:
+        f = dense.mul(dense.INTEGERS, f, g)
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_integer_products())
+def test_factor_rational_matches_sympy_factor_list(f):
+    x = sp.Symbol("x")
+    _, pairs = sp.factor_list(sum(c * x**i for i, c in enumerate(f)), x)
+    want = sorted((tuple(c / P.LC() for c in reversed(P.all_coeffs())), mult)
+                  for P, mult in ((sp.Poly(h, x), mult) for h, mult in pairs))
+    got = sorted((tuple(sp.Rational(c.numerator, c.denominator) for c in g.coeffs), mult)
+                 for g, mult in factor_rational(UniPoly([Fraction(c) for c in f])))
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=9))
+def test_the_zassenhaus_prime_is_the_full_ranking_choice(tail):
+    # differential: the search, which rejects a prime by gcd(g, g') mod p
+    # and stops a distinct-degree factorization that cannot win, picks the
+    # prime and blocks that ranking the first four squarefree primes by
+    # their full degree blocks picks (stopping at a single factor)
+    g = tail + [1]
+    G = [Fraction(c) for c in g]
+    assume(len(dense.gcd(dense.RATIONALS, G, dense.deriv(dense.RATIONALS, G))) == 1)
+    ranked, p = [], 2
+    while len(ranked) < 4 and not (ranked and ranked[-1][1] == 1):
+        p = sp.nextprime(p)
+        blocks = degree_blocks(prime_field(p), [c % p for c in g])
+        if all(mult == 1 for _, _, mult in blocks):
+            ranked.append((p, sum((len(b) - 1) // r for b, r, _ in blocks), blocks))
+    p, count, blocks = min(ranked, key=lambda t: t[1])
+    seen = []
+    real = nfield.factor_over
+
+    def spy(F, handed):
+        seen.append((F.p, handed))
+        return real(F, handed)
+
+    nfield.factor_over = spy
+    try:
+        nfield._zassenhaus_monic_int(g)
+    finally:
+        nfield.factor_over = real
+    assert seen == ([] if count == 1 else [(p, blocks)])

@@ -107,6 +107,23 @@ def test_meeting_entries_reject_a_composite_modulus():
         meeting_prime([b], Fraction(50), 25)
 
 
+@pytest.mark.parametrize("bad", [1, 0, -3, 4])
+def test_meetings_gate_each_given_prime(monkeypatch, bad):
+    # v_1(n) has no end: the valuation loop must never see a non-prime, and
+    # the gate names the offender
+    def valuation(n, p):
+        if p < 2:
+            raise AssertionError(f"valuation at {p}")
+        return real(n, p)
+
+    real = gsl.specialize._int_val
+    monkeypatch.setattr(gsl.specialize, "_int_val", valuation)
+    b = _branch(upoly(0, 1))
+    with pytest.raises(DomainError, match=f"{bad} is not prime"):
+        gsl.specialize.meetings([b, _infinity()], Fraction(3), [5, bad])
+    assert gsl.specialize.meetings([b], Fraction(3), [3]) == {3: ((b, 1),)}
+
+
 def test_meeting_uniqueness():
     b1 = _branch(upoly(0, 1))       # T
     b2 = _branch(upoly(-10, 1))     # T - 10
