@@ -615,9 +615,7 @@ def probabilistic_galois_check(
         attempts += 1
         t0 = Fraction(rng.randrange(-999, 1000))
         p = rng.choice(primes)
-        f_t0 = UniPoly(
-            [cover.poly.coeff(i)(t0) for i in range(cover.degree + 1)]
-        )
+        f_t0 = cover.poly.at(t0)
         try:
             degs = set(frobenius_data(f_t0, p))
         except (NotSeparable, DomainError):

@@ -15,21 +15,29 @@ Conventions used throughout the package:
   `_json_value`.
 
 `UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
-kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Its value at
-a rational n/d is computed on ints, by homogeneous Horner over the lcm of
-its denominators, with one `Fraction` at the end.  The resultant of two
-`UniPoly` clears their denominators and runs the subresultant PRS over Z,
-where every division is exact; the discriminant runs it once on the
-cleared polynomial and its integer derivative.  The resultant of two
-`BiPoly` (Res_Y, as in `disc_y` and the Trager norms of `nfield`) is never
-computed over Q[T]: each is cleared by one integer, so the resultant lies
-in Z[T]; its values at integer points T = t are subresultants over Z, and
-it is recovered from as many of them as the degree bound needs by Newton
-interpolation over Z (`dense.interpolate`), whose divisions are exact and
-checked.  `_resultant_rows` is that loop on integer rows, which the
-Trager norms build directly; one `Fraction` per output coefficient undoes
-the clearing, and `disc_y` runs it on P cleared once and on its
-Y-derivative.  No factorization over Q is exposed here.
+kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Each
+`UniPoly` and `BiPoly` also has an integer form, its coefficients times
+the least positive common denominator (ints over one denominator, as
+FLINT's fmpq_poly stores them).  It is computed once per polynomial, on
+first use, and kept in a slot; a polynomial built from integers (a
+specialization P(t0, Y), the oracle's monic model) has it set at
+construction.  `_cleared`, evaluation, `resultant`, `discriminant`,
+`disc_y` and both hashes read it there.  The value of a `UniPoly` at a
+rational n/d, and P(n/d, Y) for a `BiPoly` P (`BiPoly.at`), are computed
+by one homogeneous Horner pass per integer row (`_horner`), with the
+Fractions made only at the end.  The resultant of two `UniPoly` runs the
+subresultant PRS on their integer forms, over Z, where every division is
+exact; the discriminant runs it once on the integer form and its
+derivative.  The resultant of two `BiPoly` (Res_Y, as in `disc_y` and the
+Trager norms of `nfield`) is never computed over Q[T]: on integer rows
+the resultant lies in Z[T]; its values at integer points T = t are
+subresultants over Z, and it is recovered from as many of them as the
+degree bound needs by Newton interpolation over Z (`dense.interpolate`),
+whose divisions are exact and checked.  `_resultant_rows` is that loop on
+integer rows, which the Trager norms build directly; one `Fraction` per
+output coefficient undoes the clearing, and `disc_y` runs it on the
+integer rows of P and on their Y-derivative.  No factorization over Q is
+exposed here.
 """
 
 from __future__ import annotations
@@ -298,12 +306,18 @@ def _norm(coeffs: Iterable) -> tuple[Rat, ...]:
 
 class UniPoly:
     """Dense univariate polynomial over Q, immutable; arithmetic runs in the
-    `dense` kernel over `dense.RATIONALS`."""
+    `dense` kernel over `dense.RATIONALS`.  Its integer form (A, a), with a
+    the least positive integer making A = a f integral, is computed once,
+    on first use, and kept in a slot: evaluation, `resultant`,
+    `discriminant`, `_cleared` and the hash read it there.  The hash is
+    that of (A, a), a function of the coefficients, so it agrees with
+    `__eq__` however the polynomial was built."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs: Iterable = ()):
         object.__setattr__(self, "coeffs", _norm(coeffs))
+        object.__setattr__(self, "_int", None)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("UniPoly is immutable")
@@ -345,7 +359,17 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._form())
+
+    def _form(self) -> tuple[tuple[int, ...], int]:
+        """The integer form (A, a), computed on the first call and then
+        read from the slot."""
+        form = self._int
+        if form is None:
+            a = math.lcm(*(c.denominator for c in self.coeffs))
+            form = tuple(c.numerator * (a // c.denominator) for c in self.coeffs), a
+            object.__setattr__(self, "_int", form)
+        return form
 
     def __repr__(self):
         if self.is_zero:
@@ -362,6 +386,23 @@ class UniPoly:
         """Wrap a trimmed list of Fractions returned by the kernel."""
         out = object.__new__(cls)
         object.__setattr__(out, "coeffs", tuple(cs))
+        object.__setattr__(out, "_int", None)
+        return out
+
+    @classmethod
+    def _of_int(cls, B: list[int], b: int) -> "UniPoly":
+        """B / b for ints B (ascending, trailing zeros allowed) and b > 0,
+        with its integer form set: B and b divided by their gcd."""
+        B = list(B)
+        while B and not B[-1]:
+            B.pop()
+        g = math.gcd(b, *B)
+        if g > 1:
+            B = [c // g for c in B]
+            b //= g
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(Fraction(c, b) for c in B))
+        object.__setattr__(out, "_int", (tuple(B), b))
         return out
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
@@ -404,16 +445,24 @@ class UniPoly:
         return UniPoly._of(dense.deriv(RATIONALS, self.coeffs))
 
     def __call__(self, x) -> Rat:
-        """The value at a rational x = n/d, by homogeneous Horner on ints:
-        with L the lcm of the denominators and A_i = L a_i, it is
-        sum A_i n^i d^(deg - i) / (L d^deg), one `Fraction` in all."""
+        """The value at a rational x = n/d, on the integer form (A, L):
+        d^deg A(x) by one `_horner` pass, over L d^deg, one `Fraction` in
+        all."""
         n, d = Fraction(x).as_integer_ratio()
-        (A,), L = _cleared(self)
-        acc, dk = 0, 1
-        for c in reversed(A):
-            acc = acc * n + c * dk
-            dk *= d
+        A, L = self._form()
+        acc, dk = _horner(A, n, d)
         return Fraction(acc * d, L * dk)  # dk = d^(deg + 1)
+
+
+def _horner(A: Sequence[int], n: int, d: int, dk: int = 1) -> tuple[int, int]:
+    """Homogeneous Horner on ints, the one evaluation loop of `UniPoly` and
+    `BiPoly.at`: for A (ascending, degree m) and x = n/d it returns
+    (dk d^m A(x), dk d^(m+1)), both ints, with no `Fraction` on the way."""
+    acc = 0
+    for c in reversed(A):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc, dk
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -494,15 +543,19 @@ def _subresultant(A: list[int], B: list[int]) -> int:
 
 class BiPoly:
     """P(T, Y) as a tuple of rows: rows[i] is the UniPoly in T multiplying
-    Y^i.  The covers this package handles are monic in Y."""
+    Y^i.  The covers this package handles are monic in Y.  Its integer
+    form (R, a), the rows R_i = a P_i over the least positive a that makes
+    them all integral, is computed once, on first use, and kept in a slot:
+    `resultant`, `disc_y`, `at` and the hash read it there."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_int")
 
     def __init__(self, rows: Iterable[UniPoly]):
         rs = [r if isinstance(r, UniPoly) else UniPoly(r) for r in rows]
         while rs and rs[-1].is_zero:
             rs.pop()
         object.__setattr__(self, "rows", tuple(rs))
+        object.__setattr__(self, "_int", None)
 
     def __setattr__(self, *a):
         raise AttributeError("BiPoly is immutable")
@@ -532,16 +585,41 @@ class BiPoly:
         return isinstance(other, BiPoly) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._form())
+
+    def _form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The integer form (R, a), computed on the first call and then
+        read from the slot."""
+        form = self._int
+        if form is None:
+            R, a = _cleared(*self.rows)
+            form = tuple(R), a
+            object.__setattr__(self, "_int", form)
+        return form
+
+    def at(self, t0) -> UniPoly:
+        """P(t0, Y) for a rational t0 = n/d, on the integer rows: with D
+        the largest T-degree, each row takes one homogeneous Horner pass
+        (`_horner`), h_i = d^D R_i(t0), over the one common denominator
+        a d^D; the result's integer form is set from (h, a d^D)."""
+        n, d = Fraction(t0).as_integer_ratio()
+        R, a = self._form()
+        top = max(map(len, R), default=1)
+        return UniPoly._of_int(
+            [_horner(r, n, d, d ** (top - len(r)))[0] for r in R], a * d ** (top - 1)
+        )
 
     def __repr__(self):
         return f"BiPoly(deg_y={self.degree_y})"
 
 
-def _cleared(*polys: UniPoly) -> tuple[list[list[int]], int]:
-    """([a p as an integer list for each p], a) for the least positive a."""
-    a = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (a // c.denominator) for c in p.coeffs] for p in polys], a
+def _cleared(*polys: UniPoly) -> tuple[list[tuple[int, ...]], int]:
+    """([a p as an integer tuple for each p], a) for the least positive a:
+    each p's integer form is read from its slot (computed once per
+    polynomial) and brought to the common denominator a, the lcm of theirs."""
+    forms = [p._form() for p in polys]
+    a = math.lcm(*(b for _, b in forms))
+    return [A if b == a else tuple(c * (a // b) for c in A) for A, b in forms], a
 
 
 def _sample_points():
@@ -593,15 +671,15 @@ def resultant(f, g):
         if f.is_zero or g.is_zero:
             raise DomainError("resultant with a zero polynomial")
         # Res(f, g) = Res(a f, b g) / (a^deg g b^deg f), with a f and b g in Z[x]
-        (A,), a = _cleared(f)
-        (B,), b = _cleared(g)
+        A, a = f._form()
+        B, b = g._form()
         return Fraction(_subresultant(A, B), a**g.degree * b**f.degree)
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
         if not f.rows or not g.rows:
             raise DomainError("resultant with a zero polynomial")
         # Res_Y(f, g) = Res_Y(a f, b g) / (a^deg_Y g b^deg_Y f), on integer rows
-        F, a = _cleared(*f.rows)
-        G, b = _cleared(*g.rows)
+        F, a = f._form()
+        G, b = g._form()
         d = a**g.degree_y * b**f.degree_y
         return UniPoly._of([Fraction(c, d) for c in _resultant_rows(F, G)])
     raise DomainError("resultant arguments must be two UniPoly or two BiPoly")
@@ -618,7 +696,7 @@ def discriminant(f: UniPoly) -> Rat:
         raise DomainError("discriminant needs degree >= 1")
     if n == 1:
         return Fraction(1)
-    (A,), a = _cleared(f)
+    A, a = f._form()
     r = _subresultant(A, dense.deriv(INTEGERS, A))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return Fraction(sign * r, A[-1] * a ** (2 * n - 2))
@@ -638,7 +716,7 @@ def disc_y(P: BiPoly) -> UniPoly:
         raise DomainError("disc_y requires a polynomial monic in Y")
     if n == 1:
         return UniPoly.const(1)
-    A, a = _cleared(*P.rows)
+    A, a = P._form()
     r = _resultant_rows(A, [[i * c for c in row] for i, row in enumerate(A)][1:])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return UniPoly._of([Fraction(sign * c, a ** (2 * n - 1)) for c in r])

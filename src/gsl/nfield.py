@@ -68,7 +68,6 @@ from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import (
     Rat,
     UniPoly,
-    _cleared,
     _resultant_rows,
     _valuation,
     discriminant,
@@ -103,7 +102,7 @@ class NumberField:
         if modulus.lc != 1:
             raise DomainError("number field modulus must be monic")
         n = modulus.degree
-        (DM,), D = _cleared(modulus)
+        DM, D = modulus._form()
         set_ = object.__setattr__
         set_(self, "modulus", modulus)
         set_(self, "degree", n)

@@ -10,10 +10,13 @@ algorithm.  It works in W = Z/p^N (`modp.Zp`, int elements) and its
 unramified extensions W[x]/(rho) (`modp.Zq`, tuples of W elements), each
 built over the ring the oracle is in; polynomials over W are `dense`
 lists of elements, and p and N are read off W.  The input enters on
-integers G (`_prepare`), with g = G / G_n the monic integral model.  N
-starts at the floor 2*v_p(disc)+1 of g and doubles, for at most
-LADDER_RUNGS rungs, whenever a check raises PrecisionExhausted; each
-rung reduces G mod p^N and divides by the unit G_n.
+integers G (`_prepare`), with g = G / G_n the monic integral model.  G is
+read off the primitive integer form A of f, which f and every c f share
+and which is the integer form of f.monic(), so f.monic() is never built
+over Q; the discriminant is computed once per A.  N starts at the floor
+2*v_p(disc)+1 of g and doubles, for at most LADDER_RUNGS rungs, whenever
+a check raises PrecisionExhausted; each rung reduces G mod p^N and
+divides by the unit G_n.
 
 1. `_cluster(W, g, center, floor, depth)` reads the factors of g whose
    roots y have v(y - center) > floor off the sides of the Newton polygon
@@ -66,6 +69,7 @@ oracle refuses rather than guesses.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,7 +80,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, _cleared, _int_val, _valuation, discriminant
+from .exact import Rat, UniPoly, _int_val, _valuation, discriminant
 from .modp import Zp, Zq, degree_blocks, factor_over, prime_field
 
 __all__ = [
@@ -120,18 +124,27 @@ class PadicPrecisionCtx:
     @classmethod
     def for_input(cls, f: UniPoly, p: int) -> "PadicPrecisionCtx":
         prime_field(p)
-        return _prepare(f.monic(), p)[1]
+        return _prepare(f, p)[1]
 
 
 def _prepare(f: UniPoly, p: int) -> tuple[list[int], PadicPrecisionCtx]:
-    """The integral model of the monic f at the prime p (its primality is
-    the caller's to test), and its precision context.  With A = a f the
-    integer form of f, m = max ceil((v_p(a) - v_p(A_i)) / (n - i)), at
-    least 0, is the least m that makes g(Z) = p^(m n) f(Z / p^m) integral,
-    and g = G / G_n for the integers G_i = p^(m (n - i)) A_i / p^v_p(a),
-    G_n a p-unit.  g multiplies every root of f by p^m, so v_p(disc g) =
-    v_p(disc f) + m n (n - 1)."""
-    A, d = _model(f)
+    """The integral model of f at the prime p (its primality is the
+    caller's to test), and its precision context.  f enters by its
+    primitive integer form A = sign(B_n) B / content(B), B = b f its
+    integer form (`UniPoly._form`); A = a f.monic() with a = A_n > 0 the
+    least integer making it integral.  Then m = max ceil((v_p(a) -
+    v_p(A_i)) / (n - i)), at least 0, is the least m that makes g(Z) =
+    p^(m n) f.monic()(Z / p^m) integral, and g = G / G_n for the integers
+    G_i = p^(m (n - i)) A_i / p^v_p(a), G_n a p-unit.  g multiplies every
+    root of f by p^m, so v_p(disc g) = v_p(disc f.monic()) + m n (n - 1)."""
+    B, _ = f._form()
+    if len(B) < 2:
+        raise DomainError("need a polynomial of degree >= 1")
+    c = math.gcd(*B)
+    if B[-1] < 0:
+        c = -c
+    A = B if c == 1 else tuple(x // c for x in B)
+    d = _model(A)
     if d == 0:
         raise NotSeparable("input polynomial is not separable")
     n = len(A) - 1
@@ -143,12 +156,13 @@ def _prepare(f: UniPoly, p: int) -> tuple[list[int], PadicPrecisionCtx]:
 
 
 @functools.lru_cache(maxsize=32)
-def _model(f: UniPoly) -> tuple[tuple[int, ...], Rat]:
-    """(A, disc f) for the monic f, with A = a f its integer form
-    (`exact._cleared`), kept for the last few inputs: a specialization is
-    checked at each of its meeting primes with the same polynomial."""
-    (A,), _ = _cleared(f)
-    return tuple(A), discriminant(f)
+def _model(A: tuple[int, ...]) -> Rat:
+    """disc f.monic() for the f whose primitive integer form is A, kept for
+    the last few inputs and keyed on A, so f and every c f share one entry:
+    a specialization is checked at each of its meeting primes with the
+    same polynomial.  f.monic() = A / A_n is built with its integer form
+    set (A_n is its least denominator), for `discriminant` to read."""
+    return discriminant(UniPoly._of_int(A, A[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +327,8 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     """Certified (e, f) multiset of f over Q_p for an odd prime p.
 
     f must be separable of degree >= 1 (any nonzero leading coefficient and
-    any rational coefficients: the input is normalized internally).  Works
+    any rational coefficients: it enters by its primitive integer form, so
+    f and every c f give one answer, from one cache entry).  Works
     at N = (2v+1) 2^k for k = 0, 1, ..., LADDER_RUNGS - 1, v = v_p(disc) of
     the integral model g, moving up a rung only when a check raises
     PrecisionExhausted; each rung reads the first cluster of g, around 0
@@ -326,9 +341,7 @@ def local_splitting_type(f: UniPoly, p: int) -> LocalSplittingType:
     if p == 2:
         raise DomainError("p = 2 is outside the tame oracle's domain")
     prime_field(p)
-    if f.is_zero or f.degree < 1:
-        raise DomainError("need a polynomial of degree >= 1")
-    G, ctx = _prepare(f.monic(), p)
+    G, ctx = _prepare(f, p)
     rungs = [ctx.precision << k for k in range(LADDER_RUNGS)]
     last_exc: Exception | None = None
     for N in rungs:

@@ -233,15 +233,17 @@ def _predict(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> 
 
 
 def specialize_poly(cover: Cover, t0: Rat) -> UniPoly:
-    """P(t0, Y); refuses points on the discriminant locus."""
+    """P(t0, Y); refuses points on the discriminant locus.  It is computed
+    on the cover's integer rows (`BiPoly.at`: one homogeneous Horner pass
+    per row at t0 = n/d, over one common denominator a d^D), and its own
+    integer form is set from those ints, so the oracle reads it without
+    clearing a denominator again."""
     t0 = Fraction(t0)
     if cover.analysis.disc_sf(t0) == 0:
         raise HypothesisViolation(
             f"t0 = {t0} lies on the branch locus of the cover"
         )
-    return UniPoly(
-        [cover.poly.coeff(i)(t0) for i in range(cover.degree + 1)]
-    )
+    return cover.poly.at(t0)
 
 
 MATCH = "MATCH"

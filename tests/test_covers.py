@@ -225,6 +225,15 @@ def test_galois_sampling_accepts_bundled(covers):
         assert probabilistic_galois_check(c, samples=12)
 
 
+def test_galois_sampling_specializes_through_the_integer_rows(covers, monkeypatch):
+    # the sampler evaluates P(t0, Y) as specialize_poly does, by BiPoly.at
+    calls = []
+    real = BiPoly.at
+    monkeypatch.setattr(BiPoly, "at", lambda P, t0: calls.append(t0) or real(P, t0))
+    assert probabilistic_galois_check(covers["c3_shanks"], samples=6, seed=1)
+    assert len(calls) >= 6
+
+
 def test_galois_sampling_refutes_non_galois():
     # Y^3 - T is not Galois over Q(T): factor degrees mod p are not uniform
     cover = load_cover({

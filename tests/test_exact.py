@@ -4,6 +4,7 @@ of result records."""
 import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -33,7 +34,7 @@ from gsl.exact import (
     resultant,
     squarefree_part,
 )
-from gsl.specialize import verify_specialization
+from gsl.specialize import specialize_poly, verify_specialization
 
 rats = st.fractions(
     min_value=-30, max_value=30, max_denominator=6
@@ -150,6 +151,99 @@ def test_value_at_a_root_is_zero(g, r):
     # (x - r) g vanishes at r, a point with d > 1 when r is not an integer
     f = UniPoly([-r, 1]) * g
     assert f(r) == 0 and f(r) == dense.evaluate(dense.RATIONALS, f.coeffs, r)
+
+
+# the integer form (A, a) is computed once per polynomial and read after;
+# P(t0, Y) is one integer Horner pass per row: both against rational
+# arithmetic written out here, not through the code they check
+def _lcm_from_scratch(denominators):
+    out = 1
+    for d in denominators:
+        a, b = out, d
+        while b:  # a = gcd(out, d)
+            a, b = b, a % b
+        out = out * d // a
+    return out
+
+
+def _form_from_scratch(f):
+    a = _lcm_from_scratch(c.denominator for c in f.coeffs)
+    return tuple(int(c * a) for c in f.coeffs), a
+
+
+wide_rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+rows_with_zeros = st.lists(st.one_of(st.just([]), st.lists(wide_rats, max_size=5)),
+                           min_size=1, max_size=5)
+t0s = st.one_of(
+    st.integers(-10**4, 10**4).map(Fraction),  # d = 1
+    st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**5)),
+)
+
+
+@given(st.one_of(polys, non_monic, st.lists(wide_rats, max_size=7).map(UniPoly)))
+def test_integer_form_is_the_lcm_form_computed_once(f):
+    assert f._int is None  # nothing is computed until something reads it
+    form = f._form()
+    assert form == _form_from_scratch(f) and form[1] > 0
+    assert all(type(c) is int for c in form[0])
+    assert f._form() is form and f._int is form
+    assert exact._cleared(f) == ([form[0]], form[1])
+    g = f * UniPoly([Fraction(1, 3), Fraction(5, 7)])
+    (A, B), a = exact._cleared(f, g)
+    assert a == _lcm_from_scratch(c.denominator for c in f.coeffs + g.coeffs)
+    assert (A, B) == tuple(tuple(int(c * a) for c in h.coeffs) for h in (f, g))
+
+
+@given(rows_with_zeros, t0s)
+def test_specialization_is_the_fraction_evaluation(rows, t0):
+    P = BiPoly([UniPoly(r) for r in rows])
+    want = []
+    for row in P.rows:
+        value = Fraction(0)
+        for j, c in enumerate(row.coeffs):
+            value += c * t0**j
+        want.append(value)
+    while want and want[-1] == 0:
+        want.pop()
+    got = P.at(t0)
+    assert got.coeffs == tuple(want) and all(type(c) is Fraction for c in got.coeffs)
+    # its integer form was set from the Horner ints, and is the least one
+    assert got._int is not None and got._int == _form_from_scratch(got)
+    assert got == UniPoly(want) and hash(got) == hash(UniPoly(want))
+
+
+@given(st.sampled_from(["c2_sqrt_t", "c3_shanks", "v4_sqrt_t_sqrt_t_minus_1"]), t0s)
+def test_specialize_poly_is_the_fraction_evaluation_on_the_bundled_covers(covers, name, t0):
+    cover = covers[name]
+    assume(cover.analysis.disc_sf(t0) != 0)
+    got = specialize_poly(cover, t0)
+    want = [sum((c * t0**j for j, c in enumerate(row.coeffs)), Fraction(0)) for row in cover.poly.rows]
+    assert got.coeffs == tuple(want) and got._int == _form_from_scratch(got)
+
+
+@given(st.one_of(polys, non_monic), st.fractions(min_value=-50, max_value=50,
+                                                 max_denominator=50).filter(bool))
+def test_equal_polynomials_hash_equal_however_built(f, c):
+    built = [
+        UniPoly(f.coeffs),
+        UniPoly([rat_to_str(x) for x in f.coeffs]),
+        UniPoly._of(list(f.coeffs)),
+        f + UniPoly(),
+        f.scale(c).scale(1 / c),
+        pickle.loads(pickle.dumps(f)),
+        BiPoly([UniPoly.const(x) for x in f.coeffs]).at(Fraction(7, 3)),
+    ]
+    A, a = _form_from_scratch(f)
+    built.append(UniPoly._of_int([6 * x for x in A] + [0], 6 * a))  # not in lowest terms
+    for g in built:
+        assert g == f and hash(g) == hash(f)
+    if not f.is_zero:
+        m = f.monic()
+        for g in (f.scale(c).monic(), UniPoly(m.coeffs), pickle.loads(pickle.dumps(m))):
+            assert g == m and hash(g) == hash(m)
+    P = BiPoly([f, UniPoly.const(1)])
+    Q = pickle.loads(pickle.dumps(P))
+    assert Q == P and hash(Q) == hash(P) and Q._form() == P._form()
 
 
 @settings(deadline=None)

@@ -12,7 +12,7 @@ import gsl.nfield
 import gsl.padic
 from gsl import dense
 from gsl.covers import bundled_covers, conservative_bad_primes
-from gsl.errors import DomainError, NotSeparable, PrecisionExhausted, WildOrIrregular
+from gsl.errors import DomainError, GslError, NotSeparable, PrecisionExhausted, WildOrIrregular
 from gsl.exact import UniPoly, discriminant, rational_valuation
 from gsl.modp import (
     Zp,
@@ -449,6 +449,32 @@ def test_oracle_splitting_of_product_is_merged_splitting(g, h, p):
     for e, fr, cnt in a + b:
         merged[(e, fr)] = merged.get((e, fr), 0) + cnt
     assert c == tuple((e, fr, cnt) for (e, fr), cnt in sorted(merged.items()))
+
+
+def _either(fn, *args):
+    """fn's value, or its refusal as (class name, message)."""
+    try:
+        return fn(*args)
+    except GslError as exc:
+        return type(exc).__name__, str(exc)
+
+
+rational_poly = st.lists(small_rat, min_size=1, max_size=5).map(UniPoly).filter(
+    lambda f: not f.is_zero)
+
+
+@settings(max_examples=200)
+@given(st.one_of(monic_int_poly, rational_poly), odd_prime,
+       st.integers(-30, 30).filter(bool), st.integers(1, 30), st.integers(0, 3), st.integers(0, 3))
+def test_oracle_and_its_precision_see_f_and_c_f_alike(f, p, u, w, i, j):
+    # c = u p^i / (w p^j): p may divide its numerator and its denominator.
+    # The oracle enters on the primitive integer form, which f and c f share
+    c = Fraction(u * p**i, w * p**j)
+    g = f.scale(c)
+    assert _either(local_splitting_type, g, p) == _either(local_splitting_type, f, p)
+    assert _either(PadicPrecisionCtx.for_input, g, p) == _either(PadicPrecisionCtx.for_input, f, p)
+    if f.degree >= 1 and discriminant(f) != 0:
+        assert gsl.padic._prepare(g, p) == gsl.padic._prepare(f.monic(), p)
 
 
 # clustered inputs prod(x - (c + p^j d)) + p^k g, deg g < deg f
