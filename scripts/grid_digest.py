@@ -8,16 +8,19 @@ row [cover name, t0 as a decimal string, report]: the report's JSON, or
 The digest is the sha256 of the rows, covers in `bundled_covers` order and
 t0 ascending, as sorted-key JSON.  Two trees whose outputs agree on the
 grid print the same digest, so a change that claims byte-identical output
-can compare the two.
+can compare the two.  The digest is pinned in `EXPECTED`: a change that
+alters the output on purpose updates the constant in its own diff.
 
 Usage:  PYTHONPATH=src python scripts/grid_digest.py
-Prints the digest, then the verdict counts and the number of refusals, and
-exits 0.
+Prints the digest, then the verdict counts and the number of refusals.
+Exits 0 when the digest is `EXPECTED`; otherwise prints both values and
+exits 1.
 """
 
 import collections
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 from gsl.covers import bundled_covers
@@ -27,6 +30,7 @@ from gsl.specialize import verify_specialization
 
 NUMERATOR_BOUND = 120
 DENOMINATORS = (1, 2, 3, 5, 7)
+EXPECTED = "4c428f4810c6240df1a73b54cd034251424e7cc6fdf54c96083a01b88684682c"
 
 
 def grid_points() -> list[Fraction]:
@@ -52,6 +56,9 @@ def main() -> None:
     print(digest)
     print(f"{len(rows)} points: " + ", ".join(f"{v} {c}" for v, c in sorted(verdicts.items()))
           + f", {refusals} refusals")
+    if digest != EXPECTED:
+        print(f"grid digest differs: got {digest}, expected {EXPECTED}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -559,16 +559,15 @@ def _analyze(cover: Cover) -> CoverAnalysis:
     _primes_of_rat(disc.lc, bad)
     if disc_sf.degree >= 1:
         _primes_of_rat(discriminant(disc_sf), bad)
-    polys = [*cover.poly.rows, disc]  # primes in their denominators are bad
+    dens = [cover.poly.den, disc.den]  # the primes of these denominators are bad
     for bp, M in zip(branches, moduli):
-        polys.extend(bp.residue.rel)
+        dens.extend(r.den for r in bp.residue.rel)
         if bp.locus is not None:
-            polys.append(bp.locus)
+            dens.append(bp.locus.den)
         if M.degree >= 2:
             _primes_of_rat(discriminant(M), bad)
-    for f in polys:
-        for c in f.coeffs:
-            bad.update(factor_int(c.denominator))
+    for d in dens:
+        bad.update(factor_int(d))
     return CoverAnalysis(disc_sf, tuple(branches), frozenset(bad), moduli)
 
 

@@ -3,11 +3,12 @@
 Conventions used throughout the package:
 
 * rationals are `fractions.Fraction` (aliased `Rat`);
-* univariate polynomials are dense coefficient tuples, ascending degree,
-  with no trailing zeros; the zero polynomial has an empty tuple and
-  degree -1;
-* bivariate polynomials P(T, Y) are stored as a tuple of rows indexed by
-  Y-degree, each row a `UniPoly` in T;
+* a univariate polynomial over Q is stored as its integer form: a tuple
+  of ints, ascending degree, with no trailing zeros, over one positive
+  denominator, the least that makes them integral; the zero polynomial
+  has an empty tuple, denominator 1 and degree -1;
+* a bivariate polynomial P(T, Y) is stored as a tuple of such int rows,
+  indexed by Y-degree, over one least denominator;
 * JSON form of a `UniPoly` is a list of decimal strings (``"-82"``,
   ``"3/4"``), ascending degree; a `BiPoly` is a list of such lists;
 * a result record (a frozen dataclass deriving `JsonRecord`) is a JSON
@@ -15,14 +16,14 @@ Conventions used throughout the package:
   `_json_value`.
 
 `UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
-kernel's over `dense.RATIONALS`, kept in an immutable tuple.  Each
-`UniPoly` and `BiPoly` also has an integer form, its coefficients times
-the least positive common denominator (ints over one denominator, as
-FLINT's fmpq_poly stores them).  It is computed once per polynomial, on
-first use, and kept in a slot; a polynomial built from integers (a
-specialization P(t0, Y), the oracle's monic model) has it set at
-construction.  `_cleared`, evaluation, `resultant`, `discriminant`,
-`disc_y` and both hashes read it there.  The value of a `UniPoly` at a
+kernel's over `dense.RATIONALS`, on the `Fraction` coefficients made from
+the stored ints on the way in and cleared again on the way out.  The
+integer form (ints over one denominator, as FLINT's fmpq_poly stores
+them) is the only state of a `UniPoly` or `BiPoly`, canonical, so
+equality and both hashes read it; a polynomial built from integers (a
+specialization P(t0, Y), a resultant, the oracle's monic model) makes no
+`Fraction` at all.  `_cleared`, evaluation, `resultant`, `discriminant`
+and `disc_y` read the stored ints.  The value of a `UniPoly` at a
 rational n/d, and P(n/d, Y) for a `BiPoly` P (`BiPoly.at`), are computed
 by one homogeneous Horner pass per integer row (`_horner`), with the
 Fractions made only at the end.  The resultant of two `UniPoly` runs the
@@ -34,10 +35,10 @@ the resultant lies in Z[T]; its values at integer points T = t are
 subresultants over Z, and it is recovered from as many of them as the
 degree bound needs by Newton interpolation over Z (`dense.interpolate`),
 whose divisions are exact and checked.  `_resultant_rows` is that loop on
-integer rows, which the Trager norms build directly; one `Fraction` per
-output coefficient undoes the clearing, and `disc_y` runs it on the
-integer rows of P and on their Y-derivative.  No factorization over Q is
-exposed here.
+integer rows, which the Trager norms build directly; the result is stored
+over the clearing's denominator, and `disc_y` runs it on the integer rows
+of P and on their Y-derivative.  No factorization over Q is exposed
+here.
 """
 
 from __future__ import annotations
@@ -297,79 +298,90 @@ def factor_int(n: int) -> dict[int, int]:
 # univariate polynomials over Q
 
 
-def _norm(coeffs: Iterable) -> tuple[Rat, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 class UniPoly:
-    """Dense univariate polynomial over Q, immutable; arithmetic runs in the
-    `dense` kernel over `dense.RATIONALS`.  Its integer form (A, a), with a
-    the least positive integer making A = a f integral, is computed once,
-    on first use, and kept in a slot: evaluation, `resultant`,
-    `discriminant`, `_cleared` and the hash read it there.  The hash is
-    that of (A, a), a function of the coefficients, so it agrees with
-    `__eq__` however the polynomial was built."""
+    """Dense univariate polynomial over Q, immutable, stored as its integer
+    form: `num`, the trimmed int coefficients (ascending), over `den`, the
+    least positive integer that makes them integral, so gcd(den, *num) = 1
+    (FLINT's fmpq_poly layout).  `coeffs`, `coeff(i)` and `lc` make their
+    `Fraction`s on demand.  Arithmetic runs in the `dense` kernel over
+    `dense.RATIONALS`: `coeffs` in, `_of` out.  Equality and the hash read
+    (num, den), which is canonical, so they agree however the polynomial
+    was built."""
 
-    __slots__ = ("coeffs", "_int")
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _norm(coeffs))
-        object.__setattr__(self, "_int", None)
+    def __new__(cls, coeffs: Iterable = ()):
+        return cls._of([Fraction(c) for c in coeffs])
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("UniPoly is immutable")
 
-    def __reduce__(self):  # pickle through __init__, not __setattr__
-        return UniPoly, (self.coeffs,)
+    def __reduce__(self):  # pickle through _of_int, not __setattr__
+        return UniPoly._of_int, (self.num, self.den)
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def const(cls, c) -> "UniPoly":
-        return cls([Fraction(c)])
+        return cls([c])
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "UniPoly":
-        return cls([rat_from_str(s) for s in data])
+        return cls._of([rat_from_str(s) for s in data])
 
     def to_json(self) -> list[str]:
         return [rat_to_str(c) for c in self.coeffs]
 
+    @classmethod
+    def _of(cls, cs) -> "UniPoly":
+        """The polynomial of a list of Fractions, such as the kernel
+        returns, brought over the lcm of their denominators."""
+        a = math.lcm(*(c.denominator for c in cs))
+        return cls._of_int([c.numerator * (a // c.denominator) for c in cs], a)
+
+    @classmethod
+    def _of_int(cls, B: Sequence[int], b: int) -> "UniPoly":
+        """B / b for ints B (ascending, trailing zeros allowed) and b > 0,
+        stored with B and b divided by their gcd; no `Fraction` is made."""
+        B = list(B)
+        while B and not B[-1]:
+            B.pop()
+        g = math.gcd(b, *B)
+        if g > 1:
+            B = [c // g for c in B]
+            b //= g
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", tuple(B))
+        object.__setattr__(out, "den", b)
+        return out
+
     # -- structure ---------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        b = self.den
+        return tuple(Fraction(c, b) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lc(self) -> Rat:
         if self.is_zero:
             raise DomainError("leading coefficient of the zero polynomial")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, i: int) -> Rat:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self._form())
-
-    def _form(self) -> tuple[tuple[int, ...], int]:
-        """The integer form (A, a), computed on the first call and then
-        read from the slot."""
-        form = self._int
-        if form is None:
-            a = math.lcm(*(c.denominator for c in self.coeffs))
-            form = tuple(c.numerator * (a // c.denominator) for c in self.coeffs), a
-            object.__setattr__(self, "_int", form)
-        return form
+        return hash((self.num, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -381,30 +393,6 @@ class UniPoly:
         return "UniPoly(" + " + ".join(terms) + ")"
 
     # -- arithmetic (the `dense` kernel over Q) -----------------------------
-    @classmethod
-    def _of(cls, cs) -> "UniPoly":
-        """Wrap a trimmed list of Fractions returned by the kernel."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(cs))
-        object.__setattr__(out, "_int", None)
-        return out
-
-    @classmethod
-    def _of_int(cls, B: list[int], b: int) -> "UniPoly":
-        """B / b for ints B (ascending, trailing zeros allowed) and b > 0,
-        with its integer form set: B and b divided by their gcd."""
-        B = list(B)
-        while B and not B[-1]:
-            B.pop()
-        g = math.gcd(b, *B)
-        if g > 1:
-            B = [c // g for c in B]
-            b //= g
-        out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(Fraction(c, b) for c in B))
-        object.__setattr__(out, "_int", (tuple(B), b))
-        return out
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
         return UniPoly._of(dense.add(RATIONALS, self.coeffs, other.coeffs))
 
@@ -445,13 +433,12 @@ class UniPoly:
         return UniPoly._of(dense.deriv(RATIONALS, self.coeffs))
 
     def __call__(self, x) -> Rat:
-        """The value at a rational x = n/d, on the integer form (A, L):
-        d^deg A(x) by one `_horner` pass, over L d^deg, one `Fraction` in
+        """The value at a rational x = n/d, on the stored ints: d^deg
+        num(x) by one `_horner` pass, over den d^deg, one `Fraction` in
         all."""
         n, d = Fraction(x).as_integer_ratio()
-        A, L = self._form()
-        acc, dk = _horner(A, n, d)
-        return Fraction(acc * d, L * dk)  # dk = d^(deg + 1)
+        acc, dk = _horner(self.num, n, d)
+        return Fraction(acc * d, self.den * dk)  # dk = d^(deg + 1)
 
 
 def _horner(A: Sequence[int], n: int, d: int, dk: int = 1) -> tuple[int, int]:
@@ -542,20 +529,20 @@ def _subresultant(A: list[int], B: list[int]) -> int:
 
 
 class BiPoly:
-    """P(T, Y) as a tuple of rows: rows[i] is the UniPoly in T multiplying
-    Y^i.  The covers this package handles are monic in Y.  Its integer
-    form (R, a), the rows R_i = a P_i over the least positive a that makes
-    them all integral, is computed once, on first use, and kept in a slot:
-    `resultant`, `disc_y`, `at` and the hash read it there."""
+    """P(T, Y), stored as its integer form: `num`, the rows R_i = den P_i
+    (R_i the trimmed int coefficients in T of Y^i, no zero row on top),
+    over `den`, the least positive integer that makes them all integral.
+    `rows` and `coeff(i)` make their `UniPoly`s on demand, with no
+    `Fraction`.  The covers this package handles are monic in Y."""
 
-    __slots__ = ("rows", "_int")
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Iterable[UniPoly]):
-        rs = [r if isinstance(r, UniPoly) else UniPoly(r) for r in rows]
-        while rs and rs[-1].is_zero:
-            rs.pop()
-        object.__setattr__(self, "rows", tuple(rs))
-        object.__setattr__(self, "_int", None)
+        R, a = _cleared(*(r if isinstance(r, UniPoly) else UniPoly(r) for r in rows))
+        while R and not R[-1]:
+            R.pop()
+        object.__setattr__(self, "num", tuple(R))
+        object.__setattr__(self, "den", a)
 
     def __setattr__(self, *a):
         raise AttributeError("BiPoly is immutable")
@@ -571,42 +558,36 @@ class BiPoly:
         return [row.to_json() for row in self.rows]
 
     @property
+    def rows(self) -> tuple[UniPoly, ...]:
+        return tuple(UniPoly._of_int(r, self.den) for r in self.num)
+
+    @property
     def degree_y(self) -> int:
-        return len(self.rows) - 1
+        return len(self.num) - 1
 
     @property
     def is_monic_in_y(self) -> bool:
-        return bool(self.rows) and self.rows[-1] == UniPoly.const(1)
+        return bool(self.num) and self.num[-1] == (self.den,)
 
     def coeff(self, i: int) -> UniPoly:
-        return self.rows[i] if 0 <= i < len(self.rows) else UniPoly()
+        return UniPoly._of_int(self.num[i], self.den) if 0 <= i < len(self.num) else UniPoly()
 
     def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.rows == other.rows
+        return isinstance(other, BiPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self._form())
-
-    def _form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The integer form (R, a), computed on the first call and then
-        read from the slot."""
-        form = self._int
-        if form is None:
-            R, a = _cleared(*self.rows)
-            form = tuple(R), a
-            object.__setattr__(self, "_int", form)
-        return form
+        return hash((self.num, self.den))
 
     def at(self, t0) -> UniPoly:
         """P(t0, Y) for a rational t0 = n/d, on the integer rows: with D
         the largest T-degree, each row takes one homogeneous Horner pass
         (`_horner`), h_i = d^D R_i(t0), over the one common denominator
-        a d^D; the result's integer form is set from (h, a d^D)."""
-        n, d = Fraction(t0).as_integer_ratio()
-        R, a = self._form()
+        den d^D."""
+        n, d = t0.as_integer_ratio()
+        R = self.num
         top = max(map(len, R), default=1)
         return UniPoly._of_int(
-            [_horner(r, n, d, d ** (top - len(r)))[0] for r in R], a * d ** (top - 1)
+            [_horner(r, n, d, d ** (top - len(r)))[0] for r in R], self.den * d ** (top - 1)
         )
 
     def __repr__(self):
@@ -615,11 +596,10 @@ class BiPoly:
 
 def _cleared(*polys: UniPoly) -> tuple[list[tuple[int, ...]], int]:
     """([a p as an integer tuple for each p], a) for the least positive a:
-    each p's integer form is read from its slot (computed once per
-    polynomial) and brought to the common denominator a, the lcm of theirs."""
-    forms = [p._form() for p in polys]
-    a = math.lcm(*(b for _, b in forms))
-    return [A if b == a else tuple(c * (a // b) for c in A) for A, b in forms], a
+    each p's stored ints brought to the common denominator a, the lcm of
+    theirs."""
+    a = math.lcm(*(p.den for p in polys))
+    return [p.num if p.den == a else tuple(c * (a // p.den) for c in p.num) for p in polys], a
 
 
 def _sample_points():
@@ -653,8 +633,8 @@ def _resultant_rows(F: list[list[int]], G: list[list[int]]) -> list[int]:
     for t in _sample_points():
         if len(xs) > bound:
             break
-        ft = [dense.evaluate(INTEGERS, r, t) for r in F]
-        gt = [dense.evaluate(INTEGERS, r, t) for r in G]
+        ft = [_horner(r, t, 1)[0] for r in F]
+        gt = [_horner(r, t, 1)[0] for r in G]
         if ft[-1] and gt[-1]:
             xs.append(t)
             ys.append(_subresultant(ft, gt))
@@ -671,17 +651,14 @@ def resultant(f, g):
         if f.is_zero or g.is_zero:
             raise DomainError("resultant with a zero polynomial")
         # Res(f, g) = Res(a f, b g) / (a^deg g b^deg f), with a f and b g in Z[x]
-        A, a = f._form()
-        B, b = g._form()
-        return Fraction(_subresultant(A, B), a**g.degree * b**f.degree)
+        d = f.den**g.degree * g.den**f.degree
+        return Fraction(_subresultant(f.num, g.num), d)
     if isinstance(f, BiPoly) and isinstance(g, BiPoly):
-        if not f.rows or not g.rows:
+        if not f.num or not g.num:
             raise DomainError("resultant with a zero polynomial")
         # Res_Y(f, g) = Res_Y(a f, b g) / (a^deg_Y g b^deg_Y f), on integer rows
-        F, a = f._form()
-        G, b = g._form()
-        d = a**g.degree_y * b**f.degree_y
-        return UniPoly._of([Fraction(c, d) for c in _resultant_rows(F, G)])
+        d = f.den**g.degree_y * g.den**f.degree_y
+        return UniPoly._of_int(_resultant_rows(f.num, g.num), d)
     raise DomainError("resultant arguments must be two UniPoly or two BiPoly")
 
 
@@ -696,10 +673,10 @@ def discriminant(f: UniPoly) -> Rat:
         raise DomainError("discriminant needs degree >= 1")
     if n == 1:
         return Fraction(1)
-    A, a = f._form()
+    A = f.num
     r = _subresultant(A, dense.deriv(INTEGERS, A))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return Fraction(sign * r, A[-1] * a ** (2 * n - 2))
+    return Fraction(sign * r, A[-1] * f.den ** (2 * n - 2))
 
 
 def disc_y(P: BiPoly) -> UniPoly:
@@ -716,7 +693,7 @@ def disc_y(P: BiPoly) -> UniPoly:
         raise DomainError("disc_y requires a polynomial monic in Y")
     if n == 1:
         return UniPoly.const(1)
-    A, a = P._form()
+    A = P.num
     r = _resultant_rows(A, [[i * c for c in row] for i, row in enumerate(A)][1:])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return UniPoly._of([Fraction(sign * c, a ** (2 * n - 1)) for c in r])
+    return UniPoly._of_int([sign * c for c in r], P.den ** (2 * n - 1))

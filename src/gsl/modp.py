@@ -375,10 +375,14 @@ def roots_over(F, f) -> list:
 
 
 def reduce_unipoly(f: UniPoly, p: int) -> list[int]:
-    """Coefficients of f mod p; errors when a denominator is divisible by p
-    (the reduction would not be defined)."""
+    """Coefficients of f mod p, its stored ints times the inverse of its
+    denominator; errors when p divides that denominator, the lcm of its
+    coefficients' (the reduction would not be defined)."""
     F = prime_field(p)
-    return dense.trim(F, [F.from_rat(c) for c in f.coeffs])
+    if f.den % p == 0:
+        raise DomainError("element is not p-integral")
+    inv = pow(f.den, -1, p)
+    return dense.trim(F, [c * inv % p for c in f.num])
 
 
 def factor_mod_p(f: UniPoly, p: int) -> list[tuple[list[int], int]]:

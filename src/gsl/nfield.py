@@ -60,13 +60,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import dense
 from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import (
-    Rat,
     UniPoly,
     _resultant_rows,
     _valuation,
@@ -88,9 +86,9 @@ class NumberField:
     elements are equal tuples.  The modulus is kept as the integer vector
     D (M - x^n) for the least D > 0 that makes it integral, and x^n
     reduces to minus that vector over D.  The ring operations run on
-    Python ints with one gcd normalization per result; `coords` and
-    `from_coords` convert to and from rational coordinates at the
-    boundary.  Irreducibility of M is the caller's responsibility -- every
+    Python ints with one gcd normalization per result; `coords` gives the
+    rational coordinates, and `from_unipoly` the class of a polynomial
+    over Q.  Irreducibility of M is the caller's responsibility -- every
     modulus built inside this module is certified at construction time
     (factor_rational output, or a squarefree norm via Trager's lemma)."""
 
@@ -102,12 +100,11 @@ class NumberField:
         if modulus.lc != 1:
             raise DomainError("number field modulus must be monic")
         n = modulus.degree
-        DM, D = modulus._form()
         set_ = object.__setattr__
         set_(self, "modulus", modulus)
         set_(self, "degree", n)
-        set_(self, "_red", tuple(DM[:n]))
-        set_(self, "_red_den", D)
+        set_(self, "_red", modulus.num[:n])
+        set_(self, "_red_den", modulus.den)
         set_(self, "_pad", (0,) * (n - 1))
         set_(self, "zero", (0,) * n + (1,))
         set_(self, "one", (1,) + self._pad + (1,))
@@ -138,16 +135,11 @@ class NumberField:
         den = a[-1]
         return [Fraction(c, den) for c in a[:-1]]
 
-    def from_coords(self, cs: Sequence[Rat]) -> tuple:
-        """The element with rational coordinates cs (at most deg M of them,
-        low to high).  Over the lcm of the reduced denominators the
-        numerators share no factor with it, so the tuple is canonical."""
-        den = math.lcm(*(c.denominator for c in cs))
-        out = [c.numerator * (den // c.denominator) for c in cs]
-        return tuple(out) + (0,) * (self.degree - len(out)) + (den,)
-
     def from_unipoly(self, u: UniPoly) -> tuple:
-        return self.from_coords((u % self.modulus).coeffs)
+        """The class of u: the stored form of u mod M, padded to deg M
+        coordinates, is already canonical (den > 0, gcd 1)."""
+        r = u % self.modulus
+        return r.num + (0,) * (self.degree - len(r.num)) + (r.den,)
 
     # -- arithmetic
 
@@ -475,7 +467,7 @@ def _factor_squarefree(g: UniPoly) -> list[UniPoly]:
     out = []
     for h in _zassenhaus_monic_int(gz):
         d = len(h) - 1
-        out.append(UniPoly([Fraction(h[i], den ** (d - i)) for i in range(d + 1)]))
+        out.append(UniPoly._of_int([c * den**i for i, c in enumerate(h)], den**d))
     out.sort(key=_rational_key)
     return out
 
@@ -534,7 +526,7 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     a = K._red_den
     res = _resultant_rows([[c] if c else [] for c in K._red + (a,)], rows)
     den = a ** (len(rows) - 1) * L**K.degree
-    N = UniPoly._of([Fraction(c, den) for c in res])
+    N = UniPoly._of_int(res, den)
     if N.degree != D or N.lc != 1:
         raise DomainError(f"the norm has degree {N.degree}, not {D}, or is not monic")
     return N

@@ -130,14 +130,15 @@ class PadicPrecisionCtx:
 def _prepare(f: UniPoly, p: int) -> tuple[list[int], PadicPrecisionCtx]:
     """The integral model of f at the prime p (its primality is the
     caller's to test), and its precision context.  f enters by its
-    primitive integer form A = sign(B_n) B / content(B), B = b f its
-    integer form (`UniPoly._form`); A = a f.monic() with a = A_n > 0 the
-    least integer making it integral.  Then m = max ceil((v_p(a) -
-    v_p(A_i)) / (n - i)), at least 0, is the least m that makes g(Z) =
-    p^(m n) f.monic()(Z / p^m) integral, and g = G / G_n for the integers
-    G_i = p^(m (n - i)) A_i / p^v_p(a), G_n a p-unit.  g multiplies every
-    root of f by p^m, so v_p(disc g) = v_p(disc f.monic()) + m n (n - 1)."""
-    B, _ = f._form()
+    primitive integer form A = sign(B_n) B / content(B), B = b f the ints
+    it is stored as (`UniPoly.num`, over b = `UniPoly.den`); A = a f.monic()
+    with a = A_n > 0 the least integer making it integral.  Then m = max
+    ceil((v_p(a) - v_p(A_i)) / (n - i)), at least 0, is the least m that
+    makes g(Z) = p^(m n) f.monic()(Z / p^m) integral, and g = G / G_n for
+    the integers G_i = p^(m (n - i)) A_i / p^v_p(a), G_n a p-unit.  g
+    multiplies every root of f by p^m, so v_p(disc g) = v_p(disc f.monic())
+    + m n (n - 1)."""
+    B = f.num
     if len(B) < 2:
         raise DomainError("need a polynomial of degree >= 1")
     c = math.gcd(*B)
@@ -160,8 +161,9 @@ def _model(A: tuple[int, ...]) -> Rat:
     """disc f.monic() for the f whose primitive integer form is A, kept for
     the last few inputs and keyed on A, so f and every c f share one entry:
     a specialization is checked at each of its meeting primes with the
-    same polynomial.  f.monic() = A / A_n is built with its integer form
-    set (A_n is its least denominator), for `discriminant` to read."""
+    same polynomial.  f.monic() = A / A_n is stored as those ints (A_n is
+    its least denominator), with no `Fraction`, for `discriminant` to
+    read."""
     return discriminant(UniPoly._of_int(A, A[-1]))
 
 

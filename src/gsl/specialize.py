@@ -235,9 +235,9 @@ def _predict(pairs: Sequence[tuple[BranchPoint, int]], t0: Fraction, p: int) -> 
 def specialize_poly(cover: Cover, t0: Rat) -> UniPoly:
     """P(t0, Y); refuses points on the discriminant locus.  It is computed
     on the cover's integer rows (`BiPoly.at`: one homogeneous Horner pass
-    per row at t0 = n/d, over one common denominator a d^D), and its own
-    integer form is set from those ints, so the oracle reads it without
-    clearing a denominator again."""
+    per row at t0 = n/d, over one common denominator a d^D), and it is
+    stored as those ints, so the oracle reads it without clearing a
+    denominator again."""
     t0 = Fraction(t0)
     if cover.analysis.disc_sf(t0) == 0:
         raise HypothesisViolation(
@@ -408,6 +408,8 @@ def approximate_specialization_point(
         den *= p**k
         den_primes.append(p)
     for m, _ in congruences:
+        if m <= 0:
+            raise DomainError(f"modulus {m} must be positive")
         for p in den_primes:
             if m % p == 0:
                 raise ChartMixing(

@@ -378,7 +378,8 @@ _small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 @st.composite
 def _transform_input(draw):
     K = draw(st.sampled_from([_Q, _QI]))
-    elt = st.lists(_small_rat, min_size=K.degree, max_size=K.degree).map(K.from_coords)
+    elt = st.lists(_small_rat, min_size=K.degree, max_size=K.degree).map(
+        lambda cs: K.from_unipoly(UniPoly(cs)))
     H = [dense.trim(K, draw(st.lists(elt, max_size=3)))
          for _ in range(draw(st.integers(1, 4)))]
     assume(any(H))

@@ -122,7 +122,7 @@ def test_squarefree_matches_sympy(field, factors):
     def elem(a, b):  # a + b * gen in R
         if R is F9:
             return (a % 3, b % 3)
-        return R.from_coords([a, b]) if isinstance(R, NumberField) else R.from_int(a)
+        return R.from_unipoly(UniPoly([a, b])) if isinstance(R, NumberField) else R.from_int(a)
 
     f, expr = [R.one], sp.Integer(1)
     for fac, e in factors:
@@ -160,7 +160,7 @@ def test_squarefree_matches_sympy(field, factors):
                 row.append(Fraction(str(c)))
             else:
                 ab = sp.Poly(sp.expand(c), gen).all_coeffs()[::-1] + [0]
-                row.append(R.from_coords([Fraction(str(ab[0])), Fraction(str(ab[1]))]))
+                row.append(R.from_unipoly(UniPoly([Fraction(str(ab[0])), Fraction(str(ab[1]))])))
         want.append((row, i))
     assert sorted(ours, key=lambda t: t[1]) == sorted(want, key=lambda t: t[1])
 

@@ -153,9 +153,9 @@ def test_value_at_a_root_is_zero(g, r):
     assert f(r) == 0 and f(r) == dense.evaluate(dense.RATIONALS, f.coeffs, r)
 
 
-# the integer form (A, a) is computed once per polynomial and read after;
-# P(t0, Y) is one integer Horner pass per row: both against rational
-# arithmetic written out here, not through the code they check
+# a polynomial is stored as its integer form (A, a) alone; P(t0, Y) is one
+# integer Horner pass per row: both against rational arithmetic written out
+# here, not through the code they check
 def _lcm_from_scratch(denominators):
     out = 1
     for d in denominators:
@@ -166,9 +166,9 @@ def _lcm_from_scratch(denominators):
     return out
 
 
-def _form_from_scratch(f):
-    a = _lcm_from_scratch(c.denominator for c in f.coeffs)
-    return tuple(int(c * a) for c in f.coeffs), a
+def _form_from_scratch(coeffs):
+    a = _lcm_from_scratch(c.denominator for c in coeffs)
+    return tuple(int(c * a) for c in coeffs), a
 
 
 wide_rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -182,11 +182,9 @@ t0s = st.one_of(
 
 @given(st.one_of(polys, non_monic, st.lists(wide_rats, max_size=7).map(UniPoly)))
 def test_integer_form_is_the_lcm_form_computed_once(f):
-    assert f._int is None  # nothing is computed until something reads it
-    form = f._form()
-    assert form == _form_from_scratch(f) and form[1] > 0
+    form = (f.num, f.den)
+    assert form == _form_from_scratch(f.coeffs) and form[1] > 0
     assert all(type(c) is int for c in form[0])
-    assert f._form() is form and f._int is form
     assert exact._cleared(f) == ([form[0]], form[1])
     g = f * UniPoly([Fraction(1, 3), Fraction(5, 7)])
     (A, B), a = exact._cleared(f, g)
@@ -198,17 +196,18 @@ def test_integer_form_is_the_lcm_form_computed_once(f):
 def test_specialization_is_the_fraction_evaluation(rows, t0):
     P = BiPoly([UniPoly(r) for r in rows])
     want = []
-    for row in P.rows:
+    for row in rows:
         value = Fraction(0)
-        for j, c in enumerate(row.coeffs):
+        for j, c in enumerate(row):
             value += c * t0**j
         want.append(value)
     while want and want[-1] == 0:
         want.pop()
-    got = P.at(t0)
+    with mock.patch.object(exact, "Fraction", side_effect=AssertionError("a Fraction was made")):
+        got = P.at(t0)  # on ints alone
     assert got.coeffs == tuple(want) and all(type(c) is Fraction for c in got.coeffs)
-    # its integer form was set from the Horner ints, and is the least one
-    assert got._int is not None and got._int == _form_from_scratch(got)
+    # it is stored in the least integer form, made from the Horner ints
+    assert (got.num, got.den) == _form_from_scratch(want)
     assert got == UniPoly(want) and hash(got) == hash(UniPoly(want))
 
 
@@ -218,32 +217,69 @@ def test_specialize_poly_is_the_fraction_evaluation_on_the_bundled_covers(covers
     assume(cover.analysis.disc_sf(t0) != 0)
     got = specialize_poly(cover, t0)
     want = [sum((c * t0**j for j, c in enumerate(row.coeffs)), Fraction(0)) for row in cover.poly.rows]
-    assert got.coeffs == tuple(want) and got._int == _form_from_scratch(got)
+    assert got.coeffs == tuple(want) and (got.num, got.den) == _form_from_scratch(want)
 
 
-@given(st.one_of(polys, non_monic), st.fractions(min_value=-50, max_value=50,
-                                                 max_denominator=50).filter(bool))
-def test_equal_polynomials_hash_equal_however_built(f, c):
-    built = [
-        UniPoly(f.coeffs),
-        UniPoly([rat_to_str(x) for x in f.coeffs]),
-        UniPoly._of(list(f.coeffs)),
-        f + UniPoly(),
-        f.scale(c).scale(1 / c),
-        pickle.loads(pickle.dumps(f)),
-        BiPoly([UniPoly.const(x) for x in f.coeffs]).at(Fraction(7, 3)),
-    ]
-    A, a = _form_from_scratch(f)
-    built.append(UniPoly._of_int([6 * x for x in A] + [0], 6 * a))  # not in lowest terms
-    for g in built:
-        assert g == f and hash(g) == hash(f)
-    if not f.is_zero:
-        m = f.monic()
-        for g in (f.scale(c).monic(), UniPoly(m.coeffs), pickle.loads(pickle.dumps(m))):
-            assert g == m and hash(g) == hash(m)
+def _assert_stores(g, want):
+    """g is stored as the canonical integer form of the Fractions want
+    (trimmed): gcd 1 and a > 0, hashed as (A, a); its readers give want."""
+    A, a = g.num, g.den
+    assert (A, a) == _form_from_scratch(want) and a > 0 and math.gcd(a, *A) == 1
+    assert type(A) is tuple and all(type(c) is int for c in A) and type(a) is int
+    assert hash(g) == hash((A, a))
+    assert g.coeffs == tuple(want) and all(type(c) is Fraction for c in g.coeffs)
+    assert [g.coeff(i) for i in range(-1, len(want) + 2)] == [0, *want, 0, 0]
+    assert g.to_json() == [rat_to_str(c) for c in want]
+    if want:
+        assert g.lc == want[-1] and type(g.lc) is Fraction
+    else:
+        with pytest.raises(DomainError):
+            g.lc
+
+
+@given(st.one_of(st.lists(rats, max_size=6), st.lists(big_rats, min_size=2, max_size=5)),
+       st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool))
+def test_equal_polynomials_hash_equal_however_built(cs, c):
+    want = list(cs)
+    while want and want[-1] == 0:
+        want.pop()
+    f = UniPoly(cs)
+    g = UniPoly([Fraction(1, 3), Fraction(5, 7)])
+    A, a = _form_from_scratch(want)
     P = BiPoly([f, UniPoly.const(1)])
+    built = [
+        f,
+        UniPoly(want),
+        UniPoly([rat_to_str(x) for x in cs]),
+        UniPoly._of(want),
+        UniPoly._of_int([6 * x for x in A] + [0], 6 * a),  # not in lowest terms
+        f + UniPoly(),
+        (f + g) - g,
+        f.scale(c).scale(1 / c),
+        (f * UniPoly.const(c)).divexact(UniPoly.const(c)),
+        pickle.loads(pickle.dumps(f)),
+        P.rows[0],
+        P.coeff(0),
+        BiPoly([f, UniPoly([Fraction(1, 7), Fraction(3, 11)])]).rows[0],  # over a larger lcm
+        BiPoly([UniPoly.const(x) for x in want]).at(Fraction(7, 3)),
+    ]
+    for h in built:
+        assert h == f and hash(h) == hash(f)
+        _assert_stores(h, want)
+    if want:
+        m = f.monic()
+        monic = [x / want[-1] for x in want]
+        for h in (m, f.scale(c).monic(), UniPoly(m.coeffs), pickle.loads(pickle.dumps(m))):
+            assert h == m and hash(h) == hash(m)
+            _assert_stores(h, monic)
+    # a BiPoly is its rows over one least denominator
+    R, b = P.num, P.den
+    assert (R, b) == ((A, (a,)), a)
+    assert math.gcd(b, *(x for r in R for x in r)) == 1 and hash(P) == hash((R, b))
+    assert P.rows == (f, UniPoly.const(1)) and P.coeff(2) == UniPoly() and P.is_monic_in_y
+    assert P.to_json() == [[rat_to_str(x) for x in want], ["1"]]
     Q = pickle.loads(pickle.dumps(P))
-    assert Q == P and hash(Q) == hash(P) and Q._form() == P._form()
+    assert Q == P and hash(Q) == hash(P) and (Q.num, Q.den) == (R, b)
 
 
 @settings(deadline=None)

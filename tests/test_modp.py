@@ -92,11 +92,24 @@ def test_frobenius_rejects_inseparable():
         frobenius_data(f, 7)
 
 
-def test_reduce_unipoly_denominator_guard():
+@given(st.lists(st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60), max_size=6),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 59, 101, 10007]))
+def test_reduce_unipoly_denominator_guard(cs, p):
+    # the reduction of each Fraction coefficient, refused exactly when p
+    # divides one of their denominators
     f = upoly(Fraction(1, 5), 1)
     assert reduce_unipoly(f, 7) == [3, 1]  # 1/5 = 3 mod 7
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^element is not p-integral$"):
         reduce_unipoly(f, 5)
+    f = UniPoly(cs)
+    if any(c.denominator % p == 0 for c in cs):
+        with pytest.raises(DomainError, match="^element is not p-integral$"):
+            reduce_unipoly(f, p)
+        return
+    want = [c.numerator * pow(c.denominator, -1, p) % p for c in cs]
+    while want and not want[-1]:
+        want.pop()
+    assert reduce_unipoly(f, p) == want
 
 
 def test_reduce_relative_quadratic_residue_field():

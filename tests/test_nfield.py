@@ -128,7 +128,7 @@ def _field_and_elements(draw):
 def test_number_field_arithmetic_matches_sympy(data):
     K, ca, cb, c, u = data
     n = K.degree
-    a, b = K.from_coords(ca), K.from_coords(cb)
+    a, b = K.from_unipoly(UniPoly(ca)), K.from_unipoly(UniPoly(cb))
     A, B, M = _sympy_poly(ca), _sympy_poly(cb), _sympy_poly(K.modulus.coeffs)
     assert K.coords(a) == ca and K.coords(b) == cb
     assert K.coords(K.add(a, b)) == _sympy_coords(A + B, n)
@@ -152,7 +152,7 @@ def test_number_field_elements_stay_canonical(data):
     """Every result is an integer vector over a positive denominator with
     gcd 1, so equal elements are equal tuples, whatever path built them."""
     K, ca, cb, c, _ = data
-    a, b = K.from_coords(ca), K.from_coords(cb)
+    a, b = K.from_unipoly(UniPoly(ca)), K.from_unipoly(UniPoly(cb))
     results = [a, b, K.add(a, b), K.sub(a, b), K.neg(a), K.mul(a, b), K.scale(a, c),
                K.from_rat(c), K.zero, K.one, K.gen()]
     if not K.is_zero(a):
@@ -378,7 +378,7 @@ def test_factor_nf_matches_sympy(field, factors):
     K = NumberField(modulus)
     f, expr = [K.one], sp.Integer(1)
     for fac in factors:
-        f = dense.mul(K, f, [K.from_coords([a, b]) for a, b in fac] + [K.one])
+        f = dense.mul(K, f, [K.from_unipoly(UniPoly([a, b])) for a, b in fac] + [K.one])
         expr *= sum((a + b * gen) * _y**i for i, (a, b) in enumerate(fac)) + _y ** len(fac)
     ours = sorted((tuple(tuple(K.coords(c)) for c in g), m) for g, m in factor_nf(K, f))
     assert ours == _sympy_factors(expr, gen, gen)
@@ -450,7 +450,7 @@ def test_norm_poly_matches_sympy(M, s, data):
     d = data.draw(st.integers(1, 3 if K.degree == 2 else 2))
     coords = [data.draw(st.lists(st.fractions(-5, 5, max_denominator=3),
                                  min_size=K.degree, max_size=K.degree)) for _ in range(d)]
-    h = [K.from_coords(cs) for cs in coords] + [K.one]
+    h = [K.from_unipoly(UniPoly(cs)) for cs in coords] + [K.one]
     H = (_z - s * _x) ** d + sum(sum(sp.Rational(str(c)) * _x**j for j, c in enumerate(cs))
                                  * (_z - s * _x) ** i for i, cs in enumerate(coords))
     M_expr = sum(sp.Rational(str(c)) * _x**i for i, c in enumerate(M.coeffs))
@@ -544,7 +544,7 @@ def test_factor_nf_matches_sympy_on_a_c6_residual():
     x = sp.Symbol("x")
     M = sum(sp.Rational(c) * x**i for i, c in enumerate(_C6_FIELD))
     K = NumberField(UniPoly.from_json(_C6_FIELD))
-    h = [K.from_coords([Fraction(c) for c in row]) for row in _C6_QUARTIC]
+    h = [K.from_unipoly(UniPoly([Fraction(c) for c in row])) for row in _C6_QUARTIC]
     ours = sorted((tuple(tuple(K.coords(c)) for c in g), m) for g, m in factor_nf(K, h))
 
     alpha = sp.CRootOf(M, 0)

@@ -20,7 +20,7 @@ from gsl.errors import (
     NotFound,
     WildOrIrregular,
 )
-from gsl.exact import UniPoly
+from gsl.exact import UniPoly, crt_combine
 from gsl.padic import LocalSplittingType, quadratic_local_class
 from gsl.specialize import (
     MATCH,
@@ -478,6 +478,15 @@ def test_approximate_specialization_point_denominators():
 def test_chart_mixing_rejected():
     with pytest.raises(ChartMixing):
         approximate_specialization_point([(25, 3)], denominators=[(5, 1)])
+
+
+@pytest.mark.parametrize("m", [0, -3])
+@pytest.mark.parametrize("denominators", [(), [(5, 1)]])
+def test_a_modulus_below_one_is_refused_as_crt_combine_refuses_it(m, denominators):
+    with pytest.raises(DomainError, match=rf"^modulus {m} must be positive$"):
+        approximate_specialization_point([(m, 1)], denominators)
+    with pytest.raises(DomainError, match=rf"^modulus {m} must be positive$"):
+        crt_combine([(m, 1)])
 
 
 @given(st.integers(1, 6), st.integers(0, 1000))
