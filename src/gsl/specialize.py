@@ -165,8 +165,9 @@ def meeting_prime(
 
 
 def meeting_primes(branches: Sequence[BranchPoint], t0: Rat) -> list[int]:
-    """All primes where t = t0 meets some branch locus."""
-    return sorted(meetings(branches, t0))
+    """All primes where t = t0 meets some branch locus: the keys of
+    `meetings` whose tuple is not empty."""
+    return sorted(p for p, pairs in meetings(branches, t0).items() if pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +322,12 @@ def verify_specialization(
 ) -> SpecializationReport:
     """Predict and verify the local behaviour of the specialization at t0.
 
-    With primes=None, every prime where t0 meets the branch divisor is
-    examined (the only primes where anything nontrivial is predicted);
-    given primes are examined once each, in ascending order.
+    With primes=None, the primes examined are those of t0's denominator
+    and of the numerator and denominator of each m(t0), the keys of
+    `meetings`.  They hold every prime where t0 meets the branch divisor,
+    the only primes where anything nontrivial is predicted, and can hold
+    primes where nothing is met, which get an "unramified" prediction.
+    Given primes are examined once each, in ascending order.
     Each prime gets a verdict: MATCH / PARTIAL_MATCH (divisibility-mode
     agreement) / MISMATCH / SKIPPED_BAD_PRIME / ORACLE_FAILURE.
 

@@ -98,6 +98,7 @@ def test_meetings_by_prime_in_branch_order():
     assert meetings([b1, b2], Fraction(22)) == {2: ((b1, 1), (b2, 2)), 3: ((b2, 1),), 11: ((b1, 1),)}
     # -69/7 at 1/7: the pole at 7 meets nothing without a branch at infinity
     assert meetings([b2], Fraction(1, 7)) == {3: ((b2, 1),), 7: (), 23: ((b2, 1),)}
+    assert meeting_primes([b2], Fraction(1, 7)) == [3, 23]
 
 
 def test_meeting_entries_reject_a_composite_modulus():
@@ -135,6 +136,15 @@ def test_meeting_primes_v4(branch_table):
     branches = branch_table["v4_sqrt_t_sqrt_t_minus_1"]
     assert meeting_primes(branches, Fraction(21)) == [2, 3, 5, 7]
     assert meeting_primes(branches, Fraction(1, 5)) == [2, 5]  # pole meets infinity
+
+
+def test_meeting_primes_leave_out_the_primes_where_nothing_is_met(branch_table):
+    # C3 has no branch at infinity, so the poles 2 and 5 of t0 meet nothing;
+    # m(t0) = 14281/1600 for m = T^2 + 3T + 9
+    branches = branch_table["c3_shanks"]
+    t0 = Fraction(-1, 40)
+    assert sorted(gsl.specialize.meetings(branches, t0)) == [2, 5, 14281]
+    assert meeting_primes(branches, t0) == [14281]
 
 
 def _seeded_points(rng, count):
