@@ -3,9 +3,10 @@
 
 No assert (`python -O` strips it), no floating point, no broad except, no
 dead function, class or method, no unused import or parameter, every
-public name used or documented, and no import of the p-adic oracle on the
-prediction side.  Each rule maps the parsed `Source` to its findings, empty
-when it holds; `tests/test_source_rules.py` runs each one.
+public name used or documented, no import of the p-adic oracle on the
+prediction side, and no import from outside the standard library.  Each
+rule maps the parsed `Source` to its findings, empty when it holds;
+`tests/test_source_rules.py` runs each one.
 
 Usage:  PYTHONPATH=src python scripts/check_src.py
 Prints each broken rule's findings to stderr and exits 1, else exits 0.
@@ -204,6 +205,17 @@ def oracle_independent(source: Source) -> list[str]:
             via[dep] = f"{via[stem]} -> {dep}"
             todo.append(dep)
     return [via["padic"]] if "padic" in via else []
+
+
+@rule("imports in src/gsl of modules outside the standard library, at runtime its only dependency:")
+def stdlib_only(source: Source) -> list[str]:
+    def modules(node):
+        if isinstance(node, ast.ImportFrom):
+            return [] if node.level else [node.module]
+        return [alias.name for alias in node.names]
+
+    return [f"{path}:{node.lineno} {name}" for path, node in source.nodes(ast.Import, ast.ImportFrom)
+            for name in modules(node) if name.split(".")[0] not in sys.stdlib_module_names]
 
 
 def main() -> None:

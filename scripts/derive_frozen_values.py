@@ -63,12 +63,22 @@ x = sympy.ntheory.modular.crt([25, 49], [10, 7], symmetric=False)
 print("crt [(5^2,10),(7^2,7)] ->", x[0], " (approximate_specialization_point)")
 OUT["approx_point"] = int(x[0])
 
+
+def factor_mod(expr, p):
+    """The factorization of expr, a polynomial in Y, mod p, in the form of
+    sympy.factor_list(expr, modulus=p): (coefficient, [(factor expression,
+    multiplicity)]).  That call compares residues by order, which SymPy 1.13
+    deprecates; Poly.factor_list gives the same factors without it."""
+    c, facs = Poly(expr, Y, modulus=p).factor_list()
+    return c, [(g.as_expr(), e) for g, e in facs]
+
+
 sec("mod-p factorization examples")
 f = Poly(Y**2 + 1, Y, modulus=5)
-print("Y^2+1 mod 5 ->", sympy.factor_list(Y**2 + 1, modulus=5))
+print("Y^2+1 mod 5 ->", factor_mod(Y**2 + 1, 5))
 f = Poly(Y**3 - Y**2 - 4 * Y - 1, Y)
 print("frobenius cycle type of Y^3-Y^2-4Y-1 mod 7 ->",
-      sympy.factor_list(f.as_expr(), modulus=7))
+      factor_mod(f.as_expr(), 7))
 print("roots of T^2+3T+9 mod 7 ->",
       sorted(int(a) % 7 for a in Poly(T**2 + 3 * T + 9, T, modulus=7).ground_roots()))
 print("roots of T^2+3T+9 mod 5 ->",
@@ -142,14 +152,14 @@ for t0 in [5, 7, 13, 54]:
 f13 = spec_poly("c3", 13)
 print("c3 at t0=13:", f13.as_expr())
 for p in [3, 5, 7, 31]:
-    fl = sympy.factor_list(f13.as_expr(), modulus=p)
+    fl = factor_mod(f13.as_expr(), p)
     degs = sorted(Poly(g, Y).degree() for g, e in fl[1] for _ in range(e))
     print(f"  mod {p}: {fl[1]}   degrees {degs}")
 print("  disc =", sympy.factorint(sympy.discriminant(f13.as_expr(), Y)))
 
 f54 = spec_poly("c3", 54)
 print("c3 at t0=54: disc =", sympy.factorint(sympy.discriminant(f54.as_expr(), Y)))
-print("  mod 7:", sympy.factor_list(f54.as_expr(), modulus=7)[1])
+print("  mod 7:", factor_mod(f54.as_expr(), 7)[1])
 
 sec("V4 meeting data for prediction sweeps")
 for (t0, p) in [(7, 7), (21, 3), (21, 7), (50, 5), (10, 5)]:
@@ -188,7 +198,7 @@ def local_ef_field(poly, q):
     """
     d = sympy.discriminant(poly.as_expr(), Y)
     if sympy.multiplicity(q, d) == 0 if d != 0 else False:
-        fl = sympy.factor_list(poly.as_expr(), modulus=q)
+        fl = factor_mod(poly.as_expr(), q)
         return sorted(Poly(g, Y).degree() for g, e in fl[1])
     return None
 

@@ -65,6 +65,8 @@ from .nfield import (
     relative_min_poly,
 )
 
+_T = UniPoly((0, 1))  # T: the base coordinate, and the modulus of Q as Q[T]/(T)
+
 
 # ---------------------------------------------------------------------------
 # cover data
@@ -399,23 +401,18 @@ def _infinity_chart(P: BiPoly) -> BiPoly:
     """The cover rewritten around T = infinity: with U = 1/T and
     Z = Y U^s for the least integral s, the model U^(n s) P(1/U, Z/U^s)
     is monic in Z with polynomial coefficients; its places over U = 0 are
-    the places of the cover over T = infinity."""
+    the places of the cover over T = infinity.  Row i is the stored int
+    row of Y^i reversed and padded to degree (n - i) s, over P's
+    denominator."""
     n = P.degree_y
-    s = 1
-    for i in range(n):
-        ci = P.coeff(i)
-        if ci.degree >= 1:
-            s = max(s, -((-ci.degree) // (n - i)))  # ceil
+    # the least s >= 1 with deg R_i <= (n - i) s for each row R_i below the top
+    s = max([1] + [-((1 - len(r)) // (n - i)) for i, r in enumerate(P.num[:n])])
     rows = []
-    for i in range(n + 1):
-        ci = P.coeff(i)
-        cap = (n - i) * s
-        if ci.degree > cap:
+    for i, r in enumerate(P.num):
+        pad = (n - i) * s + 1 - len(r)
+        if pad < 0:
             raise DomainError("the chart at infinity needs a cover monic in Y")
-        coeffs = [Fraction(0)] * (cap + 1)
-        for a in range(ci.degree + 1):
-            coeffs[cap - a] = ci.coeff(a)
-        rows.append(UniPoly(coeffs))
+        rows.append(UniPoly._of_int([0] * pad + list(reversed(r)), P.den))
     return BiPoly(rows)
 
 
@@ -432,7 +429,7 @@ def puiseux_at(
     the same places."""
     if locus is None:
         P = _infinity_chart(cover.poly)
-        K0 = NumberField(UniPoly((Fraction(0), Fraction(1))))  # Q, tau = 0
+        K0 = NumberField(_T)  # Q, tau = 0
     else:
         if locus.degree < 1 or locus.lc != 1:
             raise DomainError("branch locus must be monic of degree >= 1")
@@ -539,7 +536,7 @@ def _analyze(cover: Cover) -> CoverAnalysis:
         e, d = es.pop(), ds.pop()
         if e == 1:
             continue
-        base = locus if locus is not None else UniPoly((Fraction(0), Fraction(1)))
+        base = locus if locus is not None else _T
         rh_sum += base.degree * (n - n // e)
         branches.append(BranchPoint(
             locus=locus,

@@ -36,16 +36,17 @@ element operation: `modp.Zq` (F_{p^d} and the unramified extensions
 of Z/p^N, tuples of elements of the ring below, whose products come back
 here over that ring, through `mulmod`),
 `nfield.NumberField` (integer vectors over one positive denominator), and
-`INTEGERS` and `RATIONALS` below.  `RATIONALS` is Q with `Fraction`
-elements: `exact.UniPoly` is its polynomial type.
+`INTEGERS` below.  There is no ring of rationals: a polynomial over Q is
+an `exact.UniPoly`, ints over one denominator, whose arithmetic runs here
+over `INTEGERS`, and Q itself is the degree-1 number field.
 `INTEGERS.divexact` (exact division, `DomainError` otherwise) serves the
 subresultant PRS, which computes rational resultants over Z.  Element
 arithmetic stays in those types; this module only combines elements.
 
-Over a field, `gcd` is Euclid, the one gcd of the package (F_q, Q,
-number fields).  Over F_p it divides by each remainder as it comes (the
-int `quorem` takes a divisor that is not monic with one inverse) and
-normalizes once, the result; elsewhere every remainder is made monic.
+Over a field, `gcd` is Euclid, the gcd of F_q and of number fields.
+Over F_p it divides by each remainder as it comes (the int `quorem` takes
+a divisor that is not monic with one inverse) and normalizes once, the
+result; elsewhere every remainder is made monic.
 `interpolate` is Newton's divided differences over Z, the one
 interpolation: the resultants of `exact` (in `disc_y` and the Trager norms
 of `nfield`) lie in Z[T] and are evaluated at integer points, and the
@@ -54,10 +55,10 @@ integers, so every division is exact and checked.
 `shift` is the one Taylor shift a(x + c): the branch coordinate and the
 Duval step of `covers`, the Trager norms of `nfield`, and the oracle's
 cluster centres.
-`squarefree` is Musser's squarefree decomposition, the one for every
-field: Q, number fields and F_q, where the part whose multiplicities p
-divides is a p-th power decomposed through its p-th root (von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 14).  Newton-polygon sides, used by
+`squarefree` is Musser's squarefree decomposition, over number fields
+and F_q, where the part whose multiplicities p divides is a p-th power
+decomposed through its p-th root (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14).  Newton-polygon sides, used by
 the p-adic oracle and by the Puiseux expansions, live here too.
 """
 
@@ -102,31 +103,6 @@ class _Integers:
 
 
 INTEGERS = _Integers()
-
-
-class _Rationals:
-    """Q as a coefficient ring, with `Fraction` elements."""
-
-    zero, one = Fraction(0), Fraction(1)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-    from_int = staticmethod(Fraction)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    def __repr__(self):
-        return "Q"
-
-
-RATIONALS = _Rationals()
 
 
 # ---------------------------------------------------------------------------

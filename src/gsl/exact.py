@@ -15,30 +15,31 @@ Conventions used throughout the package:
   object of its fields in declaration order, each value encoded by
   `_json_value`.
 
-`UniPoly` is the Q face of the `dense` kernel: its arithmetic is the
-kernel's over `dense.RATIONALS`, on the `Fraction` coefficients made from
-the stored ints on the way in and cleared again on the way out.  The
-integer form (ints over one denominator, as FLINT's fmpq_poly stores
+The integer form (ints over one denominator, as FLINT's fmpq_poly stores
 them) is the only state of a `UniPoly` or `BiPoly`, canonical, so
 equality and both hashes read it; a polynomial built from integers (a
 specialization P(t0, Y), a resultant, the oracle's monic model) makes no
-`Fraction` at all.  `_cleared`, evaluation, `resultant`, `discriminant`
-and `disc_y` read the stored ints.  The value of a `UniPoly` at a
-rational n/d, and P(n/d, Y) for a `BiPoly` P (`BiPoly.at`), are computed
-by one homogeneous Horner pass per integer row (`_horner`), with the
-Fractions made only at the end.  The resultant of two `UniPoly` runs the
-subresultant PRS on their integer forms, over Z, where every division is
-exact; the discriminant runs it once on the integer form and its
-derivative.  The resultant of two `BiPoly` (Res_Y, as in `disc_y` and the
-Trager norms of `nfield`) is never computed over Q[T]: on integer rows
-the resultant lies in Z[T]; its values at integer points T = t are
-subresultants over Z, and it is recovered from as many of them as the
-degree bound needs by Newton interpolation over Z (`dense.interpolate`),
-whose divisions are exact and checked.  `_resultant_rows` is that loop on
-integer rows, which the Trager norms build directly; the result is stored
-over the clearing's denominator, and `disc_y` runs it on the integer rows
-of P and on their Y-derivative.  No factorization over Q is exposed
-here.
+`Fraction` at all.  `UniPoly` arithmetic is the `dense` kernel's over
+`dense.INTEGERS`, on those ints, with one gcd normalization per result
+(`_of_int`): sums over the lcm of the two denominators, division by
+pseudo-division (`_pquorem`), and the gcd by the primitive remainder
+sequence (`_primitive`), so no ring operation makes a `Fraction`.
+`_cleared`, evaluation, `resultant`, `discriminant` and `disc_y` read the
+stored ints too.  The value of a `UniPoly` at a rational n/d, and P(n/d,
+Y) for a `BiPoly` P (`BiPoly.at`), are computed by one homogeneous Horner
+pass per integer row (`_horner`), with the Fractions made only at the
+end.  The resultant of two `UniPoly` runs the subresultant PRS on their
+integer forms, over Z, where every division is exact; the discriminant
+runs it once on the integer form and its derivative.  The resultant of
+two `BiPoly` (Res_Y, as in `disc_y` and the Trager norms of `nfield`) is
+never computed over Q[T]: on integer rows the resultant lies in Z[T]; its
+values at integer points T = t are subresultants over Z, and it is
+recovered from as many of them as the degree bound needs by Newton
+interpolation over Z (`dense.interpolate`), whose divisions are exact and
+checked.  `_resultant_rows` is that loop on integer rows, which the
+Trager norms build directly; the result is stored over the clearing's
+denominator, and `disc_y` runs it on the integer rows of P and on their
+Y-derivative.  No factorization over Q is exposed here.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dense
-from .dense import INTEGERS, RATIONALS
+from .dense import INTEGERS
 from .errors import DomainError
 
 Rat = Fraction
@@ -304,9 +305,9 @@ class UniPoly:
     least positive integer that makes them integral, so gcd(den, *num) = 1
     (FLINT's fmpq_poly layout).  `coeffs`, `coeff(i)` and `lc` make their
     `Fraction`s on demand.  Arithmetic runs in the `dense` kernel over
-    `dense.RATIONALS`: `coeffs` in, `_of` out.  Equality and the hash read
-    (num, den), which is canonical, so they agree however the polynomial
-    was built."""
+    `dense.INTEGERS` on (num, den), and `_of_int` normalizes each result.
+    Equality and the hash read (num, den), which is canonical, so they
+    agree however the polynomial was built."""
 
     __slots__ = ("num", "den")
 
@@ -340,13 +341,16 @@ class UniPoly:
 
     @classmethod
     def _of_int(cls, B: Sequence[int], b: int) -> "UniPoly":
-        """B / b for ints B (ascending, trailing zeros allowed) and b > 0,
-        stored with B and b divided by their gcd; no `Fraction` is made."""
+        """B / b for ints B (ascending, trailing zeros allowed) and b != 0,
+        stored with B and b divided by their gcd, signed so that the
+        denominator is positive; no `Fraction` is made."""
         B = list(B)
         while B and not B[-1]:
             B.pop()
         g = math.gcd(b, *B)
-        if g > 1:
+        if b < 0:
+            g = -g
+        if g != 1:
             B = [c // g for c in B]
             b //= g
         out = object.__new__(cls)
@@ -392,24 +396,30 @@ class UniPoly:
                 terms.append(f"{rat_to_str(c)}*x^{i}")
         return "UniPoly(" + " + ".join(terms) + ")"
 
-    # -- arithmetic (the `dense` kernel over Q) -----------------------------
+    # -- arithmetic (the `dense` kernel over Z, on the stored ints) ----------
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly._of(dense.add(RATIONALS, self.coeffs, other.coeffs))
+        (A, B), a = _cleared(self, other)
+        return UniPoly._of_int(dense.add(INTEGERS, A, B), a)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly._of(dense.sub(RATIONALS, self.coeffs, other.coeffs))
+        (A, B), a = _cleared(self, other)
+        return UniPoly._of_int(dense.sub(INTEGERS, A, B), a)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly._of(dense.mul(RATIONALS, self.coeffs, other.coeffs))
+        return UniPoly._of_int(dense.mul(INTEGERS, self.num, other.num), self.den * other.den)
 
     def scale(self, c) -> "UniPoly":
-        return UniPoly._of(dense.scale(RATIONALS, self.coeffs, Fraction(c)))
+        n, d = Fraction(c).as_integer_ratio()
+        return UniPoly._of_int(dense.scale(INTEGERS, self.num, n), self.den * d)
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """By pseudo-division of the stored ints: s A = Q B + R gives
+        A / a = (b Q / (s a)) (B / b) + R / (s a)."""
         if other.is_zero:
             raise DomainError("division by the zero polynomial")
-        q, r = dense.quorem(RATIONALS, self.coeffs, other.coeffs)
-        return UniPoly._of(q), UniPoly._of(r)
+        Q, R, s = _pquorem(self.num, other.num)
+        sa = s * self.den
+        return UniPoly._of_int(dense.scale(INTEGERS, Q, other.den), sa), UniPoly._of_int(R, sa)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -423,14 +433,18 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero:
             raise DomainError("monic normalization of the zero polynomial")
-        return UniPoly._of(dense.monic(RATIONALS, self.coeffs))
+        return UniPoly._of_int(self.num, self.num[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd (Euclid over Q); the zero polynomial when both are."""
-        return UniPoly._of(dense.gcd(RATIONALS, self.coeffs, other.coeffs))
+        """Monic gcd, by the primitive remainder sequence of the stored
+        ints; the zero polynomial when both are."""
+        A, B = _primitive(self.num), _primitive(other.num)
+        while B:
+            A, B = B, _primitive(_pquorem(A, B)[1])
+        return UniPoly._of_int(A, A[-1] if A else 1)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly._of(dense.deriv(RATIONALS, self.coeffs))
+        return UniPoly._of_int(dense.deriv(INTEGERS, self.num), self.den)
 
     def __call__(self, x) -> Rat:
         """The value at a rational x = n/d, on the stored ints: d^deg
@@ -463,29 +477,41 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# subresultant PRS over Z
+# pseudo-division, primitive parts and the subresultant PRS over Z
 
 
-def _prem(A: list[int], B: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B (integer
-    coefficient lists, no trailing zeros)."""
+def _primitive(A: Sequence[int]) -> Sequence[int]:
+    """The primitive part of the int list A: A over its content, with a
+    positive leading coefficient; A itself when it is primitive or
+    empty."""
+    if not A:
+        return A
+    c = math.gcd(*A)
+    if A[-1] < 0:
+        c = -c
+    return A if c == 1 else [x // c for x in A]
+
+
+def _pquorem(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of int lists (no trailing zeros, B nonzero): (Q, R,
+    s) with s A = Q B + R, deg R < deg B and s = lc(B)^max(deg A - deg B +
+    1, 0) (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R): at each step the
+    remainder is multiplied by lc(B), and the quotient term is its leading
+    coefficient times lc(B)^k, k the step's degree."""
     dB = len(B) - 1
     lcB = B[-1]
-    e = len(A) - dB
+    e = max(len(A) - dB, 0)
     R = list(A)
-    while len(R) - 1 >= dB:
-        lcR = R[-1]
-        k = len(R) - 1 - dB
-        R = [c * lcB for c in R]
-        for i, c in enumerate(B):
-            R[k + i] -= lcR * c
-        R.pop()
-        dense.trim(INTEGERS, R)
-        e -= 1
-        if not R:
-            break
-    f = lcB**e
-    return [c * f for c in R]
+    Q = [0] * e
+    for k in range(e - 1, -1, -1):
+        c = R.pop()  # the coefficient of x^(dB + k)
+        Q[k] = c * lcB**k
+        if lcB != 1:
+            R = [r * lcB for r in R]
+        if c:
+            for i in range(dB):
+                R[k + i] -= c * B[i]
+    return dense.trim(INTEGERS, Q), dense.trim(INTEGERS, R), lcB**e
 
 
 def _subresultant(A: list[int], B: list[int]) -> int:
@@ -508,7 +534,7 @@ def _subresultant(A: list[int], B: list[int]) -> int:
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
-        R = _prem(A, B)
+        R = _pquorem(A, B)[1]
         if not R:
             return 0
         A = B

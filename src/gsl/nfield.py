@@ -11,10 +11,10 @@ point, no randomness.  The pieces:
     inverses by fraction-free (Bareiss) elimination on the matrix of
     multiplication.  Polynomials over a number field are `dense` lists of
     elements; their gcds are `dense.gcd`, Euclid with monic remainders.
-  * One squarefree decomposition, `dense.squarefree`, serves both
-    factorizations below, over Q and over K.
-  * factor_rational -- complete factorization in Q[x]: squarefree
-    split, then Zassenhaus per squarefree part.  Each part is first
+  * factor_rational -- complete factorization in Q[x]: squarefree part
+    (`exact.squarefree_part`, on the stored ints), then multiplicities,
+    each the number of exact divisions of f.monic() by its factor.  The
+    squarefree part goes through one Zassenhaus step.  It is first
     rescaled to a monic integer polynomial by the least integer D that
     makes it integral (D^n g(x/D); D is built prime by prime from the
     denominators, not as their lcm), which keeps coefficients, the
@@ -33,9 +33,9 @@ point, no randomness.  The pieces:
     tries subsets in increasing size, so the first subset whose product
     divides over Z cannot split further.
   * factor_nf -- factorization in K[y], for K of every degree (Q
-    itself included): squarefree split, then Trager's norm method on
-    each squarefree part.  The norm polynomial of h(z - s theta), one
-    Taylor shift (`dense.shift`) read in the coordinates of K as H(z, x),
+    itself included): squarefree split (`dense.squarefree`, Musser's),
+    then Trager's norm method on each squarefree part.  The norm
+    polynomial of h(z - s theta), one Taylor shift (`dense.shift`) read in the coordinates of K as H(z, x),
     is the bivariate resultant Res_x(M(x), H(z, x)) of `exact`, which is
     prod_k h(z - s alpha_k) because M is monic.  One factor per
     norm factor comes from a gcd with what is left of h; the last is that
@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dense
-from .dense import RATIONALS
 from .errors import DomainError, NotSeparable, PrecisionExhausted
 from .exact import (
     UniPoly,
@@ -71,6 +70,7 @@ from .exact import (
     discriminant,
     factor_int,
     is_prime,
+    squarefree_part,
 )
 from .modp import Zp, _ddf, factor_over, prime_field
 
@@ -479,17 +479,20 @@ def _rational_key(g: UniPoly):
 def factor_rational(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Complete factorization of f over Q: a list of (monic irreducible,
     multiplicity), sorted deterministically.  The leading coefficient is
-    dropped; the product of factor^mult is the monic part of f."""
+    dropped; the product of factor^mult is the monic part of f.  The
+    factors are those of the squarefree part of f, and each multiplicity
+    is the number of times its factor divides f.monic() exactly."""
     if f.is_zero:
         raise DomainError("factorization of the zero polynomial")
     if f.degree == 0:
         return []
-    out = [
-        (g, mult)
-        for a, mult in dense.squarefree(RATIONALS, f.monic().coeffs)
-        for g in _factor_squarefree(UniPoly._of(a))
-    ]
-    out.sort(key=lambda t: _rational_key(t[0]))
+    rest = f.monic()
+    out = []
+    for g in _factor_squarefree(squarefree_part(f)):
+        mult = 0
+        while (qr := divmod(rest, g))[1].is_zero:
+            rest, mult = qr[0], mult + 1
+        out.append((g, mult))
     return out
 
 

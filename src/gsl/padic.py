@@ -69,7 +69,6 @@ oracle refuses rather than guesses.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,7 +79,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, _int_val, _valuation, discriminant
+from .exact import Rat, UniPoly, _int_val, _primitive, _valuation, discriminant
 from .modp import Zp, Zq, degree_blocks, factor_over, prime_field
 
 __all__ = [
@@ -130,21 +129,18 @@ class PadicPrecisionCtx:
 def _prepare(f: UniPoly, p: int) -> tuple[list[int], PadicPrecisionCtx]:
     """The integral model of f at the prime p (its primality is the
     caller's to test), and its precision context.  f enters by its
-    primitive integer form A = sign(B_n) B / content(B), B = b f the ints
-    it is stored as (`UniPoly.num`, over b = `UniPoly.den`); A = a f.monic()
-    with a = A_n > 0 the least integer making it integral.  Then m = max
-    ceil((v_p(a) - v_p(A_i)) / (n - i)), at least 0, is the least m that
-    makes g(Z) = p^(m n) f.monic()(Z / p^m) integral, and g = G / G_n for
-    the integers G_i = p^(m (n - i)) A_i / p^v_p(a), G_n a p-unit.  g
-    multiplies every root of f by p^m, so v_p(disc g) = v_p(disc f.monic())
-    + m n (n - 1)."""
+    primitive integer form A = sign(B_n) B / content(B) (`_primitive`),
+    B = b f the ints it is stored as (`UniPoly.num`, over b =
+    `UniPoly.den`); A = a f.monic() with a = A_n > 0 the least integer
+    making it integral.  Then m = max ceil((v_p(a) - v_p(A_i)) / (n - i)),
+    at least 0, is the least m that makes g(Z) = p^(m n) f.monic()(Z / p^m)
+    integral, and g = G / G_n for the integers G_i = p^(m (n - i)) A_i /
+    p^v_p(a), G_n a p-unit.  g multiplies every root of f by p^m, so
+    v_p(disc g) = v_p(disc f.monic()) + m n (n - 1)."""
     B = f.num
     if len(B) < 2:
         raise DomainError("need a polynomial of degree >= 1")
-    c = math.gcd(*B)
-    if B[-1] < 0:
-        c = -c
-    A = B if c == 1 else tuple(x // c for x in B)
+    A = tuple(_primitive(B))
     d = _model(A)
     if d == 0:
         raise NotSeparable("input polynomial is not separable")

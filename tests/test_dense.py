@@ -1,6 +1,6 @@
-"""The dense-polynomial kernel: ring identities checked over F_p and Q,
-differential checks against sympy over Z, Q, number fields and F_p, and
-the typed errors of its checks."""
+"""The dense-polynomial kernel: ring identities checked over F_p and Q
+(the degree-1 number field QX), differential checks against sympy over Z,
+Q, number fields and F_p, and the typed errors of its checks."""
 
 import itertools
 from fractions import Fraction
@@ -20,7 +20,7 @@ F7 = prime_field(7)
 QX = NumberField(UniPoly([Fraction(0), Fraction(1)]))  # Q as Q[x]/(x)
 FIELDS = st.sampled_from([
     (F7, st.integers(0, 6)),
-    (dense.RATIONALS, st.fractions(-9, 9, max_denominator=4)),
+    (QX, st.fractions(-9, 9, max_denominator=4).map(QX.from_rat)),
 ])
 
 monic_int = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(lambda a: a + [1])
@@ -37,7 +37,12 @@ def _to_sympy(a) -> sp.Poly:
 
 
 def _from_sympy(P: sp.Poly) -> list:
-    return dense.trim(dense.RATIONALS, [Fraction(str(c)) for c in reversed(P.all_coeffs())])
+    """The rational coefficients of P, constant term first, with no
+    trailing zeros."""
+    out = [Fraction(str(c)) for c in reversed(P.all_coeffs())]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 @given(st.data())
@@ -68,18 +73,16 @@ def test_ext_gcd_bezout(data):
             dense.ext_gcd(R, a, b)
         return
     s, t = dense.ext_gcd(R, a, b)
-    assert dense.add(R, dense.mul(R, s, a), dense.mul(R, t, b)) == [1]
+    assert dense.add(R, dense.mul(R, s, a), dense.mul(R, t, b)) == [R.one]
     assert len(s) < max(len(b), 2) and len(t) < max(len(a), 2)
 
 
-@given(st.sampled_from([QX, dense.RATIONALS]), st.lists(st.integers(-9, 9), max_size=6),
-       st.integers(-5, 5), st.integers(-5, 5))
-def test_shift_and_evaluate_over_q(R, coeffs, c, x):
-    a = dense.trim(R, [R.from_int(v) for v in coeffs])
-    shifted = dense.shift(R, a, R.from_int(c))
-    assert dense.evaluate(R, shifted, R.from_int(x)) == dense.evaluate(R, a, R.from_int(x + c))
-    rational = [v[0] for v in shifted] if R is QX else shifted
-    assert rational == _from_sympy(_to_sympy(coeffs).shift(c))
+@given(st.lists(st.integers(-9, 9), max_size=6), st.integers(-5, 5), st.integers(-5, 5))
+def test_shift_and_evaluate_over_q(coeffs, c, x):
+    a = dense.trim(QX, [QX.from_int(v) for v in coeffs])
+    shifted = dense.shift(QX, a, QX.from_int(c))
+    assert dense.evaluate(QX, shifted, QX.from_int(x)) == dense.evaluate(QX, a, QX.from_int(x + c))
+    assert [QX.coords(v)[0] for v in shifted] == _from_sympy(_to_sympy(coeffs).shift(c))
 
 
 _small = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -89,7 +92,7 @@ F9 = Zq(prime_field(3), [1, 0, 1])  # F_3[i], i^2 = -1
 _SQF_FIELDS = [None, (UniPoly([1, 0, 1]), sp.I), (UniPoly([-2, 0, 1]), sp.sqrt(2)), 3, 5, F9]
 
 
-@pytest.mark.parametrize("R", [dense.RATIONALS, prime_field(5), F9, NumberField(UniPoly([1, 0, 1]))],
+@pytest.mark.parametrize("R", [QX, prime_field(5), F9, NumberField(UniPoly([1, 0, 1]))],
                          ids=["Q", "F5", "F9", "Q(i)"])
 def test_squarefree_of_a_constant_has_no_parts(R):
     assert dense.squarefree(R, [R.one]) == []
@@ -111,7 +114,7 @@ def test_squarefree_matches_sympy(field, factors):
     which determines them."""
     y = sp.Symbol("y")
     if field is None:
-        R, gen, top = dense.RATIONALS, sp.Integer(0), 3
+        R, gen, top = QX, sp.Integer(0), 3
     elif isinstance(field, int):
         R, gen, top = prime_field(field), sp.Integer(0), 2 * field
     elif field is F9:
@@ -157,7 +160,7 @@ def test_squarefree_matches_sympy(field, factors):
             if isinstance(field, int):
                 row.append(int(c) % field)
             elif field is None:
-                row.append(Fraction(str(c)))
+                row.append(R.from_rat(Fraction(str(c))))
             else:
                 ab = sp.Poly(sp.expand(c), gen).all_coeffs()[::-1] + [0]
                 row.append(R.from_unipoly(UniPoly([Fraction(str(ab[0])), Fraction(str(ab[1]))])))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from gsl import dense, exact
+from gsl import exact
 from gsl.applications import adequacy_certificate, parametric_obstruction_report
 from gsl.covers import branch_points
 from gsl.errors import DomainError, HypothesisViolation
@@ -93,13 +93,26 @@ def _from_sympy(P: sp.Poly) -> UniPoly:
     return UniPoly(Fraction(str(c)) for c in reversed(P.all_coeffs()))
 
 
-@given(polys, polys, rats)
-def test_unipoly_matches_sympy(f, g, x):
+# non-monic polynomials with large leading coefficients and denominators:
+# the ring operations run on the stored ints, by pseudo-division and
+# primitive remainders, and each result is normalized by a denominator of
+# either sign
+big_rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+non_monic = st.lists(big_rats, min_size=2, max_size=5).filter(
+    lambda cs: cs[-1] not in (0, 1)).map(UniPoly)
+any_polys = st.one_of(polys, non_monic)
+
+
+@given(any_polys, any_polys, rats, st.one_of(rats, big_rats))
+def test_unipoly_matches_sympy(f, g, x, c):
     F, G = _to_sympy(f), _to_sympy(g)
     assert f + g == _from_sympy(F + G)
     assert f - g == _from_sympy(F - G)
     assert f * g == _from_sympy(F * G)
+    assert f.scale(c) == _from_sympy(F * sp.Rational(c.numerator, c.denominator))
     assert f.derivative() == _from_sympy(F.diff(_x))
+    if not f.is_zero:
+        assert f.monic() == _from_sympy(F.monic())
     assert f(x) == Fraction(str(F.eval(sp.Rational(x.numerator, x.denominator))))
     if not g.is_zero:
         assert divmod(f, g) == tuple(map(_from_sympy, F.div(G)))
@@ -116,11 +129,6 @@ def test_unipoly_matches_sympy(f, g, x):
 
 # resultants over Q run over Z after clearing denominators: non-monic inputs
 # with large denominators exercise the a^deg g * b^deg f correction
-big_rats = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
-non_monic = st.lists(big_rats, min_size=2, max_size=5).filter(
-    lambda cs: cs[-1] not in (0, 1)).map(UniPoly)
-
-
 @settings(max_examples=40, deadline=None)
 @given(non_monic, non_monic)
 def test_resultant_with_large_denominators_matches_sylvester(f, g):
@@ -139,9 +147,16 @@ points = st.one_of(
 )
 
 
+def _horner_over_q(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
 @given(polys, points)
 def test_value_at_a_rational_matches_horner_over_q(f, x):
-    want = dense.evaluate(dense.RATIONALS, f.coeffs, Fraction(x))
+    want = _horner_over_q(f.coeffs, Fraction(x))
     got = f(x)
     assert got == want and type(got) is Fraction
 
@@ -150,7 +165,7 @@ def test_value_at_a_rational_matches_horner_over_q(f, x):
 def test_value_at_a_root_is_zero(g, r):
     # (x - r) g vanishes at r, a point with d > 1 when r is not an integer
     f = UniPoly([-r, 1]) * g
-    assert f(r) == 0 and f(r) == dense.evaluate(dense.RATIONALS, f.coeffs, r)
+    assert f(r) == 0 and f(r) == _horner_over_q(f.coeffs, r)
 
 
 # a polynomial is stored as its integer form (A, a) alone; P(t0, Y) is one

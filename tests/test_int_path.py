@@ -29,9 +29,10 @@ from gsl import dense, nfield
 from gsl.errors import DomainError
 from gsl.exact import UniPoly
 from gsl.modp import Zp, Zq, degree_blocks, factor_over, prime_field
-from gsl.nfield import factor_rational, hensel_lift
+from gsl.nfield import NumberField, factor_rational, hensel_lift
 
 PRIMES = [2, 3, 5, 101, 2**31 - 1]
+QX = NumberField(UniPoly([0, 1]))  # Q as Q[x]/(x)
 
 
 class _Generic:
@@ -347,8 +348,8 @@ def test_the_zassenhaus_prime_is_the_full_ranking_choice(tail):
     # prime and blocks that ranking the first four squarefree primes by
     # their full degree blocks picks (stopping at a single factor)
     g = tail + [1]
-    G = [Fraction(c) for c in g]
-    assume(len(dense.gcd(dense.RATIONALS, G, dense.deriv(dense.RATIONALS, G))) == 1)
+    G = [QX.from_int(c) for c in g]
+    assume(len(dense.gcd(QX, G, dense.deriv(QX, G))) == 1)  # g squarefree over Q
     ranked, p = [], 2
     while len(ranked) < 4 and not (ranked and ranked[-1][1] == 1):
         p = sp.nextprime(p)

@@ -354,8 +354,24 @@ def _sympy_factors(expr, gen=None, extension=None):
     return sorted(out)
 
 
+def _expand_powers(factors) -> list[int]:
+    """The coefficients, constant term first, of prod g^m over the (g, m)
+    in factors, each g an integer coefficient list, expanded by sympy."""
+    expr = sp.Mul(*(sum(c * _y**i for i, c in enumerate(g)) ** m for g, m in factors))
+    return [int(c) for c in reversed(sp.Poly(expr, _y).all_coeffs())]
+
+
+# random integer polynomials almost never have a repeated factor, so products
+# of powers g^m, m <= 4, of small factors (not always monic) are drawn too
+_powers = st.lists(
+    st.tuples(st.lists(st.integers(-6, 6), min_size=2, max_size=3).filter(lambda cs: cs[-1]),
+              st.integers(1, 4)),
+    min_size=1, max_size=3,
+).map(_expand_powers)
+
+
 @settings(max_examples=30)
-@given(st.lists(st.integers(-20, 20), max_size=7).filter(lambda cs: cs and cs[-1]))
+@given(st.one_of(st.lists(st.integers(-20, 20), max_size=7).filter(lambda cs: cs and cs[-1]), _powers))
 def test_factor_rational_matches_sympy(coeffs):
     ours = sorted(
         (tuple((c,) for c in g.coeffs), m) for g, m in factor_rational(UniPoly(coeffs))

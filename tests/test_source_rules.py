@@ -29,6 +29,7 @@ PLANTED = {
     "no_unused_parameter": ("dense.py", None, "def _planted(used, unused):  # planted\n    return used\n",
                             "{where} _planted(unused)"),
     "oracle_independent": ("exact.py", None, "from gsl import padic  # planted\n", "exact -> padic"),
+    "stdlib_only": ("dense.py", None, "import sympy  # planted\n", "{where} sympy"),
 }
 
 
