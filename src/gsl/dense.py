@@ -1,13 +1,18 @@
 """Dense univariate polynomials over a coefficient ring: the one polynomial
 kernel shared by every layer.
 
-A polynomial is a list of ring elements, constant term first, with no
-trailing zeros.  The functions here return polynomials in that form and
-expect their arguments in it; `trim` restores it in place.
+The contract, on every ring: canonical polynomials in, canonical
+polynomials out.  A canonical polynomial is a list of canonical ring
+elements, constant term first, with no trailing zero; over a ring with an
+`int_modulus` m the elements are the ints of [0, m).  An element has one
+canonical form, so `==` decides equality in R: a zero or a leading 1 is
+tested with `==`, on every ring.  Two functions also take trailing zeros:
+`trim`, which drops them in place, and `mulmod`, whose products `modp.Zq`
+hands in padded to its degree.
 
 The coefficient ring R is any object with
 
-    R.zero, R.one            elements
+    R.zero, R.one            canonical elements
     R.add, R.sub, R.mul      (a, b) -> element
     R.neg(a), R.is_zero(a)
     R.from_int(n)            the image of an integer (derivatives only)
@@ -19,15 +24,14 @@ The coefficient ring R is any object with
                              of [0, m) and the operations are those of Z/m
 
 Rings with an `int_modulus` (`modp.Zp`: F_p and Z/p^N) have polynomials
-that are plain int lists, and these functions run on them as such:
-`trim`, `add`, `sub`, `scale`, `mul`, `quorem`, `monic`, `deriv`, `gcd`,
-`mulmod`, `powmod` and `power`.  Products and
-division updates accumulate unreduced, with one `% m` per output
-coefficient; `mulmod` multiplies and reduces by a monic modulus with
-nothing reduced in between, and `powmod` makes its modulus monic once and
-runs on `mulmod`.
-Every result is reduced into [0, m) and trimmed, whatever the inputs.
-The rest (`rem`, `ext_gcd`, `squarefree`, and through them the
+that are plain int lists, and `add`, `sub`, `scale`, `mul`, `quorem`,
+`deriv`, `gcd`, `mulmod` and `power` run on them as such: each reduces
+only what it computes, with one `% m` per output coefficient.  Products
+and division updates accumulate unreduced; `mulmod` multiplies and
+reduces by a monic modulus with nothing reduced in between, and `powmod`
+makes its modulus monic once and runs on `mulmod`.  `trim` and `monic`
+have one path on every ring, `monic` through `scale`.  The rest (`rem`,
+`powmod`, `ext_gcd`, `squarefree`, and through them the
 finite-field factorization of `modp`) reach only those, so that work over
 F_p and Z/p^N makes no ring method call per coefficient; `evaluate` and
 `shift` keep the generic loop on every ring.
@@ -110,26 +114,11 @@ INTEGERS = _Integers()
 
 
 def trim(R, a: list) -> list:
-    """Drop trailing zeros of a in place; returns a.  Over ints mod m every
-    coefficient is reduced in place too."""
-    m = getattr(R, "int_modulus", None)
-    if m is not None:
-        for i, c in enumerate(a):
-            if not 0 <= c < m:
-                a[i] = c % m
-        while a and not a[-1]:
-            a.pop()
-        return a
-    while a and R.is_zero(a[-1]):
+    """Drop the trailing zeros of a list of canonical elements in place;
+    returns a."""
+    while a and a[-1] == R.zero:
         a.pop()
     return a
-
-
-def _trimmed(out: list) -> list:
-    """Drop the trailing zeros of a reduced int list in place; returns it."""
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def add(R, a, b):
@@ -137,7 +126,7 @@ def add(R, a, b):
     if m is not None:
         if len(a) < len(b):
             a, b = b, a
-        return _trimmed([(x + y) % m for x, y in zip(a, b)] + [c % m for c in a[len(b):]])
+        return trim(R, [(x + y) % m for x, y in zip(a, b)] + a[len(b):])
     out = list(a) + [R.zero] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = R.add(out[i], c)
@@ -149,10 +138,10 @@ def sub(R, a, b):
     if m is not None:
         out = [(x - y) % m for x, y in zip(a, b)]
         if len(a) > len(b):
-            out += [c % m for c in a[len(b):]]
+            out += a[len(b):]
         else:
             out += [-c % m for c in b[len(a):]]
-        return _trimmed(out)
+        return trim(R, out)
     out = list(a) + [R.zero] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = R.sub(out[i], c)
@@ -177,12 +166,7 @@ def mul(R, a, b):
         return []
     m = getattr(R, "int_modulus", None)
     if m is not None:
-        out = _product(a, b)
-        for k, c in enumerate(out):
-            out[k] = c % m
-        while out and not out[-1]:
-            out.pop()
-        return out
+        return trim(R, [c % m for c in _product(a, b)])
     out = [R.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not R.is_zero(x):
@@ -195,7 +179,7 @@ def scale(R, a, c):
     """c * a for an element c."""
     m = getattr(R, "int_modulus", None)
     if m is not None:
-        return _trimmed([x * c % m for x in a])
+        return trim(R, [x * c % m for x in a])
     return trim(R, [R.mul(x, c) for x in a])
 
 
@@ -219,10 +203,7 @@ def mulmod(R, a, b, m):
             for v in low:
                 out[j] -= c * v
                 j += 1
-    out = [c % M for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return trim(R, [c % M for c in out])
 
 
 def quorem(R, a, b):
@@ -235,32 +216,24 @@ def quorem(R, a, b):
     a quotient term or a remainder coefficient."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lc = b[-1]
+    il = None if b[-1] == R.one else R.inv(b[-1])
     r = list(a)
     db = len(b) - 1
     m = getattr(R, "int_modulus", None)
     if m is not None:
-        il = None if lc % m == 1 else R.inv(lc)
-        q = []
         n = len(r) - db
-        if n > 0:
-            q = [0] * n
-            for k in range(n - 1, -1, -1):
-                c = r.pop() % m
-                if c:
-                    if il is not None:
-                        c = c * il % m
-                    q[k] = c
-                    for i in range(db):
-                        r[k + i] -= c * b[i]
-            while q and not q[-1]:
-                q.pop()
-        for i, c in enumerate(r):
-            r[i] = c % m
-        while r and not r[-1]:
-            r.pop()
-        return q, r
-    il = None if R.is_zero(R.sub(lc, R.one)) else R.inv(lc)
+        if n <= 0:
+            return [], r
+        q = [0] * n
+        for k in range(n - 1, -1, -1):
+            c = r.pop() % m
+            if c:
+                if il is not None:
+                    c = c * il % m
+                q[k] = c
+                for i in range(db):
+                    r[k + i] -= c * b[i]
+        return trim(R, q), trim(R, [c % m for c in r])
     q = [R.zero] * max(0, len(r) - db)
     while len(r) > db:
         c = r.pop()
@@ -280,16 +253,7 @@ def rem(R, a, b):
 
 def monic(R, a):
     """a divided by its leading coefficient (the zero polynomial stays)."""
-    m = getattr(R, "int_modulus", None)
-    if m is not None:
-        a = [c % m for c in a]
-        while a and not a[-1]:
-            a.pop()
-        if not a or a[-1] == 1:
-            return a
-        il = R.inv(a[-1])
-        return [x * il % m for x in a]
-    if not a or R.is_zero(R.sub(a[-1], R.one)):
+    if not a or a[-1] == R.one:
         return list(a)
     return scale(R, a, R.inv(a[-1]))
 
@@ -303,7 +267,6 @@ def gcd(R, a, b):
     stay normalized."""
     m = getattr(R, "int_modulus", None)
     if m is not None:
-        b = _trimmed([c % m for c in b])
         while b:
             a, b = b, rem(R, a, b)
         return monic(R, a)
@@ -384,7 +347,7 @@ def powmod(R, a, e: int, m):
 def deriv(R, a):
     m = getattr(R, "int_modulus", None)
     if m is not None:
-        return _trimmed([a[i] * i % m for i in range(1, len(a))])
+        return trim(R, [a[i] * i % m for i in range(1, len(a))])
     return trim(R, [R.mul(a[i], R.from_int(i)) for i in range(1, len(a))])
 
 

@@ -45,6 +45,7 @@ Y-derivative.  No factorization over Q is exposed here.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -58,8 +59,15 @@ Rat = Fraction
 # rationals
 
 
+_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rat_from_str(s: str) -> Rat:
-    """Parse "p" or "p/q" (decimal strings) into a Rat."""
+    """Parse "n" or "n/d" (decimal digits, n with an optional minus sign,
+    n/d not necessarily reduced) into a Rat.  Raises ValueError on any
+    other string and ZeroDivisionError on d = 0."""
+    if not _RAT.fullmatch(s):
+        raise ValueError(f"{s!r} is not a rational string 'n' or 'n/d'")
     return Fraction(s)
 
 

@@ -6,7 +6,7 @@ lists:
   * `Zp(p, N)`, Z/p^N with int elements.  F_p is Zp(p, 1), which
     `prime_field(p)` builds, after testing p for primality, once per
     prime.  Its `int_modulus` puts F_p and Z/p^N polynomials on the int
-    path of `dense`: plain int lists, reduced once per coefficient.
+    path of `dense`: plain int lists of [0, p^N), no trailing zero.
   * `Zq(W, chi)`, the unramified extension W[x]/(chi) of either ring W,
     with tuples of W elements, for a monic chi of degree d >= 2 whose
     residue is irreducible over W.res.  F_{p^d} is Zq(F_p, chi); over a
@@ -90,7 +90,7 @@ class Zp:
     builds it once per prime), the ring of the Hensel lift over Q
     (`nfield`) and the oracle's base ring (`padic`) when N > 1.  Its
     `int_modulus` p^N puts its polynomials on the int path of `dense`:
-    plain int lists, reduced once per coefficient.  `res` is the residue
+    plain int lists of [0, p^N), no trailing zero.  `res` is the residue
     field F_p, the ring itself when N = 1, and `q = p` its size."""
 
     __slots__ = ("p", "N", "q", "int_modulus", "res")

@@ -349,6 +349,20 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "verify", V4, "--t0", "--summary")[0] == 64  # --t0 without a value
 
 
+@pytest.mark.parametrize("value", ["1.5", "1e3", "1_000", " 7 ", "+3", "1/-2"])
+def test_a_rational_outside_the_documented_grammar_is_a_usage_error(capsys, value):
+    # rationals are "n" or "n/d" (docs/formats.md), not Python's Fraction syntax
+    for argv in (["verify", V4, f"--t0={value}"],
+                 ["predict", C3, f"--t0={value}", "--prime", "7"],
+                 ["oracle", f"--coeffs={value},1", "--prime", "5"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 64 and "bad rational" in err, argv
+
+
+def test_an_unreduced_rational_is_accepted(capsys):
+    assert run(capsys, "verify", V4, "--t0=-6/14")[:2] == run(capsys, "verify", V4, "--t0=-3/7")[:2]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "bundled:v4_sqrt_t_sqrt_t_minus_1", "--t0", "-3/7"],
     ["predict", "bundled:c3_shanks", "--t0", "-1/2", "--prime", "7"],

@@ -7,7 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+import sympy as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gsl.cli
@@ -34,6 +35,7 @@ from gsl.errors import (
 )
 from gsl.exact import BiPoly, UniPoly
 from gsl.nfield import NumberField
+from gsl.specialize import SKIPPED_BAD_PRIME, verify_specialization
 
 
 def _cover_dict(**over):
@@ -78,6 +80,9 @@ def test_schema_errors():
         (_cover_dict(P=[]), "'P' must be a non-empty list"),
         (_cover_dict(P=[["0", "1/0"], ["0"], ["1"]]), "bad rational string"),
         (_cover_dict(P=[["0", "x"], ["0"], ["1"]]), "bad rational string"),
+        (_cover_dict(P=[["0.5", "-1"], ["0"], ["1"]]), "bad rational string"),
+        (_cover_dict(P=[["0", "-1e0"], ["0"], ["1"]]), "bad rational string"),
+        (_cover_dict(P=[["0", " -1"], ["0"], ["1"]]), "bad rational string"),
         ('{"name": ', "cover JSON is malformed"),
         (["not", "an", "object"], "must be a JSON object"),
         # JSON text that is not an object is read as JSON, not as a file name
@@ -466,3 +471,82 @@ def test_expansion_makes_no_disc_y_call(covers, monkeypatch):
 
     monkeypatch.setattr(gsl.covers, "disc_y", refuse)
     assert [puiseux_at(c, locus) for locus in loci] == before
+
+
+# ---------------------------------------------------------------------------
+# the chart at infinity against the finite chart: T -> 1/T swaps 0 and
+# infinity, so the cover in the coordinate 1/T at 1/t0 is the cover at t0,
+# and its places over 0 are those of the cover over infinity
+
+
+def _inverted(rows):
+    """Rows of P(1/T, Y/T) T^n, the cover in the coordinate 1/T, expanded
+    by sympy (not by `covers._infinity_chart`, which this checks).  Every
+    cover here has deg row_i <= n - i, so the scaling Y -> Y/T makes it
+    integral and monic in Y."""
+    T, Y = sp.symbols("T Y")
+    n = len(rows) - 1
+    P = sum(sp.Rational(str(c)) * T**j * Y**i for i, row in enumerate(rows) for j, c in enumerate(row))
+    Q = sp.Poly(sp.expand(P.subs({T: 1 / T, Y: Y / T}, simultaneous=True) * T**n), Y, T)
+    return [[str(Q.coeff_monomial(Y**i * T**j)) for j in range(n - i + 1)] for i in range(n + 1)]
+
+
+@pytest.fixture(scope="module")
+def charts(covers):
+    """Each bundled cover and C6, with its model in the coordinate 1/T."""
+    out = {}
+    c6 = Cover("c6", 6, BiPoly.from_json([[str(c) for c in row] for row in _C6]))
+    for name, cover in [*covers.items(), ("c6", c6)]:
+        rows = _inverted([row.coeffs for row in cover.poly.rows])
+        out[name] = cover, load_cover({"name": f"{name}_inverted", "group_order": cover.group_order,
+                                       "P": rows, "assert_regular_galois": True})
+    return out
+
+
+_CHART_COVERS = ["c2_sqrt_t", "c3_shanks", "v4_sqrt_t_sqrt_t_minus_1", "c6"]
+
+
+def _reversed_locus(locus):
+    """The locus of the points 1/t: T^deg m(1/T), made monic, with T and
+    infinity (None) swapped."""
+    if locus is None:
+        return (Fraction(0), Fraction(1))
+    cs = list(reversed(locus.coeffs))
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return None if len(cs) == 1 else tuple(c / cs[-1] for c in cs)
+
+
+@pytest.mark.parametrize("name", _CHART_COVERS)
+def test_the_chart_at_infinity_has_the_branch_points_of_the_finite_chart(charts, name):
+    cover, inverted = charts[name]
+    want = {(_reversed_locus(bp.locus), bp.ram_index, bp.d_order) for bp in branch_points(cover)}
+    got = {(None if bp.locus is None else tuple(bp.locus.coeffs), bp.ram_index, bp.d_order)
+           for bp in branch_points(inverted)}
+    assert got == want and len(branch_points(inverted)) == len(want)
+
+
+@pytest.mark.parametrize("name", _CHART_COVERS)
+@settings(max_examples=60)
+@given(t0=st.fractions(min_value=-40, max_value=40, max_denominator=7).filter(bool))
+def test_verify_agrees_in_the_chart_at_infinity(charts, name, t0):
+    # at a prime examined and good in both charts, the same prediction,
+    # oracle answer and verdict; a prime examined in one chart only (where
+    # t0 or 1/t0 meets no locus, such as a prime of t0's denominator) gets
+    # an "unramified" prediction or is skipped as bad
+    cover, inverted = charts[name]
+    assume(all(bp.locus is None or bp.locus(t0) != 0 for bp in branch_points(cover)))
+    here = {e.prime: e for e in verify_specialization(cover, t0).entries}
+    there = {e.prime: e for e in verify_specialization(inverted, 1 / t0).entries}
+
+    def seen(e):
+        pred = e.prediction and (e.prediction.mode, e.prediction.e, e.prediction.f,
+                                 e.prediction.f_lower)
+        return pred, e.oracle and e.oracle.factors, e.verdict
+
+    for p in here.keys() & there.keys():
+        if SKIPPED_BAD_PRIME not in (here[p].verdict, there[p].verdict):
+            assert seen(here[p]) == seen(there[p]), p
+    for p in here.keys() ^ there.keys():
+        e = here.get(p) or there.get(p)
+        assert e.verdict == SKIPPED_BAD_PRIME or e.prediction.mode == "unramified", p

@@ -532,6 +532,25 @@ def test_rat_str_roundtrip():
         assert rat_to_str(rat_from_str(s)) == s
 
 
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_every_n_over_d_string_reads_as_its_rational(n, d):
+    # reduced or not; rat_to_str writes the reduced form, which reads back
+    x = rat_from_str(f"{n}/{d}")
+    assert x == Fraction(n, d)
+    assert rat_from_str(rat_to_str(x)) == x
+    assert rat_from_str(str(n)) == n
+
+
+@pytest.mark.parametrize("s, error", [
+    *((s, ValueError) for s in ("1.5", "1e3", "1_000", " 7 ", "7\n", "+3", "1/-2", "--1",
+                                "1/2/3", "", "/2", "\u0663", "0x10", "inf", "nan")),
+    ("3/0", ZeroDivisionError),
+])
+def test_a_string_outside_the_rational_grammar_is_refused(s, error):
+    with pytest.raises(error):
+        rat_from_str(s)
+
+
 def test_rational_valuation():
     assert rational_valuation(Fraction(50), 5) == 2
     assert rational_valuation(Fraction(1, 5), 5) == -1

@@ -26,10 +26,14 @@ from sympy.polys.galoistools import (
 )
 
 from gsl import dense, nfield
-from gsl.errors import DomainError
+from gsl.covers import branch_points, load_cover
+from gsl.errors import DomainError, GslError
 from gsl.exact import UniPoly
 from gsl.modp import Zp, Zq, degree_blocks, factor_over, prime_field
 from gsl.nfield import NumberField, factor_rational, hensel_lift
+from gsl.padic import local_splitting_type
+from gsl.specialize import verify_specialization
+from test_covers import _C6, _translate
 
 PRIMES = [2, 3, 5, 101, 2**31 - 1]
 QX = NumberField(UniPoly([0, 1]))  # Q as Q[x]/(x)
@@ -238,43 +242,126 @@ def test_a_unit_leading_coefficient_over_z_mod_p_power_divides():
     assert dense.quorem(W, a, b) == ([4, 0, 7], [])
 
 
+def _canonical(R, poly) -> bool:
+    """Whether poly is a canonical polynomial over the int ring R: ints of
+    [0, m), no trailing zero."""
+    return all(0 <= c < R.int_modulus for c in poly) and (not poly or poly[-1] != 0)
+
+
 @settings(max_examples=150)
-@given(st.sampled_from([prime_field(7), prime_field(101), Zp(3, 4)]),
-       st.lists(st.integers(-10**4, 10**4), max_size=7),
-       st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=5),
-       st.integers(-3, 3))
-def test_unreduced_inputs_give_reduced_trimmed_results(R, a, b, k):
+@given(st.sampled_from([prime_field(7), prime_field(101), Zp(3, 4)]), st.data())
+def test_canonical_inputs_give_canonical_results(R, data):
+    # the one contract of `dense`: canonical polynomials in, canonical
+    # polynomials out, and the int path agrees with the generic loop
     m = R.int_modulus
-    b = b + [1 + k * m]  # a leading coefficient = 1 mod m, unreduced
-    a_red = dense.trim(R, [c % m for c in a])
-    b_red = dense.trim(R, [c % m for c in b])
-    generic = _Generic(R)
+    coeff = st.integers(0, m - 1)
+    a = dense.trim(R, data.draw(st.lists(coeff, max_size=7)))
+    b = data.draw(st.lists(coeff, max_size=5)) + [1]  # monic: a divisor on every ring
+    c = data.draw(coeff)
+    e = data.draw(st.integers(0, 123))
     cases = [
-        (dense.mul, (a, b), (a_red, b_red)),
-        (dense.add, (a, b), (a_red, b_red)),
-        (dense.sub, (a, b), (a_red, b_red)),
-        (dense.sub, (b, a), (b_red, a_red)),
-        (dense.scale, (a, k * m + 2), (a_red, 2)),
-        (dense.scale, (a, k * m + R.p), (a_red, R.p % m)),
-        (dense.monic, (b,), (b_red,)),
-        (dense.deriv, (a,), (a_red,)),
-        (dense.trim, (list(a),), (list(a_red),)),
-        (dense.powmod, (a, abs(k) * 40 + 3, b), (a_red, abs(k) * 40 + 3, b_red)),
-        (dense.mulmod, (a, a, b), (a_red, a_red, b_red)),
+        (dense.mul, (a, b)),
+        (dense.add, (a, b)),
+        (dense.sub, (a, b)),
+        (dense.sub, (b, a)),
+        (dense.scale, (a, c)),
+        (dense.scale, (a, R.p % m)),
+        (dense.monic, (b,)),
+        (dense.deriv, (a,)),
+        (dense.trim, (a + [0, 0],)),  # trim and mulmod also take trailing zeros
+        (dense.powmod, (a, e, b)),
+        (dense.mulmod, (a, a, b)),
+        (dense.mulmod, (a + [0], a, b)),
+        (dense.quorem, (a, b)),
     ]
     if R.N == 1:  # a gcd needs a field
-        cases.append((dense.gcd, (a, b), (a_red, b_red)))
-    if a_red and a_red[-1] % R.p:  # a unit leading coefficient
-        cases.append((dense.monic, (a,), (a_red,)))
-    results = []
-    for fn, ours, theirs in cases:
-        got = fn(R, *ours)
-        assert got == fn(generic, *theirs), fn.__name__
-        results.append(got)
-    assert dense.quorem(R, a, b) == dense.quorem(generic, a_red, b_red)
-    results.extend(dense.quorem(R, a, b))
-    for poly in results:
-        assert all(0 <= c < m for c in poly) and (not poly or poly[-1])
+        cases.append((dense.gcd, (a, b)))
+    if a and a[-1] % R.p:  # a unit leading coefficient
+        cases += [(dense.monic, (a,)), (dense.quorem, (b, a))]
+    for fn, args in cases:
+        got, generic = _both(R, fn, *args)
+        assert got == generic, fn.__name__
+        for poly in got if fn is dense.quorem else [got]:
+            assert _canonical(R, poly), fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# every caller holds the contract: no int-path call gets an unreduced
+# coefficient, nor a trailing zero outside `trim` and `mulmod`
+
+_ENTRY_POINTS = ["trim", "add", "sub", "mul", "scale", "mulmod", "quorem", "rem", "monic",
+                 "gcd", "ext_gcd", "squarefree", "powmod", "deriv", "evaluate", "shift"]
+
+
+@pytest.fixture
+def off_contract(monkeypatch):
+    """Wrap every `dense` entry point, here and in every caller, to record
+    each int-ring call whose polynomial arguments are not canonical (a
+    trailing zero is allowed in `trim` and `mulmod`), and each ring seen."""
+    seen = {"calls": [], "rings": set()}
+
+    def wrap(name, fn):
+        def recording(R, *args):
+            seen["rings"].add(repr(R))
+            m = getattr(R, "int_modulus", None)
+            if m is not None:
+                for a in args:
+                    if isinstance(a, (list, tuple)) and (
+                            any(not 0 <= c < m for c in a)
+                            or (a and a[-1] == 0 and name not in ("trim", "mulmod"))):
+                        seen["calls"].append((name, R, args))
+            return fn(R, *args)
+        return recording
+
+    for name in _ENTRY_POINTS:
+        monkeypatch.setattr(dense, name, wrap(name, getattr(dense, name)))
+    return seen
+
+
+def _verify_points():
+    """t0 with poles at small primes, t0 = 0 and 1 mod 5^2 and 7^2 (the
+    branch points of the bundled quadratic and V4 covers) and the roots of
+    T^2 + 3T + 9 mod 7^2 and 13^2 (those of the cubic cover)."""
+    plain = [Fraction(n, d) for n in (-7, -2, 1, 3, 4, 11) for d in (1, 3, 5)]
+    rooted = [25, 50, 26, 49, 50 + 49, 41, 66]
+    poles = [Fraction(1, 25), Fraction(2, 49), Fraction(5, 9), Fraction(-3, 121), Fraction(7, 169)]
+    return sorted(set(plain + [Fraction(t) for t in rooted] + poles))
+
+
+def test_no_caller_hands_the_int_path_a_non_canonical_polynomial(off_contract, covers):
+    s, x = sp.symbols("s x")
+    for cover in covers.values():
+        for t0 in _verify_points():
+            try:
+                verify_specialization(cover, t0)
+            except GslError:  # t0 on a locus is refused, like on the grid
+                pass
+    for b in (0, 5):
+        c6 = load_cover({"name": f"c6_b{b}", "group_order": 6,
+                         "P": [[str(c) for c in row] for row in _translate(_C6, b)],
+                         "assert_regular_galois": True})
+        branch_points(c6)
+    for product in [(x - 1)**2 * (x**2 + 2)**3 * (x + 5), (x**3 - 2)**2 * (3 * x - 1)**4,
+                    (x**2 - x + 7)**3 * (x**4 + 1)**2]:
+        f = [int(c) for c in reversed(sp.Poly(product, x).all_coeffs())]
+        factor_rational(UniPoly([Fraction(c) for c in f]))
+    # the minimal polynomial of s^4 + 5 s^2 + 25 s, s = 2^(1/8), at 5: its
+    # roots cluster around sqrt 2, then around 2^(1/4), each a repeated
+    # quadratic residual, so the oracle builds a quadratic extension of
+    # Z/5^N and a second one over that
+    g = sp.Poly(sp.resultant(s**8 - 2, x - (s**4 + 5 * s**2 + 25 * s), s), x)
+    g = UniPoly([int(c) for c in reversed(g.all_coeffs())])
+    assert local_splitting_type(g, 5).factors == ((1, 8, 1),)
+    assert any(r.startswith("Zq(Zq(") for r in off_contract["rings"])
+    assert off_contract["calls"] == []
+
+
+def test_the_contract_guard_fires_on_an_unreduced_call(off_contract):
+    F = prime_field(7)
+    dense.add(F, [1, 2], [3, 7])
+    dense.mul(F, [3, 1, 0], [2])  # a trailing zero
+    dense.mulmod(F, [3, 1, 0], [2], [1, 1])  # allowed here
+    assert [name for name, _, _ in off_contract["calls"]] == ["add", "mul"]
 
 
 # ---------------------------------------------------------------------------
