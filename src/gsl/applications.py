@@ -262,7 +262,7 @@ def _obstruction_residues(
     has order 1 there.  Both are read off `covers.frobenius_orders`, the
     table a prediction reads (a residue field that degenerates at p, an
     entry None, makes p no obstruction prime)."""
-    if p == 2 or p in bad or p % q != 1 or not is_prime(p):
+    if p in bad or p % q != 1 or not is_prime(p):
         return None
     out = []
     for bp in branches:

@@ -234,7 +234,7 @@ def _kx_val(K, a):
     """x-adic valuation (index of the first non-zero coefficient), or None
     for the zero polynomial."""
     for i, c in enumerate(a):
-        if not K.is_zero(c):
+        if c != K.zero:
             return i
     return None
 
@@ -276,7 +276,7 @@ def _duval_transform(K, H, q: int, mslope: int, u: int, v: int, w0, ell: int):
     cols: list[list] = []
     for i, row in enumerate(H):
         for a, c in enumerate(row):
-            if K.is_zero(c):
+            if c == K.zero:
                 continue
             e = q * a + mslope * i - ell
             if e < 0:
@@ -379,7 +379,7 @@ def _polygon(K, H, mu: int, tau, e_acc: int, cap: int) -> list[_Path]:
             row = H[j]
             c = row[vline] if vline < len(row) else K.zero
             R.append(c)
-        if K.is_zero(R[0]) or K.is_zero(R[-1]):
+        if R[0] == K.zero or R[-1] == K.zero:
             raise NonUniformRamification(
                 "a polygon side's residual vanishes at an endpoint"
             )

@@ -14,7 +14,7 @@ The coefficient ring R is any object with
 
     R.zero, R.one            canonical elements
     R.add, R.sub, R.mul      (a, b) -> element
-    R.neg(a), R.is_zero(a)
+    R.neg(a)
     R.from_int(n)            the image of an integer (derivatives only)
     R.inv(a)                 inverse of a unit (division by a divisor that
                              is not monic, monic normalization, ext_gcd)
@@ -83,10 +83,6 @@ class _Integers:
     mul = staticmethod(operator.mul)
     neg = staticmethod(operator.neg)
     from_int = staticmethod(int)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
 
     @staticmethod
     def inv(a):
@@ -167,9 +163,10 @@ def mul(R, a, b):
     m = getattr(R, "int_modulus", None)
     if m is not None:
         return trim(R, [c % m for c in _product(a, b)])
-    out = [R.zero] * (len(a) + len(b) - 1)
+    zero = R.zero
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not R.is_zero(x):
+        if x != zero:
             for j, y in enumerate(b):
                 out[i + j] = R.add(out[i + j], R.mul(x, y))
     return trim(R, out)

@@ -115,9 +115,6 @@ class Zp:
     def neg(self, a):
         return -a % self.int_modulus
 
-    def is_zero(self, a):
-        return a % self.int_modulus == 0
-
     def from_int(self, n: int):
         return n % self.int_modulus
 
@@ -206,9 +203,6 @@ class Zq:
         one int loop when W is a `Zp`)."""
         c = dense.mulmod(self.base, a, b, self.Phi)
         return tuple(c) + self.zero[len(c):]
-
-    def is_zero(self, a):
-        return all(map(self.base.is_zero, a))
 
     def embed(self, c):
         """The constant c of W."""

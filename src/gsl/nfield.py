@@ -192,17 +192,11 @@ class NumberField:
         raw.append(den)
         return _canonical(raw)
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def inv(self, a) -> tuple:
         """Inverse by fraction-free (Bareiss) elimination on the matrix of
         multiplication by a, whose columns are a x^j; raises DomainError
         when it is singular (a shares a factor with M, then reducible)."""
-        if self.is_zero(a):
+        if a == self.zero:
             raise ZeroDivisionError("inverse of zero in a number field")
         n = self.degree
         x = self.gen()
@@ -518,7 +512,7 @@ def _norm_poly(K: NumberField, h: list, s: int) -> UniPoly:
     a^deg_x(H) L^deg(M) N directly on them, from deg(M)*deg(h) + 1 integer
     points, the Sylvester bound plus one."""
     d = len(h) - 1
-    if d < 1 or not K.eq(h[-1], K.one):
+    if d < 1 or h[-1] != K.one:
         raise DomainError("the norm needs a monic h of degree >= 1")
     D = K.degree * d
     g = dense.shift(K, h, K.scale(K.gen(), -s))
@@ -626,7 +620,7 @@ def adjoin_root(K: NumberField, rho: list) -> Adjunction:
     d = len(rho) - 1
     if d < 1:
         raise DomainError("adjoin_root needs degree >= 1")
-    if not K.eq(rho[-1], K.one):
+    if rho[-1] != K.one:
         raise DomainError("adjoin_root needs a monic rho")
     if d == 1:
         return Adjunction(field=K, theta=K.gen(), root=K.neg(rho[0]))

@@ -182,7 +182,7 @@ def _cluster(W, f, center, floor, depth: int) -> list[tuple[int, int, int]]:
             f"cluster tree deeper than MAX_DEPTH = {MAX_DEPTH} levels: "
             "outside the certified scope of this oracle"
         )
-    G = f if W.is_zero(center) else dense.shift(W, f, center)
+    G = f if center == W.zero else dense.shift(W, f, center)
     vals = [W.val(c) for c in G]
     out: list[tuple[int, int, int]] = []
     expected = 0
@@ -239,7 +239,7 @@ def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[
                 raise PrecisionExhausted("coefficient below its side")
             res.append(W.residue(W.shift_down(c, vline)))
     res = dense.trim(F, res)
-    if len(res) - 1 != r or F.is_zero(res[0]):
+    if len(res) - 1 != r or res[0] == F.zero:
         raise PrecisionExhausted("residual polynomial does not span its side")
     out: list[tuple[int, int, int]] = []
     repeated = []

@@ -4,13 +4,16 @@ their verification against the p-adic oracle.
 The prediction machinery, given a specialization point t0 and a prime p
 outside the cover's conservative bad set:
 
-  * find where t0 meets the branch divisor: `meetings` computes this once
-    per t0, evaluating each finite branch locus m at t0 once.  The primes
-    are the given ones or, when none are given, those found by factoring
-    t0's denominator and each m(t0).  At every prime, given or found, the
-    multiplicity is a valuation: v_p(m(t0)) for a finite locus
-    (p-integral t0) and -v_p(t0) for the point at infinity.  A point on a
-    branch locus (m(t0) = 0) is refused at every p;
+  * find where t0 meets the branch divisor: `meetings` is the one path
+    from t0 to its meetings, for `meeting_prime`, `predict_decomposition`
+    and `verify_specialization` alike.  It evaluates each finite branch
+    locus m at t0 once and refuses a point on a branch locus (m(t0) = 0),
+    whatever the primes; then it refuses a given p that is not prime;
+    then it reads the multiplicities.  The primes are the given ones or,
+    when none are given, those found by factoring t0's denominator and
+    each m(t0).  At every prime the multiplicity is a valuation:
+    v_p(m(t0)) for a finite locus (p-integral t0) and -v_p(t0) for the
+    point at infinity;
   * no meeting predicts an unramified specialization;
   * a meeting of multiplicity a against a branch of inertia order e
     predicts ramification index e / gcd(a, e); when gcd(a, e) = 1 the
@@ -78,49 +81,32 @@ def meetings(
     to the (branch, multiplicity) pairs met there, in the order of
     `branches` (empty when none is met).  A finite locus m is met at p with
     multiplicity v_p(m(t0)) > 0 when t0 is p-integral, the point at
-    infinity with -v_p(t0) > 0.  Each finite locus is evaluated once, and
-    a point on a branch locus is refused.
+    infinity with -v_p(t0) > 0.  Given `primes`, only those are mapped and
+    nothing is factored.
 
-    Given `primes`, only those are mapped and nothing is factored; each
-    passes the one primality gate, `modp.prime_field`, first (DomainError
-    "{p} is not prime").  At every prime, given or found by factoring,
-    each multiplicity is a valuation (`exact._int_val`)."""
+    The one order of refusals: each finite locus is evaluated once, and a
+    point on a branch locus is refused first (HypothesisViolation); then
+    each given prime, in ascending order, passes the one primality gate,
+    `modp.prime_field` (DomainError "{p} is not prime"); then the
+    multiplicities are read, each a valuation (`exact._int_val`)."""
     t0 = Fraction(t0)
-    if primes is not None:
-        for p in primes:
-            prime_field(p)
-    return _met(_evaluated(branches, t0), t0, primes)
-
-
-def _evaluated(
-    branches: Sequence[BranchPoint], t0: Fraction
-) -> list[tuple[BranchPoint, Fraction | None]]:
-    """(branch, m(t0)) for each branch, None for the point at infinity;
-    refuses a point on a branch locus."""
-    out = []
+    evaluated = []
     for bp in branches:
         mval = None if bp.locus is None else bp.locus(t0)
         if mval == 0:
             raise HypothesisViolation(
                 f"specialization point {t0} lies on a branch locus"
             )
-        out.append((bp, mval))
-    return out
-
-
-def _met(
-    evaluated: Sequence[tuple[BranchPoint, Fraction | None]],
-    t0: Fraction,
-    primes: Sequence[int] | None,
-) -> dict[int, tuple[tuple[BranchPoint, int], ...]]:
-    """`meetings` from the values of the loci at t0."""
+        evaluated.append((bp, mval))
     if primes is None:
         keys = set(factor_int(t0.denominator))
         for _, mval in evaluated:
             if mval is not None:
                 keys.update(factor_int(mval.numerator), factor_int(mval.denominator))
     else:
-        keys = set(primes)
+        keys = sorted(set(primes))
+        for p in keys:
+            prime_field(p)
     met = {}
     for p in keys:
         pole = _int_val(t0.denominator, p)
@@ -327,8 +313,9 @@ def verify_specialization(
     `meetings`.  They hold every prime where t0 meets the branch divisor,
     the only primes where anything nontrivial is predicted, and can hold
     primes where nothing is met, which get an "unramified" prediction.
-    Given primes are examined once each, in ascending order.
-    Each prime gets a verdict: MATCH / PARTIAL_MATCH (divisibility-mode
+    Given primes are examined once each, in ascending order.  It refuses
+    what `meetings` refuses, in its order, then a t0 on the discriminant
+    locus (`specialize_poly`).  Each prime gets a verdict: MATCH / PARTIAL_MATCH (divisibility-mode
     agreement) / MISMATCH / SKIPPED_BAD_PRIME / ORACLE_FAILURE.
 
     `branches` and `bad` default to the cover's own analysis; they stay
@@ -339,20 +326,10 @@ def verify_specialization(
         branches = branch_points(cover)
     if bad is None:
         bad = conservative_bad_primes(cover)
-    # a point on a branch locus fails both checks: the meeting check
-    # speaks first, with or without primes=, and both come before the
-    # primes are checked
-    evaluated = _evaluated(branches, t0)
+    met = meetings(branches, t0, primes)
     f_t0 = specialize_poly(cover, t0)
-    if primes is not None:
-        primes = sorted(set(primes))
-        for p in primes:
-            prime_field(p)
-    met = _met(evaluated, t0, primes)
-    if primes is None:
-        primes = sorted(met)
     entries = []
-    for p in primes:
+    for p in sorted(met):
         if p in bad or p == 2:
             entries.append(ReportEntry(
                 prime=p, prediction=None, oracle=None,
@@ -361,7 +338,7 @@ def verify_specialization(
             ))
             continue
         try:
-            pred = _predict(met.get(p, ()), t0, p)
+            pred = _predict(met[p], t0, p)
         except (MeetingUniquenessError, NonUniform) as exc:
             entries.append(ReportEntry(
                 prime=p, prediction=None, oracle=None,

@@ -221,6 +221,33 @@ def test_predict_refuses_a_point_on_a_branch_locus_at_every_prime(tmp_path, caps
                    "message": "specialization point 1/5 lies on a branch locus"}
 
 
+@pytest.mark.parametrize("cover, t0, primes", [(C2, "0", ["4"]), (V4, "1", ["9", "4"])],
+                         ids=["c2", "v4"])
+def test_a_point_on_a_branch_locus_is_refused_before_any_prime(capsys, cover, t0, primes):
+    # predict and verify refuse in one order: the branch locus before the
+    # primes, which here are not prime
+    want = {"error": "HypothesisViolation",
+            "message": f"specialization point {t0} lies on a branch locus"}
+    for p in primes:
+        assert run(capsys, "predict", cover, "--t0", t0, "--prime", p)[:2] == (64, want)
+    want = {"cover": Path(cover).stem, "t0": t0, **want}
+    assert run(capsys, "verify", cover, "--t0", t0, "--primes", ",".join(primes))[:2] == (64, want)
+
+
+def test_verify_checks_the_primes_before_the_discriminant_locus(tmp_path, capsys):
+    # Y^2 - T (T - 1)^2 is branched at T = 0 and infinity only, but T = 1
+    # is on its discriminant locus: a composite prime is refused first
+    path = tmp_path / "c2_apparent.json"
+    path.write_text(json.dumps({"name": "c2_apparent", "group_order": 2,
+                                "P": [["0", "-1", "2", "-1"], [], ["1"]],
+                                "assert_regular_galois": True}))
+    assert run(capsys, "verify", str(path), "--t0", "1", "--primes", "3,4")[:2] == (
+        64, {"error": "DomainError", "message": "4 is not prime"})
+    assert run(capsys, "verify", str(path), "--t0", "1", "--primes", "3")[:2] == (
+        64, {"cover": "c2_apparent", "t0": "1", "error": "HypothesisViolation",
+             "message": "t0 = 1 lies on the branch locus of the cover"})
+
+
 def test_predict_refuses_a_bad_prime(capsys):
     # 2 is bad for Y^2 - T; Q(sqrt 3) is ramified there, so no claim is made
     code, doc, _ = run(capsys, "predict", C2, "--t0", "3", "--prime", "2")

@@ -388,7 +388,7 @@ def _transform_input(draw):
     H = [dense.trim(K, draw(st.lists(elt, max_size=3)))
          for _ in range(draw(st.integers(1, 4)))]
     assume(any(H))
-    w0 = draw(elt.filter(lambda a: not K.is_zero(a)))
+    w0 = draw(elt.filter(lambda a: a != K.zero))
     # (1, 0, 1, 0) is the slope-0 step y -> w0 + y that resolves H(0, y)
     params = draw(st.one_of(
         st.just((1, 0, 1, 0)),
@@ -401,7 +401,7 @@ def _transform_input(draw):
 def test_duval_transform_matches_pointwise_evaluation(data):
     K, H, w0, (q, m, u, v) = data
     ell = min(q * a + m * i for i, row in enumerate(H) for a, c in enumerate(row)
-              if not K.is_zero(c))
+              if c != K.zero)
     H3 = _duval_transform(K, H, q, m, u, v, w0, ell)
     for x0 in (Fraction(1, 2), Fraction(-3), Fraction(5, 7)):
         x = K.scale(K.one, x0)

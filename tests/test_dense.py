@@ -259,7 +259,7 @@ def test_gcd_is_monic_and_a_multiple_of_every_common_factor(data):
     if not g:
         assert not dense.mul(R, a, c) and not dense.mul(R, b, c)
         return
-    assert R.is_zero(R.sub(g[-1], R.one))
+    assert g[-1] == R.one
     for x in (a, b):
         assert not dense.rem(R, dense.mul(R, x, c), g)
     if c:

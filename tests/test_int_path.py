@@ -34,6 +34,7 @@ from gsl.nfield import NumberField, factor_rational, hensel_lift
 from gsl.padic import local_splitting_type
 from gsl.specialize import verify_specialization
 from test_covers import _C6, _translate
+from test_nfield import _is_canonical
 
 PRIMES = [2, 3, 5, 101, 2**31 - 1]
 QX = NumberField(UniPoly([0, 1]))  # Q as Q[x]/(x)
@@ -188,7 +189,7 @@ def test_prime_field_never_reaches_the_generic_loop():
         __slots__ = ()
 
         def __getattribute__(self, name):
-            if name in ("add", "sub", "mul", "neg", "is_zero"):
+            if name in ("add", "sub", "mul", "neg"):
                 calls.append(name)
             return super().__getattribute__(name)
 
@@ -287,18 +288,44 @@ def test_canonical_inputs_give_canonical_results(R, data):
 
 # ---------------------------------------------------------------------------
 # every caller holds the contract: no int-path call gets an unreduced
-# coefficient, nor a trailing zero outside `trim` and `mulmod`
+# coefficient, nor a trailing zero outside `trim` and `mulmod`; and no ring
+# operation of a number field or of a `Zq` returns an element that is not
+# canonical, the premise of testing zero and one with `==`
 
 _ENTRY_POINTS = ["trim", "add", "sub", "mul", "scale", "mulmod", "quorem", "rem", "monic",
                  "gcd", "ext_gcd", "squarefree", "powmod", "deriv", "evaluate", "shift"]
+# the ring operations that return an element, of the ring itself or, for
+# `residue`, of its residue ring
+_ELEMENT_OPS = {
+    NumberField: ["from_rat", "from_int", "gen", "from_unipoly", "add", "sub", "neg", "scale",
+                  "mul", "inv"],
+    Zq: ["add", "sub", "neg", "mul", "embed", "from_int", "inv", "element_by_index", "residue",
+         "shift_down"],
+}
+
+
+def _canonical_element(R, a) -> bool:
+    """Whether a is in the one form of an element of R: over a number field
+    deg M + 1 ints, the last a positive denominator, with gcd 1; over a
+    `Zq` d coordinates, each canonical in the ring below; over a `Zp` an
+    int of [0, m)."""
+    if isinstance(R, NumberField):
+        return type(a) is tuple and _is_canonical(R, a)
+    if isinstance(R, Zq):
+        return (type(a) is tuple and len(a) == R.d
+                and all(_canonical_element(R.base, c) for c in a))
+    return type(a) is int and 0 <= a < R.int_modulus
 
 
 @pytest.fixture
 def off_contract(monkeypatch):
     """Wrap every `dense` entry point, here and in every caller, to record
     each int-ring call whose polynomial arguments are not canonical (a
-    trailing zero is allowed in `trim` and `mulmod`), and each ring seen."""
-    seen = {"calls": [], "rings": set()}
+    trailing zero is allowed in `trim` and `mulmod`), and each ring seen;
+    and wrap the element operations of `NumberField` and `Zq` to fail on
+    the first element they return that is not canonical, and note the
+    ring classes checked."""
+    seen = {"calls": [], "rings": set(), "checked": set()}
 
     def wrap(name, fn):
         def recording(R, *args):
@@ -313,8 +340,21 @@ def off_contract(monkeypatch):
             return fn(R, *args)
         return recording
 
+    def wrap_op(name, fn):
+        def recording(R, *args):
+            out = fn(R, *args)
+            seen["checked"].add(type(R).__name__)
+            if not _canonical_element(R.res if name == "residue" else R, out):
+                # at once: a wrong element can make the caller raise first
+                pytest.fail(f"{R!r}.{name}{args} returned {out}, which is not canonical")
+            return out
+        return recording
+
     for name in _ENTRY_POINTS:
         monkeypatch.setattr(dense, name, wrap(name, getattr(dense, name)))
+    for cls, names in _ELEMENT_OPS.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, wrap_op(name, getattr(cls, name)))
     return seen
 
 
@@ -354,6 +394,7 @@ def test_no_caller_hands_the_int_path_a_non_canonical_polynomial(off_contract, c
     assert local_splitting_type(g, 5).factors == ((1, 8, 1),)
     assert any(r.startswith("Zq(Zq(") for r in off_contract["rings"])
     assert off_contract["calls"] == []
+    assert off_contract["checked"] == {"NumberField", "Zq"}
 
 
 def test_the_contract_guard_fires_on_an_unreduced_call(off_contract):

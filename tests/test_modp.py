@@ -146,7 +146,7 @@ def _irreducible(F, d):
     elements = [F.element_by_index(i) for i in range(F.q)]
     for i in range(F.q**d):
         f = [elements[i // F.q**k % F.q] for k in range(d)] + [F.one]
-        if not any(F.is_zero(dense.evaluate(F, f, a)) for a in elements):
+        if not any(dense.evaluate(F, f, a) == F.zero for a in elements):
             return f
     raise AssertionError(f"no irreducible of degree {d} over {F}")
 
@@ -190,7 +190,7 @@ def _every_element_of_f9(test):
 @given(_ring_and_element())
 def test_a_unit_times_its_inverse_is_one(case):
     R, a = case
-    if R.res.is_zero(R.residue(a)):
+    if R.residue(a) == R.res.zero:
         with pytest.raises(ZeroDivisionError):
             R.inv(a)
     else:
@@ -209,7 +209,7 @@ def test_valuation_shift_and_residue_laws(case, k):
     assert R.residue(R.mul(a, b)) == F.mul(R.residue(a), R.residue(b))
     assert R.residue(R.add(a, b)) == F.add(R.residue(a), R.residue(b))
     va, vb = R.val(a), R.val(b)
-    assert (va is None) == R.is_zero(a)
+    assert (va is None) == (a == R.zero)
     if va is not None and vb is not None and va + vb < R.N:
         assert R.val(R.mul(a, b)) == va + vb
     pk = R.from_int(R.p**k)
@@ -270,7 +270,7 @@ def test_factor_and_roots_over_small_extensions(q, idx):
             prod = dense.mul(F, prod, g)
     assert prod == f
     zeros = [a for a in map(F.element_by_index, range(q))
-             if F.is_zero(dense.evaluate(F, f, a))]
+             if dense.evaluate(F, f, a) == F.zero]
     assert sorted(roots_over(F, f)) == sorted(zeros)
 
 
@@ -363,7 +363,7 @@ def _count_roots_by_brute_force(p, k, f):
     element."""
     F = _ext(p, k) if k > 1 else prime_field(p)
     fk = [F.from_int(c) for c in f]
-    return sum(F.is_zero(dense.evaluate(F, fk, F.element_by_index(i)))
+    return sum(dense.evaluate(F, fk, F.element_by_index(i)) == F.zero
                for i in range(p**k))
 
 

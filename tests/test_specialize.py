@@ -125,6 +125,28 @@ def test_meetings_gate_each_given_prime(monkeypatch, bad):
     assert gsl.specialize.meetings([b], Fraction(3), [3]) == {3: ((b, 1),)}
 
 
+@pytest.mark.parametrize("name, t0, primes", [
+    ("c2_sqrt_t", Fraction(0), (4,)),
+    ("v4_sqrt_t_sqrt_t_minus_1", Fraction(1), (9, 4)),
+], ids=["c2", "v4"])
+def test_a_point_on_a_branch_locus_is_refused_before_any_prime(covers, name, t0, primes):
+    # one order of refusals on every path from t0 to its meetings: the
+    # branch locus speaks first, even when no given prime is a prime
+    cover = covers[name]
+    branches = branch_points(cover)
+    want = f"specialization point {t0} lies on a branch locus"
+    calls = [
+        lambda: gsl.specialize.meetings(branches, t0, primes),
+        lambda: verify_specialization(cover, t0, primes),
+        *(lambda p=p: meeting_prime(branches, t0, p) for p in primes),
+        *(lambda p=p: predict_decomposition(cover, t0, p) for p in primes),
+    ]
+    for call in calls:
+        with pytest.raises(HypothesisViolation) as exc:
+            call()
+        assert str(exc.value) == want
+
+
 def test_meeting_uniqueness():
     b1 = _branch(upoly(0, 1))       # T
     b2 = _branch(upoly(-10, 1))     # T - 10
