@@ -20,19 +20,30 @@ The third digest, pinned in `EXPECTED_PRIMES`, is that of the grid on the
 3 bundled covers with the primes given, `primes=PRIMES`, rather than found
 by factoring: it pins the `primes=` path of `verify`.
 
+The fourth digest, pinned in `EXPECTED_CLI`, is that of the bytes `gsl
+verify` writes: one in-process `gsl.cli.main(["verify", SOURCE, --t0 ...])`
+batch over the whole grid for each bundled cover and one for C6, each
+batch's stdout followed by a line "exit CODE".  Points on a branch locus
+stay in their batch, so their error documents and exit code 64 are pinned
+too.  It pins the JSON writer of the CLI, which the other digests do not
+reach.
+
 Usage:  PYTHONPATH=src python scripts/grid_digest.py
 Prints each digest, then its verdict counts and number of refusals.
-Exits 0 when all three digests are the pinned ones; otherwise prints the values
+Exits 0 when all four digests are the pinned ones; otherwise prints the values
 that differ and exits 1.
 """
 
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+from gsl.cli import main as gsl_main
 from gsl.covers import bundled_covers, load_cover
 from gsl.errors import GslError
 from gsl.exact import rat_to_str
@@ -43,6 +54,7 @@ DENOMINATORS = (1, 2, 3, 5, 7)
 EXPECTED = "4c428f4810c6240df1a73b54cd034251424e7cc6fdf54c96083a01b88684682c"
 EXPECTED_C6 = "11fb8d437210206437f6591ff252eefea41acb4e25add03e5ee4eae6f2f54e63"
 EXPECTED_PRIMES = "f669c93e6efb32e6bc4db34ebc61add56d27cab7a79205d73b784c5b751aa552"
+EXPECTED_CLI = "03dae3145af2b429415d66a873eb3f5165839842b34ceffdd0a1e44352bd29fd"
 PRIMES = (3, 5, 7, 11, 13)
 C6 = Path(__file__).resolve().parent.parent / "bench" / "data" / "c6.json"
 
@@ -75,12 +87,33 @@ def digest(covers, primes=None) -> str:
     return out
 
 
+def cli_digest(sources) -> str:
+    """The digest of one `gsl verify` batch over the grid per source (a
+    `bundled:NAME` or a path): each batch's stdout bytes, then its exit
+    code; prints it with the exit codes."""
+    h = hashlib.sha256()
+    codes = []
+    t0s = [f"--t0={rat_to_str(t0)}" for t0 in grid_points()]
+    for source in sources:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = gsl_main(["verify", source, *t0s])
+        h.update(out.getvalue().encode())
+        h.update(f"exit {code}\n".encode())
+        codes.append(code)
+    print(h.hexdigest())
+    print(f"{len(codes)} verify batches of {len(t0s)} points: exit codes {codes}")
+    return h.hexdigest()
+
+
 def main() -> None:
     c6 = load_cover(C6)
     failed = False
+    cli_sources = [f"bundled:{name}" for name in bundled_covers()] + [str(C6)]
     for got, expected in ((digest(bundled_covers()), EXPECTED),
                           (digest({c6.name: c6}), EXPECTED_C6),
-                          (digest(bundled_covers(), PRIMES), EXPECTED_PRIMES)):
+                          (digest(bundled_covers(), PRIMES), EXPECTED_PRIMES),
+                          (cli_digest(cli_sources), EXPECTED_CLI)):
         if got != expected:
             print(f"grid digest differs: got {got}, expected {expected}", file=sys.stderr)
             failed = True
