@@ -365,12 +365,10 @@ def _polygon(K, H, mu: int, tau, e_acc: int, cap: int) -> list[_Path]:
     pts = [(i, v) for i, v in enumerate(vals) if v is not None]
     out: list[_Path] = []
     extent = 0
-    for xa, ya, xb, yb, lam in dense.newton_sides(pts):
-        if lam <= 0:
+    for xa, ya, xb, yb, (mslope, q) in dense.newton_sides(pts):
+        if mslope <= 0:
             continue
         extent += xb - xa
-        q = lam.denominator
-        mslope = lam.numerator
         # residual: coefficients along the side, one per q-step
         R = []
         for kappa in range((xb - xa) // q + 1):

@@ -68,8 +68,8 @@ the p-adic oracle and by the Puiseux expansions, live here too.
 
 from __future__ import annotations
 
+import math
 import operator
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -412,8 +412,9 @@ def power(R, a, e: int):
 
 def newton_sides(points):
     """Sides of the lower convex hull of (i, v) points with i strictly
-    increasing: (xa, ya, xb, yb, slope) with slope = (ya - yb) / (xb - xa),
-    the common valuation of the roots belonging to that side."""
+    increasing: (xa, ya, xb, yb, (h, e)), the slope (ya - yb) / (xb - xa)
+    as the reduced pair of ints h / e with e > 0, the common valuation of
+    the roots belonging to that side."""
     hull: list = []
     for pt in points:
         while len(hull) >= 2:
@@ -424,7 +425,8 @@ def newton_sides(points):
             else:
                 break
         hull.append(pt)
-    return [
-        (xa, ya, xb, yb, Fraction(ya - yb, xb - xa))
-        for (xa, ya), (xb, yb) in zip(hull, hull[1:])
-    ]
+    sides = []
+    for (xa, ya), (xb, yb) in zip(hull, hull[1:]):
+        g = math.gcd(ya - yb, xb - xa)
+        sides.append((xa, ya, xb, yb, ((ya - yb) // g, (xb - xa) // g)))
+    return sides

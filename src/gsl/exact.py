@@ -698,19 +698,22 @@ def resultant(f, g):
 
 def discriminant(f: UniPoly) -> Rat:
     """Discriminant of a univariate f of degree n >= 1 over Q, computed on
-    Z (Collins, J. ACM 18, 1971): with A = a f integral for the least
-    a > 0 and A' its derivative, Res(A, A') = a^(2n-1) Res(f, f'), so
-    disc f = (-1)^(n(n-1)/2) Res(A, A') / (lc(A) a^(2n-2)): one
-    subresultant PRS and one `Fraction`."""
-    n = f.degree
-    if n < 1:
+    Z by `_disc_ints`: one subresultant PRS and one `Fraction`."""
+    if f.degree < 1:
         raise DomainError("discriminant needs degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    A = f.num
+    return Fraction(*_disc_ints(f.num, f.den))
+
+
+def _disc_ints(A: Sequence[int], a: int) -> tuple[int, int]:
+    """disc(A / a) for integers A of degree n >= 1 and a != 0, as ints
+    (N, D) with disc(A / a) = N / D, unreduced (Collins, J. ACM 18, 1971):
+    with A' the derivative, Res(A, A') = a^(2n-1) Res(A/a, (A/a)'), so
+    N = (-1)^(n(n-1)/2) Res(A, A') and D = lc(A) a^(2n-2).  For n = 1,
+    N = D = lc(A).  N = 0 exactly when A is not squarefree."""
+    n = len(A) - 1
     r = _subresultant(A, dense.deriv(INTEGERS, A))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return Fraction(sign * r, A[-1] * f.den ** (2 * n - 2))
+    return sign * r, A[-1] * a ** (2 * n - 2)
 
 
 def disc_y(P: BiPoly) -> UniPoly:

@@ -79,7 +79,7 @@ from .errors import (
     PrecisionExhausted,
     WildOrIrregular,
 )
-from .exact import Rat, UniPoly, _int_val, _primitive, _valuation, discriminant
+from .exact import Rat, UniPoly, _disc_ints, _int_val, _primitive, _valuation
 from .modp import Zp, Zq, degree_blocks, factor_over, prime_field
 
 __all__ = [
@@ -136,31 +136,33 @@ def _prepare(f: UniPoly, p: int) -> tuple[list[int], PadicPrecisionCtx]:
     at least 0, is the least m that makes g(Z) = p^(m n) f.monic()(Z / p^m)
     integral, and g = G / G_n for the integers G_i = p^(m (n - i)) A_i /
     p^v_p(a), G_n a p-unit.  g multiplies every root of f by p^m, so
-    v_p(disc g) = v_p(disc f.monic()) + m n (n - 1)."""
+    v_p(disc g) = v_p(disc f.monic()) + m n (n - 1), read on the ints
+    N / D = disc f.monic() of `_model`."""
     B = f.num
     if len(B) < 2:
         raise DomainError("need a polynomial of degree >= 1")
     A = tuple(_primitive(B))
-    d = _model(A)
-    if d == 0:
+    N, D = _model(A)
+    if N == 0:
         raise NotSeparable("input polynomial is not separable")
     n = len(A) - 1
     va = _int_val(A[-1], p)
     m = max([0] + [-((_int_val(c, p) - va) // (n - i)) for i, c in enumerate(A[:-1]) if c])
     G = [c * p ** (m * (n - i)) // p**va for i, c in enumerate(A)]
-    v = _valuation(d, p) + m * n * (n - 1)
+    v = _int_val(N, p) - _int_val(D, p) + m * n * (n - 1)
     return G, PadicPrecisionCtx(p=p, precision=2 * v + 1, disc_valuation=v)
 
 
 @functools.lru_cache(maxsize=32)
-def _model(A: tuple[int, ...]) -> Rat:
-    """disc f.monic() for the f whose primitive integer form is A, kept for
-    the last few inputs and keyed on A, so f and every c f share one entry:
-    a specialization is checked at each of its meeting primes with the
-    same polynomial.  f.monic() = A / A_n is stored as those ints (A_n is
-    its least denominator), with no `Fraction`, for `discriminant` to
-    read."""
-    return discriminant(UniPoly._of_int(A, A[-1]))
+def _model(A: tuple[int, ...]) -> tuple[int, int]:
+    """disc f.monic() = disc(A / A_n) for the f whose primitive integer form
+    is A, as the ints (N, D) of `exact._disc_ints`, kept for the last few
+    inputs and keyed on A, so f and every c f share one entry: a
+    specialization is checked at each of its meeting primes with the same
+    polynomial.  `_prepare` reads only their valuations, so neither a
+    `UniPoly` nor a `Fraction` is built; N = 0 exactly when f is not
+    separable."""
+    return _disc_ints(A, A[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +177,9 @@ MAX_DEPTH = 64
 
 def _cluster(W, f, center, floor, depth: int) -> list[tuple[int, int, int]]:
     """(e, f_rel, count) of the factors of f (monic over W, separable over
-    Frac(W)) whose roots y have v(y - center) > floor.  Around center 0
-    above floor -1 that is every root of an integral f."""
+    Frac(W)) whose roots y have v(y - center) > floor, an int or a
+    `Fraction`, compared with each side's slope h/e on ints.  Around center
+    0 above floor -1 that is every root of an integral f."""
     if depth > MAX_DEPTH:
         raise WildOrIrregular(
             f"cluster tree deeper than MAX_DEPTH = {MAX_DEPTH} levels: "
@@ -199,11 +202,12 @@ def _cluster(W, f, center, floor, depth: int) -> list[tuple[int, int, int]]:
         expected += 1
         start = 1
     pts = [(i, v) for i, v in enumerate(vals) if v is not None and i >= start]
-    for xa, ya, xb, _, lam in dense.newton_sides(pts):
-        if lam <= floor:
+    fh, fe = floor.numerator, floor.denominator
+    for xa, ya, xb, _, (h, e) in dense.newton_sides(pts):
+        if h * fe <= fh * e:  # h / e <= floor
             continue
         expected += xb - xa
-        out.extend(_side(W, G, xa, ya, xb, lam, f, center, depth))
+        out.extend(_side(W, G, xa, ya, xb, h, e, f, center, depth))
     # every root strictly inside the floor-ball is accounted for
     emitted = sum(e * fr * c for e, fr, c in out)
     if emitted != expected:
@@ -213,14 +217,13 @@ def _cluster(W, f, center, floor, depth: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[int, int, int]]:
+def _side(W, G, xa, ya, xb, h: int, e: int, f, center, depth: int) -> list[tuple[int, int, int]]:
     """The factors through the side of G = f(x + center) from xa to xb, of
-    slope lam = h/e.  Each simple block of degree deg of its residual
-    polynomial is read as (e, deg) factors; each repeated block (e = 1:
-    others are refused) is split into irreducibles rho by equal-degree
-    splitting alone, and for a root r of each, the cluster of f around
-    center + p^h r is read above lam."""
-    e, h = lam.denominator, lam.numerator
+    slope h/e (reduced, e > 0).  Each simple block of degree deg of its
+    residual polynomial is read as (e, deg) factors; each repeated block
+    (e = 1: others are refused) is split into irreducibles rho by
+    equal-degree splitting alone, and for a root r of each, the cluster of
+    f around center + p^h r is read above h/e."""
     if e % W.p == 0:
         raise WildOrIrregular(
             f"wild ramification candidate: p={W.p} divides e={e}"
@@ -256,7 +259,7 @@ def _side(W, G, xa, ya, xb, lam: Fraction, f, center, depth: int) -> list[tuple[
             # its own one degree block
             repeated.extend(rho for rho, _ in factor_over(F, [(block, deg, 1)]))
     for rho in sorted(repeated, key=lambda g: (len(g), g)):
-        out.extend(_recenter(W, f, center, rho, h, lam, depth + 1))
+        out.extend(_recenter(W, f, center, rho, h, Fraction(h, e), depth + 1))
     return out
 
 

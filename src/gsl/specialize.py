@@ -47,6 +47,7 @@ from .exact import (
     JsonRecord,
     Rat,
     UniPoly,
+    _horner,
     _int_val,
     crt_combine,
     disc_y,  # unused here; bench/spans.py requires this binding
@@ -88,32 +89,42 @@ def meetings(
     point on a branch locus is refused first (HypothesisViolation); then
     each given prime, in ascending order, passes the one primality gate,
     `modp.prime_field` (DomainError "{p} is not prime"); then the
-    multiplicities are read, each a valuation (`exact._int_val`)."""
+    multiplicities are read, each a valuation (`exact._int_val`).
+
+    m(t0) is one `_horner` pass on the locus's stored ints at t0 = n/d,
+    kept as its reduced numerator and denominator, ints that
+    `factor_int` and `_int_val` read: no `Fraction` per locus."""
     t0 = Fraction(t0)
+    n, d = t0.numerator, t0.denominator
     evaluated = []
     for bp in branches:
-        mval = None if bp.locus is None else bp.locus(t0)
-        if mval == 0:
-            raise HypothesisViolation(
-                f"specialization point {t0} lies on a branch locus"
-            )
+        mval = None
+        if bp.locus is not None:
+            acc, dk = _horner(bp.locus.num, n, d)  # m(t0) = acc / (den d^deg)
+            if acc == 0:
+                raise HypothesisViolation(
+                    f"specialization point {t0} lies on a branch locus"
+                )
+            den = bp.locus.den * dk // d
+            g = math.gcd(acc, den)
+            mval = (acc // g, den // g)
         evaluated.append((bp, mval))
     if primes is None:
-        keys = set(factor_int(t0.denominator))
+        keys = set(factor_int(d))
         for _, mval in evaluated:
             if mval is not None:
-                keys.update(factor_int(mval.numerator), factor_int(mval.denominator))
+                keys.update(factor_int(mval[0]), factor_int(mval[1]))
     else:
         keys = sorted(set(primes))
         for p in keys:
             prime_field(p)
     met = {}
     for p in keys:
-        pole = _int_val(t0.denominator, p)
+        pole = _int_val(d, p)
         pairs = []
         for bp, mval in evaluated:
             # a finite locus can meet t0 at p only where t0 is p-integral
-            a = pole if mval is None else 0 if pole else _int_val(mval.numerator, p)
+            a = pole if mval is None else 0 if pole else _int_val(mval[0], p)
             if a:
                 pairs.append((bp, a))
         met[p] = tuple(pairs)
@@ -226,7 +237,7 @@ def specialize_poly(cover: Cover, t0: Rat) -> UniPoly:
     stored as those ints, so the oracle reads it without clearing a
     denominator again."""
     t0 = Fraction(t0)
-    if cover.analysis.disc_sf(t0) == 0:
+    if _horner(cover.analysis.disc_sf.num, t0.numerator, t0.denominator)[0] == 0:
         raise HypothesisViolation(
             f"t0 = {t0} lies on the branch locus of the cover"
         )

@@ -1,10 +1,15 @@
 """The gsl command-line tool: output documents and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import multiprocessing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsl.cli
 import gsl.covers
@@ -434,3 +439,101 @@ def test_json_output_is_sorted_and_stable(capsys):
     _, doc2, _ = run(capsys, "analyze", V4, "--skip-sampling")
     assert doc1 == doc2
     assert list(doc1) == sorted(doc1)
+
+
+# ---------------------------------------------------------------------------
+# the bytes of every document: those of json.dumps(indent=2, sort_keys=True)
+
+# the degree-6 cover C6 of the benchmark, whose oracle refuses t0 = -40/7 at 7
+_C6 = {"name": "c6_compositum", "group_order": 6, "assert_regular_galois": True,
+       "P": [[str(c) for c in row] for row in (
+           [-19, 6, 27, 10, 1], [-24, -84, -36, -4], [84, 38, -6, -2], [-2, 26, 6],
+           [-21, -5, 1], [0, -2], [1])]}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """argv of every subcommand, each writing one document: results, a
+    negative search, oracle refusals and the error documents of a batch and
+    of bad input, one of them with a non-ASCII message."""
+    c6 = tmp_path_factory.mktemp("c6") / "c6.json"
+    c6.write_text(json.dumps(_C6))
+    return [
+        ["analyze", V4], ["analyze", C3, "--skip-sampling"],
+        ["verify", V4, "--t0=21", "--t0=1", "--t0=-3/7", "--t0=-25"],
+        ["verify", C2, "--t0=-25", "--primes=3,5,7"],
+        ["verify", str(c6), "--t0=-20", "--t0=39/2", "--t0=-40/7"],
+        ["verify", str(c6), "--t0=-40/7"],
+        ["predict", C3, "--t0=-1/2", "--prime", "7"],
+        ["oracle", "--coeffs=-10,0,1", "--prime", "5"],
+        ["oracle", "--coeffs=-3,0,0,1", "--prime", "3"],
+        ["adequacy", V4, "--t0", "21"],
+        ["adequacy", C2, "--t0", "2", "--bound", "3"],
+        ["adequacy", C2, "--search", "--start", "2"],
+        ["adequacy", V4, "--search", "--start", "0", "--count", "3"],
+        ["obstruct", V4, "--q", "2", "--bound", "20"],
+        ["obstruct", C2, "--q", "2", "--bound", "20"],
+        ["obstruct", V4, "--q", "0"],
+        ["frobenius-primes", V4, "--order", "2", "--bound", "20"],
+        ["realize", C2, "--prime", "5", "--target", "up"],
+        ["realize", C2, "--prime", "5", "--target", "up", "--bound", "3"],
+        ["analyze", "bundled:über \U0001d11e\t\"x\""],
+        ["analyze", "/does/not/exist.json"],
+        ["analyze", '{"name": '],
+    ]
+
+
+_texts = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001d11e", "\ud834", ""])
+_scalars = (st.integers() | st.integers(-(10**400), 10**400) | st.booleans()
+            | st.none() | _texts)
+_documents = st.recursive(_scalars, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4)), max_leaves=24)
+
+
+def _emitted(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        gsl.cli._emit(doc)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_the_writer_writes_the_bytes_of_json_dumps(doc):
+    assert _emitted(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [2, 0.5]}, {1, 2}, [frozenset()],
+                                 {1: "a"}, {"a": {None: 1}}, {("a",): 1}, b"x"])
+def test_the_writer_refuses_what_is_not_a_document(doc):
+    with pytest.raises(TypeError):
+        _emitted(doc)
+
+
+def test_every_document_is_written_as_json_dumps_writes_it(capsys, documents):
+    for argv in documents:
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+# sha256 of the --summary stderr of `documents`, each command's bytes
+# followed by a line "exit CODE", as written before the summary text was
+# built only under the flag; a change to that text updates it in its diff
+SUMMARY_SHA256 = "21632ec55a81a84792936de43f95cca0e2f66d820969106dcc4d1db351fe277e"
+
+
+def test_summary_text_is_pinned_and_written_only_with_the_flag(capsys, documents):
+    h = hashlib.sha256()
+    for argv in documents:
+        code = main(argv + ["--summary"])
+        told = capsys.readouterr()
+        errors = "".join(line for line in told.err.splitlines(keepends=True)
+                         if line.startswith("gsl: "))
+        # without the flag: the same document and exit code, and of stderr
+        # only the error lines, which the flag does not govern
+        assert (main(argv), capsys.readouterr()) == (code, (told.out, errors)), argv
+        h.update(f"{told.err}exit {code}\n".encode())
+    assert h.hexdigest() == SUMMARY_SHA256

@@ -3,6 +3,7 @@
 Q, number fields and F_p, and the typed errors of its checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -185,9 +186,33 @@ def test_powmod_and_power_reject_a_negative_exponent():
 
 def test_newton_sides():
     # x^3 + 9x + 3 at p = 3: valuations (1, 2, None, 0)
-    assert dense.newton_sides([(0, 1), (1, 2), (3, 0)]) == [(0, 1, 3, 0, Fraction(1, 3))]
+    assert dense.newton_sides([(0, 1), (1, 2), (3, 0)]) == [(0, 1, 3, 0, (1, 3))]
     sides = dense.newton_sides([(0, 4), (1, 1), (2, 1), (3, 0)])
-    assert [(s[0], s[2], s[4]) for s in sides] == [(0, 1, 3), (1, 3, Fraction(1, 2))]
+    assert [(s[0], s[2], s[4]) for s in sides] == [(0, 1, (3, 1)), (1, 3, (1, 2))]
+
+
+def _hull_by_fractions(points):
+    """The lower hull of `points` by gift wrapping in `Fraction`s: from each
+    vertex, the next is the point of least slope, the farthest on a tie."""
+    sides, i = [], 0
+    while i < len(points) - 1:
+        (xa, ya) = points[i]
+        slope, j = min((Fraction(y - ya, x - xa), -k) for k, (x, y) in enumerate(points)
+                       if k > i)
+        (xb, yb) = points[-j]
+        sides.append((xa, ya, xb, yb, -slope))
+        i = -j
+    return sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 12), st.integers(-20, 20), min_size=1, max_size=13))
+def test_newton_sides_match_a_hull_computed_in_fractions(vals):
+    points = sorted(vals.items())
+    assert [(xa, ya, xb, yb, Fraction(*lam)) for xa, ya, xb, yb, lam in dense.newton_sides(points)
+            ] == _hull_by_fractions(points)
+    for *_, (h, e) in dense.newton_sides(points):
+        assert e > 0 and math.gcd(h, e) == 1
 
 
 def test_division_by_non_monic_needs_a_unit():

@@ -477,6 +477,30 @@ def test_oracle_and_its_precision_see_f_and_c_f_alike(f, p, u, w, i, j):
         assert gsl.padic._prepare(g, p) == gsl.padic._prepare(f.monic(), p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 9, 25])),
+                min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0),
+       st.sampled_from([2, 3, 5, 7]))
+def test_disc_valuation_is_that_of_the_discriminant_of_the_model(coeffs, p):
+    # degrees 1 to 6, any leading coefficient: the valuation read off the
+    # int Res(A, A') is v_p(disc f.monic()) plus m n (n - 1), m the least
+    # exponent making p^(m n) f.monic()(Z / p^m) integral
+    f = UniPoly(coeffs)
+    disc = discriminant(f.monic())
+    if disc == 0:
+        with pytest.raises(NotSeparable):
+            gsl.padic._prepare(f, p)
+        return
+    G, ctx = gsl.padic._prepare(f, p)
+    n, monic = f.degree, f.monic().coeffs
+    m = 0
+    while any(c and rational_valuation(c, p) + m * (n - i) < 0 for i, c in enumerate(monic)):
+        m += 1
+    assert ctx.disc_valuation == rational_valuation(disc, p) + m * n * (n - 1)
+    assert ctx.disc_valuation == rational_valuation(discriminant(UniPoly(G)), p) - (
+        2 * n - 2) * rational_valuation(G[-1], p)
+
+
 # clustered inputs prod(x - (c + p^j d)) + p^k g, deg g < deg f
 clustered = st.tuples(
     st.sampled_from([3, 5, 7]),
@@ -684,14 +708,14 @@ def test_discriminant_computed_once_per_polynomial(monkeypatch):
     # a specialization is checked at each of its meeting primes with the same
     # polynomial; its discriminant is computed once
     calls = []
-    real = gsl.padic.discriminant
-    monkeypatch.setattr(gsl.padic, "discriminant", lambda f: calls.append(f) or real(f))
+    real = gsl.padic._disc_ints
+    monkeypatch.setattr(gsl.padic, "_disc_ints", lambda A, a: calls.append(A) or real(A, a))
     gsl.padic._model.cache_clear()
     f = upoly(-1001, 0, 0, 1)
     for p in (5, 7, 11, 13):
         local_splitting_type(f, p)
         local_splitting_type(f.scale(5), p)  # the same monic input
-    assert calls == [f]
+    assert calls == [(-1001, 0, 0, 1)]
     gsl.padic._model.cache_clear()
 
 

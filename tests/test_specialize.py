@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gsl.exact
 import gsl.specialize
 from gsl.covers import RelativeField
-from gsl.covers import BranchPoint, branch_points, conservative_bad_primes
+from gsl.covers import BranchPoint, Cover, branch_points, conservative_bad_primes
 from gsl.errors import (
     ChartMixing,
     DomainError,
@@ -20,7 +21,7 @@ from gsl.errors import (
     NotFound,
     WildOrIrregular,
 )
-from gsl.exact import UniPoly, crt_combine
+from gsl.exact import BiPoly, UniPoly, crt_combine, factor_int, rational_valuation
 from gsl.padic import LocalSplittingType, quadratic_local_class
 from gsl.specialize import (
     MATCH,
@@ -99,6 +100,77 @@ def test_meetings_by_prime_in_branch_order():
     # -69/7 at 1/7: the pole at 7 meets nothing without a branch at infinity
     assert meetings([b2], Fraction(1, 7)) == {3: ((b2, 1),), 7: (), 23: ((b2, 1),)}
     assert meeting_primes([b2], Fraction(1, 7)) == [3, 23]
+
+
+# the degree-6 cover C6 of the benchmark, whose loci T + 5 and T^2 + 3T + 9
+# are of degree 1 and 2; built once, so its analysis runs once
+_C6 = Cover("c6", 6, BiPoly.from_json([[str(c) for c in row] for row in (
+    [-19, 6, 27, 10, 1], [-24, -84, -36, -4], [84, 38, -6, -2], [-2, 26, 6],
+    [-21, -5, 1], [0, -2], [1])]))
+_MEETING_COVERS = ("c2_sqrt_t", "c3_shanks", "v4_sqrt_t_sqrt_t_minus_1", "c6", "rational loci")
+
+
+def _meetings_in_fractions(branches, t0, primes):
+    """`meetings` computed in `Fraction`s: each m(t0) by `UniPoly.__call__`,
+    each multiplicity a rational valuation."""
+    values = []
+    for bp in branches:
+        m = None if bp.locus is None else bp.locus(t0)
+        if m == 0:
+            raise HypothesisViolation(f"specialization point {t0} lies on a branch locus")
+        values.append(m)
+    if primes is None:
+        primes = set(factor_int(t0.denominator))
+        for m in values:
+            if m is not None:
+                primes.update(factor_int(m.numerator), factor_int(m.denominator))
+    met = {}
+    for p in set(primes):
+        pole = t0.denominator % p == 0
+        pairs = []
+        for bp, m in zip(branches, values):
+            if m is None:
+                a = -rational_valuation(t0, p) if pole else 0
+            else:
+                a = 0 if pole else rational_valuation(m, p)
+            if a > 0:
+                pairs.append((bp, a))
+        met[p] = tuple(pairs)
+    return met
+
+
+def _near(root, p, k, u, pole):
+    """A point p-adically near a root of the loci, or a pole at p."""
+    return Fraction(root) + (Fraction(u, p**k) if pole else u * p**k)
+
+
+_near_loci = st.builds(_near, st.sampled_from([0, 1, -5, Fraction(1, 2)]),
+                       st.sampled_from([2, 3, 5, 7, 13]), st.integers(0, 5),
+                       st.integers(-50, 50), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@example("v4_sqrt_t_sqrt_t_minus_1", Fraction(1), None)
+@example("c6", Fraction(-5), [3, 5])
+@example("rational loci", Fraction(2), None)  # m(2) = 15/3 for m = T^2 + T/3 + 1/3
+@given(st.sampled_from(_MEETING_COVERS),
+       _near_loci | st.fractions(-(10**6), 10**6, max_denominator=10**4),
+       st.none() | st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 1201]), max_size=4))
+def test_meetings_match_the_computation_in_fractions(covers, name, t0, primes):
+    if name == "rational loci":
+        # loci whose stored ints have a denominator: m(t0) must be reduced
+        branches = [_branch(upoly(Fraction(-1, 2), 1)), _infinity(),
+                    _branch(upoly(Fraction(1, 3), Fraction(1, 3), 1))]
+    else:
+        branches = branch_points(_C6 if name == "c6" else covers[name])
+    try:
+        want = _meetings_in_fractions(branches, t0, primes)
+    except HypothesisViolation as exc:
+        with pytest.raises(HypothesisViolation) as got:
+            gsl.specialize.meetings(branches, t0, primes)
+        assert str(got.value) == str(exc)
+        return
+    assert gsl.specialize.meetings(branches, t0, primes) == want
 
 
 def test_meeting_entries_reject_a_composite_modulus():
@@ -316,16 +388,19 @@ def _verdicts(report):
 @pytest.mark.parametrize("t0", [Fraction(21), Fraction(210), Fraction(1001, 5)])
 def test_one_verification_evaluates_each_locus_once(covers, monkeypatch, t0):
     v4 = covers["v4_sqrt_t_sqrt_t_minus_1"]
-    loci = {id(bp.locus) for bp in branch_points(v4) if bp.locus is not None}
+    loci = {id(bp.locus.num) for bp in branch_points(v4) if bp.locus is not None}
     calls = collections.Counter()
-    evaluate = UniPoly.__call__
+    evaluate = gsl.specialize._horner
 
-    def counting(self, x):
-        if id(self) in loci:
-            calls[id(self)] += 1
-        return evaluate(self, x)
+    def counting(A, *args):
+        if id(A) in loci:
+            calls[id(A)] += 1
+        return evaluate(A, *args)
 
-    monkeypatch.setattr(UniPoly, "__call__", counting)
+    # the one evaluation loop, through either binding (UniPoly.__call__
+    # reads exact's)
+    monkeypatch.setattr(gsl.specialize, "_horner", counting)
+    monkeypatch.setattr(gsl.exact, "_horner", counting)
     rep = verify_specialization(v4, t0)
     assert sum(e.prediction is not None for e in rep.entries) >= 2
     assert set(calls) == loci and set(calls.values()) == {1}
