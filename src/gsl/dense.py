@@ -357,7 +357,10 @@ def evaluate(R, a, x):
 
 
 def shift(R, a, c):
-    """The Taylor shift a(x + c), by repeated synthetic division."""
+    """The Taylor shift a(x + c), by repeated synthetic division; a shift
+    by zero is a itself, with no element operation."""
+    if c == R.zero:
+        return trim(R, list(a))
     out = list(a)
     n = len(out) - 1
     for i in range(n):

@@ -38,11 +38,17 @@ equal-degree splitting (EDF).  The first two give `degree_blocks`: for
 each multiplicity m and degree r, the product of the irreducible factors
 of degree r and multiplicity m.  That answers every question about the
 degrees of the factors: a cycle type (`frobenius_data`, a sorted tuple)
-and the (e, f) of a simple factor in the p-adic oracle.  DDF (`_ddf`)
-yields each block as it finds it, degree by degree, so the Zassenhaus
-prime search of `nfield` reads a candidate's factor count off the blocks
-found so far and stops once the prime cannot win; it tests each prime
-for squarefreeness by gcd(g, g') mod p first.  EDF runs in one place:
+and the (e, f) of a simple factor in the p-adic oracle.  In odd
+characteristic a monic quadratic x^2 + bx + c needs neither step:
+`_quadratic` reads its blocks off D = b^2 - 4c, a repeated root when
+D = 0, two roots when D is a nonzero square (Euler's criterion, one
+`pow`), one irreducible block otherwise.  `degree_blocks` asks it for a
+quadratic input, and `_ddf` for a quadratic squarefree part or a
+quadratic Zassenhaus candidate.  DDF (`_ddf`) yields each block as it
+finds it, degree by degree, so the Zassenhaus prime search of `nfield`
+reads a candidate's factor count off the blocks found so far and stops
+once the prime cannot win; it tests each prime for squarefreeness by
+gcd(g, g') mod p first.  EDF runs in one place:
 `factor_over` splits the blocks it is handed.  `factor_mod_p` hands it
 every block of `degree_blocks`, `roots_over` the degree-one blocks, the
 oracle its repeated residual blocks and the Zassenhaus search its chosen
@@ -260,11 +266,35 @@ class Zq:
 # factorization over F (squarefree / distinct-degree / equal-degree)
 
 
+def _quadratic(F, f):
+    """The degree blocks of a monic quadratic f = x^2 + bx + c over a
+    finite field F of odd characteristic, read off its discriminant
+    D = b^2 - 4c: [(x + b/2, 1, 2)] when D = 0; otherwise [(f, r, 1)],
+    with r = 1 when D is a square, by Euler's criterion
+    D^((q-1)/2) = 1, and r = 2 when it is not.  One `pow` on F_p, one
+    `dense.power` on F_{p^k}: no polynomial powmod and no gcd."""
+    c, b = f[0], f[1]
+    m = getattr(F, "int_modulus", None)
+    if m is not None:
+        D = (b * b - 4 * c) % m
+    else:
+        D = F.sub(F.mul(b, b), F.mul(F.from_int(4), c))
+    if D == F.zero:
+        half = b * ((m + 1) // 2) % m if m is not None else F.mul(b, F.inv(F.from_int(2)))
+        return [([half, F.one], 1, 2)]
+    return [(f, 1 if dense.power(F, D, (F.q - 1) // 2) == F.one else 2, 1)]
+
+
 def _ddf(F, f):
     """Distinct-degree factorization of a squarefree monic f: yields each
     (product-of-degree-r-factors, r) as it is found, r ascending, so a
     caller that needs only a share of the blocks (the Zassenhaus prime
-    search) stops the work there."""
+    search) stops the work there.  A quadratic in odd characteristic is
+    answered by `_quadratic`."""
+    if len(f) == 3 and F.p != 2:
+        for block, r, _ in _quadratic(F, f):
+            yield block, r
+        return
     h = [F.zero, F.one]  # x
     v = list(f)
     r = 0
@@ -334,12 +364,15 @@ def degree_blocks(F, f) -> list[tuple[list, int, int]]:
     of f that have degree r and multiplicity mult, so there are
     deg(block) / r of them and prod block^mult = monic(f).  The factors
     themselves are not split apart (no EDF).  A linear f is its own
-    block."""
+    block; a quadratic in odd characteristic is read off its discriminant
+    (`_quadratic`), with no squarefree decomposition."""
     f = dense.trim(F, list(f))
     if not f:
         raise DomainError("factorization of the zero polynomial")
     if len(f) == 2:
         return [(dense.monic(F, f), 1, 1)]
+    if len(f) == 3 and F.p != 2:
+        return _quadratic(F, dense.monic(F, f))
     return [
         (block, r, mult)
         for g, mult in dense.squarefree(F, dense.monic(F, f))

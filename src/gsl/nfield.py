@@ -22,10 +22,11 @@ point, no randomness.  The pieces:
     prime is the first of four squarefree candidates with the fewest
     factors mod p: a prime where g mod p is not squarefree is rejected by
     gcd(g, g') mod p, the factors of the others are counted from the
-    blocks of distinct-degree factorization (`modp._ddf`) as it yields
-    them, and a candidate that cannot beat the best count so far is
-    dropped there.  Only the chosen prime's blocks are split into factors,
-    by equal-degree splitting alone (`modp.factor_over` given those
+    blocks of distinct-degree factorization (`modp._ddf`, which reads a
+    quadratic's blocks off its discriminant) as it yields them, and a
+    candidate that cannot beat the best count so far is dropped there.
+    Only the chosen prime's blocks are split into factors, by
+    equal-degree splitting alone (`modp.factor_over` given those
     blocks).  They are lifted by the multifactor Hensel lift
     `hensel_lift` over Z/p^k (`modp.Zp`, whose polynomials are int lists)
     past the Landau-Mignotte bound, and subsets are recombined over Z.

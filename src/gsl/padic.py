@@ -185,7 +185,7 @@ def _cluster(W, f, center, floor, depth: int) -> list[tuple[int, int, int]]:
             f"cluster tree deeper than MAX_DEPTH = {MAX_DEPTH} levels: "
             "outside the certified scope of this oracle"
         )
-    G = f if center == W.zero else dense.shift(W, f, center)
+    G = dense.shift(W, f, center)
     vals = [W.val(c) for c in G]
     out: list[tuple[int, int, int]] = []
     expected = 0

@@ -29,7 +29,7 @@ from gsl import dense, nfield
 from gsl.covers import branch_points, load_cover
 from gsl.errors import DomainError, GslError
 from gsl.exact import UniPoly
-from gsl.modp import Zp, Zq, degree_blocks, factor_over, prime_field
+from gsl.modp import Zp, Zq, _ddf, degree_blocks, factor_over, prime_field
 from gsl.nfield import NumberField, factor_rational, hensel_lift
 from gsl.padic import local_splitting_type
 from gsl.specialize import verify_specialization
@@ -207,6 +207,12 @@ def test_prime_field_never_reaches_the_generic_loop():
     f = dense.mul(F, dense.mul(F, [9, 6, 1], [2, 0, 1]), dense.powmod(F, [5, 1], 101, [0] * 102 + [1]))
     assert dense.squarefree(F, f) == [([2, 0, 1], 1), ([3, 1], 2), ([5, 1], 101)]
     assert factor_over(F, degree_blocks(F, f)) == [([3, 1], 2), ([5, 1], 101), ([2, 0, 1], 1)]
+    # quadratics, read off the discriminant: -8 is not a square mod 101,
+    # x^2 + 7x + 10 = (x + 2)(x + 5), and 2x^2 + 12x + 18 = 2 (x + 3)^2
+    assert degree_blocks(F, [2, 0, 1]) == [([2, 0, 1], 2, 1)]
+    assert degree_blocks(F, [10, 7, 1]) == [([10, 7, 1], 1, 1)]
+    assert degree_blocks(F, [18, 12, 2]) == [([3, 1], 1, 2)]
+    assert list(_ddf(F, [10, 7, 1])) == [([10, 7, 1], 1)]
     assert calls == []
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
 
 import gsl.modp
 from gsl import dense
@@ -421,3 +423,92 @@ def test_frobenius_data_reads_reduced_coefficients():
         frobenius_data(upoly(2), 3)  # a constant has no cycle type
     with pytest.raises(DomainError):
         frobenius_data(upoly(3, 6), 3)  # zero mod 3: the degree drops
+
+
+# ---------------------------------------------------------------------------
+# quadratics in odd characteristic: the degree blocks read off the
+# discriminant, against brute force and sympy
+
+
+def _quadratics_with_a_root(F):
+    """Every monic quadratic over F with a root in F, mapped to its sorted
+    distinct roots, by multiplying out (x - a)(x - b) for every pair of
+    elements: the monic quadratics missing here are irreducible."""
+    elements = [F.element_by_index(i) for i in range(F.q)]
+    out = {}
+    for i, a in enumerate(elements):
+        for b in elements[i:]:
+            f = dense.mul(F, [F.neg(a), F.one], [F.neg(b), F.one])
+            out[tuple(f)] = sorted({a, b})
+    return out
+
+
+def _expected_quadratic(F, f, roots):
+    """(degree blocks, factors) of the monic quadratic f whose distinct
+    roots in F are `roots`."""
+    if not roots:
+        return [(f, 2, 1)], [(f, 1)]
+    linear = [[F.neg(a), F.one] for a in roots]
+    if len(roots) == 1:
+        return [(linear[0], 1, 2)], [(linear[0], 2)]
+    return [(f, 1, 1)], [(g, 1) for g in sorted(linear)]
+
+
+ODD_FIELDS = [prime_field(p) for p in (3, 5, 7, 11, 13)] + [SMALL_EXT[q] for q in (9, 25, 49)]
+
+
+@pytest.mark.parametrize("F", ODD_FIELDS + [prime_field(2), SMALL_EXT[8]], ids=repr)
+def test_every_monic_quadratic_against_its_roots(F, monkeypatch):
+    # odd characteristic: no squarefree pass and no powmod, for
+    # degree_blocks and for _ddf; characteristic 2: the closed form is
+    # never reached, and the generic path gives the same answers
+    odd = F.p != 2
+    with_root = _quadratics_with_a_root(F)
+    elements = [F.element_by_index(i) for i in range(F.q)]
+    for b in elements:
+        for c in elements:
+            f = [c, b, F.one]
+            blocks, factors = _expected_quadratic(F, f, with_root.get(tuple(f), []))
+            with monkeypatch.context() as m:
+                if odd:
+                    for name in ("squarefree", "powmod", "gcd"):
+                        m.setattr(dense, name, lambda *a: pytest.fail("generic DDF"))
+                else:
+                    m.setattr(gsl.modp, "_quadratic", lambda *a: pytest.fail("closed form in char 2"))
+                assert degree_blocks(F, f) == blocks
+                # a unit in front changes nothing
+                assert degree_blocks(F, dense.scale(F, f, elements[-1])) == blocks
+                if blocks[0][2] == 1:
+                    assert list(gsl.modp._ddf(F, f)) == [(f, blocks[0][1])]
+            assert factor_over(F, blocks) == factors
+            assert roots_over(F, f) == sorted(with_root.get(tuple(f), []))
+
+
+LARGE_PRIMES = [3, 101, 65537, 2**31 - 1, 2**61 - 1]
+
+
+@settings(max_examples=200)
+@example(2**61 - 1, 0, 0, 1, True)  # x^2
+@example(2**61 - 1, 1, 1, 1, False)
+@given(st.sampled_from(LARGE_PRIMES), st.integers(0, 2**62), st.integers(0, 2**62),
+       st.integers(1, 2**62), st.booleans())
+def test_quadratics_at_large_primes_against_sympy(p, b, c, lc, double):
+    # double: c = b^2 / 4, a zero discriminant, (x + b/2)^2
+    F = prime_field(p)
+    assume(lc % p)
+    b %= p
+    c = b * b * pow(4, -1, p) % p if double else c % p
+    f = [c * lc % p, b * lc % p, lc % p]
+    _, sp_factors = gf_factor(f[::-1], p, ZZ)
+    factors = sorted((([int(a) for a in reversed(g)], m) for g, m in sp_factors),
+                     key=lambda t: (len(t[0]), t[0]))
+    monic = [c, b, 1]
+    if len(factors) == 1 and factors[0][1] == 2:
+        blocks = [(factors[0][0], 1, 2)]
+    else:
+        blocks = [(monic, 3 - len(factors), 1)]
+    if double:
+        assert factors[0][1] == 2
+    assert degree_blocks(F, f) == blocks
+    assert factor_over(F, blocks) == factors
+    assert roots_over(F, f) == sorted(-g[0] % p for g, _ in factors if len(g) == 2)

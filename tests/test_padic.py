@@ -1,5 +1,6 @@
 """The certified p-adic oracle."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 import gsl.nfield
 import gsl.padic
 from gsl import dense
-from gsl.covers import bundled_covers, conservative_bad_primes
+from gsl.covers import Cover, bundled_covers, conservative_bad_primes
 from gsl.errors import DomainError, GslError, NotSeparable, PrecisionExhausted, WildOrIrregular
-from gsl.exact import UniPoly, discriminant, rational_valuation
+from gsl.exact import BiPoly, UniPoly, discriminant, rational_valuation
 from gsl.modp import (
     Zp,
     Zq,
@@ -31,6 +34,7 @@ from gsl.padic import (
     quadratic_local_class,
 )
 from gsl.specialize import specialize_poly
+from test_covers import _C6
 
 
 def upoly(*coeffs):
@@ -579,6 +583,72 @@ def test_base_change_to_the_unramified_quadratic_extension(data):
     got = gsl.padic._merge(_cluster(W, fw, W.zero, -1, 0))
     assert got == gsl.padic._merge(
         (e, fr // math.gcd(fr, 2), cnt * math.gcd(fr, 2)) for e, fr, cnt in want)
+
+
+@functools.cache
+def _c6():
+    return Cover("c6", 6, BiPoly.from_json([[str(c) for c in row] for row in _C6]))
+
+
+def _answer_over(f, p, ring):
+    """The ladder of `local_splitting_type` on the integral model of f, run
+    over ring(N) at each rung N: the merged answer, or "refused" when the
+    configuration is refused or no rung certifies."""
+    G, ctx = gsl.padic._prepare(f, p)
+    for k in range(gsl.padic.LADDER_RUNGS):
+        W = ring(ctx.precision << k)
+        try:
+            return gsl.padic._merge(
+                _cluster(W, dense.monic(W, [W.from_int(c) for c in G]), W.zero, -1, 0))
+        except PrecisionExhausted:
+            continue
+        except WildOrIrregular:
+            return "refused"
+    return "refused"
+
+
+@st.composite
+def _unramified_modulus(draw, p):
+    """A monic chi over Z, of degree 2 to 4, irreducible mod p (tested by
+    sympy): the first irreducible residue at or after a drawn one, in the
+    order of its coefficients read base p, lifted by a drawn multiple of
+    p."""
+    d = draw(st.integers(2, 4))
+    start = draw(st.integers(0, p**d - 1))
+    for i in range(start, start + p**d):
+        chi = [i // p**k % p for k in range(d)] + [1]
+        if gf_irreducible_p(chi[::-1], p, ZZ):
+            break
+    return [c + p * draw(st.integers(-2, 2)) for c in chi[:-1]] + [1]
+
+
+@settings(max_examples=300, deadline=None)
+@example("c3_shanks", 0, 1, Fraction(1), (3, [2, 2, 0, 1]))  # wild at 3: refused on both sides
+@example("v4_sqrt_t_sqrt_t_minus_1", 1, 1, Fraction(1), (5, [2, 0, 0, 0, 1]))
+@given(st.sampled_from(["c2_sqrt_t", "c3_shanks", "v4_sqrt_t_sqrt_t_minus_1", "c6"]),
+       st.integers(-2, 2), st.integers(0, 3), small_rat,
+       st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]).flatmap(
+           lambda p: st.tuples(st.just(p), _unramified_modulus(p))))
+def test_oracle_over_an_unramified_base_is_the_base_change_of_its_answer(
+        covers, name, a, k, b, p_chi):
+    # over W = Z_p[x]/(chi), unramified of degree r over Z_p, a factor
+    # (e, f) of f over Q_p splits into gcd(f, r) factors (e, f / gcd(f, r));
+    # t0 = a + p^k b meets the branch points 0 and 1 at p when k >= 1
+    p, chi = p_chi
+    cover = _c6() if name == "c6" else covers[name]
+    t0 = a + p**k * b
+    assume(cover.analysis.disc_sf(t0) != 0)
+    f = specialize_poly(cover, t0)
+    assume(f.degree == cover.degree and discriminant(f) != 0)
+    r = len(chi) - 1
+    try:
+        want = local_splitting_type(f, p).factors
+    except (WildOrIrregular, PrecisionExhausted):
+        want = "refused"
+    if want != "refused":
+        want = gsl.padic._merge(
+            (e, fr // math.gcd(fr, r), cnt * math.gcd(fr, r)) for e, fr, cnt in want)
+    assert _answer_over(f, p, lambda N: Zq(Zp(p, N), chi)) == want
 
 
 @settings(max_examples=30, deadline=None)
